@@ -12,7 +12,6 @@ from .admissible import (
 from .bounds import (
     BoundCertificate,
     clamp_plus,
-    ds_bound,
     ds_product,
     eb_bound,
     fkdb_rhs,
@@ -28,7 +27,7 @@ from .coherence import (
     gram,
     sub_coherence,
 )
-from .dft import DftPlan, dft_matrix, forward, inverse, transform
+from .dft import dft_matrix, forward, inverse
 from .oracle import TightnessReport, exhaustive_verify, min_sparsity_product
 from .sparsity import (
     ConcentrationWitness,

@@ -21,11 +21,6 @@ def clamp_plus(a: float) -> float:
     return max(0.0, a)
 
 
-def ds_bound(d: int) -> float:
-    """Lower bound on the time/frequency sparsity product in dimension d."""
-    return float(d)
-
-
 def ds_product(h, eta: float = ETA) -> tuple:
     """(l0 of h, l0 of its unitary DFT, their product) for nonzero h."""
     s_time = l0(h, eta)
@@ -43,33 +38,27 @@ def eb_bound(mu: float) -> float:
 
 
 def fkdb_rhs(s_f: int, s_g: int, prof: CoherenceProfile) -> float:
-    """Bound on the sparsity product at sparsities (s_f, s_g).
-
-    A zero cross-coherence makes the bound infinite (vacuous hypothesis);
-    this is reported as math.inf, never as an arithmetic fault, except that
-    a zero numerator yields 0 outright.
-    """
-    num = clamp_plus(1.0 - (s_f - 1) * prof.sub_coherence_f) * clamp_plus(
-        1.0 - (s_g - 1) * prof.sub_coherence_g
-    )
-    denom = prof.cross_f_omega * prof.cross_g_tau
-    if denom <= 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return num / denom
+    """Bound on the sparsity product at sparsities (s_f, s_g): the concentrated
+    bound at eps = delta = 0.  A zero cross-coherence makes the bound infinite
+    (vacuous hypothesis), reported as math.inf, never as an arithmetic fault,
+    except that a zero numerator yields 0 outright."""
+    return fskpb_rhs(s_f, s_g, 0.0, 0.0, prof)
 
 
 def fskpb_rhs(o_m: int, o_n: int, eps: float, delta: float, prof: CoherenceProfile) -> float:
-    """Concentrated variant of the bound for set sizes (o_m, o_n).
+    """Concentrated variant of the bound for set sizes (o_m, o_n)."""
+    return _bound(o_m, o_n, eps, delta, prof)[2]
 
-    Reduces exactly to fkdb_rhs when eps = delta = 0 (same arithmetic).
-    """
-    num = clamp_plus(1.0 - eps - (o_m - 1 + eps) * prof.sub_coherence_f) * clamp_plus(
-        1.0 - delta - (o_n - 1 + delta) * prof.sub_coherence_g
-    )
+
+def _bound(o_m, o_n, eps, delta, prof: CoherenceProfile) -> tuple:
+    """(numerator_f, numerator_g, rhs) of the concentrated bound."""
+    num_f = 1.0 - eps - (o_m - 1 + eps) * prof.sub_coherence_f
+    num_g = 1.0 - delta - (o_n - 1 + delta) * prof.sub_coherence_g
+    num = clamp_plus(num_f) * clamp_plus(num_g)
     denom = prof.cross_f_omega * prof.cross_g_tau
     if denom <= 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return num / denom
+        return num_f, num_g, 0.0 if num == 0.0 else math.inf
+    return num_f, num_g, num / denom
 
 
 @dataclass(frozen=True)
@@ -119,20 +108,59 @@ def fixedpoint_residuals(bisystem: BiSystem, x) -> tuple:
     return float(r_f), float(r_g)
 
 
-def _check_nonzero(x, eta: float):
-    if l0(x, eta) == 0:
+@dataclass(frozen=True)
+class _Prepared:
+    """Per-bisystem invariants and tolerances, computed once for many signals."""
+
+    bisystem: BiSystem
+    profile: CoherenceProfile
+    pairing_ok: bool
+    eta: float
+    tol_fp: float
+    tol_cert: float
+
+
+def _prepare(bisystem: BiSystem, eta: float = ETA, tol_fp: float = TOL_FP,
+             tol_cert: float = TOL_CERT, eta_hyp: float = ETA_HYP) -> _Prepared:
+    pairing_ok = (validate_pairing(bisystem.first, eta_hyp).ok
+                  and validate_pairing(bisystem.second, eta_hyp).ok)
+    return _Prepared(bisystem, coherence_profile(bisystem), pairing_ok,
+                     eta, tol_fp, tol_cert)
+
+
+@dataclass(frozen=True)
+class _Signal:
+    """Analysis vectors and fixed-point residuals of one nonzero signal."""
+
+    a: np.ndarray
+    b: np.ndarray
+    r_f: float
+    r_g: float
+
+
+def _signal(prep: _Prepared, x) -> _Signal:
+    if l0(x, prep.eta) == 0:
         raise DegenerateInputError("signal is zero after thresholding")
+    b = prep.bisystem
+    return _Signal(analysis(b.first, x), analysis(b.second, x), *fixedpoint_residuals(b, x))
 
 
-def _finish(lhs, rhs, num_f, num_g, prof, r_f, r_g, hyp_ok, eta, tol_fp, tol_cert,
-            epsilon=None, delta=None) -> BoundCertificate:
+def _certify(prep: _Prepared, sig: _Signal, o_m: int, o_n: int,
+             eps: Optional[float], delta: Optional[float]) -> BoundCertificate:
+    """Certificate at set sizes (o_m, o_n) with concentration defects
+    (eps, delta); eps = delta = None is the flat bound, evaluated at 0."""
+    num_f, num_g, rhs = _bound(o_m, o_n, 0.0 if eps is None else eps,
+                               0.0 if delta is None else delta, prep.profile)
+    lhs = o_m * o_n
+    hyp_ok = bool(sig.r_f <= prep.tol_fp and sig.r_g <= prep.tol_fp and prep.pairing_ok)
     vacuous = math.isinf(rhs)
-    satisfied = bool(hyp_ok and not vacuous and lhs >= rhs - tol_cert)
+    satisfied = bool(hyp_ok and not vacuous and lhs >= rhs - prep.tol_cert)
     return BoundCertificate(
-        lhs=float(lhs), rhs=rhs, numerator_f=num_f, numerator_g=num_g, profile=prof,
-        fixedpoint_residual_f=r_f, fixedpoint_residual_g=r_g, hypothesis_ok=hyp_ok,
-        satisfied=satisfied, vacuous=vacuous, eta=eta, tol_fp=tol_fp,
-        tol_cert=tol_cert, epsilon=epsilon, delta=delta,
+        lhs=float(lhs), rhs=rhs, numerator_f=num_f, numerator_g=num_g,
+        profile=prep.profile, fixedpoint_residual_f=sig.r_f,
+        fixedpoint_residual_g=sig.r_g, hypothesis_ok=hyp_ok, satisfied=satisfied,
+        vacuous=vacuous, eta=prep.eta, tol_fp=prep.tol_fp, tol_cert=prep.tol_cert,
+        epsilon=eps, delta=delta,
     )
 
 
@@ -143,22 +171,9 @@ def verify_fkdb(bisystem: BiSystem, x, eta: float = ETA, tol_fp: float = TOL_FP,
     Hypothesis failure yields a certificate with hypothesis_ok=False and
     satisfied=False, never a silent pass.
     """
-    _check_nonzero(x, eta)
-    r_f, r_g = fixedpoint_residuals(bisystem, x)
-    hyp_ok = bool(
-        r_f <= tol_fp
-        and r_g <= tol_fp
-        and validate_pairing(bisystem.first, eta_hyp).ok
-        and validate_pairing(bisystem.second, eta_hyp).ok
-    )
-    prof = coherence_profile(bisystem)
-    s_f = l0(analysis(bisystem.first, x), eta)
-    s_g = l0(analysis(bisystem.second, x), eta)
-    num_f = 1.0 - (s_f - 1) * prof.sub_coherence_f
-    num_g = 1.0 - (s_g - 1) * prof.sub_coherence_g
-    rhs = fkdb_rhs(s_f, s_g, prof)
-    return _finish(s_f * s_g, rhs, num_f, num_g, prof, r_f, r_g, hyp_ok,
-                   eta, tol_fp, tol_cert)
+    prep = _prepare(bisystem, eta, tol_fp, tol_cert, eta_hyp)
+    sig = _signal(prep, x)
+    return _certify(prep, sig, l0(sig.a, eta), l0(sig.b, eta), None, None)
 
 
 def verify_fskpb(bisystem: BiSystem, x, set_m, set_n, eta: float = ETA,
@@ -169,25 +184,12 @@ def verify_fskpb(bisystem: BiSystem, x, set_m, set_n, eta: float = ETA,
     epsilon and delta are the exact concentration defects of the analysis
     coefficients on M and N; empty sets are allowed (epsilon or delta = 1).
     """
-    _check_nonzero(x, eta)
-    r_f, r_g = fixedpoint_residuals(bisystem, x)
-    hyp_ok = bool(
-        r_f <= tol_fp
-        and r_g <= tol_fp
-        and validate_pairing(bisystem.first, eta_hyp).ok
-        and validate_pairing(bisystem.second, eta_hyp).ok
-    )
-    prof = coherence_profile(bisystem)
-    set_m = tuple(sorted(set(int(i) for i in set_m)))
-    set_n = tuple(sorted(set(int(i) for i in set_n)))
-    eps = concentration_epsilon(analysis(bisystem.first, x), set_m)
-    delta = concentration_epsilon(analysis(bisystem.second, x), set_n)
-    o_m, o_n = len(set_m), len(set_n)
-    num_f = 1.0 - eps - (o_m - 1 + eps) * prof.sub_coherence_f
-    num_g = 1.0 - delta - (o_n - 1 + delta) * prof.sub_coherence_g
-    rhs = fskpb_rhs(o_m, o_n, eps, delta, prof)
-    return _finish(o_m * o_n, rhs, num_f, num_g, prof, r_f, r_g, hyp_ok,
-                   eta, tol_fp, tol_cert, epsilon=eps, delta=delta)
+    prep = _prepare(bisystem, eta, tol_fp, tol_cert, eta_hyp)
+    sig = _signal(prep, x)
+    set_m, set_n = {int(i) for i in set_m}, {int(i) for i in set_n}
+    return _certify(prep, sig, len(set_m), len(set_n),
+                    concentration_epsilon(sig.a, set_m),
+                    concentration_epsilon(sig.b, set_n))
 
 
 def per_index_slack(bisystem: BiSystem, x) -> np.ndarray:

@@ -23,6 +23,7 @@ from .config import ETA, ETA_HYP, GUARD, TOL_CERT, TOL_FP, TOL_RANK
 from .errors import ParameterError, SparseBoundsError, StructuralError
 from .oracle import min_sparsity_product
 from .serialization import (
+    _system_from_document,
     bisystem_from_dict,
     bisystem_to_dict,
     canonical_json,
@@ -30,9 +31,8 @@ from .serialization import (
     load_system,
     signal_from_dict,
     signal_to_dict,
-    system_to_dict,
 )
-from .systems import BiSystem, validate_pairing
+from .systems import validate_pairing
 
 SEED_ENV = "SPARSEBOUNDS_SEED"
 
@@ -149,15 +149,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_coherence(args) -> int:
-    doc = load_json(args.input) if args.input.endswith(".json") else None
-    if doc is not None and "first" in doc and "second" in doc:
-        bisystem = bisystem_from_dict(doc)
-        body = coherence_profile(bisystem).as_dict()
+    doc = load_json(args.input)
+    if args.input.endswith(".json") and "first" in doc and "second" in doc:
+        body = coherence_profile(bisystem_from_dict(doc)).as_dict()
     else:
-        system = load_system(args.input)
+        system = _system_from_document(doc, Path(args.input).parent)
         body = {
             "sub_coherence": sub_coherence(system),
-            "gram_max_offdiag": sub_coherence(system),
             "gram_diagonal": [float(v) for v in np.abs(np.diag(gram(system)))],
         }
     body["manifest"] = _manifest("coherence", {"input": args.input}, {})

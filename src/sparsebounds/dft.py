@@ -1,52 +1,36 @@
-"""Direct unitary discrete Fourier transform, O(d^2) by design.
+"""Unitary discrete Fourier transform.
 
-Unitary normalization (symmetric 1/sqrt(d)) keeps the DFT columns unit
-vectors, so they can feed the Hilbert-specialization constructor unchanged.
+`forward` and `inverse` are numpy's FFT with orthonormal ("ortho") scaling.
+`dft_matrix` builds the same transform as a matrix; the symmetric 1/sqrt(d)
+normalization keeps its columns unit vectors, so they can feed the
+Hilbert-specialization constructor unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ParameterError, StructuralError
-
-FORWARD = "forward"
-INVERSE = "inverse"
+from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class DftPlan:
-    d: int
-    direction: str = FORWARD
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ParameterError(f"transform length must be positive, got {self.d}")
-        if self.direction not in (FORWARD, INVERSE):
-            raise ParameterError(f"unknown direction {self.direction!r}")
-
-
-def dft_matrix(d: int, direction: str = FORWARD) -> np.ndarray:
-    """Unitary DFT matrix, entry (j, k) = exp(-+ 2 pi i j k / d) / sqrt(d)."""
-    sign = -1.0 if direction == FORWARD else 1.0
+def dft_matrix(d: int) -> np.ndarray:
+    """Unitary DFT matrix, entry (j, k) = exp(-2 pi i j k / d) / sqrt(d)."""
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    return np.exp(sign * 2j * np.pi * j * k / d) / np.sqrt(d)
+    return np.exp(-2j * np.pi * j * k / d) / np.sqrt(d)
 
 
-def transform(plan: DftPlan, h) -> np.ndarray:
+def _nonempty(h) -> np.ndarray:
     h = np.asarray(h, dtype=np.complex128).ravel()
-    if h.size != plan.d:
-        raise StructuralError(f"input length {h.size} does not match plan length {plan.d}")
-    return dft_matrix(plan.d, plan.direction) @ h
+    if h.size == 0:
+        raise ParameterError("transform length must be positive, got 0")
+    return h
 
 
 def forward(h) -> np.ndarray:
-    h = np.asarray(h).ravel()
-    return transform(DftPlan(h.size, FORWARD), h)
+    """Unitary DFT of h: sum_k h_k exp(-2 pi i j k / d) / sqrt(d)."""
+    return np.fft.fft(_nonempty(h), norm="ortho")
 
 
 def inverse(h) -> np.ndarray:
-    h = np.asarray(h).ravel()
-    return transform(DftPlan(h.size, INVERSE), h)
+    """Inverse of `forward`."""
+    return np.fft.ifft(_nonempty(h), norm="ortho")

@@ -16,10 +16,11 @@ from math import comb
 import numpy as np
 
 from .admissible import AdmissibleSpace, null_space_basis, sample_admissible
-from .bounds import fkdb_rhs, verify_fkdb, verify_fskpb
+from .bounds import _certify, _prepare, _signal, fkdb_rhs
 from .coherence import coherence_profile
 from .config import ETA, GUARD, TOL_CERT, TOL_FP, TOL_RANK
-from .errors import GuardExceededError, NoAdmissibleSignalError, ParameterError
+from .errors import (DegenerateInputError, GuardExceededError, NoAdmissibleSignalError,
+                     ParameterError)
 from .sparsity import best_set, l0
 from .systems import BiSystem, analysis
 
@@ -88,8 +89,8 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
         )
         hit, rank = _scan_size_class(pairs, a_rows, c_rows, space.w, tol_rank, workers)
         if hit is not None:
-            s_f_set, s_g_set, c = hit
-            return _report(bisystem, space, c, eta, guard, searched + rank + 1)
+            return _report(bisystem, space, hit[2], (size_f, size_g), eta, guard,
+                           searched + rank + 1)
         searched += comb(n, size_f) * comb(m, size_g)
     raise NoAdmissibleSignalError("no feasible support pattern found")
 
@@ -123,13 +124,20 @@ def _scan_size_class(pairs, a_rows, c_rows, w, tol_rank, workers):
     return (s_f, s_g, c), rank
 
 
-def _report(bisystem, space, c, eta, guard, searched) -> TightnessReport:
+def _report(bisystem, space, c, sizes, eta, guard, searched) -> TightnessReport:
+    """Report for null vector c of the winning pattern with sizes (|S_f|, |S_g|);
+    raises when the witness's l0 product is not the pattern's size product."""
     x = space.basis @ c
     # Normalize the entry of largest magnitude to 1 for a reproducible witness.
     pivot = x[int(np.argmax(np.abs(x)))]
     x = x / pivot
     s_f = l0(analysis(bisystem.first, x), eta)
     s_g = l0(analysis(bisystem.second, x), eta)
+    if s_f * s_g != sizes[0] * sizes[1]:
+        raise DegenerateInputError(
+            f"witness l0 product {s_f} x {s_g} differs from its support pattern's "
+            f"{sizes[0]} x {sizes[1]} at eta = {eta:g}"
+        )
     rhs = fkdb_rhs(s_f, s_g, coherence_profile(bisystem))
     best = s_f * s_g
     return TightnessReport(
@@ -163,13 +171,14 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
     if space.w < 1:
         raise NoAdmissibleSignalError("admissible subspace is trivial (w = 0)")
     n, m = bisystem.first.n, bisystem.second.n
+    prep = _prepare(bisystem, eta, tol_fp, tol_cert)
     satisfied = 0
     conc_checked = conc_ok = 0
     min_margin = np.inf
     failing = []
     for t in range(trials):
-        x = sample_admissible(space, seed + t)
-        cert = verify_fkdb(bisystem, x, eta=eta, tol_fp=tol_fp, tol_cert=tol_cert)
+        sig = _signal(prep, sample_admissible(space, seed + t))
+        cert = _certify(prep, sig, l0(sig.a, eta), l0(sig.b, eta), None, None)
         margin = cert.lhs - cert.rhs
         min_margin = min(min_margin, margin)
         if cert.hypothesis_ok and cert.satisfied:
@@ -177,14 +186,12 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
         else:
             failing.append(seed + t)
         if t < concentrated_subsample:
-            a = analysis(bisystem.first, x)
-            b = analysis(bisystem.second, x)
-            for o_m in range(1, n + 1):
-                for o_n in range(1, m + 1):
-                    set_m = best_set(a, o_m).set
-                    set_n = best_set(b, o_n).set
-                    c = verify_fskpb(bisystem, x, set_m, set_n, eta=eta,
-                                     tol_fp=tol_fp, tol_cert=tol_cert)
+            sets_m = [best_set(sig.a, o_m) for o_m in range(1, n + 1)]
+            sets_n = [best_set(sig.b, o_n) for o_n in range(1, m + 1)]
+            for w_m in sets_m:
+                for w_n in sets_n:
+                    c = _certify(prep, sig, len(w_m.set), len(w_n.set),
+                                 w_m.epsilon, w_n.epsilon)
                     conc_checked += 1
                     conc_ok += int(c.hypothesis_ok and c.satisfied)
                     min_margin = min(min_margin, c.lhs - c.rhs)

@@ -134,11 +134,14 @@ def _parse_entry(text: str, field_tag: str):
 
 def load_system(path) -> PairedSystem:
     """Load a system from JSON, or from a CSV manifest naming two matrices."""
-    path = Path(path)
-    data = load_json(path)
+    return _system_from_document(load_json(path), Path(path).parent)
+
+
+def _system_from_document(data, base: Path) -> PairedSystem:
+    """System from a parsed system document or CSV manifest; the manifest's
+    matrix paths are relative to base."""
     if "vectors_csv" in data:
         field_tag = data.get("field", REAL)
-        base = path.parent
         data = dict(data)
         data["vectors"] = _read_csv_matrix(base / data["vectors_csv"], field_tag)
         data["functionals"] = _read_csv_matrix(base / data["functionals_csv"], field_tag)

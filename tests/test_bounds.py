@@ -8,7 +8,6 @@ from sparsebounds import (
     PairedSystem,
     analysis,
     clamp_plus,
-    ds_bound,
     ds_product,
     eb_bound,
     fkdb_rhs,
@@ -44,7 +43,6 @@ class TestClampPlus:
 class TestDonohoStark:
     def test_comb_d4(self):
         assert ds_product([1.0, 0.0, 1.0, 0.0]) == (2, 2, 4)
-        assert ds_bound(4) == 4.0
 
     def test_comb_d9(self):
         h = np.zeros(9)

@@ -65,6 +65,7 @@ class TestCoherence:
         code, doc = run(capsys, "coherence", str(path))
         assert code == 0
         assert doc["sub_coherence"] == 0.0
+        assert set(doc) == {"sub_coherence", "gram_diagonal", "manifest"}
 
 
 class TestVerify:
