@@ -103,8 +103,13 @@ class BoundCertificate:
 def fixedpoint_residuals(bisystem: BiSystem, x) -> tuple:
     """Max-norm residuals of x against both fixed-point conditions."""
     x = np.asarray(x).ravel()
-    r_f = np.abs(x - synthesis(bisystem.first, analysis(bisystem.first, x))).max()
-    r_g = np.abs(x - synthesis(bisystem.second, analysis(bisystem.second, x))).max()
+    return _residuals(bisystem, x, analysis(bisystem.first, x), analysis(bisystem.second, x))
+
+
+def _residuals(bisystem: BiSystem, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """Residuals of x given its analysis vectors a (first) and b (second)."""
+    r_f = np.abs(x - synthesis(bisystem.first, a)).max()
+    r_g = np.abs(x - synthesis(bisystem.second, b)).max()
     return float(r_f), float(r_g)
 
 
@@ -141,8 +146,9 @@ class _Signal:
 def _signal(prep: _Prepared, x) -> _Signal:
     if l0(x, prep.eta) == 0:
         raise DegenerateInputError("signal is zero after thresholding")
-    b = prep.bisystem
-    return _Signal(analysis(b.first, x), analysis(b.second, x), *fixedpoint_residuals(b, x))
+    bisystem, x = prep.bisystem, np.asarray(x)
+    a, b = analysis(bisystem.first, x), analysis(bisystem.second, x)
+    return _Signal(a, b, *_residuals(bisystem, x, a, b))
 
 
 def _certify(prep: _Prepared, sig: _Signal, o_m: int, o_n: int,

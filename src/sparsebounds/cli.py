@@ -150,6 +150,8 @@ def cmd_validate(args) -> int:
 
 def cmd_coherence(args) -> int:
     doc = load_json(args.input)
+    if not isinstance(doc, dict):
+        raise StructuralError(f"{args.input} must hold a JSON object")
     if args.input.endswith(".json") and "first" in doc and "second" in doc:
         body = coherence_profile(bisystem_from_dict(doc)).as_dict()
     else:
@@ -207,8 +209,7 @@ def cmd_search(args) -> int:
     bisystem, inputs = _resolve_bisystem(args)
     space = admissible_space(bisystem, args.tol_rank)
     report = min_sparsity_product(bisystem, space, eta=args.eta,
-                                  guard=args.guard, tol_rank=args.tol_rank,
-                                  workers=args.workers)
+                                  guard=args.guard, tol_rank=args.tol_rank)
     document = {
         "best_lhs": report.best_lhs,
         "rhs_at_witness": report.rhs_at_witness,
@@ -219,7 +220,6 @@ def cmd_search(args) -> int:
         "eta": report.eta,
         "manifest": _manifest("search", inputs, {
             "eta": args.eta, "guard": args.guard, "tol_rank": args.tol_rank,
-            "workers": args.workers,
         }),
     }
     _emit(document, args)
@@ -290,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive minimal sparsity-product search")
     _add_bisystem_source(p)
     p.add_argument("--guard", type=int, default=GUARD)
-    p.add_argument("--workers", type=int, default=1)
     _add_tolerances(p)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out")

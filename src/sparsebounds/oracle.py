@@ -4,12 +4,13 @@ The search enumerates support-pattern pairs (S_f, S_g) in increasing order of
 |S_f| * |S_g| (ties by |S_f|, then lexicographic sets) and solves each
 pattern's feasibility as a null-space problem; the first feasible pattern is
 therefore a minimizer of the sparsity product over the admissible subspace.
+Feasibility is tested in chunks of patterns by one batched singular-value
+call each; only the winning pattern's null vector is computed.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 
@@ -23,6 +24,11 @@ from .errors import (DegenerateInputError, GuardExceededError, NoAdmissibleSigna
                      ParameterError)
 from .sparsity import best_set, l0
 from .systems import BiSystem, analysis
+
+# Support patterns per batched singular-value call: small enough that the scan
+# stops soon after the first feasible pattern and the stack stays under a
+# megabyte within the default guard, large enough to amortize the per-call overhead.
+CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -63,12 +69,10 @@ def _feasible(a_rows: np.ndarray, c_rows: np.ndarray, s_f, s_g, w: int,
 
 def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
                          eta: float = ETA, guard: int = GUARD,
-                         tol_rank: float = TOL_RANK, workers: int = 1) -> TightnessReport:
+                         tol_rank: float = TOL_RANK) -> TightnessReport:
     """Exhaustive minimizer of l0(theta_f x) * l0(theta_g x) over admissible x.
 
-    Serial and parallel runs produce identical reports: candidates within one
-    size class are merged by their deterministic enumeration rank, and
-    patterns_searched is always the rank of the winning pattern in the full
+    patterns_searched is the rank of the winning pattern in the full
     (product, lexicographic) order.
     """
     n, m = bisystem.first.n, bisystem.second.n
@@ -87,9 +91,9 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
             itertools.combinations(range(n), size_f),
             itertools.combinations(range(m), size_g),
         )
-        hit, rank = _scan_size_class(pairs, a_rows, c_rows, space.w, tol_rank, workers)
-        if hit is not None:
-            return _report(bisystem, space, hit[2], (size_f, size_g), eta, guard,
+        c, rank = _scan_size_class(pairs, a_rows, c_rows, space.w, tol_rank)
+        if c is not None:
+            return _report(bisystem, space, c, (size_f, size_g), eta, guard,
                            searched + rank + 1)
         searched += comb(n, size_f) * comb(m, size_g)
     raise NoAdmissibleSignalError("no feasible support pattern found")
@@ -100,28 +104,40 @@ def analysis_matrix(system, space: AdmissibleSpace) -> np.ndarray:
     return system.functionals @ space.basis
 
 
-def _scan_size_class(pairs, a_rows, c_rows, w, tol_rank, workers):
-    """First feasible pattern (by enumeration rank) within one size class."""
-    if workers <= 1:
-        for rank, (s_f, s_g) in enumerate(pairs):
-            c = _feasible(a_rows, c_rows, list(s_f), list(s_g), w, tol_rank)
-            if c is not None:
-                return (s_f, s_g, c), rank
-        return None, 0
+def _scan_size_class(pairs, a_rows, c_rows, w, tol_rank):
+    """(null vector, enumeration rank) of the first feasible pattern within one
+    size class, or (None, 0).
 
-    indexed = list(enumerate(pairs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(
-            lambda item: (item[0], item[1],
-                          _feasible(a_rows, c_rows, list(item[1][0]),
-                                    list(item[1][1]), w, tol_rank)),
-            indexed,
-        )
-        feasible = [(rank, pat, c) for rank, pat, c in results if c is not None]
-    if not feasible:
-        return None, 0
-    rank, (s_f, s_g), c = min(feasible, key=lambda item: item[0])
-    return (s_f, s_g, c), rank
+    Patterns are tested CHUNK at a time by their singular values alone; the
+    null vector comes from _feasible, on candidates in enumeration order.
+    """
+    start = 0
+    while chunk := list(itertools.islice(pairs, CHUNK)):
+        s_f, s_g = zip(*chunk)
+        off_f, off_g = _off_rows(a_rows, s_f), _off_rows(c_rows, s_g)
+        if off_f.shape[1] + off_g.shape[1] < w:
+            # Fewer constraint rows than unknowns: every pattern is feasible.
+            candidates = range(len(chunk))
+        else:
+            s = np.linalg.svd(np.concatenate([off_f, off_g], axis=1), compute_uv=False)
+            # null_space_basis's rank rule, one row of s per pattern.
+            rank = np.count_nonzero(s > tol_rank * np.maximum(s[:, :1], 1.0), axis=1)
+            candidates = np.flatnonzero(rank < w)
+        for i in candidates:
+            c = _feasible(a_rows, c_rows, list(s_f[i]), list(s_g[i]), w, tol_rank)
+            if c is not None:
+                return c, start + int(i)
+        start += len(chunk)
+    return None, 0
+
+
+def _off_rows(rows: np.ndarray, supports) -> np.ndarray:
+    """(k, rows - |S|, w) stack of the rows outside each of k equal-size supports,
+    in ascending row order."""
+    k = len(supports)
+    keep = np.ones((k, rows.shape[0]), dtype=bool)
+    keep[np.arange(k)[:, None], np.array(supports)] = False
+    return rows[np.nonzero(keep)[1].reshape(k, -1)]
 
 
 def _report(bisystem, space, c, sizes, eta, guard, searched) -> TightnessReport:

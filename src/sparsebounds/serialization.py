@@ -140,6 +140,8 @@ def load_system(path) -> PairedSystem:
 def _system_from_document(data, base: Path) -> PairedSystem:
     """System from a parsed system document or CSV manifest; the manifest's
     matrix paths are relative to base."""
+    if not isinstance(data, dict):
+        raise StructuralError("system document must be a JSON object")
     if "vectors_csv" in data:
         field_tag = data.get("field", REAL)
         data = dict(data)

@@ -49,6 +49,12 @@ class TestValidate:
         code = main(["validate", str(path)])
         assert code == 1
 
+    def test_non_object_json(self, tmp_path, capsys):
+        path = tmp_path / "five.json"
+        path.write_text("5")
+        assert main(["validate", str(path)]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
 
 class TestCoherence:
     def test_bisystem_profile(self, tmp_path, capsys):
@@ -66,6 +72,12 @@ class TestCoherence:
         assert code == 0
         assert doc["sub_coherence"] == 0.0
         assert set(doc) == {"sub_coherence", "gram_diagonal", "manifest"}
+
+    def test_non_object_json(self, tmp_path, capsys):
+        path = tmp_path / "five.json"
+        path.write_text("5")
+        assert main(["coherence", str(path)]) == 1
+        assert "must hold a JSON object" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsebounds import (
     BiSystem,
@@ -23,7 +27,31 @@ from sparsebounds.errors import (
     NoAdmissibleSignalError,
     ParameterError,
 )
-from sparsebounds.oracle import VerifySummary
+from sparsebounds.config import ETA, GUARD, TOL_RANK
+from sparsebounds.oracle import (VerifySummary, _feasible, _pattern_order, _report,
+                                 analysis_matrix)
+
+
+def reference_search(bisystem, space, eta=ETA, guard=GUARD, tol_rank=TOL_RANK):
+    """min_sparsity_product as a plain loop of one _feasible call per pattern."""
+    n, m = bisystem.first.n, bisystem.second.n
+    a_rows = analysis_matrix(bisystem.first, space)
+    c_rows = analysis_matrix(bisystem.second, space)
+    searched = 0
+    for size_f, size_g in _pattern_order(n, m):
+        for s_f in itertools.combinations(range(n), size_f):
+            for s_g in itertools.combinations(range(m), size_g):
+                searched += 1
+                c = _feasible(a_rows, c_rows, list(s_f), list(s_g), space.w, tol_rank)
+                if c is not None:
+                    return _report(bisystem, space, c, (size_f, size_g), eta, guard, searched)
+    raise NoAdmissibleSignalError("no feasible support pattern found")
+
+
+def report_fields(report):
+    """Every field of a TightnessReport, the witness as dtype and raw bytes."""
+    return (report.best_lhs, report.patterns_searched, report.rhs_at_witness, report.gap,
+            report.guard, report.eta, report.witness.dtype, report.witness.tobytes())
 
 
 def rotation(angle_deg):
@@ -74,16 +102,32 @@ class TestMinSparsityProduct:
         ("rotated_pair", {"d": 2, "angle": 45.0}),
         ("subspace_union", {"d": 4, "split": 2}),
         ("perturbed", {"base": {"family": "dft_pair", "params": {"d": 4}}, "magnitude": 0.1}),
+        # The winner (pattern 7921) lies many chunks into its size class.
+        ("dft_pair", {"d": 8}),
+        # A single functional per system: no off-pattern rows, so the
+        # row-count shortcut decides the first pattern.
+        ("identity_pair", {"d": 1}),
     ])
-    def test_parallel_matches_serial(self, family, params):
+    def test_batched_matches_reference(self, family, params):
         b = generate(family, params, seed=3)
         space = admissible_space(b)
-        serial = min_sparsity_product(b, space, workers=1)
-        parallel = min_sparsity_product(b, space, workers=4)
-        assert serial.best_lhs == parallel.best_lhs
-        assert serial.rhs_at_witness == parallel.rhs_at_witness
-        assert serial.patterns_searched == parallel.patterns_searched
-        np.testing.assert_array_equal(serial.witness, parallel.witness)
+        want = reference_search(b, space)
+        assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
+
+    def test_row_count_shortcut_skips_svd(self, monkeypatch):
+        # dft_pair d=5 wins in size class (1, 5), whose 4 off-pattern rows are
+        # fewer than w = 5; that class needs no singular values.
+        b = generate("dft_pair", {"d": 5}, 0)
+        space = admissible_space(b)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
+        report = min_sparsity_product(b, space)
+        assert report.best_lhs == 5
+        batched, witness = calls[:-1], calls[-1]
+        assert batched and all(len(shape) == 3 and shape[1] >= shape[2] for shape in batched)
+        assert witness == (4, 5)  # the winner's null vector, from null_space_basis
+        assert report_fields(report) == report_fields(reference_search(b, space))
 
     def test_witness_disagreeing_with_pattern_raises(self):
         # Rescaling tau_j -> c tau_j, f_j -> f_j / c keeps every hypothesis,
@@ -104,6 +148,33 @@ class TestMinSparsityProduct:
         assert a.best_lhs == c.best_lhs
         assert a.patterns_searched == c.patterns_searched
         np.testing.assert_array_equal(a.witness, c.witness)
+
+
+@st.composite
+def small_bisystems(draw):
+    """Seeded subspace_union or perturbed bisystems with n + m <= 12."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 10))
+        split = draw(st.integers(1, min(d, 12 - d)))
+        return generate("subspace_union", {"d": d, "split": split}, seed)
+    family = draw(st.sampled_from(["identity_pair", "dft_pair", "rotated_pair", "subspace_union"]))
+    d = draw(st.integers(2, 6))
+    params = {"d": d}
+    if family == "rotated_pair":
+        params["angle"] = draw(st.floats(1.0, 89.0))
+    if family == "subspace_union":
+        params["split"] = draw(st.integers(1, d))
+    base = {"family": family, "params": params, "seed": seed}
+    return generate("perturbed", {"base": base, "magnitude": draw(st.floats(0.0, 0.9))}, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_bisystems())
+def test_batched_search_matches_reference_property(b):
+    space = admissible_space(b)
+    want = reference_search(b, space)
+    assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
 
 
 class TestExhaustiveVerify:
