@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .admissible import (
     AdmissibleSpace,
     admissible_space,
-    fixed_subspace,
     generate,
     sample_admissible,
 )
@@ -31,12 +30,10 @@ from .dft import dft_matrix, forward, inverse
 from .oracle import TightnessReport, exhaustive_verify, min_sparsity_product
 from .sparsity import (
     ConcentrationWitness,
-    SparsityProfile,
     best_set,
     concentration_epsilon,
     l0,
     l1,
-    profile,
     support,
 )
 from .systems import (

@@ -10,12 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ETA_HYP, TOL_RANK
+from .config import TOL_RANK
 from .dft import dft_matrix
 from .errors import NoAdmissibleSignalError, ParameterError
 from .systems import (
     COMPLEX,
-    REAL,
     BiSystem,
     PairedSystem,
     from_hilbert_vectors,
@@ -33,23 +32,22 @@ class AdmissibleSpace:
     w: int
 
 
+def _rank(s: np.ndarray, tol_rank: float):
+    """Numerical rank from descending singular values s, along the last axis.
+
+    The cutoff floors sigma_max at 1 so that a matrix which is pure rounding
+    noise (e.g. I - TF for an exactly invertible composition) still reports
+    a full null space.
+    """
+    return np.count_nonzero(s > tol_rank * np.maximum(s[..., :1], 1.0), axis=-1)
+
+
 def null_space_basis(a: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
     """Orthonormal null-space basis of a, columns; relative SVD cutoff."""
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(a.shape[1], dtype=a.dtype)
-    # The cutoff floors sigma_max at 1 so that a matrix which is pure
-    # rounding noise (e.g. I - TF for an exactly invertible composition)
-    # still reports a full null space.
-    rank = int(np.count_nonzero(s > tol_rank * max(s[0], 1.0)))
-    return vh[rank:].conj().T
-
-
-def fixed_subspace(system: PairedSystem, tol_rank: float = TOL_RANK) -> np.ndarray:
-    """Basis of the fixed points of the composition x -> T F x."""
-    composition = system.vectors @ system.functionals
-    eye = np.eye(system.d, dtype=composition.dtype)
-    return null_space_basis(eye - composition, tol_rank)
+    return vh[int(_rank(s, tol_rank)):].conj().T
 
 
 def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> AdmissibleSpace:
@@ -105,7 +103,10 @@ def generate(family: str, params: dict, seed: int = 0) -> BiSystem:
                                   diagonals and the admissible dimension are
                                   preserved exactly
     """
-    params = dict(params)
+    try:
+        params = dict(params)
+    except (TypeError, ValueError):
+        raise ParameterError(f"family parameters must be an object, got {params!r}")
     if family == "identity_pair":
         d = _pos_int(params, "d")
         return BiSystem(identity_system(d), identity_system(d))
@@ -117,11 +118,11 @@ def generate(family: str, params: dict, seed: int = 0) -> BiSystem:
         d = _pos_int(params, "d")
         if d < 2:
             raise ParameterError("rotated_pair needs d >= 2")
-        angle = float(params.get("angle", 45.0))
+        angle = _param(params, "angle", float, 45.0)
         return BiSystem(identity_system(d), from_hilbert_vectors(_rotation(d, angle)))
     if family == "subspace_union":
         d = _pos_int(params, "d")
-        split = int(params.get("split", 1))
+        split = _param(params, "split", int, 1)
         if not 1 <= split <= d:
             raise ParameterError(f"split must be in [1, {d}], got {split}")
         rng = np.random.default_rng(seed)
@@ -132,19 +133,25 @@ def generate(family: str, params: dict, seed: int = 0) -> BiSystem:
         base = params.get("base")
         if not isinstance(base, dict) or "family" not in base:
             raise ParameterError("perturbed needs a base family descriptor")
-        magnitude = float(params.get("magnitude", 0.05))
+        magnitude = _param(params, "magnitude", float, 0.05)
         if not 0.0 <= magnitude < 1.0:
             raise ParameterError(f"magnitude must be in [0, 1), got {magnitude}")
-        inner = generate(base["family"], base.get("params", {}), base.get("seed", seed))
+        inner = generate(base["family"], base.get("params", {}), _param(base, "seed", int, seed))
         return _perturb(inner, magnitude, seed)
     raise ParameterError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
 
 
-def _pos_int(params: dict, key: str) -> int:
+def _param(params: dict, key: str, kind, default=None):
+    """params[key], or default when it is absent, converted by kind (int or float)."""
     try:
-        value = int(params[key])
+        return kind(params[key] if default is None else params.get(key, default))
     except (KeyError, TypeError, ValueError):
-        raise ParameterError(f"family parameter {key!r} missing or not an integer")
+        noun = "an integer" if kind is int else "a number"
+        raise ParameterError(f"family parameter {key!r} missing or not {noun}")
+
+
+def _pos_int(params: dict, key: str) -> int:
+    value = _param(params, key, int)
     if value < 1:
         raise ParameterError(f"family parameter {key!r} must be positive, got {value}")
     return value

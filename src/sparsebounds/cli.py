@@ -64,10 +64,13 @@ def _add_bisystem_source(parser):
 def _family_descriptor(args) -> dict:
     if args.descriptor:
         doc = load_json(args.descriptor)
-        if "family" not in doc:
-            raise StructuralError("descriptor file needs a 'family' key")
-        return {"family": doc["family"], "params": doc.get("params", {}),
-                "seed": int(doc.get("seed", 0))}
+        if not isinstance(doc, dict) or "family" not in doc:
+            raise StructuralError("descriptor file needs a JSON object with a 'family' key")
+        try:
+            seed = int(doc.get("seed", 0))
+        except (TypeError, ValueError):
+            raise ParameterError(f"descriptor seed must be an integer, got {doc['seed']!r}")
+        return {"family": doc["family"], "params": doc.get("params", {}), "seed": seed}
     if not args.family:
         raise ParameterError("provide --bisystem, --descriptor, or --family")
     seed = args.seed if args.seed is not None else _default_seed()
@@ -152,7 +155,7 @@ def cmd_coherence(args) -> int:
     doc = load_json(args.input)
     if not isinstance(doc, dict):
         raise StructuralError(f"{args.input} must hold a JSON object")
-    if args.input.endswith(".json") and "first" in doc and "second" in doc:
+    if "first" in doc and "second" in doc:
         body = coherence_profile(bisystem_from_dict(doc)).as_dict()
     else:
         system = _system_from_document(doc, Path(args.input).parent)

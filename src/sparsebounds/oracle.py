@@ -5,7 +5,8 @@ The search enumerates support-pattern pairs (S_f, S_g) in increasing order of
 pattern's feasibility as a null-space problem; the first feasible pattern is
 therefore a minimizer of the sparsity product over the admissible subspace.
 Feasibility is tested in chunks of patterns by one batched singular-value
-call each; only the winning pattern's null vector is computed.
+call each; only candidate patterns get a null vector, from the same gathered
+constraint rows.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .admissible import AdmissibleSpace, null_space_basis, sample_admissible
+from .admissible import AdmissibleSpace, _rank, null_space_basis, sample_admissible
 from .bounds import _certify, _prepare, _signal, fkdb_rhs
 from .coherence import coherence_profile
 from .config import ETA, GUARD, TOL_CERT, TOL_FP, TOL_RANK
@@ -52,21 +53,6 @@ def _pattern_order(n: int, m: int):
     )
 
 
-def _feasible(a_rows: np.ndarray, c_rows: np.ndarray, s_f, s_g, w: int,
-              tol_rank: float):
-    """Null vector of the off-pattern constraint rows, or None."""
-    comp_f = np.delete(a_rows, s_f, axis=0)
-    comp_g = np.delete(c_rows, s_g, axis=0)
-    stacked = np.vstack([comp_f, comp_g])
-    if stacked.shape[0] == 0:
-        basis = np.eye(w, dtype=a_rows.dtype)
-    else:
-        basis = null_space_basis(stacked, tol_rank)
-    if basis.shape[1] == 0:
-        return None
-    return basis[:, 0]
-
-
 def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
                          eta: float = ETA, guard: int = GUARD,
                          tol_rank: float = TOL_RANK) -> TightnessReport:
@@ -82,8 +68,8 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
         )
     if space.w < 1:
         raise NoAdmissibleSignalError("admissible subspace is trivial (w = 0)")
-    a_rows = analysis_matrix(bisystem.first, space)
-    c_rows = analysis_matrix(bisystem.second, space)
+    a_rows = bisystem.first.functionals @ space.basis
+    c_rows = bisystem.second.functionals @ space.basis
 
     searched = 0
     for size_f, size_g in _pattern_order(n, m):
@@ -99,34 +85,28 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
     raise NoAdmissibleSignalError("no feasible support pattern found")
 
 
-def analysis_matrix(system, space: AdmissibleSpace) -> np.ndarray:
-    """Analysis coefficients of the subspace basis, one row per functional."""
-    return system.functionals @ space.basis
-
-
 def _scan_size_class(pairs, a_rows, c_rows, w, tol_rank):
     """(null vector, enumeration rank) of the first feasible pattern within one
     size class, or (None, 0).
 
     Patterns are tested CHUNK at a time by their singular values alone; the
-    null vector comes from _feasible, on candidates in enumeration order.
+    null vector of each candidate, in enumeration order, comes from the same
+    stack of off-pattern rows.
     """
     start = 0
     while chunk := list(itertools.islice(pairs, CHUNK)):
         s_f, s_g = zip(*chunk)
-        off_f, off_g = _off_rows(a_rows, s_f), _off_rows(c_rows, s_g)
-        if off_f.shape[1] + off_g.shape[1] < w:
+        stack = np.concatenate([_off_rows(a_rows, s_f), _off_rows(c_rows, s_g)], axis=1)
+        if stack.shape[1] < w:
             # Fewer constraint rows than unknowns: every pattern is feasible.
             candidates = range(len(chunk))
         else:
-            s = np.linalg.svd(np.concatenate([off_f, off_g], axis=1), compute_uv=False)
-            # null_space_basis's rank rule, one row of s per pattern.
-            rank = np.count_nonzero(s > tol_rank * np.maximum(s[:, :1], 1.0), axis=1)
-            candidates = np.flatnonzero(rank < w)
+            s = np.linalg.svd(stack, compute_uv=False)
+            candidates = np.flatnonzero(_rank(s, tol_rank) < w)
         for i in candidates:
-            c = _feasible(a_rows, c_rows, list(s_f[i]), list(s_g[i]), w, tol_rank)
-            if c is not None:
-                return c, start + int(i)
+            basis = null_space_basis(stack[i], tol_rank)
+            if basis.shape[1] > 0:
+                return basis[:, 0], start + int(i)
         start += len(chunk)
     return None, 0
 

@@ -67,7 +67,7 @@ def system_from_dict(data: dict) -> PairedSystem:
     field_tag = data["field"]
     if field_tag not in (REAL, COMPLEX):
         raise StructuralError(f"unknown field tag {field_tag!r}")
-    d, n = int(data["d"]), int(data["n"])
+    d, n = _int_field(data, "d"), _int_field(data, "n")
     vectors = _decode_matrix(data["vectors"], field_tag, (d, n), "vectors")
     functionals = _decode_matrix(data["functionals"], field_tag, (n, d), "functionals")
     return PairedSystem(vectors, functionals, field_tag)
@@ -109,15 +109,24 @@ def signal_from_dict(data: dict) -> np.ndarray:
             x = np.array(coords, dtype=np.float64)
     except (TypeError, ValueError, IndexError) as exc:
         raise StructuralError(f"cannot parse signal coordinates: {exc}")
-    if "d" in data and x.size != int(data["d"]):
+    if "d" in data and x.size != _int_field(data, "d"):
         raise StructuralError(f"signal length {x.size} does not match d={data['d']}")
     return x
 
 
+def _int_field(data: dict, key: str) -> int:
+    try:
+        return int(data[key])
+    except (TypeError, ValueError):
+        raise StructuralError(f"{key!r} must be an integer, got {data[key]!r}")
+
+
 def _read_csv_matrix(path: Path, field_tag: str) -> list:
-    with open(path, newline="") as fh:
-        rows = [[_parse_entry(v, field_tag) for v in row] for row in csv.reader(fh) if row]
-    return rows
+    try:
+        with open(path, newline="") as fh:
+            return [[_parse_entry(v, field_tag) for v in row] for row in csv.reader(fh) if row]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StructuralError(f"cannot read {path}: {exc}")
 
 
 def _parse_entry(text: str, field_tag: str):
@@ -143,6 +152,8 @@ def _system_from_document(data, base: Path) -> PairedSystem:
     if not isinstance(data, dict):
         raise StructuralError("system document must be a JSON object")
     if "vectors_csv" in data:
+        if not all(isinstance(data.get(k), str) for k in ("vectors_csv", "functionals_csv")):
+            raise StructuralError("CSV manifest needs 'vectors_csv' and 'functionals_csv' file names")
         field_tag = data.get("field", REAL)
         data = dict(data)
         data["vectors"] = _read_csv_matrix(base / data["vectors_csv"], field_tag)
@@ -156,7 +167,7 @@ def load_json(path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise StructuralError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise StructuralError(f"invalid JSON in {path}: {exc}")
 
 

@@ -11,13 +11,6 @@ from .errors import DegenerateInputError, ParameterError
 
 
 @dataclass(frozen=True)
-class SparsityProfile:
-    l0: int
-    l1: float
-    support: tuple
-
-
-@dataclass(frozen=True)
 class ConcentrationWitness:
     """An index set M together with its exact concentration defect epsilon."""
 
@@ -45,11 +38,6 @@ def support(a, eta: float = ETA) -> tuple:
     if eta < 0:
         raise ParameterError("zero threshold eta must be nonnegative")
     return tuple(np.nonzero(_magnitudes(a) > eta)[0].tolist())
-
-
-def profile(a, eta: float = ETA) -> SparsityProfile:
-    supp = support(a, eta)
-    return SparsityProfile(l0=len(supp), l1=l1(a), support=supp)
 
 
 def concentration_epsilon(a, index_set) -> float:

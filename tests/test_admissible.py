@@ -5,14 +5,13 @@ from sparsebounds import (
     BiSystem,
     PairedSystem,
     admissible_space,
-    fixed_subspace,
     from_hilbert_vectors,
     generate,
     identity_system,
     sample_admissible,
     validate_pairing,
 )
-from sparsebounds.admissible import AdmissibleSpace
+from sparsebounds.admissible import AdmissibleSpace, null_space_basis
 from sparsebounds.bounds import fixedpoint_residuals
 from sparsebounds.coherence import coherence_profile, sub_coherence
 from sparsebounds.errors import NoAdmissibleSignalError, ParameterError
@@ -25,22 +24,39 @@ def plane_system(columns):
     return from_hilbert_vectors(np.asarray(columns, dtype=float))
 
 
+class TestNullSpaceBasis:
+    def test_cutoff_relative_to_largest_singular_value(self):
+        # 1e-7 is below 1e-10 * 1e6, so it counts as zero.
+        basis = null_space_basis(np.diag([1e6, 1e-7]))
+        assert basis.shape == (2, 1)
+        np.testing.assert_allclose(np.abs(basis[:, 0]), [0.0, 1.0])
+
+    def test_cutoff_floored_at_one(self):
+        # A matrix that is pure rounding noise has a full null space.
+        assert null_space_basis(np.diag([1e-11, 1e-12])).shape == (2, 2)
+
+
 class TestFixedSubspace:
+    """admissible_space on pairs whose common fixed subspace is known."""
+
     def test_identity_full_space(self):
-        basis = fixed_subspace(identity_system(4))
-        assert basis.shape == (4, 4)
+        space = admissible_space(BiSystem(identity_system(4), identity_system(4)))
+        assert space.w == 4
+        assert space.basis.shape == (4, 4)
 
     def test_projector_plane(self):
-        system = plane_system(np.eye(3)[:, :2])
-        basis = fixed_subspace(system)
-        assert basis.shape[1] == 2
+        plane = plane_system(np.eye(3)[:, :2])
+        space = admissible_space(BiSystem(plane, plane))
+        assert space.w == 2
         # Fixed space is the xy-plane: z-component vanishes.
-        np.testing.assert_allclose(basis[2, :], 0.0, atol=1e-12)
+        np.testing.assert_allclose(space.basis[2, :], 0.0, atol=1e-12)
 
     def test_doubling_has_no_fixed_points(self):
         eye = np.eye(2)
         doubled = PairedSystem(np.hstack([eye, eye]), np.vstack([eye, eye]))
-        assert fixed_subspace(doubled).shape[1] == 0
+        space = admissible_space(BiSystem(doubled, identity_system(2)))
+        assert space.w == 0
+        assert space.basis.shape == (2, 0)
 
 
 class TestAdmissibleSpace:

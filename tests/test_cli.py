@@ -79,6 +79,61 @@ class TestCoherence:
         assert main(["coherence", str(path)]) == 1
         assert "must hold a JSON object" in capsys.readouterr().err
 
+    def test_bisystem_without_json_suffix(self, tmp_path, capsys):
+        b = generate("dft_pair", {"d": 4}, 0)
+        path = tmp_path / "bis.txt"
+        path.write_text(canonical_json(bisystem_to_dict(b)))
+        code, doc = run(capsys, "coherence", str(path))
+        assert code == 0
+        assert doc["cross_f_omega"] == pytest.approx(0.5)
+
+
+SYSTEM_1X1 = {"field": "real", "d": 1, "n": 1, "vectors": [[1.0]], "functionals": [[1.0]]}
+CSV_MANIFEST = {"field": "real", "d": 1, "n": 1, "vectors_csv": "v.csv"}
+
+
+def descriptor(family, params, **extra):
+    return json.dumps({"family": family, "params": params, **extra})
+
+
+@pytest.mark.parametrize("files,argv", [
+    ({"desc.json": "5"}, ["verify", "--descriptor", "desc.json", "--sample", "1"]),
+    ({"desc.json": descriptor("dft_pair", {"d": 4}, seed="x")},
+     ["verify", "--descriptor", "desc.json", "--sample", "1"]),
+    ({"desc.json": descriptor("dft_pair", [1, 2])},
+     ["verify", "--descriptor", "desc.json", "--sample", "1"]),
+    ({"desc.json": descriptor("rotated_pair", {"d": 2, "angle": "x"})},
+     ["verify", "--descriptor", "desc.json", "--sample", "1"]),
+    ({"desc.json": descriptor("perturbed", {"base": {"family": "dft_pair", "params": {"d": 3}},
+                                            "magnitude": "big"})},
+     ["verify", "--descriptor", "desc.json", "--sample", "1"]),
+    ({"desc.json": descriptor("perturbed", {"base": {"family": "subspace_union",
+                                                     "params": {"d": 3}, "seed": "x"}})},
+     ["verify", "--descriptor", "desc.json", "--sample", "1"]),
+    ({"desc.json": descriptor("subspace_union", {"d": 4, "split": "x"})},
+     ["search", "--descriptor", "desc.json"]),
+    ({"sys.json": json.dumps({**SYSTEM_1X1, "d": "x"})}, ["validate", "sys.json"]),
+    ({"sys.json": json.dumps(CSV_MANIFEST), "v.csv": "1\n"}, ["validate", "sys.json"]),
+    ({"sys.json": json.dumps({**CSV_MANIFEST, "functionals_csv": "missing.csv"}),
+      "v.csv": "1\n"}, ["coherence", "sys.json"]),
+    ({"sig.json": json.dumps({"coordinates": [1, 0, 0, 0], "d": "x"})},
+     ["verify", "--family", "dft_pair", "--d", "4", "--signal", "sig.json"]),
+    ({"bin.json": b"\xff\xfe"}, ["validate", "bin.json"]),
+    ({"sys.json": json.dumps({**CSV_MANIFEST, "functionals_csv": "v.csv"}), "v.csv": b"\xff\n"},
+     ["validate", "sys.json"]),
+], ids=["descriptor-not-object", "descriptor-seed", "descriptor-params-list", "angle",
+        "magnitude", "base-seed", "split", "system-d", "csv-manifest-no-functionals",
+        "csv-missing-file", "signal-d", "json-not-utf8", "csv-not-utf8"])
+def test_malformed_input_exits_1(tmp_path, monkeypatch, capsys, files, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        path = tmp_path / name
+        path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
 
 class TestVerify:
     def test_family_sample(self, capsys):

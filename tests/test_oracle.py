@@ -20,7 +20,7 @@ from sparsebounds import (
     verify_fkdb,
     verify_fskpb,
 )
-from sparsebounds.admissible import AdmissibleSpace
+from sparsebounds.admissible import AdmissibleSpace, null_space_basis
 from sparsebounds.errors import (
     DegenerateInputError,
     GuardExceededError,
@@ -28,23 +28,26 @@ from sparsebounds.errors import (
     ParameterError,
 )
 from sparsebounds.config import ETA, GUARD, TOL_RANK
-from sparsebounds.oracle import (VerifySummary, _feasible, _pattern_order, _report,
-                                 analysis_matrix)
+from sparsebounds.oracle import VerifySummary, _pattern_order, _report
 
 
 def reference_search(bisystem, space, eta=ETA, guard=GUARD, tol_rank=TOL_RANK):
-    """min_sparsity_product as a plain loop of one _feasible call per pattern."""
+    """min_sparsity_product as a plain loop of one null-space solve per pattern,
+    on the off-pattern rows gathered pattern by pattern."""
     n, m = bisystem.first.n, bisystem.second.n
-    a_rows = analysis_matrix(bisystem.first, space)
-    c_rows = analysis_matrix(bisystem.second, space)
+    a_rows = bisystem.first.functionals @ space.basis
+    c_rows = bisystem.second.functionals @ space.basis
     searched = 0
     for size_f, size_g in _pattern_order(n, m):
         for s_f in itertools.combinations(range(n), size_f):
             for s_g in itertools.combinations(range(m), size_g):
                 searched += 1
-                c = _feasible(a_rows, c_rows, list(s_f), list(s_g), space.w, tol_rank)
-                if c is not None:
-                    return _report(bisystem, space, c, (size_f, size_g), eta, guard, searched)
+                off = np.vstack([np.delete(a_rows, list(s_f), axis=0),
+                                 np.delete(c_rows, list(s_g), axis=0)])
+                basis = null_space_basis(off, tol_rank)
+                if basis.shape[1] > 0:
+                    return _report(bisystem, space, basis[:, 0], (size_f, size_g), eta,
+                                   guard, searched)
     raise NoAdmissibleSignalError("no feasible support pattern found")
 
 

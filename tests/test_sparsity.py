@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsebounds import best_set, concentration_epsilon, l0, profile, support
+from sparsebounds import best_set, concentration_epsilon, l0, l1, support
 from sparsebounds.errors import DegenerateInputError, ParameterError
 
 
@@ -74,19 +74,20 @@ class TestBestSet:
 
 
 class TestProfile:
+    """l0, support and l1 of one sequence."""
+
     def test_direct(self):
-        p = profile([1.0, 0.0, -3.0], eta=0.0)
-        assert (p.l0, p.l1, p.support) == (2, 4.0, (0, 2))
+        a = [1.0, 0.0, -3.0]
+        assert (l0(a, eta=0.0), support(a, eta=0.0), l1(a)) == (2, (0, 2), 4.0)
 
     def test_zero_vector(self):
-        p = profile(np.zeros(4))
-        assert (p.l0, p.l1, p.support) == (0, 0.0, ())
+        assert (support(np.zeros(4)), l1(np.zeros(4))) == ((), 0.0)
 
     def test_threshold(self):
-        p = profile([2e-13, 1.0], eta=1e-9)
-        assert p.l0 == 1
-        assert p.support == (1,)
-        assert p.l1 == pytest.approx(1.0)
+        # 2e-13 falls below eta, so only the second entry is in the support.
+        a = [2e-13, 1.0]
+        assert (l0(a, eta=1e-9), support(a, eta=1e-9)) == (1, (1,))
+        assert l1(a) == pytest.approx(1.0)
 
 
 @settings(deadline=None, max_examples=60)
