@@ -13,6 +13,7 @@ from .bounds import (
     clamp_plus,
     ds_product,
     eb_bound,
+    exhaustive_verify,
     fkdb_rhs,
     fskpb_rhs,
     per_index_slack,
@@ -27,7 +28,7 @@ from .coherence import (
     sub_coherence,
 )
 from .dft import dft_matrix, forward, inverse
-from .oracle import TightnessReport, exhaustive_verify, min_sparsity_product
+from .oracle import TightnessReport, min_sparsity_product
 from .sparsity import (
     ConcentrationWitness,
     best_set,

@@ -6,6 +6,7 @@ both systems; their span is computed as a numerical null space via SVD.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +71,23 @@ def sample_admissible(space: AdmissibleSpace, seed: int) -> np.ndarray:
     """
     if space.w < 1:
         raise NoAdmissibleSignalError("admissible subspace is trivial (w = 0)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     c = rng.standard_normal(space.w)
     if np.iscomplexobj(space.basis):
         c = c + 1j * rng.standard_normal(space.w)
     c = c / np.abs(c).max()
     return space.basis @ c
+
+
+def _seed(seed) -> int:
+    """seed as a nonnegative integer, the domain of np.random.default_rng."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
+    return value
 
 
 def _rotation(d: int, angle_deg: float) -> np.ndarray:
@@ -107,6 +119,7 @@ def generate(family: str, params: dict, seed: int = 0) -> BiSystem:
         params = dict(params)
     except (TypeError, ValueError):
         raise ParameterError(f"family parameters must be an object, got {params!r}")
+    seed = _seed(seed)
     if family == "identity_pair":
         d = _pos_int(params, "d")
         return BiSystem(identity_system(d), identity_system(d))

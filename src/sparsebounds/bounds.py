@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import dft
+from .admissible import AdmissibleSpace, sample_admissible
 from .coherence import CoherenceProfile, coherence_profile
 from .config import ETA, ETA_HYP, TOL_CERT, TOL_FP
-from .errors import DegenerateInputError
-from .sparsity import concentration_epsilon, l0, l1
+from .errors import DegenerateInputError, NoAdmissibleSignalError, ParameterError
+from .sparsity import best_set, concentration_epsilon, l0, l1
 from .systems import BiSystem, analysis, synthesis, validate_pairing
 
 
@@ -196,6 +197,62 @@ def verify_fskpb(bisystem: BiSystem, x, set_m, set_n, eta: float = ETA,
     return _certify(prep, sig, len(set_m), len(set_n),
                     concentration_epsilon(sig.a, set_m),
                     concentration_epsilon(sig.b, set_n))
+
+
+@dataclass(frozen=True)
+class VerifySummary:
+    trials: int
+    satisfied: int
+    concentrated_checked: int
+    concentrated_satisfied: int
+    min_margin: float
+    failing_seeds: tuple = field(default_factory=tuple)
+
+
+def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
+                      seed: int = 0, eta: float = ETA, tol_fp: float = TOL_FP,
+                      tol_cert: float = TOL_CERT,
+                      concentrated_subsample: int = 5) -> VerifySummary:
+    """Verify certificates on many sampled admissible signals.
+
+    On the first `concentrated_subsample` signals, also checks the
+    concentrated certificate with M, N chosen by best_set at every
+    cardinality pair.
+    """
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    if space.w < 1:
+        raise NoAdmissibleSignalError("admissible subspace is trivial (w = 0)")
+    n, m = bisystem.first.n, bisystem.second.n
+    prep = _prepare(bisystem, eta, tol_fp, tol_cert)
+    satisfied = 0
+    conc_checked = conc_ok = 0
+    min_margin = np.inf
+    failing = []
+    for t in range(trials):
+        sig = _signal(prep, sample_admissible(space, seed + t))
+        cert = _certify(prep, sig, l0(sig.a, eta), l0(sig.b, eta), None, None)
+        margin = cert.lhs - cert.rhs
+        min_margin = min(min_margin, margin)
+        if cert.hypothesis_ok and cert.satisfied:
+            satisfied += 1
+        else:
+            failing.append(seed + t)
+        if t < concentrated_subsample:
+            sets_m = [best_set(sig.a, o_m) for o_m in range(1, n + 1)]
+            sets_n = [best_set(sig.b, o_n) for o_n in range(1, m + 1)]
+            for w_m in sets_m:
+                for w_n in sets_n:
+                    c = _certify(prep, sig, len(w_m.set), len(w_n.set),
+                                 w_m.epsilon, w_n.epsilon)
+                    conc_checked += 1
+                    conc_ok += int(c.hypothesis_ok and c.satisfied)
+                    min_margin = min(min_margin, c.lhs - c.rhs)
+    return VerifySummary(
+        trials=trials, satisfied=satisfied, concentrated_checked=conc_checked,
+        concentrated_satisfied=conc_ok, min_margin=float(min_margin),
+        failing_seeds=tuple(failing),
+    )
 
 
 def per_index_slack(bisystem: BiSystem, x) -> np.ndarray:

@@ -9,6 +9,7 @@ byte-for-byte reproducible.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -38,14 +39,45 @@ SEED_ENV = "SPARSEBOUNDS_SEED"
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV, "0"))
+    text = os.environ.get(SEED_ENV, "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"${SEED_ENV} must be an integer, got {text!r}")
 
 
-def _add_tolerances(parser):
-    parser.add_argument("--eta", type=float, default=ETA, help="zero threshold for l0")
-    parser.add_argument("--tol-fp", type=float, default=TOL_FP, help="fixed-point residual tolerance")
-    parser.add_argument("--tol-cert", type=float, default=TOL_CERT, help="certificate comparison slack")
-    parser.add_argument("--tol-rank", type=float, default=TOL_RANK, help="null-space rank cutoff")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other input error; argparse's own 2 is
+    the hypothesis-failure code here."""
+
+    def error(self, message):
+        self.exit(1, f"error: {self.prog}: {message}\n")
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of every tolerance flag: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
+_TOLERANCES = {
+    "--eta": (ETA, "zero threshold for l0"),
+    "--eta-hyp": (ETA_HYP, "slack of the |f_j(tau_j)| >= 1 check"),
+    "--tol-fp": (TOL_FP, "fixed-point residual tolerance"),
+    "--tol-cert": (TOL_CERT, "certificate comparison slack"),
+    "--tol-rank": (TOL_RANK, "null-space rank cutoff"),
+}
+
+
+def _add_tolerances(parser, *flags):
+    for flag in flags:
+        default, help_text = _TOLERANCES[flag]
+        parser.add_argument(flag, type=_tolerance, default=default, help=help_text)
 
 
 def _add_bisystem_source(parser):
@@ -257,7 +289,7 @@ def cmd_sample(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparsebounds",
         description="Coherence-based sparsity uncertainty bounds: validate systems, "
                     "verify certificates, and search for tight instances.",
@@ -267,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check |f_j(tau_j)| >= 1 for a system file")
     p.add_argument("system", help="system JSON file (or CSV manifest)")
-    p.add_argument("--eta-hyp", type=float, default=ETA_HYP)
+    _add_tolerances(p, "--eta-hyp")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_validate)
@@ -285,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample an admissible signal with this seed")
     p.add_argument("--set-m", help="comma-separated index set for the first system")
     p.add_argument("--set-n", help="comma-separated index set for the second system")
-    _add_tolerances(p)
+    _add_tolerances(p, "--eta", "--tol-fp", "--tol-cert", "--tol-rank")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
@@ -293,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive minimal sparsity-product search")
     _add_bisystem_source(p)
     p.add_argument("--guard", type=int, default=GUARD)
-    _add_tolerances(p)
+    _add_tolerances(p, "--eta", "--tol-rank")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
@@ -306,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample an admissible signal")
     _add_bisystem_source(p)
     p.add_argument("--sample", type=int, default=None, help="sampling seed")
-    p.add_argument("--tol-rank", type=float, default=TOL_RANK)
+    _add_tolerances(p, "--tol-rank")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)

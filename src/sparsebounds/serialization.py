@@ -26,26 +26,25 @@ from .errors import StructuralError
 from .systems import COMPLEX, REAL, BiSystem, PairedSystem
 
 
-def _encode_matrix(a: np.ndarray, field_tag: str) -> list:
-    if field_tag == COMPLEX:
-        return [[[float(v.real), float(v.imag)] for v in row] for row in a]
-    return [[float(v) for v in row] for row in a]
+def _encode(a) -> list:
+    """Nested lists of floats of any rank; complex entries become [re, im] pairs."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        a = np.stack([a.real, a.imag], axis=-1)
+    return a.astype(np.float64).tolist()
 
 
-def _decode_matrix(rows, field_tag: str, shape, name: str) -> np.ndarray:
+def _decode(values, field_tag: str, name: str) -> np.ndarray:
+    """Inverse of _encode: complex fields read trailing [re, im] pairs bit for bit."""
     try:
-        if field_tag == COMPLEX:
-            a = np.array(
-                [[complex(v[0], v[1]) for v in row] for row in rows],
-                dtype=np.complex128,
-            )
-        else:
-            a = np.array(rows, dtype=np.float64)
-    except (TypeError, ValueError, IndexError) as exc:
+        a = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
         raise StructuralError(f"cannot parse {name}: {exc}")
-    if a.shape != shape:
-        raise StructuralError(f"{name} has shape {a.shape}, expected {shape}")
-    return a
+    if field_tag != COMPLEX:
+        return a
+    if a.shape[-1:] != (2,):
+        raise StructuralError(f"cannot parse {name}: complex entries must be [re, im] pairs")
+    return np.ascontiguousarray(a).view(np.complex128)[..., 0]
 
 
 def system_to_dict(system: PairedSystem) -> dict:
@@ -53,8 +52,8 @@ def system_to_dict(system: PairedSystem) -> dict:
         "field": system.field,
         "d": system.d,
         "n": system.n,
-        "vectors": _encode_matrix(system.vectors, system.field),
-        "functionals": _encode_matrix(system.functionals, system.field),
+        "vectors": _encode(system.vectors),
+        "functionals": _encode(system.functionals),
     }
 
 
@@ -68,9 +67,13 @@ def system_from_dict(data: dict) -> PairedSystem:
     if field_tag not in (REAL, COMPLEX):
         raise StructuralError(f"unknown field tag {field_tag!r}")
     d, n = _int_field(data, "d"), _int_field(data, "n")
-    vectors = _decode_matrix(data["vectors"], field_tag, (d, n), "vectors")
-    functionals = _decode_matrix(data["functionals"], field_tag, (n, d), "functionals")
-    return PairedSystem(vectors, functionals, field_tag)
+    matrices = []
+    for key, shape in (("vectors", (d, n)), ("functionals", (n, d))):
+        a = _decode(data[key], field_tag, key)
+        if a.shape != shape:
+            raise StructuralError(f"{key} has shape {a.shape}, expected {shape}")
+        matrices.append(a)
+    return PairedSystem(*matrices, field_tag)
 
 
 def bisystem_to_dict(bisystem: BiSystem) -> dict:
@@ -88,27 +91,14 @@ def bisystem_from_dict(data: dict) -> BiSystem:
 
 def signal_to_dict(x: np.ndarray) -> dict:
     x = np.asarray(x).ravel()
-    if np.iscomplexobj(x):
-        coords = [[float(v.real), float(v.imag)] for v in x]
-        field_tag = COMPLEX
-    else:
-        coords = [float(v) for v in x]
-        field_tag = REAL
-    return {"field": field_tag, "d": int(x.size), "coordinates": coords}
+    return {"field": COMPLEX if np.iscomplexobj(x) else REAL, "d": int(x.size),
+            "coordinates": _encode(x)}
 
 
 def signal_from_dict(data: dict) -> np.ndarray:
     if not isinstance(data, dict) or "coordinates" not in data:
         raise StructuralError("signal document needs 'coordinates'")
-    field_tag = data.get("field", REAL)
-    coords = data["coordinates"]
-    try:
-        if field_tag == COMPLEX:
-            x = np.array([complex(v[0], v[1]) for v in coords], dtype=np.complex128)
-        else:
-            x = np.array(coords, dtype=np.float64)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise StructuralError(f"cannot parse signal coordinates: {exc}")
+    x = _decode(data["coordinates"], data.get("field", REAL), "signal coordinates")
     if "d" in data and x.size != _int_field(data, "d"):
         raise StructuralError(f"signal length {x.size} does not match d={data['d']}")
     return x

@@ -27,8 +27,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _coerce(a, field_tag: str, name: str) -> np.ndarray:
+    """a as an array of the field's dtype; a real field refuses a nonzero
+    imaginary part instead of dropping it."""
+    a = np.asarray(a)
+    if field_tag == REAL and np.iscomplexobj(a):
+        if np.any(a.imag != 0):
+            raise StructuralError(f"{name} has complex entries but the field is real")
+        a = a.real
+    return np.asarray(a, dtype=_DTYPES[field_tag])
+
+
 def _as_matrix(a, field_tag: str, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=_DTYPES[field_tag])
+    a = _coerce(a, field_tag, name)
     if a.ndim != 2:
         raise StructuralError(f"{name} must be a 2-d matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
@@ -126,7 +137,7 @@ def from_hilbert_vectors(vectors, eta_hyp: float = ETA_HYP) -> PairedSystem:
 
 
 def _as_signal(system: PairedSystem, x, length: int, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=_DTYPES[system.field])
+    x = _coerce(x, system.field, name)
     if x.shape != (length,):
         raise StructuralError(f"{name} has shape {x.shape}, expected ({length},)")
     return x

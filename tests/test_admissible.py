@@ -110,6 +110,14 @@ class TestSampling:
         with pytest.raises(NoAdmissibleSignalError):
             sample_admissible(AdmissibleSpace(np.zeros((3, 0)), 0), 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        space = admissible_space(BiSystem(identity_system(2), identity_system(2)))
+        with pytest.raises(ParameterError, match="seed"):
+            sample_admissible(space, seed)
+        with pytest.raises(ParameterError, match="seed"):
+            generate("subspace_union", {"d": 4, "split": 2}, seed)
+
 
 class TestFamilies:
     def test_dft_pair(self):

@@ -121,9 +121,19 @@ def descriptor(family, params, **extra):
     ({"bin.json": b"\xff\xfe"}, ["validate", "bin.json"]),
     ({"sys.json": json.dumps({**CSV_MANIFEST, "functionals_csv": "v.csv"}), "v.csv": b"\xff\n"},
      ["validate", "sys.json"]),
+    ({"bis.json": canonical_json(bisystem_to_dict(generate("rotated_pair", {"d": 2}))),
+      "sig.json": canonical_json(signal_to_dict(np.array([1.0, 1j])))},
+     ["verify", "--bisystem", "bis.json", "--signal", "sig.json"]),
+    ({}, ["verify", "--family", "dft_pair", "--d", "4", "--sample", "-1"]),
+    ({}, ["sample", "--family", "subspace_union", "--d", "4", "--split", "2", "--seed", "-3"]),
+    ({"desc.json": descriptor("perturbed", {"base": {"family": "dft_pair",
+                                                     "params": {"d": 3}, "seed": -2}})},
+     ["verify", "--descriptor", "desc.json", "--sample", "1"]),
 ], ids=["descriptor-not-object", "descriptor-seed", "descriptor-params-list", "angle",
         "magnitude", "base-seed", "split", "system-d", "csv-manifest-no-functionals",
-        "csv-missing-file", "signal-d", "json-not-utf8", "csv-not-utf8"])
+        "csv-missing-file", "signal-d", "json-not-utf8", "csv-not-utf8",
+        "complex-signal-real-system", "negative-sample-seed", "negative-seed",
+        "negative-base-seed"])
 def test_malformed_input_exits_1(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
@@ -133,6 +143,45 @@ def test_malformed_input_exits_1(tmp_path, monkeypatch, capsys, files, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "dft_pair", "--d", "4", "--sample", "1", "--tol-fp", "nan"],
+    ["verify", "--family", "dft_pair", "--d", "4", "--sample", "1", "--tol-cert", "nan"],
+    ["verify", "--family", "dft_pair", "--d", "4", "--sample", "1", "--eta", "nan"],
+    ["verify", "--family", "dft_pair", "--d", "4", "--sample", "1", "--eta", "-1e-9"],
+    ["search", "--family", "dft_pair", "--d", "4", "--tol-rank", "-1"],
+    ["search", "--family", "dft_pair", "--d", "4", "--tol-rank", "inf"],
+    ["search", "--family", "dft_pair", "--d", "4", "--tol-fp", "1e-9"],
+    ["search", "--family", "dft_pair", "--d", "4", "--tol-cert", "1e-9"],
+    ["sample", "--family", "dft_pair", "--d", "4", "--tol-rank", "x"],
+    ["validate", "sys.json", "--eta-hyp", "nan"],
+    ["verify", "--family", "dft_pair", "--d", "x"],
+    ["verify", "--family", "dft_pair", "--d", "4", "--unknown"],
+    [],
+], ids=["tol-fp-nan", "tol-cert-nan", "eta-nan", "eta-negative", "tol-rank-negative",
+        "tol-rank-inf", "search-tol-fp", "search-tol-cert", "tol-rank-text", "eta-hyp-nan",
+        "d-not-int", "unknown-flag", "no-command"])
+def test_usage_error_exits_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_seed_environment_not_integer_exits_1(monkeypatch, capsys):
+    monkeypatch.setenv("SPARSEBOUNDS_SEED", "x")
+    assert main(["sample", "--family", "dft_pair", "--d", "4"]) == 1
+    assert capsys.readouterr().err.startswith("error: $SPARSEBOUNDS_SEED")
+
+
+def test_tolerance_flags_accept_zero(capsys):
+    code, doc = run(capsys, "verify", "--family", "dft_pair", "--d", "4", "--sample", "1",
+                    "--tol-fp", "0", "--tol-cert", "0.0", "--eta", "0")
+    assert code in (0, 2)
+    assert doc["manifest"]["parameters"]["tol_fp"] == 0.0 == doc["eta"]
 
 
 class TestVerify:

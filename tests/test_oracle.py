@@ -11,7 +11,6 @@ from sparsebounds import (
     admissible_space,
     analysis,
     best_set,
-    exhaustive_verify,
     from_hilbert_vectors,
     generate,
     identity_system,
@@ -21,6 +20,7 @@ from sparsebounds import (
     verify_fskpb,
 )
 from sparsebounds.admissible import AdmissibleSpace, null_space_basis
+from sparsebounds.bounds import VerifySummary, exhaustive_verify
 from sparsebounds.errors import (
     DegenerateInputError,
     GuardExceededError,
@@ -28,7 +28,7 @@ from sparsebounds.errors import (
     ParameterError,
 )
 from sparsebounds.config import ETA, GUARD, TOL_RANK
-from sparsebounds.oracle import VerifySummary, _pattern_order, _report
+from sparsebounds.oracle import _pattern_order, _report
 
 
 def reference_search(bisystem, space, eta=ETA, guard=GUARD, tol_rank=TOL_RANK):
@@ -107,8 +107,8 @@ class TestMinSparsityProduct:
         ("perturbed", {"base": {"family": "dft_pair", "params": {"d": 4}}, "magnitude": 0.1}),
         # The winner (pattern 7921) lies many chunks into its size class.
         ("dft_pair", {"d": 8}),
-        # A single functional per system: no off-pattern rows, so the
-        # row-count shortcut decides the first pattern.
+        # A single functional per system: the first pattern leaves no
+        # off-pattern rows, a (k, 0, w) stack of rank 0.
         ("identity_pair", {"d": 1}),
     ])
     def test_batched_matches_reference(self, family, params):
@@ -116,21 +116,6 @@ class TestMinSparsityProduct:
         space = admissible_space(b)
         want = reference_search(b, space)
         assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
-
-    def test_row_count_shortcut_skips_svd(self, monkeypatch):
-        # dft_pair d=5 wins in size class (1, 5), whose 4 off-pattern rows are
-        # fewer than w = 5; that class needs no singular values.
-        b = generate("dft_pair", {"d": 5}, 0)
-        space = admissible_space(b)
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
-        report = min_sparsity_product(b, space)
-        assert report.best_lhs == 5
-        batched, witness = calls[:-1], calls[-1]
-        assert batched and all(len(shape) == 3 and shape[1] >= shape[2] for shape in batched)
-        assert witness == (4, 5)  # the winner's null vector, from null_space_basis
-        assert report_fields(report) == report_fields(reference_search(b, space))
 
     def test_witness_disagreeing_with_pattern_raises(self):
         # Rescaling tau_j -> c tau_j, f_j -> f_j / c keeps every hypothesis,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,11 @@ class TestSignalRoundTrip:
     def test_complex(self):
         x = np.array([1 + 2j, 0.0, -1j])
         np.testing.assert_array_equal(signal_from_dict(signal_to_dict(x)), x)
+
+    def test_complex_negative_zero_bits(self):
+        x = np.array([complex(-0.0, 1.0), complex(2.0, -0.0), complex(-0.0, -0.0)])
+        back = signal_from_dict(json.loads(canonical_json(signal_to_dict(x))))
+        assert back.dtype == x.dtype and back.tobytes() == x.tobytes()
 
     def test_length_mismatch(self):
         with pytest.raises(StructuralError):

@@ -12,6 +12,7 @@ from sparsebounds import (
     synthesis,
     validate_pairing,
 )
+from sparsebounds.dft import dft_matrix
 from sparsebounds.errors import HypothesisError, StructuralError
 
 
@@ -45,6 +46,24 @@ class TestConstruction:
         s = identity_system(2)
         with pytest.raises(ValueError):
             s.vectors[0, 0] = 5.0
+
+    def test_complex_entries_in_real_field_rejected(self):
+        f = dft_matrix(4)
+        with pytest.raises(StructuralError, match="field is real"):
+            PairedSystem(f, f.conj().T)
+
+    def test_zero_imaginary_part_accepted_in_real_field(self):
+        s = PairedSystem(np.eye(2) + 0j, np.eye(2))
+        assert s.vectors.dtype == np.float64
+        np.testing.assert_array_equal(s.vectors, np.eye(2))
+
+    def test_complex_signal_on_real_system_rejected(self):
+        s = from_hilbert_vectors(rotation(30.0))
+        with pytest.raises(StructuralError, match="field is real"):
+            analysis(s, np.array([1.0, 1j]))
+        with pytest.raises(StructuralError, match="field is real"):
+            synthesis(s, np.array([1j, 0.0]))
+        np.testing.assert_array_equal(analysis(s, np.array([1.0 + 0j, 0.0])), analysis(s, [1.0, 0.0]))
 
 
 class TestValidatePairing:
