@@ -10,7 +10,6 @@ from .admissible import (
 )
 from .bounds import (
     BoundCertificate,
-    clamp_plus,
     ds_product,
     eb_bound,
     exhaustive_verify,
@@ -27,7 +26,7 @@ from .coherence import (
     gram,
     sub_coherence,
 )
-from .dft import dft_matrix, forward, inverse
+from .dft import dft_matrix, forward
 from .oracle import TightnessReport, min_sparsity_product
 from .sparsity import (
     ConcentrationWitness,

@@ -33,22 +33,17 @@ class AdmissibleSpace:
     w: int
 
 
-def _rank(s: np.ndarray, tol_rank: float):
-    """Numerical rank from descending singular values s, along the last axis.
+def null_space_basis(a: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
+    """Orthonormal null-space basis of a, columns; relative SVD cutoff.
 
     The cutoff floors sigma_max at 1 so that a matrix which is pure rounding
     noise (e.g. I - TF for an exactly invertible composition) still reports
     a full null space.
     """
-    return np.count_nonzero(s > tol_rank * np.maximum(s[..., :1], 1.0), axis=-1)
-
-
-def null_space_basis(a: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
-    """Orthonormal null-space basis of a, columns; relative SVD cutoff."""
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(a.shape[1], dtype=a.dtype)
-    return vh[int(_rank(s, tol_rank)):].conj().T
+    return vh[np.count_nonzero(s > tol_rank * max(s[0], 1.0)):].conj().T
 
 
 def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> AdmissibleSpace:
@@ -155,9 +150,13 @@ def generate(family: str, params: dict, seed: int = 0) -> BiSystem:
 
 
 def _param(params: dict, key: str, kind, default=None):
-    """params[key], or default when it is absent, converted by kind (int or float)."""
+    """params[key], or default when it is absent, converted by kind (int or float);
+    int refuses a float with a fractional part instead of truncating it."""
     try:
-        return kind(params[key] if default is None else params.get(key, default))
+        value = params[key] if default is None else params.get(key, default)
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
+        return kind(value)
     except (KeyError, TypeError, ValueError):
         noun = "an integer" if kind is int else "a number"
         raise ParameterError(f"family parameter {key!r} missing or not {noun}")

@@ -17,11 +17,6 @@ from .sparsity import best_set, concentration_epsilon, l0, l1
 from .systems import BiSystem, analysis, synthesis, validate_pairing
 
 
-def clamp_plus(a: float) -> float:
-    """a+ = max(0, a)."""
-    return max(0.0, a)
-
-
 def ds_product(h, eta: float = ETA) -> tuple:
     """(l0 of h, l0 of its unitary DFT, their product) for nonzero h."""
     s_time = l0(h, eta)
@@ -55,7 +50,7 @@ def _bound(o_m, o_n, eps, delta, prof: CoherenceProfile) -> tuple:
     """(numerator_f, numerator_g, rhs) of the concentrated bound."""
     num_f = 1.0 - eps - (o_m - 1 + eps) * prof.sub_coherence_f
     num_g = 1.0 - delta - (o_n - 1 + delta) * prof.sub_coherence_g
-    num = clamp_plus(num_f) * clamp_plus(num_g)
+    num = max(0.0, num_f) * max(0.0, num_g)
     denom = prof.cross_f_omega * prof.cross_g_tau
     if denom <= 0.0:
         return num_f, num_g, 0.0 if num == 0.0 else math.inf

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .admissible import FAMILIES, admissible_space, generate, sample_admissible
+from .admissible import FAMILIES, _param, admissible_space, generate, sample_admissible
 from .bounds import verify_fkdb, verify_fskpb
 from .coherence import coherence_profile, gram, sub_coherence
 from .config import ETA, ETA_HYP, GUARD, TOL_CERT, TOL_FP, TOL_RANK
@@ -65,6 +65,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _guard(text: str) -> int:
+    """argparse type of --guard: an integer >= 2, the least n + m of any bisystem."""
+    if not text.strip().removeprefix("+").isdecimal() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
+    return int(text)
+
+
 _TOLERANCES = {
     "--eta": (ETA, "zero threshold for l0"),
     "--eta-hyp": (ETA_HYP, "slack of the |f_j(tau_j)| >= 1 check"),
@@ -98,10 +105,7 @@ def _family_descriptor(args) -> dict:
         doc = load_json(args.descriptor)
         if not isinstance(doc, dict) or "family" not in doc:
             raise StructuralError("descriptor file needs a JSON object with a 'family' key")
-        try:
-            seed = int(doc.get("seed", 0))
-        except (TypeError, ValueError):
-            raise ParameterError(f"descriptor seed must be an integer, got {doc['seed']!r}")
+        seed = _param(doc, "seed", int, 0)
         return {"family": doc["family"], "params": doc.get("params", {}), "seed": seed}
     if not args.family:
         raise ParameterError("provide --bisystem, --descriptor, or --family")
@@ -324,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive minimal sparsity-product search")
     _add_bisystem_source(p)
-    p.add_argument("--guard", type=int, default=GUARD)
+    p.add_argument("--guard", type=_guard, default=GUARD, help="largest n + m searched")
     _add_tolerances(p, "--eta", "--tol-rank")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out")

@@ -1,6 +1,6 @@
 """Unitary discrete Fourier transform.
 
-`forward` and `inverse` are numpy's FFT with orthonormal ("ortho") scaling.
+`forward` is numpy's FFT with orthonormal ("ortho") scaling.
 `dft_matrix` builds the same transform as a matrix; the symmetric 1/sqrt(d)
 normalization keeps its columns unit vectors, so they can feed the
 Hilbert-specialization constructor unchanged.
@@ -19,18 +19,9 @@ def dft_matrix(d: int) -> np.ndarray:
     return np.exp(-2j * np.pi * j * k / d) / np.sqrt(d)
 
 
-def _nonempty(h) -> np.ndarray:
+def forward(h) -> np.ndarray:
+    """Unitary DFT of h: sum_k h_k exp(-2 pi i j k / d) / sqrt(d)."""
     h = np.asarray(h, dtype=np.complex128).ravel()
     if h.size == 0:
         raise ParameterError("transform length must be positive, got 0")
-    return h
-
-
-def forward(h) -> np.ndarray:
-    """Unitary DFT of h: sum_k h_k exp(-2 pi i j k / d) / sqrt(d)."""
-    return np.fft.fft(_nonempty(h), norm="ortho")
-
-
-def inverse(h) -> np.ndarray:
-    """Inverse of `forward`."""
-    return np.fft.ifft(_nonempty(h), norm="ortho")
+    return np.fft.fft(h, norm="ortho")

@@ -7,7 +7,6 @@ from sparsebounds import (
     BiSystem,
     PairedSystem,
     analysis,
-    clamp_plus,
     ds_product,
     eb_bound,
     fkdb_rhs,
@@ -27,17 +26,6 @@ from sparsebounds.errors import DegenerateInputError
 def rotation(angle_deg):
     t = np.deg2rad(angle_deg)
     return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-
-
-class TestClampPlus:
-    def test_negative(self):
-        assert clamp_plus(-0.3) == 0.0
-
-    def test_boundary(self):
-        assert clamp_plus(0.0) == 0.0
-
-    def test_positive(self):
-        assert clamp_plus(0.8) == 0.8
 
 
 class TestDonohoStark:

@@ -129,11 +129,21 @@ def descriptor(family, params, **extra):
     ({"desc.json": descriptor("perturbed", {"base": {"family": "dft_pair",
                                                      "params": {"d": 3}, "seed": -2}})},
      ["verify", "--descriptor", "desc.json", "--sample", "1"]),
+    ({"desc.json": descriptor("subspace_union", {"d": 4.9, "split": 2.5})},
+     ["sample", "--descriptor", "desc.json"]),
+    ({"desc.json": descriptor("subspace_union", {"d": 4, "split": 2.5})},
+     ["sample", "--descriptor", "desc.json"]),
+    ({"desc.json": descriptor("subspace_union", {"d": 4, "split": 2}, seed=1.7)},
+     ["sample", "--descriptor", "desc.json"]),
+    ({"desc.json": descriptor("perturbed", {"base": {"family": "dft_pair",
+                                                     "params": {"d": 3}, "seed": 0.5}})},
+     ["verify", "--descriptor", "desc.json", "--sample", "1"]),
 ], ids=["descriptor-not-object", "descriptor-seed", "descriptor-params-list", "angle",
         "magnitude", "base-seed", "split", "system-d", "csv-manifest-no-functionals",
         "csv-missing-file", "signal-d", "json-not-utf8", "csv-not-utf8",
         "complex-signal-real-system", "negative-sample-seed", "negative-seed",
-        "negative-base-seed"])
+        "negative-base-seed", "fractional-d", "fractional-split", "fractional-seed",
+        "fractional-base-seed"])
 def test_malformed_input_exits_1(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
@@ -159,9 +169,14 @@ def test_malformed_input_exits_1(tmp_path, monkeypatch, capsys, files, argv):
     ["verify", "--family", "dft_pair", "--d", "x"],
     ["verify", "--family", "dft_pair", "--d", "4", "--unknown"],
     [],
+    ["search", "--family", "dft_pair", "--d", "4", "--guard", "-5"],
+    ["search", "--family", "dft_pair", "--d", "4", "--guard", "1"],
+    ["search", "--family", "dft_pair", "--d", "4", "--guard", "8.5"],
+    ["search", "--family", "dft_pair", "--d", "4", "--guard", "++8"],
 ], ids=["tol-fp-nan", "tol-cert-nan", "eta-nan", "eta-negative", "tol-rank-negative",
         "tol-rank-inf", "search-tol-fp", "search-tol-cert", "tol-rank-text", "eta-hyp-nan",
-        "d-not-int", "unknown-flag", "no-command"])
+        "d-not-int", "unknown-flag", "no-command", "guard-negative", "guard-one",
+        "guard-not-int", "guard-double-sign"])
 def test_usage_error_exits_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -169,6 +184,24 @@ def test_usage_error_exits_1(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_integral_floats_accepted(tmp_path, capsys):
+    """Descriptor numbers with no fractional part count as the integers they equal."""
+    docs = []
+    for d, split, seed in ((4, 2, 3), (4.0, 2.0, 3.0)):
+        path = tmp_path / f"desc-{d}.json"
+        path.write_text(descriptor("subspace_union", {"d": d, "split": split}, seed=seed))
+        code, doc = run(capsys, "sample", "--descriptor", str(path), "--sample", "5")
+        assert code == 0
+        docs.append(doc["coordinates"])
+    assert docs[0] == docs[1]
+
+
+def test_guard_two_accepted(capsys):
+    """The least n + m of a bisystem is 2, so --guard 2 is a valid flag value."""
+    assert main(["search", "--family", "identity_pair", "--d", "1", "--guard", "2"]) == 0
+    capsys.readouterr()
 
 
 def test_seed_environment_not_integer_exits_1(monkeypatch, capsys):

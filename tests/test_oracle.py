@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from sparsebounds import (
@@ -28,6 +28,7 @@ from sparsebounds.errors import (
     ParameterError,
 )
 from sparsebounds.config import ETA, GUARD, TOL_RANK
+from sparsebounds import oracle
 from sparsebounds.oracle import _pattern_order, _report
 
 
@@ -57,9 +58,40 @@ def report_fields(report):
             report.guard, report.eta, report.witness.dtype, report.witness.tobytes())
 
 
+def outcome(search, bisystem, space):
+    """report_fields of a search, or the type and message of the error it raised."""
+    try:
+        return report_fields(search(bisystem, space))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def rotation(angle_deg):
     t = np.deg2rad(angle_deg)
     return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def swapped(bisystem):
+    return BiSystem(bisystem.second, bisystem.first)
+
+
+def rescaled(bisystem, c):
+    """tau_j -> c tau_j, f_j -> f_j / c in both systems: every hypothesis stays exact."""
+    return BiSystem(*(PairedSystem(s.vectors * c, s.functionals / c, s.field)
+                      for s in (bisystem.first, bisystem.second)))
+
+
+def count_projections(monkeypatch):
+    """Calls of the oracle's null-space solver at a cutoff other than tol_rank,
+    the projections of S_f (confirmations use tol_rank itself)."""
+    cutoffs = []
+
+    def spy(a, tol_rank=TOL_RANK):
+        cutoffs.append(tol_rank)
+        return null_space_basis(a, tol_rank)
+
+    monkeypatch.setattr(oracle, "null_space_basis", spy)
+    return lambda: sum(tol != TOL_RANK for tol in cutoffs)
 
 
 class TestMinSparsityProduct:
@@ -117,16 +149,77 @@ class TestMinSparsityProduct:
         want = reference_search(b, space)
         assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
 
+    @pytest.mark.parametrize("make", [
+        # subspace_union with its systems swapped: the first system is the
+        # identity (n = 6) over a 2-dimensional admissible space, so every S_f
+        # with |S_f| <= 4 leaves rows of full column rank.
+        lambda: swapped(generate("subspace_union", {"d": 6, "split": 2}, seed=5)),
+        # The identity against the line through q = (0, 0, 1, 2, -1, 3): only
+        # S_f = {2, 3, 4, 5}, the last of its size class, projects to k = 1;
+        # every S_f before it has k = 0.
+        lambda: BiSystem(identity_system(6), from_hilbert_vectors(
+            np.array([[0.0], [0.0], [1.0], [2.0], [-1.0], [3.0]]) / np.sqrt(15.0))),
+    ], ids=["swapped-subspace-union", "sparse-line"])
+    def test_empty_projection_skips_but_counts(self, make):
+        # Every S_g of an S_f whose off-pattern rows have full column rank
+        # (k = 0) is skipped without linear algebra, yet counted.
+        b = make()
+        space = admissible_space(b)
+        rows = b.first.functionals @ space.basis
+        assert null_space_basis(rows[1:], oracle.MARGIN * TOL_RANK).shape[1] == 0
+        want = reference_search(b, space)
+        assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
+
+    def test_winner_projection_cached_from_earlier_class(self, monkeypatch):
+        # dft_pair d=6 wins in size class (1, 6) with S_f = {0}, projected in
+        # class (1, 1) and reused across nine classes in between.  Each of the
+        # 62 S_f with 1 <= |S_f| <= 5 is projected exactly once.
+        b = generate("dft_pair", {"d": 6}, 0)
+        space = admissible_space(b)
+        want = reference_search(b, space)
+        projections = count_projections(monkeypatch)
+        got = min_sparsity_product(b, space)
+        assert report_fields(got) == report_fields(want)
+        assert int(np.count_nonzero(np.abs(got.witness) > ETA)) == 1
+        assert projections() == 62
+
+    @pytest.mark.parametrize("c", [1e8, 1e10, 1e-8, 1e12])
+    def test_rescaled_matches_reference(self, c):
+        b = rescaled(generate("dft_pair", {"d": 4}, 0), c)
+        space = admissible_space(b)
+        assert outcome(min_sparsity_product, b, space) == outcome(reference_search, b, space)
+
+    def test_near_cutoff_perturbation_matches_reference(self):
+        base = {"family": "dft_pair", "params": {"d": 6}}
+        b = generate("perturbed", {"base": base, "magnitude": 1e-6}, seed=4)
+        space = admissible_space(b)
+        assert report_fields(min_sparsity_product(b, space)) == report_fields(
+            reference_search(b, space))
+
+    @pytest.mark.parametrize("s,x", [(3e-6, 2e-5), (1e-8, 5e-3)])
+    def test_filter_passes_pattern_confirmed_near_cutoff(self, s, x):
+        # The first pattern ({0}, {0}) leaves A_off = [0, s] and C_off = [-x, 1],
+        # a stack whose smallest singular value, about s * x, is below
+        # tol_rank, so it is feasible.  At s = 3e-6, just above the projection
+        # cutoff, V = e_1 and the projected block is only -x: a Gram cutoff of
+        # (MARGIN * tol_rank)^2 would reject the pattern.  At s = 1e-8 the
+        # projection keeps both directions; cut at tol_rank, it would keep e_1
+        # alone, and the Gram test would reject the pattern.
+        a = np.array([[1.0, 0.0], [0.0, s]])
+        c = np.array([[1.0, 1.0], [-x, 1.0]])
+        b = BiSystem(PairedSystem(np.linalg.inv(a), a), PairedSystem(np.linalg.inv(c), c))
+        space = admissible_space(b)
+        want = reference_search(b, space)
+        assert want.patterns_searched == 1
+        assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
+
     def test_witness_disagreeing_with_pattern_raises(self):
         # Rescaling tau_j -> c tau_j, f_j -> f_j / c keeps every hypothesis,
         # but at c = 1e10 the witness's coefficients fall below the absolute
         # eta, so its l0 product (0) is not the winning pattern's (1 x 1).
-        c = 1e10
-        b = generate("dft_pair", {"d": 4}, 0)
-        rescaled = BiSystem(*(PairedSystem(s.vectors * c, s.functionals / c, s.field)
-                              for s in (b.first, b.second)))
+        b = rescaled(generate("dft_pair", {"d": 4}, 0), 1e10)
         with pytest.raises(DegenerateInputError):
-            min_sparsity_product(rescaled, admissible_space(rescaled))
+            min_sparsity_product(b, admissible_space(b))
 
     def test_deterministic(self):
         b = generate("subspace_union", {"d": 5, "split": 3}, 7)
@@ -140,12 +233,14 @@ class TestMinSparsityProduct:
 
 @st.composite
 def small_bisystems(draw):
-    """Seeded subspace_union or perturbed bisystems with n + m <= 12."""
+    """Seeded subspace_union (either way round) or perturbed bisystems with
+    n + m <= 12."""
     seed = draw(st.integers(0, 2**31 - 1))
     if draw(st.booleans()):
         d = draw(st.integers(1, 10))
         split = draw(st.integers(1, min(d, 12 - d)))
-        return generate("subspace_union", {"d": d, "split": split}, seed)
+        b = generate("subspace_union", {"d": d, "split": split}, seed)
+        return swapped(b) if draw(st.booleans()) else b
     family = draw(st.sampled_from(["identity_pair", "dft_pair", "rotated_pair", "subspace_union"]))
     d = draw(st.integers(2, 6))
     params = {"d": d}
@@ -157,7 +252,7 @@ def small_bisystems(draw):
     return generate("perturbed", {"base": base, "magnitude": draw(st.floats(0.0, 0.9))}, seed)
 
 
-@settings(max_examples=40, deadline=None)
+# Example count from the hypothesis profile (tests/conftest.py).
 @given(small_bisystems())
 def test_batched_search_matches_reference_property(b):
     space = admissible_space(b)
