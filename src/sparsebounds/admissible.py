@@ -54,7 +54,12 @@ def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> Admissib
         eye - bisystem.first.vectors @ bisystem.first.functionals,
         eye - bisystem.second.vectors @ bisystem.second.functionals,
     ])
-    basis = null_space_basis(stacked, tol_rank)
+    # R-SVD (Chan 1982): the d x d factor R has the stack's null space and
+    # singular values, so the cutoff is unchanged; the 2d x 2d left factor
+    # of a full SVD, which nothing reads, is never formed.  LAPACK's gesdd
+    # makes the same QR reduction itself for a stack this tall, so the basis
+    # is bit-identical to the unreduced SVD's (tests/test_admissible.py).
+    basis = null_space_basis(np.linalg.qr(stacked, mode="r"), tol_rank)
     return AdmissibleSpace(basis, basis.shape[1])
 
 

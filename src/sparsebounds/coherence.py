@@ -57,10 +57,18 @@ def cross_coherence(f_system: PairedSystem, w_system: PairedSystem) -> float:
 
 
 def coherence_profile(bisystem: BiSystem) -> CoherenceProfile:
-    """Bundle both sub-coherences and both cross-coherences."""
-    return CoherenceProfile(
-        sub_coherence_f=sub_coherence(bisystem.first),
-        sub_coherence_g=sub_coherence(bisystem.second),
-        cross_f_omega=cross_coherence(bisystem.first, bisystem.second),
-        cross_g_tau=cross_coherence(bisystem.second, bisystem.first),
-    )
+    """Bundle both sub-coherences and both cross-coherences.
+
+    Computed once per BiSystem instance and kept on it: its arrays are
+    private read-only copies, so the profile cannot go stale.
+    """
+    profile = bisystem.__dict__.get("_coherence_profile")
+    if profile is None:
+        profile = CoherenceProfile(
+            sub_coherence_f=sub_coherence(bisystem.first),
+            sub_coherence_g=sub_coherence(bisystem.second),
+            cross_f_omega=cross_coherence(bisystem.first, bisystem.second),
+            cross_g_tau=cross_coherence(bisystem.second, bisystem.first),
+        )
+        object.__setattr__(bisystem, "_coherence_profile", profile)
+    return profile

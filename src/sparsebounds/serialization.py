@@ -105,8 +105,13 @@ def signal_from_dict(data: dict) -> np.ndarray:
 
 
 def _int_field(data: dict, key: str) -> int:
+    """data[key] as an int; a float with a fractional part is refused, not
+    truncated (the rule of admissible._param)."""
     try:
-        return int(data[key])
+        value = data[key]
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
+        return int(value)
     except (TypeError, ValueError):
         raise StructuralError(f"{key!r} must be an integer, got {data[key]!r}")
 

@@ -22,7 +22,9 @@ _DTYPES = {REAL: np.float64, COMPLEX: np.complex128}
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A read-only C-ordered copy of a that nothing else can write; the
+    caller's array stays writable and later edits to it do not reach the copy."""
+    a = np.array(a, order="C")
     a.setflags(write=False)
     return a
 
@@ -44,7 +46,7 @@ def _as_matrix(a, field_tag: str, name: str) -> np.ndarray:
         raise StructuralError(f"{name} must be a 2-d matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise StructuralError(f"{name} contains non-finite entries")
-    return _frozen(a)
+    return a
 
 
 def infer_field(*arrays) -> str:
@@ -62,8 +64,8 @@ class PairedSystem:
     def __post_init__(self):
         if self.field not in _DTYPES:
             raise StructuralError(f"unknown field tag {self.field!r}")
-        object.__setattr__(self, "vectors", _as_matrix(self.vectors, self.field, "vectors"))
-        object.__setattr__(self, "functionals", _as_matrix(self.functionals, self.field, "functionals"))
+        for name in ("vectors", "functionals"):
+            object.__setattr__(self, name, _frozen(_as_matrix(getattr(self, name), self.field, name)))
         d, n = self.vectors.shape
         if d < 1 or n < 1:
             raise StructuralError(f"dimensions must be positive, got d={d}, n={n}")
@@ -83,7 +85,11 @@ class PairedSystem:
 
 @dataclass(frozen=True)
 class BiSystem:
-    """Two paired systems over the same ambient space."""
+    """Two paired systems over the same ambient space.
+
+    Both systems own read-only arrays, so per-bisystem invariants such as
+    the coherence profile are computed once and kept on the instance.
+    """
 
     first: PairedSystem
     second: PairedSystem

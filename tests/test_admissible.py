@@ -36,6 +36,51 @@ class TestNullSpaceBasis:
         assert null_space_basis(np.diag([1e-11, 1e-12])).shape == (2, 2)
 
 
+def _complexified(bisystem):
+    """The same bisystem over the complex field."""
+    def lift(s):
+        return PairedSystem(s.vectors.astype(complex), s.functionals.astype(complex), "complex")
+    return BiSystem(lift(bisystem.first), lift(bisystem.second))
+
+
+class TestReducedSvd:
+    """admissible_space runs the SVD on the triangular factor of the 2d x d
+    stack.  LAPACK's gesdd reduces a stack that tall by QR itself, so the
+    basis must be bit-identical to the SVD of the unreduced stack."""
+
+    @pytest.mark.parametrize("family,params,d", [
+        pytest.param(family, params, d, id=f"{label}-d{d}")
+        for label, family, params in [
+            ("identity_pair", "identity_pair", {}),
+            ("dft_pair", "dft_pair", {}),
+            ("rotated_pair", "rotated_pair", {"angle": 30.0}),
+            ("subspace_union", "subspace_union", {"split": 1}),
+            ("perturbed-real", "perturbed",
+             {"base": {"family": "subspace_union", "params": {"split": 1}}, "magnitude": 0.2}),
+            ("perturbed-complex", "perturbed",
+             {"base": {"family": "dft_pair", "params": {}}, "magnitude": 0.2}),
+        ]
+        for d in (1, 2, 5, 64, 128) if family != "rotated_pair" or d >= 2
+    ])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_basis_matches_unreduced_stack(self, family, params, d, complex_field):
+        params = dict(params)
+        if family == "perturbed":
+            params["base"] = {**params["base"], "params": {**params["base"]["params"], "d": d}}
+        else:
+            params["d"] = d
+        b = generate(family, params, seed=7)
+        if complex_field:
+            b = _complexified(b)
+        eye = np.eye(d)
+        stacked = np.vstack([eye - b.first.vectors @ b.first.functionals,
+                             eye - b.second.vectors @ b.second.functionals])
+        for tol_rank in (1e-10, 1e-6, 1e-2):
+            basis = admissible_space(b, tol_rank).basis
+            assert np.array_equal(basis, null_space_basis(stacked, tol_rank))
+            assert basis.dtype == stacked.dtype
+
+
 class TestFixedSubspace:
     """admissible_space on pairs whose common fixed subspace is known."""
 

@@ -138,12 +138,16 @@ def descriptor(family, params, **extra):
     ({"desc.json": descriptor("perturbed", {"base": {"family": "dft_pair",
                                                      "params": {"d": 3}, "seed": 0.5}})},
      ["verify", "--descriptor", "desc.json", "--sample", "1"]),
+    ({"sys.json": json.dumps({"field": "real", "d": 2.5, "n": 2, "vectors": [[1, 0], [0, 1]],
+                              "functionals": [[1, 0], [0, 1]]})}, ["validate", "sys.json"]),
+    ({"sig.json": json.dumps({"coordinates": [1, 0, 0, 0], "d": 4.5})},
+     ["verify", "--family", "dft_pair", "--d", "4", "--signal", "sig.json"]),
 ], ids=["descriptor-not-object", "descriptor-seed", "descriptor-params-list", "angle",
         "magnitude", "base-seed", "split", "system-d", "csv-manifest-no-functionals",
         "csv-missing-file", "signal-d", "json-not-utf8", "csv-not-utf8",
         "complex-signal-real-system", "negative-sample-seed", "negative-seed",
         "negative-base-seed", "fractional-d", "fractional-split", "fractional-seed",
-        "fractional-base-seed"])
+        "fractional-base-seed", "fractional-system-d", "fractional-signal-d"])
 def test_malformed_input_exits_1(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
@@ -152,6 +156,7 @@ def test_malformed_input_exits_1(tmp_path, monkeypatch, capsys, files, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -6,13 +6,20 @@ from hypothesis import strategies as st
 from sparsebounds import (
     BiSystem,
     PairedSystem,
+    admissible_space,
     coherence_profile,
     cross_coherence,
+    exhaustive_verify,
     from_hilbert_vectors,
+    generate,
     gram,
     identity_system,
+    sample_admissible,
     sub_coherence,
+    verify_fkdb,
+    verify_fskpb,
 )
+from sparsebounds import coherence
 from sparsebounds.dft import dft_matrix
 from sparsebounds.errors import StructuralError
 
@@ -101,6 +108,26 @@ class TestProfile:
         assert p.sub_coherence_g == q.sub_coherence_f
         assert p.cross_f_omega == pytest.approx(q.cross_g_tau, abs=1e-15)
         assert p.cross_g_tau == pytest.approx(q.cross_f_omega, abs=1e-15)
+
+
+def test_profile_computed_once_per_bisystem(monkeypatch):
+    calls = []
+
+    def spy(f_system, w_system):
+        calls.append(1)
+        return cross_coherence(f_system, w_system)
+
+    monkeypatch.setattr(coherence, "cross_coherence", spy)
+    b = generate("dft_pair", {"d": 4}, 0)
+    space = admissible_space(b)
+    x = sample_admissible(space, 0)
+    first = verify_fkdb(b, x)
+    verify_fskpb(b, x, {0}, {0})
+    exhaustive_verify(b, space, 3)
+    assert len(calls) == 2
+    again = generate("dft_pair", {"d": 4}, 0)
+    assert verify_fkdb(again, x).as_dict() == first.as_dict()
+    assert len(calls) == 4
 
 
 @settings(deadline=None, max_examples=30)

@@ -11,6 +11,7 @@ from sparsebounds import (
     identity_system,
     synthesis,
     validate_pairing,
+    verify_fkdb,
 )
 from sparsebounds.dft import dft_matrix
 from sparsebounds.errors import HypothesisError, StructuralError
@@ -46,6 +47,23 @@ class TestConstruction:
         s = identity_system(2)
         with pytest.raises(ValueError):
             s.vectors[0, 0] = 5.0
+
+    def test_system_owns_its_arrays(self):
+        a = np.eye(3)
+        base = np.zeros((4, 3))
+        base[:3] = np.eye(3)
+        view = base[:3]
+        s = PairedSystem(a, view)
+        assert a.flags.writeable and view.flags.writeable and base.flags.writeable
+        b = BiSystem(s, identity_system(3))
+        x = np.array([1.0, 0.0, 0.0])
+        before = verify_fkdb(b, x).as_dict()
+        a[:] = 2.0
+        base[:] = 5.0
+        np.testing.assert_array_equal(s.vectors, np.eye(3))
+        np.testing.assert_array_equal(s.functionals, np.eye(3))
+        assert verify_fkdb(b, x).as_dict() == before
+        assert verify_fkdb(BiSystem(PairedSystem(a, view), identity_system(3)), x).as_dict() != before
 
     def test_complex_entries_in_real_field_rejected(self):
         f = dft_matrix(4)
