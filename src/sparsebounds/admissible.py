@@ -18,6 +18,7 @@ from .systems import (
     COMPLEX,
     BiSystem,
     PairedSystem,
+    _integer,
     from_hilbert_vectors,
     identity_system,
 )
@@ -155,13 +156,11 @@ def generate(family: str, params: dict, seed: int = 0) -> BiSystem:
 
 
 def _param(params: dict, key: str, kind, default=None):
-    """params[key], or default when it is absent, converted by kind (int or float);
-    int refuses a float with a fractional part instead of truncating it."""
+    """params[key], or default when it is absent, converted by kind (int, by
+    the rule of systems._integer, or float)."""
     try:
         value = params[key] if default is None else params.get(key, default)
-        if kind is int and isinstance(value, float) and not value.is_integer():
-            raise ValueError(value)
-        return kind(value)
+        return _integer(value) if kind is int else kind(value)
     except (KeyError, TypeError, ValueError):
         noun = "an integer" if kind is int else "a number"
         raise ParameterError(f"family parameter {key!r} missing or not {noun}")

@@ -14,7 +14,7 @@ from .coherence import CoherenceProfile, coherence_profile
 from .config import ETA, ETA_HYP, TOL_CERT, TOL_FP
 from .errors import DegenerateInputError, NoAdmissibleSignalError, ParameterError
 from .sparsity import best_set, concentration_epsilon, l0, l1
-from .systems import BiSystem, analysis, synthesis, validate_pairing
+from .systems import BiSystem, _as_signal, infer_field, validate_pairing
 
 
 def ds_product(h, eta: float = ETA) -> tuple:
@@ -98,15 +98,8 @@ class BoundCertificate:
 
 def fixedpoint_residuals(bisystem: BiSystem, x) -> tuple:
     """Max-norm residuals of x against both fixed-point conditions."""
-    x = np.asarray(x).ravel()
-    return _residuals(bisystem, x, analysis(bisystem.first, x), analysis(bisystem.second, x))
-
-
-def _residuals(bisystem: BiSystem, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """Residuals of x given its analysis vectors a (first) and b (second)."""
-    r_f = np.abs(x - synthesis(bisystem.first, a)).max()
-    r_g = np.abs(x - synthesis(bisystem.second, b)).max()
-    return float(r_f), float(r_g)
+    sig = _analyse(bisystem, np.asarray(x).ravel())
+    return sig.r_f, sig.r_g
 
 
 @dataclass(frozen=True)
@@ -139,12 +132,21 @@ class _Signal:
     r_g: float
 
 
+def _analyse(bisystem: BiSystem, x) -> _Signal:
+    """x in the bisystem's field (complex when either system is), analysed by
+    each system's matrices directly, so a real system pairs with a complex one."""
+    field = infer_field(bisystem.first.vectors, bisystem.second.vectors)
+    x = _as_signal(field, x, bisystem.d, "signal")
+    a, b = bisystem.first.functionals @ x, bisystem.second.functionals @ x
+    r_f = np.abs(x - bisystem.first.vectors @ a).max()
+    r_g = np.abs(x - bisystem.second.vectors @ b).max()
+    return _Signal(a, b, float(r_f), float(r_g))
+
+
 def _signal(prep: _Prepared, x) -> _Signal:
     if l0(x, prep.eta) == 0:
         raise DegenerateInputError("signal is zero after thresholding")
-    bisystem, x = prep.bisystem, np.asarray(x)
-    a, b = analysis(bisystem.first, x), analysis(bisystem.second, x)
-    return _Signal(a, b, *_residuals(bisystem, x, a, b))
+    return _analyse(prep.bisystem, x)
 
 
 def _certify(prep: _Prepared, sig: _Signal, o_m: int, o_n: int,
@@ -259,7 +261,6 @@ def per_index_slack(bisystem: BiSystem, x) -> np.ndarray:
     nonnegative up to rounding on valid instances.
     """
     prof = coherence_profile(bisystem)
-    a = analysis(bisystem.first, x)
-    b = analysis(bisystem.second, x)
-    lhs = (1.0 + prof.sub_coherence_f) * np.abs(a) - l1(a) * prof.sub_coherence_f
-    return l1(b) * prof.cross_f_omega - lhs
+    sig = _analyse(bisystem, x)
+    lhs = (1.0 + prof.sub_coherence_f) * np.abs(sig.a) - l1(sig.a) * prof.sub_coherence_f
+    return l1(sig.b) * prof.cross_f_omega - lhs

@@ -9,6 +9,7 @@ byte-for-byte reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -38,7 +39,10 @@ from .systems import validate_pairing
 SEED_ENV = "SPARSEBOUNDS_SEED"
 
 
-def _default_seed() -> int:
+def _seed_or_default(seed) -> int:
+    """seed, or $SPARSEBOUNDS_SEED (0 when unset) for a seed flag not given."""
+    if seed is not None:
+        return seed
     text = os.environ.get(SEED_ENV, "0")
     try:
         return int(text)
@@ -82,9 +86,11 @@ _TOLERANCES = {
 
 
 def _add_tolerances(parser, *flags):
+    """Adds the tolerance flags and records their names for the manifest."""
     for flag in flags:
         default, help_text = _TOLERANCES[flag]
         parser.add_argument(flag, type=_tolerance, default=default, help=help_text)
+    parser.set_defaults(tolerances=[flag[2:].replace("-", "_") for flag in flags])
 
 
 def _add_bisystem_source(parser):
@@ -109,7 +115,7 @@ def _family_descriptor(args) -> dict:
         return {"family": doc["family"], "params": doc.get("params", {}), "seed": seed}
     if not args.family:
         raise ParameterError("provide --bisystem, --descriptor, or --family")
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed_or_default(args.seed)
     params = {}
     for key in ("d", "angle", "split", "magnitude"):
         value = getattr(args, key, None)
@@ -134,20 +140,32 @@ def _resolve_bisystem(args) -> tuple:
     return generate(desc["family"], desc["params"], desc["seed"]), {"descriptor": desc}
 
 
-def _manifest(command: str, inputs: dict, parameters: dict) -> dict:
+def _manifest(args, inputs: dict, **extra) -> dict:
+    """Run manifest; its parameters are the command's tolerance flags plus extra."""
+    parameters = {name: getattr(args, name) for name in args.tolerances}
     return {
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
-        "parameters": parameters,
+        "parameters": {**parameters, **extra},
         "version": __version__,
     }
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Scope of the writes under an --out path: one that fails exits 1."""
+    try:
+        yield
+    except OSError as exc:
+        raise StructuralError(f"cannot write {path}: {exc}")
+
+
 def _emit(document: dict, args) -> None:
     text = canonical_json(document)
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
-    if getattr(args, "format", "json") == "table":
+    if args.out:
+        with _writing(args.out):
+            Path(args.out).write_text(text)
+    if args.format == "table":
         for line in _table_lines(document):
             print(line)
     else:
@@ -180,8 +198,7 @@ def cmd_validate(args) -> int:
         "per_index_ok": [bool(v) for v in report.per_index_ok],
         "ok": report.ok,
         "tolerance": report.tolerance,
-        "manifest": _manifest("validate", {"system": args.system},
-                              {"eta_hyp": args.eta_hyp}),
+        "manifest": _manifest(args, {"system": args.system}),
     }
     _emit(document, args)
     return 0 if report.ok else 2
@@ -199,7 +216,7 @@ def cmd_coherence(args) -> int:
             "sub_coherence": sub_coherence(system),
             "gram_diagonal": [float(v) for v in np.abs(np.diag(gram(system)))],
         }
-    body["manifest"] = _manifest("coherence", {"input": args.input}, {})
+    body["manifest"] = _manifest(args, {"input": args.input})
     _emit(body, args)
     return 0
 
@@ -209,20 +226,15 @@ def cmd_verify(args) -> int:
     if args.signal:
         x = signal_from_dict(load_json(args.signal))
         inputs["signal"] = args.signal
-        sample_seed = None
     else:
-        sample_seed = args.sample if args.sample is not None else _default_seed()
+        sample_seed = _seed_or_default(args.sample)
         space = admissible_space(bisystem, args.tol_rank)
         x = sample_admissible(space, sample_seed)
         inputs["sample_seed"] = sample_seed
-    parameters = {
-        "eta": args.eta, "tol_fp": args.tol_fp, "tol_cert": args.tol_cert,
-        "tol_rank": args.tol_rank,
-    }
+    sets = {}
     if args.set_m is not None or args.set_n is not None:
-        set_m = _parse_set(args.set_m)
-        set_n = _parse_set(args.set_n)
-        parameters["set_m"], parameters["set_n"] = sorted(set_m), sorted(set_n)
+        set_m, set_n = _parse_set(args.set_m), _parse_set(args.set_n)
+        sets = {"set_m": sorted(set_m), "set_n": sorted(set_n)}
         cert = verify_fskpb(bisystem, x, set_m, set_n, eta=args.eta,
                             tol_fp=args.tol_fp, tol_cert=args.tol_cert)
     else:
@@ -230,7 +242,7 @@ def cmd_verify(args) -> int:
                            tol_cert=args.tol_cert)
     document = cert.as_dict()
     document["signal"] = signal_to_dict(x)
-    document["manifest"] = _manifest("verify", inputs, parameters)
+    document["manifest"] = _manifest(args, inputs, **sets)
     _emit(document, args)
     return 0 if cert.hypothesis_ok and cert.satisfied else 2
 
@@ -257,9 +269,7 @@ def cmd_search(args) -> int:
         "witness": signal_to_dict(report.witness),
         "guard": report.guard,
         "eta": report.eta,
-        "manifest": _manifest("search", inputs, {
-            "eta": args.eta, "guard": args.guard, "tol_rank": args.tol_rank,
-        }),
+        "manifest": _manifest(args, inputs, guard=args.guard),
     }
     _emit(document, args)
     return 0
@@ -269,10 +279,11 @@ def cmd_generate(args) -> int:
     desc = _family_descriptor(args)
     bisystem = generate(desc["family"], desc["params"], desc["seed"])
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest("generate", {"descriptor": desc}, {})
-    (out / "bisystem.json").write_text(canonical_json(bisystem_to_dict(bisystem)))
-    (out / "manifest.json").write_text(canonical_json(manifest))
+    manifest = _manifest(args, {"descriptor": desc})
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "bisystem.json").write_text(canonical_json(bisystem_to_dict(bisystem)))
+        (out / "manifest.json").write_text(canonical_json(manifest))
     sys.stdout.write(canonical_json({"written": [str(out / "bisystem.json"),
                                                  str(out / "manifest.json")],
                                      "manifest": manifest}))
@@ -281,13 +292,11 @@ def cmd_generate(args) -> int:
 
 def cmd_sample(args) -> int:
     bisystem, inputs = _resolve_bisystem(args)
-    seed = args.sample if args.sample is not None else _default_seed()
+    seed = _seed_or_default(args.sample)
     space = admissible_space(bisystem, args.tol_rank)
     x = sample_admissible(space, seed)
     document = signal_to_dict(x)
-    document["manifest"] = _manifest("sample", inputs, {
-        "sample_seed": seed, "tol_rank": args.tol_rank,
-    })
+    document["manifest"] = _manifest(args, inputs, sample_seed=seed)
     _emit(document, args)
     return 0
 
@@ -300,21 +309,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "table"), default="json")
+    output.add_argument("--out")
 
-    p = sub.add_parser("validate", help="check |f_j(tau_j)| >= 1 for a system file")
+    p = sub.add_parser("validate", parents=[output],
+                       help="check |f_j(tau_j)| >= 1 for a system file")
     p.add_argument("system", help="system JSON file (or CSV manifest)")
     _add_tolerances(p, "--eta-hyp")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("coherence", help="coherence quantities of a system or bisystem")
+    p = sub.add_parser("coherence", parents=[output],
+                       help="coherence quantities of a system or bisystem")
     p.add_argument("input", help="system or bisystem JSON file")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--out")
+    _add_tolerances(p)
     p.set_defaults(func=cmd_coherence)
 
-    p = sub.add_parser("verify", help="emit a bound certificate for one signal")
+    p = sub.add_parser("verify", parents=[output], help="emit a bound certificate for one signal")
     _add_bisystem_source(p)
     p.add_argument("--signal", help="signal JSON file")
     p.add_argument("--sample", type=int, default=None,
@@ -322,29 +333,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set-m", help="comma-separated index set for the first system")
     p.add_argument("--set-n", help="comma-separated index set for the second system")
     _add_tolerances(p, "--eta", "--tol-fp", "--tol-cert", "--tol-rank")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("search", help="exhaustive minimal sparsity-product search")
+    p = sub.add_parser("search", parents=[output],
+                       help="exhaustive minimal sparsity-product search")
     _add_bisystem_source(p)
     p.add_argument("--guard", type=_guard, default=GUARD, help="largest n + m searched")
     _add_tolerances(p, "--eta", "--tol-rank")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("generate", help="write a family bisystem and its manifest")
     _add_bisystem_source(p)
     p.add_argument("--out", required=True, help="output directory")
+    _add_tolerances(p)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("sample", help="sample an admissible signal")
+    p = sub.add_parser("sample", parents=[output], help="sample an admissible signal")
     _add_bisystem_source(p)
     p.add_argument("--sample", type=int, default=None, help="sampling seed")
     _add_tolerances(p, "--tol-rank")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 
     return parser

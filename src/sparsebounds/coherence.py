@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,12 +25,7 @@ class CoherenceProfile:
     cross_g_tau: float
 
     def as_dict(self) -> dict:
-        return {
-            "sub_coherence_f": self.sub_coherence_f,
-            "sub_coherence_g": self.sub_coherence_g,
-            "cross_f_omega": self.cross_f_omega,
-            "cross_g_tau": self.cross_g_tau,
-        }
+        return asdict(self)
 
 
 def gram(system: PairedSystem) -> np.ndarray:

@@ -10,19 +10,13 @@ class SparseBoundsError(Exception):
 class StructuralError(SparseBoundsError):
     """Shape mismatch, malformed input file, or inconsistent dimensions."""
 
-    exit_code = 1
-
 
 class ParameterError(SparseBoundsError):
     """Invalid parameter value (unknown family, bad trial count, ...)."""
 
-    exit_code = 1
-
 
 class DegenerateInputError(SparseBoundsError):
     """Input is degenerate for the requested quantity (zero signal, zero mass)."""
-
-    exit_code = 1
 
 
 class HypothesisError(SparseBoundsError):

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import StructuralError
-from .systems import COMPLEX, REAL, BiSystem, PairedSystem
+from .systems import COMPLEX, REAL, BiSystem, PairedSystem, _integer
 
 
 def _encode(a) -> list:
@@ -36,6 +36,8 @@ def _encode(a) -> list:
 
 def _decode(values, field_tag: str, name: str) -> np.ndarray:
     """Inverse of _encode: complex fields read trailing [re, im] pairs bit for bit."""
+    if field_tag not in (REAL, COMPLEX):
+        raise StructuralError(f"unknown field tag {field_tag!r}")
     try:
         a = np.array(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -64,8 +66,6 @@ def system_from_dict(data: dict) -> PairedSystem:
     if missing:
         raise StructuralError(f"system document missing keys: {sorted(missing)}")
     field_tag = data["field"]
-    if field_tag not in (REAL, COMPLEX):
-        raise StructuralError(f"unknown field tag {field_tag!r}")
     d, n = _int_field(data, "d"), _int_field(data, "n")
     matrices = []
     for key, shape in (("vectors", (d, n)), ("functionals", (n, d))):
@@ -105,13 +105,9 @@ def signal_from_dict(data: dict) -> np.ndarray:
 
 
 def _int_field(data: dict, key: str) -> int:
-    """data[key] as an int; a float with a fractional part is refused, not
-    truncated (the rule of admissible._param)."""
+    """data[key] as an int, by the rule of systems._integer."""
     try:
-        value = data[key]
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(value)
-        return int(value)
+        return _integer(data[key])
     except (TypeError, ValueError):
         raise StructuralError(f"{key!r} must be an integer, got {data[key]!r}")
 

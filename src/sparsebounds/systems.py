@@ -49,6 +49,13 @@ def _as_matrix(a, field_tag: str, name: str) -> np.ndarray:
     return a
 
 
+def _integer(value) -> int:
+    """value as an int; a float with a fractional part is refused, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
 def infer_field(*arrays) -> str:
     return COMPLEX if any(np.iscomplexobj(np.asarray(a)) for a in arrays) else REAL
 
@@ -142,8 +149,8 @@ def from_hilbert_vectors(vectors, eta_hyp: float = ETA_HYP) -> PairedSystem:
     return PairedSystem(T, T.conj().T, field_tag)
 
 
-def _as_signal(system: PairedSystem, x, length: int, name: str) -> np.ndarray:
-    x = _coerce(x, system.field, name)
+def _as_signal(field_tag: str, x, length: int, name: str) -> np.ndarray:
+    x = _coerce(x, field_tag, name)
     if x.shape != (length,):
         raise StructuralError(f"{name} has shape {x.shape}, expected ({length},)")
     return x
@@ -151,12 +158,12 @@ def _as_signal(system: PairedSystem, x, length: int, name: str) -> np.ndarray:
 
 def analysis(system: PairedSystem, x) -> np.ndarray:
     """Apply the analysis operator: x -> (f_j(x))_j."""
-    return system.functionals @ _as_signal(system, x, system.d, "signal")
+    return system.functionals @ _as_signal(system.field, x, system.d, "signal")
 
 
 def synthesis(system: PairedSystem, coefficients) -> np.ndarray:
     """Apply the synthesis operator: (a_j)_j -> sum_j a_j tau_j."""
-    return system.vectors @ _as_signal(system, coefficients, system.n, "coefficients")
+    return system.vectors @ _as_signal(system.field, coefficients, system.n, "coefficients")
 
 
 def identity_system(d: int, field_tag: str = REAL) -> PairedSystem:

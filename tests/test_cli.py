@@ -142,12 +142,18 @@ def descriptor(family, params, **extra):
                               "functionals": [[1, 0], [0, 1]]})}, ["validate", "sys.json"]),
     ({"sig.json": json.dumps({"coordinates": [1, 0, 0, 0], "d": 4.5})},
      ["verify", "--family", "dft_pair", "--d", "4", "--signal", "sig.json"]),
+    ({"taken": "x"}, ["generate", "--family", "dft_pair", "--d", "2", "--out", "taken"]),
+    ({}, ["verify", "--family", "dft_pair", "--d", "4", "--sample", "1",
+          "--out", "missing_dir/x.json"]),
+    ({"sig.json": json.dumps({"field": "nonsense", "coordinates": [1, 0, 0, 0]})},
+     ["verify", "--family", "dft_pair", "--d", "4", "--signal", "sig.json"]),
 ], ids=["descriptor-not-object", "descriptor-seed", "descriptor-params-list", "angle",
         "magnitude", "base-seed", "split", "system-d", "csv-manifest-no-functionals",
         "csv-missing-file", "signal-d", "json-not-utf8", "csv-not-utf8",
         "complex-signal-real-system", "negative-sample-seed", "negative-seed",
         "negative-base-seed", "fractional-d", "fractional-split", "fractional-seed",
-        "fractional-base-seed", "fractional-system-d", "fractional-signal-d"])
+        "fractional-base-seed", "fractional-system-d", "fractional-signal-d",
+        "generate-out-is-file", "out-parent-missing", "signal-field-tag"])
 def test_malformed_input_exits_1(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
@@ -189,6 +195,50 @@ def test_usage_error_exits_1(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+BISYSTEM_1X1 = {"first": SYSTEM_1X1, "second": SYSTEM_1X1}
+
+
+@pytest.mark.parametrize("files,argv,manifest", [
+    ({"sys.json": json.dumps(SYSTEM_1X1)}, ["validate", "sys.json", "--eta-hyp", "0.25"],
+     {"command": "validate", "inputs": {"system": "sys.json"},
+      "parameters": {"eta_hyp": 0.25}}),
+    ({"sys.json": json.dumps(SYSTEM_1X1)}, ["coherence", "sys.json"],
+     {"command": "coherence", "inputs": {"input": "sys.json"}, "parameters": {}}),
+    ({"desc.json": descriptor("dft_pair", {"d": 4}, seed=2)},
+     ["verify", "--descriptor", "desc.json", "--sample", "3", "--set-m", "1,0", "--set-n", "2",
+      "--tol-fp", "1e-8"],
+     {"command": "verify",
+      "inputs": {"descriptor": {"family": "dft_pair", "params": {"d": 4}, "seed": 2},
+                 "sample_seed": 3},
+      "parameters": {"eta": 1e-9, "tol_fp": 1e-8, "tol_cert": 1e-9, "tol_rank": 1e-10,
+                     "set_m": [0, 1], "set_n": [2]}}),
+    ({}, ["search", "--family", "identity_pair", "--d", "2", "--guard", "6", "--eta", "1e-8"],
+     {"command": "search",
+      "inputs": {"descriptor": {"family": "identity_pair", "params": {"d": 2}, "seed": 0}},
+      "parameters": {"eta": 1e-8, "guard": 6, "tol_rank": 1e-10}}),
+    ({}, ["generate", "--family", "rotated_pair", "--d", "2", "--seed", "5", "--out", "g"],
+     {"command": "generate",
+      "inputs": {"descriptor": {"family": "rotated_pair", "params": {"d": 2}, "seed": 5}},
+      "parameters": {}}),
+    ({"bis.json": json.dumps(BISYSTEM_1X1)},
+     ["sample", "--bisystem", "bis.json", "--sample", "4", "--tol-rank", "1e-11"],
+     {"command": "sample", "inputs": {"bisystem": "bis.json"},
+      "parameters": {"sample_seed": 4, "tol_rank": 1e-11}}),
+], ids=["validate", "coherence", "verify", "search", "generate", "sample"])
+def test_manifest_pinned(tmp_path, monkeypatch, capsys, files, argv, manifest):
+    """The whole manifest of each command: every tolerance flag it takes, its
+    explicit parameters, its inputs, and the version."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SPARSEBOUNDS_SEED", raising=False)
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    code, doc = run(capsys, *argv)
+    assert code in (0, 2)
+    assert doc["manifest"] == {**manifest, "version": "0.1.0"}
+    if argv[0] == "generate":
+        assert json.loads((tmp_path / "g" / "manifest.json").read_text()) == doc["manifest"]
 
 
 def test_integral_floats_accepted(tmp_path, capsys):

@@ -28,6 +28,7 @@ from sparsebounds.errors import (
     ParameterError,
 )
 from sparsebounds.config import ETA, GUARD, TOL_RANK
+from sparsebounds.dft import dft_matrix
 from sparsebounds import oracle
 from sparsebounds.oracle import _pattern_order, _report
 
@@ -320,3 +321,30 @@ def test_exhaustive_verify_matches_reference_loop(family, params):
     b = generate(family, params, seed=2)
     space = admissible_space(b)
     assert exhaustive_verify(b, space, trials=12, seed=5) == reference_verify(b, space, 12, seed=5)
+
+
+class TestMixedField:
+    """The real identity paired with the complex DFT basis: its admissible basis,
+    profile and first-system analysis equal those of dft_pair d=4, whose first
+    system is the complex identity, so every result must equal dft_pair's."""
+
+    mixed = BiSystem(identity_system(4), from_hilbert_vectors(dft_matrix(4)))
+    dft = generate("dft_pair", {"d": 4}, 0)
+
+    def test_certificates_equal_dft_pair(self):
+        x = sample_admissible(admissible_space(self.mixed), 3)
+        assert np.iscomplexobj(x)
+        assert verify_fkdb(self.mixed, x).as_dict() == verify_fkdb(self.dft, x).as_dict()
+        assert (verify_fskpb(self.mixed, x, (0, 2), (1,)).as_dict()
+                == verify_fskpb(self.dft, x, (0, 2), (1,)).as_dict())
+
+    def test_exhaustive_verify_equals_dft_pair(self):
+        got = exhaustive_verify(self.mixed, admissible_space(self.mixed), trials=20, seed=4)
+        assert got == exhaustive_verify(self.dft, admissible_space(self.dft), trials=20, seed=4)
+        assert got.satisfied == 20
+
+    def test_search_matches_reference(self):
+        space = admissible_space(self.mixed)
+        report = min_sparsity_product(self.mixed, space)
+        assert report.best_lhs == 4
+        assert report_fields(report) == report_fields(reference_search(self.mixed, space))
