@@ -44,7 +44,13 @@ def null_space_basis(a: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(a.shape[1], dtype=a.dtype)
-    return vh[np.count_nonzero(s > tol_rank * max(s[0], 1.0)):].conj().T
+    return vh[_rank(s, tol_rank):].conj().T
+
+
+def _rank(s: np.ndarray, tol_rank: float) -> np.ndarray:
+    """Numerical rank of each row of descending singular values s (..., r):
+    the count above tol_rank * max(sigma_max, 1), 0 when r = 0."""
+    return np.count_nonzero(s > tol_rank * np.maximum(s[..., :1], 1.0), axis=-1)
 
 
 def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> AdmissibleSpace:

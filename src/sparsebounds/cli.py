@@ -95,6 +95,10 @@ def _add_tolerances(parser, *flags):
 
 def _add_bisystem_source(parser):
     parser.add_argument("--bisystem", help="bisystem JSON file")
+    _add_family_source(parser)
+
+
+def _add_family_source(parser):
     parser.add_argument("--descriptor", help="family descriptor JSON file")
     parser.add_argument("--family", choices=FAMILIES, help="generated family name")
     parser.add_argument("--d", type=int, help="ambient dimension")
@@ -114,7 +118,8 @@ def _family_descriptor(args) -> dict:
         seed = _param(doc, "seed", int, 0)
         return {"family": doc["family"], "params": doc.get("params", {}), "seed": seed}
     if not args.family:
-        raise ParameterError("provide --bisystem, --descriptor, or --family")
+        sources = "--bisystem, --descriptor, or" if "bisystem" in args else "--descriptor or"
+        raise ParameterError(f"provide {sources} --family")
     seed = _seed_or_default(args.seed)
     params = {}
     for key in ("d", "angle", "split", "magnitude"):
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("generate", help="write a family bisystem and its manifest")
-    _add_bisystem_source(p)
+    _add_family_source(p)
     p.add_argument("--out", required=True, help="output directory")
     _add_tolerances(p)
     p.set_defaults(func=cmd_generate)

@@ -5,11 +5,14 @@ The search enumerates support-pattern pairs (S_f, S_g) in increasing order of
 pattern's feasibility as a null-space problem; the first feasible pattern is
 therefore a minimizer of the sparsity product over the admissible subspace.
 Each S_f is projected once per call onto V, a loosely cut null space of the
-first system's rows outside S_f; P = C V (m x k) is cached, at most one per
-S_f already scanned.  With k = 0 every S_g is counted with no linear algebra;
-otherwise the smallest eigenvalue of the k x k Gram matrix of the rows of P
-outside S_g filters the S_g in chunks, and each candidate is confirmed in
-order on its full off-pattern stack, as a pattern-by-pattern scan would.
+first system's rows outside S_f, by one stacked SVD per batch of S_f of equal
+size; P = C V (m x k) is kept until the last size class of that |S_f|.  A
+size class is then filtered in batches of at most BATCH patterns: the S_f of
+equal k are tested together, across S_f and S_g, by an LDL^H pivot test of
+G - cutoff * I for the k x k Gram matrix G of the rows of P outside S_g, and
+every S_g of an S_f with k = 0 is counted with no linear algebra.  Each
+batch's candidates are confirmed in order on their full off-pattern stacks, as
+a pattern-by-pattern scan would, before the next batch is filtered.
 """
 
 from __future__ import annotations
@@ -20,15 +23,16 @@ from math import comb
 
 import numpy as np
 
-from .admissible import AdmissibleSpace, null_space_basis
+from .admissible import AdmissibleSpace, _rank, null_space_basis
 from .bounds import verify_fkdb
 from .config import ETA, GUARD, TOL_RANK
 from .errors import DegenerateInputError, GuardExceededError, NoAdmissibleSignalError
 from .systems import BiSystem
 
-# Patterns S_g per batched eigenvalue call: few enough that the scan stops soon
-# after the first feasible pattern, enough to amortize the per-call overhead.
-CHUNK = 128
+# Patterns (S_f, S_g) per filter batch, and S_f per projection SVD call: few
+# enough that the scan stops soon after the first feasible pattern and that the
+# stacks stay small, enough to amortize numpy's per-call overhead.
+BATCH = 512
 # Projection cutoff over the confirmation cutoff (see min_sparsity_product).
 MARGIN = 1e4
 
@@ -76,29 +80,45 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
     # rules out every S_g, and c = V v + u, u orthogonal to V, has ||u|| <=
     # 1 / MARGIN, so ||C_off V v|| <= t + ||C|| / MARGIN with ||v||^2 >=
     # 1 - MARGIN^-2: the Gram cutoff is twice the square of that bound.
+    # The filter rejects a pattern only when every pivot of the LDL^H
+    # factorization of G - cutoff * I, G = (C_off V)^H C_off V, is > 0.  In
+    # floating point, forming G and factorizing it give the exact pivots of a
+    # perturbed G whose error is at most about (k + 1) * u * ||C / s||^2 from
+    # the factorization (u the unit roundoff; Higham, Accuracy and Stability
+    # of Numerical Algorithms, ch. 10) plus about m * k * u * ||C / s||^2 from
+    # the sums.  The factor 2 in the cutoff leaves a room of at least
+    # (||C / s|| / MARGIN)^2 = 1e-8 * ||C / s||^2 between a confirmed
+    # pattern's smallest eigenvalue of G and the cutoff, far above both.
     scale = max(np.linalg.norm(np.concatenate([a_rows, c_rows]), 2), 1.0)
     a_unit, c_unit = a_rows / scale, c_rows / scale
     t = tol_rank + 1e3 * np.finfo(float).eps
     cutoff = 2.0 * (t + np.linalg.norm(c_unit, 2) / MARGIN) ** 2
-    projections = {}  # S_f -> P / s, dropped in the last size class using it
+    # |S_f| -> (C Vh^H / s as m x count x width, k per S_f); the last k columns
+    # of each S_f are its P / s.  Made in the first size class of |S_f|,
+    # (|S_f|, 1), at width w and cut to the largest k at its end, and dropped
+    # in the last one, (|S_f|, m).
+    projections = {}
 
     searched = 0
     for size_f, size_g in _pattern_order(n, m):
-        off_g = _complements(m, size_g)
-        subsets_f = itertools.combinations(range(n), size_f)
-        for i_f, (s_f, off_f) in enumerate(zip(subsets_f, _complements(n, size_f))):
-            p = (projections.pop if size_g == m else projections.get)(s_f, None)
-            if p is None:
-                p = c_unit @ null_space_basis(a_unit[off_f], MARGIN * t)
-                if size_g < m:
-                    projections[s_f] = p
-            if p.shape[1] == 0:
-                continue
-            c, i_g = _scan_s_g(a_rows[off_f], c_rows, p, off_g, cutoff, tol_rank)
-            if c is not None:
-                return _report(bisystem, space, c, (size_f, size_g), eta, guard,
-                               searched + i_f * len(off_g) + i_g + 1)
-        searched += comb(n, size_f) * len(off_g)
+        off_f, off_g = _complements(n, size_f), _complements(m, size_g)
+        if size_g == 1:
+            projections[size_f] = (np.empty((m, len(off_f), space.w), c_unit.dtype),
+                                   np.empty(len(off_f), int))
+        p, ks = (projections.pop if size_g == m else projections.get)(size_f)
+        for rows, cols in _batches(len(off_f), len(off_g)):
+            if size_g == 1 and cols.start == 0:
+                p[:, rows], ks[rows] = _project(a_unit[off_f[rows]], c_unit, MARGIN * t)
+            for i_f, i_g in _candidates(p[:, rows], ks[rows], off_g[cols], cutoff):
+                i_f, i_g = rows.start + int(i_f), cols.start + int(i_g)
+                off = np.concatenate([a_rows[off_f[i_f]], c_rows[off_g[i_g]]])
+                basis = null_space_basis(off, tol_rank)
+                if basis.shape[1] > 0:
+                    return _report(bisystem, space, basis[:, 0], (size_f, size_g), eta, guard,
+                                   searched + i_f * len(off_g) + i_g + 1)
+        if size_g == 1 < m:  # every S_f of this size is projected: keep the widest P
+            projections[size_f] = p[:, :, p.shape[2] - ks.max():].copy(), ks
+        searched += len(off_f) * len(off_g)
     raise NoAdmissibleSignalError("no feasible support pattern found")
 
 
@@ -110,18 +130,63 @@ def _complements(m: int, size: int) -> np.ndarray:
     return np.fromiter(rows, np.min_scalar_type(m), count * (m - size)).reshape(count, -1)[::-1]
 
 
-def _scan_s_g(a_off, c_rows, p, off_g, cutoff, tol_rank):
-    """(null vector, index into off_g) of the first feasible S_g for one S_f, or
-    (None, 0): Gram eigenvalue tests on CHUNK rows of p at a time, then a
-    full-stack confirmation of each candidate in order."""
-    for start in range(0, len(off_g), CHUNK):
-        p_off = p[off_g[start:start + CHUNK]]
-        low = np.linalg.eigvalsh(p_off.conj().transpose(0, 2, 1) @ p_off)[:, 0]
-        for i in np.flatnonzero(low <= cutoff):
-            basis = null_space_basis(np.concatenate([a_off, c_rows[off_g[start + i]]]), tol_rank)
-            if basis.shape[1] > 0:
-                return basis[:, 0], start + int(i)
-    return None, 0
+def _batches(count_f: int, count_g: int):
+    """(S_f slice, S_g slice) blocks of a size class, in enumeration order, of
+    at most BATCH patterns each: whole rows of S_g, or one S_f at a time when
+    a row is longer than BATCH."""
+    step_f, step_g = max(BATCH // count_g, 1), min(count_g, BATCH)
+    for f in range(0, count_f, step_f):
+        for g in range(0, count_g, step_g):
+            yield slice(f, min(f + step_f, count_f)), slice(g, min(g + step_g, count_g))
+
+
+def _project(a_off: np.ndarray, c_unit: np.ndarray, cut: float) -> tuple:
+    """(C Vh^H / s as m x F x w, k per S_f) for a stack a_off (F, r, w) of the
+    rows A_off / s of F sets S_f, where Vh holds A_off's right singular vectors
+    and its last k rows, those beyond the rank at cut, span V."""
+    _, s, vh = np.linalg.svd(a_off)
+    p = c_unit @ vh.conj().transpose(0, 2, 1)
+    return p.transpose(1, 0, 2), vh.shape[-1] - _rank(s, cut)
+
+
+def _candidates(p: np.ndarray, ks: np.ndarray, off_g: np.ndarray, cutoff: float):
+    """(i_f, i_g), in enumeration order, of the patterns whose Gram matrix
+    G = P_off^H P_off fails the positive-definiteness test of G - cutoff * I,
+    where P is the last ks[i_f] columns of p[:, i_f] and P_off its rows
+    off_g[i_g].  The S_f of equal k are tested together; k = 0 passes none."""
+    keep = np.zeros((len(off_g), len(ks)), bool)
+    for k in set(ks.tolist()) - {0}:
+        group = ks == k
+        keep[:, group] = _indefinite(_shifted_gram(p[:, group, p.shape[2] - k:], off_g, cutoff))
+    return zip(*np.nonzero(keep.T))
+
+
+def _shifted_gram(q: np.ndarray, off_g: np.ndarray, cutoff: float) -> np.ndarray:
+    """G - cutoff * I (len(off_g), F, k, k) for the F matrices P of q (m, F, k)
+    and each row set off_g[i_g], summed over the rows' outer products."""
+    k = q.shape[2]
+    h = np.empty((len(off_g),) + q.shape[1:] + (k,), q.dtype)
+    h[...] = -cutoff * np.eye(k)
+    if off_g.size:
+        outer = q.conj()[..., :, None] * q[..., None, :]
+        for rows in off_g.T:
+            h += outer[rows]
+    return h
+
+
+def _indefinite(h: np.ndarray) -> np.ndarray:
+    """Whether each Hermitian matrix of a stack h (..., k, k) is not positive
+    definite: some pivot of its LDL^H factorization without pivoting is <= 0
+    or NaN.  At k = 1 the test is h <= 0.  Overwrites h."""
+    positive = h[..., 0, 0].real > 0
+    with np.errstate(all="ignore"):  # a failed pivot may divide by zero
+        for _ in range(h.shape[-1] - 1):
+            col = h[..., 1:, :1]
+            row = col.conj().swapaxes(-1, -2) / h[..., :1, :1].real
+            h = h[..., 1:, 1:]
+            h -= col * row
+            positive &= h[..., 0, 0].real > 0
+    return ~positive
 
 
 def _report(bisystem, space, c, sizes, eta, guard, searched) -> TightnessReport:

@@ -147,13 +147,15 @@ def descriptor(family, params, **extra):
           "--out", "missing_dir/x.json"]),
     ({"sig.json": json.dumps({"field": "nonsense", "coordinates": [1, 0, 0, 0]})},
      ["verify", "--family", "dft_pair", "--d", "4", "--signal", "sig.json"]),
+    ({}, ["generate", "--out", "out"]),
 ], ids=["descriptor-not-object", "descriptor-seed", "descriptor-params-list", "angle",
         "magnitude", "base-seed", "split", "system-d", "csv-manifest-no-functionals",
         "csv-missing-file", "signal-d", "json-not-utf8", "csv-not-utf8",
         "complex-signal-real-system", "negative-sample-seed", "negative-seed",
         "negative-base-seed", "fractional-d", "fractional-split", "fractional-seed",
         "fractional-base-seed", "fractional-system-d", "fractional-signal-d",
-        "generate-out-is-file", "out-parent-missing", "signal-field-tag"])
+        "generate-out-is-file", "out-parent-missing", "signal-field-tag",
+        "generate-no-source"])
 def test_malformed_input_exits_1(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
@@ -164,6 +166,20 @@ def test_malformed_input_exits_1(tmp_path, monkeypatch, capsys, files, argv):
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,sources", [
+    ("verify", "--bisystem, --descriptor, or --family"),
+    ("search", "--bisystem, --descriptor, or --family"),
+    ("sample", "--bisystem, --descriptor, or --family"),
+    ("generate", "--descriptor or --family"),
+])
+def test_missing_source_names_the_command_flags(tmp_path, monkeypatch, capsys, command,
+                                                sources):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--out", "out"] if command == "generate" else [command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: provide {sources}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -184,10 +200,14 @@ def test_malformed_input_exits_1(tmp_path, monkeypatch, capsys, files, argv):
     ["search", "--family", "dft_pair", "--d", "4", "--guard", "1"],
     ["search", "--family", "dft_pair", "--d", "4", "--guard", "8.5"],
     ["search", "--family", "dft_pair", "--d", "4", "--guard", "++8"],
+    ["generate", "--bisystem", "bis.json", "--out", "out"],
+    ["generate", "--bisystem", "bis.json", "--family", "identity_pair", "--d", "2",
+     "--out", "out"],
 ], ids=["tol-fp-nan", "tol-cert-nan", "eta-nan", "eta-negative", "tol-rank-negative",
         "tol-rank-inf", "search-tol-fp", "search-tol-cert", "tol-rank-text", "eta-hyp-nan",
         "d-not-int", "unknown-flag", "no-command", "guard-negative", "guard-one",
-        "guard-not-int", "guard-double-sign"])
+        "guard-not-int", "guard-double-sign", "generate-bisystem",
+        "generate-bisystem-and-family"])
 def test_usage_error_exits_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -1,4 +1,6 @@
+import collections
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from sparsebounds import (
     from_hilbert_vectors,
     generate,
     identity_system,
+    l0,
     min_sparsity_product,
     sample_admissible,
     verify_fkdb,
@@ -76,23 +79,51 @@ def swapped(bisystem):
     return BiSystem(bisystem.second, bisystem.first)
 
 
+def rescaled_per_index(system, c):
+    """tau_j -> c_j tau_j, f_j -> f_j / c_j: every hypothesis stays exact."""
+    c = np.broadcast_to(c, system.n)
+    return PairedSystem(system.vectors * c, system.functionals / c[:, None], system.field)
+
+
 def rescaled(bisystem, c):
-    """tau_j -> c tau_j, f_j -> f_j / c in both systems: every hypothesis stays exact."""
-    return BiSystem(*(PairedSystem(s.vectors * c, s.functionals / c, s.field)
-                      for s in (bisystem.first, bisystem.second)))
+    """One scale c for every index of both systems."""
+    return BiSystem(*(rescaled_per_index(s, c) for s in (bisystem.first, bisystem.second)))
 
 
-def count_projections(monkeypatch):
-    """Calls of the oracle's null-space solver at a cutoff other than tol_rank,
-    the projections of S_f (confirmations use tol_rank itself)."""
-    cutoffs = []
+def projected_stacks(monkeypatch):
+    """The stacks of off-pattern rows A_off the oracle projects, one SVD call
+    and one (r, w) matrix per S_f each."""
+    stacks = []
+    project = oracle._project
 
-    def spy(a, tol_rank=TOL_RANK):
-        cutoffs.append(tol_rank)
-        return null_space_basis(a, tol_rank)
+    def spy(a_off, *args):
+        stacks.append(a_off.copy())
+        return project(a_off, *args)
 
-    monkeypatch.setattr(oracle, "null_space_basis", spy)
-    return lambda: sum(tol != TOL_RANK for tol in cutoffs)
+    monkeypatch.setattr(oracle, "_project", spy)
+    return stacks
+
+
+def permuted(system, perm):
+    return PairedSystem(system.vectors[:, perm], system.functionals[perm], system.field)
+
+
+def witness_l0_product(bisystem, report):
+    x = report.witness
+    return l0(analysis(bisystem.first, x)) * l0(analysis(bisystem.second, x))
+
+
+def block_union():
+    """The identity against a seeded union of coordinate blocks, a line in
+    rows 0, 2, 4 and a plane in rows 1, 3, 5: the subspace_union shape with
+    its systems swapped, but structured, so S_f of one size leave
+    off-pattern rows of different ranks (k = 0, 1, 2)."""
+    rng = np.random.default_rng(2)
+    q = np.zeros((6, 3))
+    q[:3, :2] = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+    q[3:, 2] = rng.standard_normal(3)
+    q[3:, 2] /= np.linalg.norm(q[3:, 2])
+    return BiSystem(identity_system(6), from_hilbert_vectors(q[[3, 0, 4, 1, 5, 2]]))
 
 
 class TestMinSparsityProduct:
@@ -174,15 +205,45 @@ class TestMinSparsityProduct:
     def test_winner_projection_cached_from_earlier_class(self, monkeypatch):
         # dft_pair d=6 wins in size class (1, 6) with S_f = {0}, projected in
         # class (1, 1) and reused across nine classes in between.  Each of the
-        # 62 S_f with 1 <= |S_f| <= 5 is projected exactly once.
+        # 62 S_f with 1 <= |S_f| <= 5 is projected exactly once: comb(6, |S_f|)
+        # distinct stacks of 6 - |S_f| rows, one batched SVD per size, and
+        # |S_f| = 6 is never reached.
         b = generate("dft_pair", {"d": 6}, 0)
         space = admissible_space(b)
         want = reference_search(b, space)
-        projections = count_projections(monkeypatch)
+        stacks = projected_stacks(monkeypatch)
         got = min_sparsity_product(b, space)
         assert report_fields(got) == report_fields(want)
         assert int(np.count_nonzero(np.abs(got.witness) > ETA)) == 1
-        assert projections() == 62
+        projected = collections.Counter()
+        for stack in stacks:
+            projected[stack.shape[1]] += len(stack)
+        assert projected == {6 - size: comb(6, size) for size in range(1, 6)}
+        assert len({a.tobytes() for stack in stacks for a in stack}) == 62
+        assert len(stacks) == 5
+
+    def test_size_class_mixing_k_matches_reference(self, monkeypatch):
+        # In size class (3, 1) of this bisystem the S_f leave off-pattern rows
+        # whose null spaces have dimension 0, 1 or 2; the winner (pattern 105)
+        # lies in that class, behind S_f of every k.
+        b = block_union()
+        space = admissible_space(b)
+        rows = b.first.functionals @ space.basis
+        ks = {null_space_basis(np.delete(rows, s_f, axis=0), oracle.MARGIN * TOL_RANK).shape[1]
+              for s_f in itertools.combinations(range(6), 3)}
+        assert ks == {0, 1, 2}
+        batches = []
+        candidates = oracle._candidates
+
+        def spy(p, k, *args):
+            batches.append(set(k.tolist()) - {0})
+            return candidates(p, k, *args)
+
+        monkeypatch.setattr(oracle, "_candidates", spy)
+        want = reference_search(b, space)
+        assert want.patterns_searched == 105
+        assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
+        assert {1, 2} in batches
 
     @pytest.mark.parametrize("c", [1e8, 1e10, 1e-8, 1e12])
     def test_rescaled_matches_reference(self, c):
@@ -259,6 +320,84 @@ def test_batched_search_matches_reference_property(b):
     space = admissible_space(b)
     want = reference_search(b, space)
     assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
+
+
+# The theorem's symmetries (ROADMAP item 1) at moderate scales: swapping the
+# systems, permuting either system's indices and per-index rescaling by c in
+# [1e-2, 1e2] leave best_lhs and the witness's l0 product unchanged.
+@given(small_bisystems(), st.data())
+def test_search_invariant_under_symmetries(b, data):
+    want = min_sparsity_product(b, admissible_space(b))
+    product = witness_l0_product(b, want)
+    n, m = b.first.n, b.second.n
+    scales = [np.array(data.draw(st.lists(st.floats(1e-2, 1e2), min_size=size, max_size=size)))
+              for size in (n, m)]
+    changed = [
+        swapped(b),
+        BiSystem(permuted(b.first, data.draw(st.permutations(range(n)))),
+                 permuted(b.second, data.draw(st.permutations(range(m))))),
+        BiSystem(rescaled_per_index(b.first, scales[0]), rescaled_per_index(b.second, scales[1])),
+    ]
+    for other in changed:
+        got = min_sparsity_product(other, admissible_space(other))
+        assert got.best_lhs == want.best_lhs
+        assert witness_l0_product(other, got) == product
+
+
+# A Gram cutoff of the size the oracle uses on unit-scaled rows.
+CUTOFF = 2e-8
+
+
+def psd_stack(rng, k, lam_min, count, field):
+    """count Hermitian PSD k x k matrices, real or complex, with smallest
+    eigenvalue lam_min and the others drawn from [lam_min, 1]."""
+    shape = (count, k, k)
+    z = rng.standard_normal(shape)
+    if field == "complex":
+        z = z + 1j * rng.standard_normal(shape)
+    q = np.linalg.qr(z)[0]
+    eig = rng.uniform(lam_min, 1.0, (count, k))
+    eig[:, 0] = lam_min
+    return (q * eig[:, None, :]) @ q.conj().swapaxes(-1, -2)
+
+
+class TestLdlFilter:
+    """oracle._indefinite on G - cutoff * I passes (True) every matrix whose
+    smallest eigenvalue is <= cutoff / 2 and rejects every one whose smallest
+    eigenvalue is >= 2 * cutoff, the two sides of the filter's margin."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_smallest_eigenvalue(self, k, field):
+        rng = np.random.default_rng(10 * k + (field == "complex"))
+        for lam in (0.0, CUTOFF / 2, CUTOFF * (1 - 1e-3), CUTOFF * (1 + 1e-3), 100 * CUTOFF):
+            g = psd_stack(rng, k, lam, 40, field)
+            low = np.linalg.eigvalsh(g)[:, 0]
+            passed = oracle._indefinite(g - CUTOFF * np.eye(k))
+            assert passed[low <= CUTOFF / 2].all()
+            assert not passed[low >= 2 * CUTOFF].any()
+            # Within 1e-3 of the cutoff, far above rounding, the pivot test
+            # decides exactly as the smallest eigenvalue does.
+            np.testing.assert_array_equal(passed, low <= CUTOFF)
+            if k == 1:
+                # The k = 1 test is the thresholded support test
+                # ||p_off||^2 <= cutoff.
+                np.testing.assert_array_equal(passed, g[:, 0, 0].real <= CUTOFF)
+
+    @pytest.mark.parametrize("zero", range(3))
+    def test_zero_pivot_passes(self, zero):
+        # Only a factorization whose every pivot is > 0 rejects a pattern.
+        h = np.eye(3)
+        h[zero, zero] = 0.0
+        assert oracle._indefinite(h[None].copy()).all()
+
+    def test_batches_of_any_shape(self):
+        # Stacks with two batch axes, as the filter passes (S_g, S_f, k, k).
+        rng = np.random.default_rng(0)
+        g = psd_stack(rng, 3, 0.0, 12, "complex")
+        g[::2] += 2 * CUTOFF * np.eye(3)
+        passed = oracle._indefinite((g - CUTOFF * np.eye(3)).reshape(3, 4, 3, 3))
+        np.testing.assert_array_equal(passed.ravel(), np.arange(12) % 2 == 1)
 
 
 class TestExhaustiveVerify:
