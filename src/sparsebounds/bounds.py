@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -13,8 +12,8 @@ from .admissible import AdmissibleSpace, sample_admissible
 from .coherence import CoherenceProfile, coherence_profile
 from .config import ETA, ETA_HYP, TOL_CERT, TOL_FP
 from .errors import DegenerateInputError, NoAdmissibleSignalError, ParameterError
-from .sparsity import best_set, concentration_epsilon, l0, l1
-from .systems import BiSystem, _as_signal, infer_field, validate_pairing
+from .sparsity import _counts, _top_defects, concentration_epsilon, l0, l1
+from .systems import BiSystem, _as_signal, _coerce, _integer, infer_field, validate_pairing
 
 
 def ds_product(h, eta: float = ETA) -> tuple:
@@ -43,17 +42,18 @@ def fkdb_rhs(s_f: int, s_g: int, prof: CoherenceProfile) -> float:
 
 def fskpb_rhs(o_m: int, o_n: int, eps: float, delta: float, prof: CoherenceProfile) -> float:
     """Concentrated variant of the bound for set sizes (o_m, o_n)."""
-    return _bound(o_m, o_n, eps, delta, prof)[2]
+    return float(_bound(o_m, o_n, eps, delta, prof)[2])
 
 
 def _bound(o_m, o_n, eps, delta, prof: CoherenceProfile) -> tuple:
-    """(numerator_f, numerator_g, rhs) of the concentrated bound."""
+    """(numerator_f, numerator_g, rhs) of the concentrated bound, elementwise
+    over scalars or broadcastable arrays of set sizes and defects."""
     num_f = 1.0 - eps - (o_m - 1 + eps) * prof.sub_coherence_f
     num_g = 1.0 - delta - (o_n - 1 + delta) * prof.sub_coherence_g
-    num = max(0.0, num_f) * max(0.0, num_g)
+    num = np.maximum(0.0, num_f) * np.maximum(0.0, num_g)
     denom = prof.cross_f_omega * prof.cross_g_tau
     if denom <= 0.0:
-        return num_f, num_g, 0.0 if num == 0.0 else math.inf
+        return num_f, num_g, np.where(num == 0.0, 0.0, np.inf)
     return num_f, num_g, num / denom
 
 
@@ -98,8 +98,8 @@ class BoundCertificate:
 
 def fixedpoint_residuals(bisystem: BiSystem, x) -> tuple:
     """Max-norm residuals of x against both fixed-point conditions."""
-    sig = _analyse(bisystem, np.asarray(x).ravel())
-    return sig.r_f, sig.r_g
+    sig = _analyse(bisystem, _in_field(bisystem, np.asarray(x).ravel()))
+    return float(sig.r_f), float(sig.r_g)
 
 
 @dataclass(frozen=True)
@@ -124,29 +124,54 @@ def _prepare(bisystem: BiSystem, eta: float = ETA, tol_fp: float = TOL_FP,
 
 @dataclass(frozen=True)
 class _Signal:
-    """Analysis vectors and fixed-point residuals of one nonzero signal."""
+    """Analysis vectors and fixed-point residuals of one nonzero signal, or
+    of each row of a stack of signals (then every field has the stack's
+    leading axis)."""
 
     a: np.ndarray
     b: np.ndarray
-    r_f: float
-    r_g: float
+    r_f: np.ndarray
+    r_g: np.ndarray
 
 
-def _analyse(bisystem: BiSystem, x) -> _Signal:
-    """x in the bisystem's field (complex when either system is), analysed by
-    each system's matrices directly, so a real system pairs with a complex one."""
-    field = infer_field(bisystem.first.vectors, bisystem.second.vectors)
-    x = _as_signal(field, x, bisystem.d, "signal")
-    a, b = bisystem.first.functionals @ x, bisystem.second.functionals @ x
-    r_f = np.abs(x - bisystem.first.vectors @ a).max()
-    r_g = np.abs(x - bisystem.second.vectors @ b).max()
-    return _Signal(a, b, float(r_f), float(r_g))
+def _in_field(bisystem: BiSystem, x) -> np.ndarray:
+    """x as one signal of the bisystem's field: complex when either system is."""
+    return _as_signal(_field(bisystem), x, bisystem.d, "signal")
+
+
+def _field(bisystem: BiSystem) -> str:
+    return infer_field(bisystem.first.vectors, bisystem.second.vectors)
+
+
+def _analyse(bisystem: BiSystem, x: np.ndarray) -> _Signal:
+    """x, one signal (d,) or a stack (k, d) in the bisystem's field, analysed
+    by each system's matrices directly, so a real system pairs with a complex
+    one.  numpy's matmul runs one BLAS matrix-vector product per row of a
+    stack, so each row has the bits of the same signal analysed alone."""
+    first, second = bisystem.first, bisystem.second
+    a, b = _apply(first.functionals, x), _apply(second.functionals, x)
+    r_f = np.abs(x - _apply(first.vectors, a)).max(axis=-1)
+    r_g = np.abs(x - _apply(second.vectors, b)).max(axis=-1)
+    return _Signal(a, b, r_f, r_g)
+
+
+def _apply(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """matrix @ v for the vector x, or for every row v of a stack x."""
+    return (matrix @ x[..., None])[..., 0]
 
 
 def _signal(prep: _Prepared, x) -> _Signal:
     if l0(x, prep.eta) == 0:
         raise DegenerateInputError("signal is zero after thresholding")
-    return _analyse(prep.bisystem, x)
+    return _analyse(prep.bisystem, _in_field(prep.bisystem, x))
+
+
+def _verdicts(prep: _Prepared, r_f, r_g, lhs, rhs) -> tuple:
+    """(hypothesis_ok, vacuous, satisfied) of certificates, elementwise over
+    scalars or broadcastable arrays of residuals, lhs and rhs."""
+    hyp_ok = (r_f <= prep.tol_fp) & (r_g <= prep.tol_fp) & prep.pairing_ok
+    vacuous = np.isinf(rhs)
+    return hyp_ok, vacuous, hyp_ok & ~vacuous & (lhs >= rhs - prep.tol_cert)
 
 
 def _certify(prep: _Prepared, sig: _Signal, o_m: int, o_n: int,
@@ -155,16 +180,14 @@ def _certify(prep: _Prepared, sig: _Signal, o_m: int, o_n: int,
     (eps, delta); eps = delta = None is the flat bound, evaluated at 0."""
     num_f, num_g, rhs = _bound(o_m, o_n, 0.0 if eps is None else eps,
                                0.0 if delta is None else delta, prep.profile)
-    lhs = o_m * o_n
-    hyp_ok = bool(sig.r_f <= prep.tol_fp and sig.r_g <= prep.tol_fp and prep.pairing_ok)
-    vacuous = math.isinf(rhs)
-    satisfied = bool(hyp_ok and not vacuous and lhs >= rhs - prep.tol_cert)
+    lhs = float(o_m * o_n)
+    hyp_ok, vacuous, satisfied = _verdicts(prep, sig.r_f, sig.r_g, lhs, rhs)
     return BoundCertificate(
-        lhs=float(lhs), rhs=rhs, numerator_f=num_f, numerator_g=num_g,
-        profile=prep.profile, fixedpoint_residual_f=sig.r_f,
-        fixedpoint_residual_g=sig.r_g, hypothesis_ok=hyp_ok, satisfied=satisfied,
-        vacuous=vacuous, eta=prep.eta, tol_fp=prep.tol_fp, tol_cert=prep.tol_cert,
-        epsilon=eps, delta=delta,
+        lhs=lhs, rhs=float(rhs), numerator_f=float(num_f), numerator_g=float(num_g),
+        profile=prep.profile, fixedpoint_residual_f=float(sig.r_f),
+        fixedpoint_residual_g=float(sig.r_g), hypothesis_ok=bool(hyp_ok),
+        satisfied=bool(satisfied), vacuous=bool(vacuous), eta=prep.eta, tol_fp=prep.tol_fp,
+        tol_cert=prep.tol_cert, epsilon=eps, delta=delta,
     )
 
 
@@ -206,6 +229,11 @@ class VerifySummary:
     failing_seeds: tuple = field(default_factory=tuple)
 
 
+# Trials drawn and analysed per array pass of exhaustive_verify; bounds the
+# memory of a long sweep to this many signals.
+_SWEEP_BLOCK = 1024
+
+
 def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
                       seed: int = 0, eta: float = ETA, tol_fp: float = TOL_FP,
                       tol_cert: float = TOL_CERT,
@@ -214,42 +242,70 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
 
     On the first `concentrated_subsample` signals, also checks the
     concentrated certificate with M, N chosen by best_set at every
-    cardinality pair.
+    cardinality pair.  The certificates are evaluated as arrays, and the
+    summary equals that of verify_fkdb and verify_fskpb called signal by
+    signal, bit for bit.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    trials = _integer_arg("trials", trials, 1)
+    concentrated_subsample = _integer_arg("concentrated_subsample", concentrated_subsample, 0)
     if space.w < 1:
         raise NoAdmissibleSignalError("admissible subspace is trivial (w = 0)")
-    n, m = bisystem.first.n, bisystem.second.n
     prep = _prepare(bisystem, eta, tol_fp, tol_cert)
-    satisfied = 0
-    conc_checked = conc_ok = 0
+    satisfied = conc_checked = conc_ok = 0
     min_margin = np.inf
     failing = []
-    for t in range(trials):
-        sig = _signal(prep, sample_admissible(space, seed + t))
-        cert = _certify(prep, sig, l0(sig.a, eta), l0(sig.b, eta), None, None)
-        margin = cert.lhs - cert.rhs
-        min_margin = min(min_margin, margin)
-        if cert.hypothesis_ok and cert.satisfied:
-            satisfied += 1
-        else:
-            failing.append(seed + t)
-        if t < concentrated_subsample:
-            sets_m = [best_set(sig.a, o_m) for o_m in range(1, n + 1)]
-            sets_n = [best_set(sig.b, o_n) for o_n in range(1, m + 1)]
-            for w_m in sets_m:
-                for w_n in sets_n:
-                    c = _certify(prep, sig, len(w_m.set), len(w_n.set),
-                                 w_m.epsilon, w_n.epsilon)
-                    conc_checked += 1
-                    conc_ok += int(c.hypothesis_ok and c.satisfied)
-                    min_margin = min(min_margin, c.lhs - c.rhs)
+    for start in range(0, trials, _SWEEP_BLOCK):
+        block = range(start, min(start + _SWEEP_BLOCK, trials))
+        x = np.array([sample_admissible(space, seed + t) for t in block])
+        zero = np.flatnonzero(_counts(x, eta) == 0)
+        sig = _analyse(bisystem, _coerce(x, _field(bisystem), "signal"))
+        # A zero signal ends the sweep, as it ends the loop of single
+        # certificates: only the signals before it are checked first.
+        k = min(max(concentrated_subsample - start, 0), zero[0] if zero.size else len(block))
+        if k:
+            ok, margin = _concentrated(prep, sig, k)
+            conc_checked += ok.size
+            conc_ok += int(np.count_nonzero(ok))
+            min_margin = min(min_margin, margin.min())
+        if zero.size:
+            raise DegenerateInputError("signal is zero after thresholding")
+        s_f, s_g = _counts(sig.a, eta), _counts(sig.b, eta)
+        lhs = (s_f * s_g).astype(float)
+        rhs = _bound(s_f, s_g, 0.0, 0.0, prep.profile)[2]
+        ok = _verdicts(prep, sig.r_f, sig.r_g, lhs, rhs)[2]
+        satisfied += int(np.count_nonzero(ok))
+        failing.extend(seed + start + int(i) for i in np.flatnonzero(~ok))
+        min_margin = min(min_margin, (lhs - rhs).min())
     return VerifySummary(
         trials=trials, satisfied=satisfied, concentrated_checked=conc_checked,
         concentrated_satisfied=conc_ok, min_margin=float(min_margin),
         failing_seeds=tuple(failing),
     )
+
+
+def _concentrated(prep: _Prepared, sig: _Signal, k: int) -> tuple:
+    """Verdicts and margins (k, n, m) of the concentrated certificates of the
+    first k signals of a stack, with M and N the best_set sets of every size
+    pair (o_m, o_n)."""
+    n, m = sig.a.shape[-1], sig.b.shape[-1]
+    eps = _top_defects(np.abs(sig.a[:k]), range(1, n + 1))[1]
+    delta = _top_defects(np.abs(sig.b[:k]), range(1, m + 1))[1]
+    o_m, o_n = np.arange(1, n + 1)[:, None], np.arange(1, m + 1)
+    rhs = _bound(o_m, o_n, eps[:, :, None], delta[:, None, :], prep.profile)[2]
+    lhs = (o_m * o_n).astype(float)
+    ok = _verdicts(prep, sig.r_f[:k, None, None], sig.r_g[:k, None, None], lhs, rhs)[2]
+    return ok, lhs - rhs
+
+
+def _integer_arg(name: str, value, least: int) -> int:
+    """value as an integer count >= least, by the rule of systems._integer."""
+    try:
+        count = _integer(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value!r}")
+    return count
 
 
 def per_index_slack(bisystem: BiSystem, x) -> np.ndarray:
@@ -261,6 +317,6 @@ def per_index_slack(bisystem: BiSystem, x) -> np.ndarray:
     nonnegative up to rounding on valid instances.
     """
     prof = coherence_profile(bisystem)
-    sig = _analyse(bisystem, x)
+    sig = _analyse(bisystem, _in_field(bisystem, x))
     lhs = (1.0 + prof.sub_coherence_f) * np.abs(sig.a) - l1(sig.a) * prof.sub_coherence_f
     return l1(sig.b) * prof.cross_f_omega - lhs

@@ -24,9 +24,14 @@ def _magnitudes(a) -> np.ndarray:
 
 def l0(a, eta: float = ETA) -> int:
     """Number of entries with magnitude strictly above eta."""
+    return int(_counts(np.asarray(a).ravel(), eta))
+
+
+def _counts(a: np.ndarray, eta: float):
+    """l0 of each row (last axis) of a."""
     if eta < 0:
         raise ParameterError("zero threshold eta must be nonnegative")
-    return int(np.count_nonzero(_magnitudes(a) > eta))
+    return np.count_nonzero(np.abs(a) > eta, axis=-1)
 
 
 def l1(a) -> float:
@@ -66,6 +71,22 @@ def best_set(a, size: int) -> ConcentrationWitness:
     mags = _magnitudes(a)
     if not 0 <= size <= mags.size:
         raise ParameterError(f"set size {size} outside [0, {mags.size}]")
-    order = np.argsort(-mags, kind="stable")
-    chosen = tuple(sorted(int(i) for i in order[:size]))
-    return ConcentrationWitness(chosen, concentration_epsilon(a, chosen))
+    rank, eps = _top_defects(mags[None], [size])
+    return ConcentrationWitness(tuple(np.flatnonzero(rank[0] < size).tolist()), float(eps[0, 0]))
+
+
+def _top_defects(mags: np.ndarray, sizes) -> tuple:
+    """Largest-magnitude prefixes of each row of mags (k, n): the rank of
+    every entry in a stable descending argsort (ties to the lowest index),
+    and the (k, len(sizes)) concentration defects of the sets of the `size`
+    largest entries.  Each set is summed as a contiguous row in index order,
+    as concentration_epsilon sums it, so the defects have its bits."""
+    k = mags.shape[0]
+    rank = np.argsort(np.argsort(-mags, axis=-1, kind="stable"), axis=-1)
+    total = mags.sum(axis=-1)
+    if np.any(total <= 0.0):
+        raise DegenerateInputError("sequence has zero l1 mass")
+    off = np.empty((k, len(sizes)))
+    for j, size in enumerate(sizes):
+        off[:, j] = total - mags[rank < size].reshape(k, size).sum(axis=-1)
+    return rank, np.minimum(1.0, np.maximum(0.0, off / total[:, None]))

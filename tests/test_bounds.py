@@ -12,12 +12,14 @@ from sparsebounds import (
     fkdb_rhs,
     from_hilbert_vectors,
     fskpb_rhs,
+    generate,
     identity_system,
     per_index_slack,
     support,
     verify_fkdb,
     verify_fskpb,
 )
+from sparsebounds.bounds import _analyse
 from sparsebounds.coherence import CoherenceProfile
 from sparsebounds.dft import dft_matrix
 from sparsebounds.errors import DegenerateInputError
@@ -222,3 +224,26 @@ def test_fskpb_monotonicity_grid():
             fskpb_rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(0.2, 0.2, 0.6, lo))
             >= fskpb_rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(0.2, 0.2, 0.6, hi))
         )
+
+
+@pytest.mark.parametrize("bisystem", [
+    generate("identity_pair", {"d": 1}, 0),
+    generate("dft_pair", {"d": 16}, 0),
+    generate("rotated_pair", {"d": 5, "angle": 20.0}, 0),
+    generate("perturbed", {"base": {"family": "subspace_union", "params": {"d": 9, "split": 4}},
+                           "magnitude": 0.3}, 2),
+    BiSystem(identity_system(4), from_hilbert_vectors(dft_matrix(4))),
+])
+def test_stacked_analysis_has_single_signal_bits(bisystem):
+    # exhaustive_verify analyses its signals as one stack; every row must
+    # equal the certificates' analysis of that signal alone, bit for bit.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((9, bisystem.d))
+    if np.iscomplexobj(bisystem.first.vectors) or np.iscomplexobj(bisystem.second.vectors):
+        x = x + 1j * rng.standard_normal(x.shape)
+    stack = _analyse(bisystem, x)
+    for i, row in enumerate(x):
+        one = _analyse(bisystem, row)
+        for got, want in zip((stack.a[i], stack.b[i], stack.r_f[i], stack.r_g[i]),
+                             (one.a, one.b, one.r_f, one.r_g)):
+            assert got.tobytes() == want.tobytes()

@@ -4,7 +4,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sparsebounds import (
@@ -22,7 +22,8 @@ from sparsebounds import (
     verify_fkdb,
     verify_fskpb,
 )
-from sparsebounds.admissible import AdmissibleSpace, null_space_basis
+from sparsebounds import bounds
+from sparsebounds.admissible import FAMILIES, AdmissibleSpace, null_space_basis
 from sparsebounds.bounds import VerifySummary, exhaustive_verify
 from sparsebounds.errors import (
     DegenerateInputError,
@@ -30,7 +31,7 @@ from sparsebounds.errors import (
     NoAdmissibleSignalError,
     ParameterError,
 )
-from sparsebounds.config import ETA, GUARD, TOL_RANK
+from sparsebounds.config import ETA, GUARD, TOL_CERT, TOL_FP, TOL_RANK
 from sparsebounds.dft import dft_matrix
 from sparsebounds import oracle
 from sparsebounds.oracle import _pattern_order, _report
@@ -421,26 +422,48 @@ class TestExhaustiveVerify:
         with pytest.raises(ParameterError):
             exhaustive_verify(b, admissible_space(b), trials=0)
 
+    @pytest.mark.parametrize("counts", [
+        {"trials": 2.5},
+        {"trials": 3, "concentrated_subsample": -2},
+        {"trials": 3, "concentrated_subsample": 2.5},
+    ])
+    def test_malformed_counts_rejected(self, counts):
+        # Refused, not truncated, by the rule of systems._integer.
+        b = generate("identity_pair", {"d": 2}, 0)
+        with pytest.raises(ParameterError):
+            exhaustive_verify(b, admissible_space(b), **counts)
 
-def reference_verify(bisystem, space, trials, seed=0, concentrated_subsample=5):
+    def test_integral_float_counts_accepted(self):
+        b = generate("dft_pair", {"d": 3}, 0)
+        space = admissible_space(b)
+        got = exhaustive_verify(b, space, trials=4.0, concentrated_subsample=2.0)
+        assert got == exhaustive_verify(b, space, trials=4, concentrated_subsample=2)
+
+
+def reference_verify(bisystem, space, trials, seed=0, eta=ETA, tol_fp=TOL_FP,
+                     tol_cert=TOL_CERT, concentrated_subsample=5):
     """exhaustive_verify written as a plain loop over the public certificates."""
     n, m = bisystem.first.n, bisystem.second.n
+    tols = {"eta": eta, "tol_fp": tol_fp, "tol_cert": tol_cert}
     satisfied = conc_checked = conc_ok = 0
     min_margin = np.inf
     failing = []
     for t in range(trials):
         x = sample_admissible(space, seed + t)
-        cert = verify_fkdb(bisystem, x)
+        cert = verify_fkdb(bisystem, x, **tols)
         min_margin = min(min_margin, cert.lhs - cert.rhs)
         if cert.hypothesis_ok and cert.satisfied:
             satisfied += 1
         else:
             failing.append(seed + t)
         if t < concentrated_subsample:
-            a, b = analysis(bisystem.first, x), analysis(bisystem.second, x)
+            # Analysed in the bisystem's field, as the certificates analyse
+            # x: a real system of a mixed bisystem acts on the complex x.
+            a, b = bisystem.first.functionals @ x, bisystem.second.functionals @ x
             for o_m in range(1, n + 1):
                 for o_n in range(1, m + 1):
-                    c = verify_fskpb(bisystem, x, best_set(a, o_m).set, best_set(b, o_n).set)
+                    c = verify_fskpb(bisystem, x, best_set(a, o_m).set, best_set(b, o_n).set,
+                                     **tols)
                     conc_checked += 1
                     conc_ok += int(c.hypothesis_ok and c.satisfied)
                     min_margin = min(min_margin, c.lhs - c.rhs)
@@ -487,3 +510,100 @@ class TestMixedField:
         report = min_sparsity_product(self.mixed, space)
         assert report.best_lhs == 4
         assert report_fields(report) == report_fields(reference_search(self.mixed, space))
+
+
+def verify_outcome(verify, bisystem, space, trials, seed, **kwargs):
+    """The summary of a verify run, or the type and message of the error it raised."""
+    try:
+        return verify(bisystem, space, trials, seed=seed, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def verify_bisystems(draw):
+    """A bisystem of any of the five families at d <= 6, or the mixed
+    real/complex bisystem."""
+    family = draw(st.sampled_from(FAMILIES + ("mixed",)))
+    if family == "mixed":
+        return TestMixedField.mixed
+    seed = draw(st.integers(0, 2**31 - 1))
+    base = draw(st.sampled_from(FAMILIES[:-1])) if family == "perturbed" else family
+    d = draw(st.integers(2 if base == "rotated_pair" else 1, 6))
+    params = {"d": d}
+    if base == "rotated_pair":
+        params["angle"] = draw(st.floats(1.0, 89.0))
+    if base == "subspace_union":
+        params["split"] = draw(st.integers(1, d))
+    if family == "perturbed":
+        params = {"base": {"family": base, "params": params, "seed": seed},
+                  "magnitude": draw(st.floats(0.0, 0.9))}
+    return generate(family, params, seed)
+
+
+# Tolerances: a tol_fp near the rounding of the fixed-point residuals fails
+# some trials and passes others, which orders failing_seeds; eta = 0.05
+# drops small coefficients from the l0 counts, and eta = 1e6 zeroes every
+# signal, which both paths refuse with the same error.
+verify_tolerances = st.fixed_dictionaries({
+    "eta": st.sampled_from([ETA, 0.0, 0.05, 1e6]),
+    "tol_fp": st.sampled_from([TOL_FP, 0.0]) | st.floats(-17.0, -14.0).map(lambda e: 10.0 ** e),
+    "tol_cert": st.sampled_from([TOL_CERT, 0.0]),
+})
+
+
+# Example count from the hypothesis profile (tests/conftest.py).
+@given(verify_bisystems(), st.integers(0, 2**20), st.integers(1, 60), st.integers(0, 8),
+       verify_tolerances)
+@example(generate("dft_pair", {"d": 4}, 0), 0, 40, 5,
+         {"eta": ETA, "tol_fp": 1e-16, "tol_cert": TOL_CERT})
+@example(TestMixedField.mixed, 4, 20, 8, {"eta": ETA, "tol_fp": 1e-17, "tol_cert": TOL_CERT})
+@example(generate("rotated_pair", {"d": 3, "angle": 30.0}, 0), 0, 10, 5,
+         {"eta": 1e6, "tol_fp": TOL_FP, "tol_cert": TOL_CERT})
+def test_exhaustive_verify_matches_reference_property(b, seed, trials, subsample, tolerances):
+    space = admissible_space(b)
+    kwargs = dict(concentrated_subsample=subsample, **tolerances)
+    want = verify_outcome(reference_verify, b, space, trials, seed, **kwargs)
+    assert verify_outcome(exhaustive_verify, b, space, trials, seed, **kwargs) == want
+
+
+def test_exhaustive_verify_rescaled_fault_matches_reference():
+    # The rescaling fault of ROADMAP item 1, as it stands: at c = 1e10 the
+    # absolute eta counts every analysis coefficient as zero, so every flat
+    # certificate reports lhs = 0 < rhs = 4.  Both paths agree on it.
+    b = rescaled(generate("dft_pair", {"d": 4}, 0), 1e10)
+    space = admissible_space(b)
+    got = exhaustive_verify(b, space, 12, seed=3)
+    assert got == reference_verify(b, space, 12, seed=3)
+    assert got.satisfied == 0
+    assert got.failing_seeds == tuple(range(3, 15))
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_exhaustive_verify_blocks_match_reference(monkeypatch, block):
+    # Sweeps longer than one block: the concentrated subsample and the
+    # failing seeds run across block boundaries.
+    monkeypatch.setattr(bounds, "_SWEEP_BLOCK", block)
+    b = generate("rotated_pair", {"d": 3, "angle": 30.0}, 0)
+    space = admissible_space(b)
+    kwargs = dict(tol_fp=1e-16, concentrated_subsample=8)
+    got = exhaustive_verify(b, space, 20, seed=1, **kwargs)
+    assert got == reference_verify(b, space, 20, seed=1, **kwargs)
+    assert 0 < got.satisfied < got.trials
+
+
+@pytest.mark.parametrize("eta,subsample,want", [
+    (2.0, 5, (DegenerateInputError, "signal is zero after thresholding")),
+    (ETA, 5, (DegenerateInputError, "sequence has zero l1 mass")),
+    (ETA, 0, VerifySummary(3, 0, 0, 0, -1.0, (0, 1, 2))),
+])
+def test_exhaustive_verify_errors_in_loop_order(eta, subsample, want):
+    # The first system annihilates every sample of this space, so each
+    # concentrated check meets a zero-mass analysis vector; at eta = 2 the
+    # zero signal of trial 0 is refused first, as in the loop.
+    first = PairedSystem(np.array([[1.0], [0.0]]), np.array([[1.0, 0.0]]))
+    b = BiSystem(first, identity_system(2))
+    space = AdmissibleSpace(np.array([[0.0], [1.0]]), 1)
+    kwargs = dict(eta=eta, concentrated_subsample=subsample)
+    assert verify_outcome(reference_verify, b, space, 3, 0, **kwargs) == want
+    assert verify_outcome(exhaustive_verify, b, space, 3, 0, **kwargs) == want

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sparsebounds import best_set, concentration_epsilon, l0, l1, support
 from sparsebounds.errors import DegenerateInputError, ParameterError
+from sparsebounds.sparsity import _top_defects
 
 
 class TestL0:
@@ -109,3 +110,25 @@ def test_best_set_minimizes_over_all_subsets(values, size):
     for subset in itertools.combinations(range(a.size), size):
         assert best.epsilon <= concentration_epsilon(a, subset) + 1e-12
     assert best.epsilon == pytest.approx(concentration_epsilon(a, best.set))
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 9, 17, 128, 129, 300])
+def test_top_defects_have_concentration_epsilon_bits(n):
+    # Lengths on both sides of numpy's 8-term and 128-term summation blocks;
+    # the rounded row has ties, which go to the lowest index.
+    rng = np.random.default_rng(n)
+    rows = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                     np.round(2 * rng.standard_normal(n)) + 0j])
+    rows[1, 0] = 1.0
+    rank, eps = _top_defects(np.abs(rows), range(n + 1))
+    for row, row_rank, row_eps in zip(rows, rank, eps):
+        order = np.argsort(-np.abs(row), kind="stable")
+        for size in range(n + 1):
+            chosen = sorted(order[:size].tolist())
+            assert np.flatnonzero(row_rank < size).tolist() == chosen
+            assert row_eps[size] == concentration_epsilon(row, chosen)
+
+
+def test_top_defects_zero_mass_rejected():
+    with pytest.raises(DegenerateInputError):
+        _top_defects(np.array([[1.0, 0.0], [0.0, 0.0]]), [1])
