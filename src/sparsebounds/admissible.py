@@ -37,13 +37,14 @@ class AdmissibleSpace:
 def null_space_basis(a: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
     """Orthonormal null-space basis of a, columns; relative SVD cutoff.
 
-    The cutoff floors sigma_max at 1 so that a matrix which is pure rounding
-    noise (e.g. I - TF for an exactly invertible composition) still reports
-    a full null space.
+    A matrix under the cutoff (_below_cutoff), such as pure rounding noise,
+    has basis I, exactly, and no SVD is run.  Above it, the cutoff floors
+    sigma_max at 1, so a matrix with sigma_max < 1 is cut at tol_rank rather
+    than relative to its own scale.
     """
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
+    if _below_cutoff(a, tol_rank):
         return np.eye(a.shape[1], dtype=a.dtype)
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
     return vh[_rank(s, tol_rank):].conj().T
 
 
@@ -51,6 +52,29 @@ def _rank(s: np.ndarray, tol_rank: float) -> np.ndarray:
     """Numerical rank of each row of descending singular values s (..., r):
     the count above tol_rank * max(sigma_max, 1), 0 when r = 0."""
     return np.count_nonzero(s > tol_rank * np.maximum(s[..., :1], 1.0), axis=-1)
+
+
+# Underflow of the entries' squares only lowers a computed Frobenius norm, by
+# less than the smallest normal number per entry: less than the norm's own
+# rounding at or above this value.  Under it, the norm of a / max |a_ij| is
+# taken instead.
+_UNDERFLOW = np.finfo(float).tiny ** 0.25
+
+
+def _below_cutoff(a: np.ndarray, tol_rank: float) -> bool:
+    """Whether a has numerical rank 0, decided without a factorization.
+
+    Exact, not a heuristic: sigma_max <= ||a||_F, and _rank's cutoff
+    tol_rank * max(sigma_max, 1) is at least tol_rank, so when ||a||_F <=
+    tol_rank no singular value exceeds it.  This holds for the empty matrix
+    and for a stack [I - TF; I - WG] that is pure rounding noise (e.g.
+    Frobenius norm 1.9e-12 for dft_pair at d = 512).
+    """
+    norm = np.linalg.norm(a)
+    if norm < _UNDERFLOW:
+        top = np.abs(a).max(initial=0.0)
+        norm = top * np.linalg.norm(a / top) if top else 0.0
+    return bool(norm <= tol_rank)
 
 
 def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> AdmissibleSpace:
@@ -61,12 +85,16 @@ def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> Admissib
         eye - bisystem.first.vectors @ bisystem.first.functionals,
         eye - bisystem.second.vectors @ bisystem.second.functionals,
     ])
-    # R-SVD (Chan 1982): the d x d factor R has the stack's null space and
-    # singular values, so the cutoff is unchanged; the 2d x 2d left factor
-    # of a full SVD, which nothing reads, is never formed.  LAPACK's gesdd
-    # makes the same QR reduction itself for a stack this tall, so the basis
-    # is bit-identical to the unreduced SVD's (tests/test_admissible.py).
-    basis = null_space_basis(np.linalg.qr(stacked, mode="r"), tol_rank)
+    # A stack under the cutoff has rank 0 and null space I: no QR, no SVD.
+    # Otherwise R-SVD (Chan 1982): the d x d factor R has the stack's null
+    # space and singular values, so the cutoff is unchanged; the 2d x 2d left
+    # factor of a full SVD, which nothing reads, is never formed.  LAPACK's
+    # gesdd makes the same QR reduction itself for a stack this tall, so the
+    # basis is bit-identical to the unreduced SVD's (tests/test_admissible.py).
+    if _below_cutoff(stacked, tol_rank):
+        basis = np.eye(bisystem.d, dtype=stacked.dtype)
+    else:
+        basis = null_space_basis(np.linalg.qr(stacked, mode="r"), tol_rank)
     return AdmissibleSpace(basis, basis.shape[1])
 
 

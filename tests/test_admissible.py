@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sparsebounds import (
     BiSystem,
@@ -11,7 +13,7 @@ from sparsebounds import (
     sample_admissible,
     validate_pairing,
 )
-from sparsebounds.admissible import AdmissibleSpace, null_space_basis
+from sparsebounds.admissible import AdmissibleSpace, _rank, null_space_basis
 from sparsebounds.bounds import fixedpoint_residuals
 from sparsebounds.coherence import coherence_profile, sub_coherence
 from sparsebounds.errors import NoAdmissibleSignalError, ParameterError
@@ -34,6 +36,60 @@ class TestNullSpaceBasis:
     def test_cutoff_floored_at_one(self):
         # A matrix that is pure rounding noise has a full null space.
         assert null_space_basis(np.diag([1e-11, 1e-12])).shape == (2, 2)
+        # Above the rank-0 test (Frobenius norm 2e-10 > 1e-10) the SVD runs,
+        # and its cutoff 1e-10 * max(2e-10, 1) keeps only the larger value.
+        basis = null_space_basis(np.diag([2e-10, 1e-11]))
+        assert basis.shape == (2, 1)
+        np.testing.assert_allclose(np.abs(basis[:, 0]), [0.0, 1.0])
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("shape", [(2, 2), (6, 3), (2, 5), (0, 3), (3, 0), (0, 0)])
+    @pytest.mark.parametrize("tol_rank", [1e-10, 1e-2, 0.0])
+    def test_under_cutoff_is_exact_identity(self, monkeypatch, dtype, shape, tol_rank):
+        # ||a||_F <= tol_rank bounds every singular value by the cutoff, so
+        # the basis is I, exactly, with no SVD; at tol_rank = 0 only the
+        # zero matrix qualifies.
+        a = np.random.default_rng(1).standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            a *= 1j
+        a *= 0.999 * tol_rank / max(np.linalg.norm(a), 1e-300)
+        monkeypatch.setattr(np.linalg, "svd", None)
+        basis = null_space_basis(a, tol_rank)
+        assert basis.dtype == a.dtype
+        assert np.array_equal(basis, np.eye(shape[1], dtype=dtype))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-320])
+    def test_tiny_entries_are_not_zero_at_tol_rank_zero(self, scale):
+        # Their squares underflow to 0 in a plain Frobenius norm.
+        a = np.array([[scale, 0.0], [0.0, 0.0]])
+        basis = null_space_basis(a, 0.0)
+        assert basis.shape == (2, 1)
+        np.testing.assert_allclose(np.abs(basis[:, 0]), [0.0, 1.0])
+
+
+@st.composite
+def straddling_matrices(draw):
+    """(a, tol_rank): a seeded real or complex matrix of rank up to
+    min(shape), rescaled so that ||a||_F is within a factor 2 of tol_rank,
+    but not within 1e-6 of it, where rounding decides the rank."""
+    rows, cols, rank = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, v = rng.standard_normal((rows, rank)), rng.standard_normal((rank, cols))
+    if draw(st.booleans()):
+        u = u + 1j * rng.standard_normal((rows, rank))
+    a = u @ v
+    tol_rank = draw(st.sampled_from([1e-12, 1e-10, 1e-6, 1e-2, 1.0, 4.0]))
+    factor = draw(st.floats(0.5, 2.0).filter(lambda f: abs(f - 1.0) > 1e-6))
+    return a * (factor * tol_rank / np.linalg.norm(a)), tol_rank
+
+
+# Example count from the hypothesis profile (tests/conftest.py).
+@given(straddling_matrices())
+def test_null_space_dimension_matches_full_svd_rank(case):
+    a, tol_rank = case
+    rank = _rank(np.linalg.svd(a, compute_uv=False), tol_rank)
+    basis = null_space_basis(a, tol_rank)
+    assert basis.shape == (a.shape[1], a.shape[1] - rank)
 
 
 def _complexified(bisystem):
@@ -43,10 +99,24 @@ def _complexified(bisystem):
     return BiSystem(lift(bisystem.first), lift(bisystem.second))
 
 
+def factorizations(monkeypatch):
+    """Names of the numpy factorizations called from here on, in order."""
+    calls = []
+    for name in ("qr", "svd"):
+        def spy(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
 class TestReducedSvd:
-    """admissible_space runs the SVD on the triangular factor of the 2d x d
-    stack.  LAPACK's gesdd reduces a stack that tall by QR itself, so the
-    basis must be bit-identical to the SVD of the unreduced stack."""
+    """admissible_space returns I, with no factorization, for a 2d x d stack
+    under the cutoff (||stack||_F <= tol_rank): exactly 0 for identity_pair,
+    rounding noise for dft_pair, rotated_pair and perturbed over them.  Any
+    other stack takes the SVD of its triangular factor.  LAPACK's gesdd reduces a
+    stack that tall by QR itself, so on both paths the basis must be
+    bit-identical to null_space_basis of the unreduced stack."""
 
     @pytest.mark.parametrize("family,params,d", [
         pytest.param(family, params, d, id=f"{label}-d{d}")
@@ -63,7 +133,8 @@ class TestReducedSvd:
         for d in (1, 2, 5, 64, 128) if family != "rotated_pair" or d >= 2
     ])
     @pytest.mark.parametrize("complex_field", [False, True])
-    def test_basis_matches_unreduced_stack(self, family, params, d, complex_field):
+    def test_basis_matches_unreduced_stack(self, monkeypatch, family, params, d,
+                                           complex_field):
         params = dict(params)
         if family == "perturbed":
             params["base"] = {**params["base"], "params": {**params["base"]["params"], "d": d}}
@@ -75,8 +146,18 @@ class TestReducedSvd:
         eye = np.eye(d)
         stacked = np.vstack([eye - b.first.vectors @ b.first.functionals,
                              eye - b.second.vectors @ b.second.functionals])
+        # subspace_union at d = 1 has split = d, so its stack is 0 as well.
+        base = params.get("base", {}).get("family", family)
+        under = base != "subspace_union" or d == 1
+        calls = factorizations(monkeypatch)
         for tol_rank in (1e-10, 1e-6, 1e-2):
+            calls.clear()
             basis = admissible_space(b, tol_rank).basis
+            if under:
+                assert calls == []
+                assert np.array_equal(basis, np.eye(d, dtype=stacked.dtype))
+            else:
+                assert calls == ["qr", "svd"]
             assert np.array_equal(basis, null_space_basis(stacked, tol_rank))
             assert basis.dtype == stacked.dtype
 

@@ -345,6 +345,35 @@ def test_search_invariant_under_symmetries(b, data):
         assert witness_l0_product(other, got) == product
 
 
+# A change of ambient basis inside the admissible space: the search over the
+# exact basis I of a w = d noise stack and over the unitary LAPACK picks from
+# that noise (the basis before the rank-0 test) finds the same minimum.
+@pytest.mark.parametrize("family,params", [
+    *(("dft_pair", {"d": d}) for d in range(2, 8)),
+    ("rotated_pair", {"d": 3, "angle": 30.0}),
+    ("rotated_pair", {"d": 4, "angle": 45.0}),
+    ("perturbed", {"base": {"family": "dft_pair", "params": {"d": 4}}, "magnitude": 0.2}),
+    ("perturbed", {"base": {"family": "rotated_pair", "params": {"d": 3}}, "magnitude": 0.1}),
+])
+def test_search_invariant_under_admissible_change_of_basis(family, params):
+    b = generate(family, params, seed=2)
+    d = b.d
+    space = admissible_space(b)
+    eye = np.eye(d)
+    stacked = np.vstack([eye - b.first.vectors @ b.first.functionals,
+                         eye - b.second.vectors @ b.second.functionals])
+    assert np.array_equal(space.basis, np.eye(d, dtype=stacked.dtype))
+    lapack = AdmissibleSpace(np.linalg.svd(stacked)[2].conj().T, d)
+    assert not np.allclose(lapack.basis, space.basis)
+    got = min_sparsity_product(b, space)
+    other = min_sparsity_product(b, lapack)
+    assert other.best_lhs == got.best_lhs
+    assert other.patterns_searched == got.patterns_searched
+    assert witness_l0_product(b, other) == witness_l0_product(b, got)
+    assert report_fields(got) == report_fields(reference_search(b, space))
+    assert report_fields(other) == report_fields(reference_search(b, lapack))
+
+
 # A Gram cutoff of the size the oracle uses on unit-scaled rows.
 CUTOFF = 2e-8
 
