@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_RANK
+from .config import TOL_RANK, _valid_tolerance
 from .dft import dft_matrix
 from .errors import NoAdmissibleSignalError, ParameterError
 from .systems import (
@@ -24,6 +24,9 @@ from .systems import (
 )
 
 FAMILIES = ("identity_pair", "dft_pair", "rotated_pair", "subspace_union", "perturbed")
+
+# Default magnitude of the perturbed family, also recorded by the CLI manifest.
+_MAGNITUDE = 0.05
 
 
 @dataclass(frozen=True)
@@ -40,11 +43,13 @@ def null_space_basis(a: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
     A matrix under the cutoff (_below_cutoff), such as pure rounding noise,
     has basis I, exactly, and no SVD is run.  Above it, the cutoff floors
     sigma_max at 1, so a matrix with sigma_max < 1 is cut at tol_rank rather
-    than relative to its own scale.
+    than relative to its own scale.  For a tall or square a the reduced SVD
+    already holds all of vh, with the full SVD's bits, and never forms the
+    left factor, which nothing reads.
     """
-    if _below_cutoff(a, tol_rank):
+    if _below_cutoff(a, _valid_tolerance("tol_rank", tol_rank)):
         return np.eye(a.shape[1], dtype=a.dtype)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     return vh[_rank(s, tol_rank):].conj().T
 
 
@@ -78,23 +83,15 @@ def _below_cutoff(a: np.ndarray, tol_rank: float) -> bool:
 
 
 def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> AdmissibleSpace:
-    """Common fixed subspace of both systems (stacked null-space problem)."""
+    """Common fixed subspace of both systems: the null space of the 2d x d
+    stack [I - TF; I - WG]."""
     dtype = np.result_type(bisystem.first.vectors.dtype, bisystem.second.vectors.dtype)
     eye = np.eye(bisystem.d, dtype=dtype)
     stacked = np.vstack([
         eye - bisystem.first.vectors @ bisystem.first.functionals,
         eye - bisystem.second.vectors @ bisystem.second.functionals,
     ])
-    # A stack under the cutoff has rank 0 and null space I: no QR, no SVD.
-    # Otherwise R-SVD (Chan 1982): the d x d factor R has the stack's null
-    # space and singular values, so the cutoff is unchanged; the 2d x 2d left
-    # factor of a full SVD, which nothing reads, is never formed.  LAPACK's
-    # gesdd makes the same QR reduction itself for a stack this tall, so the
-    # basis is bit-identical to the unreduced SVD's (tests/test_admissible.py).
-    if _below_cutoff(stacked, tol_rank):
-        basis = np.eye(bisystem.d, dtype=stacked.dtype)
-    else:
-        basis = null_space_basis(np.linalg.qr(stacked, mode="r"), tol_rank)
+    basis = null_space_basis(stacked, tol_rank)
     return AdmissibleSpace(basis, basis.shape[1])
 
 
@@ -181,7 +178,7 @@ def generate(family: str, params: dict, seed: int = 0) -> BiSystem:
         base = params.get("base")
         if not isinstance(base, dict) or "family" not in base:
             raise ParameterError("perturbed needs a base family descriptor")
-        magnitude = _param(params, "magnitude", float, 0.05)
+        magnitude = _param(params, "magnitude", float, _MAGNITUDE)
         if not 0.0 <= magnitude < 1.0:
             raise ParameterError(f"magnitude must be in [0, 1), got {magnitude}")
         inner = generate(base["family"], base.get("params", {}), _param(base, "seed", int, seed))

@@ -10,8 +10,8 @@ import numpy as np
 from . import dft
 from .admissible import AdmissibleSpace, sample_admissible
 from .coherence import CoherenceProfile, coherence_profile
-from .config import ETA, ETA_HYP, TOL_CERT, TOL_FP
-from .errors import DegenerateInputError, NoAdmissibleSignalError, ParameterError
+from .config import ETA, ETA_HYP, TOL_CERT, TOL_FP, _valid_tolerance
+from .errors import DegenerateInputError, ParameterError
 from .sparsity import _counts, _top_defects, concentration_epsilon, l0, l1
 from .systems import BiSystem, _as_signal, _coerce, _integer, infer_field, validate_pairing
 
@@ -116,6 +116,9 @@ class _Prepared:
 
 def _prepare(bisystem: BiSystem, eta: float = ETA, tol_fp: float = TOL_FP,
              tol_cert: float = TOL_CERT, eta_hyp: float = ETA_HYP) -> _Prepared:
+    for name, value in (("eta", eta), ("tol_fp", tol_fp), ("tol_cert", tol_cert)):
+        _valid_tolerance(name, value)
+    # validate_pairing checks eta_hyp.
     pairing_ok = (validate_pairing(bisystem.first, eta_hyp).ok
                   and validate_pairing(bisystem.second, eta_hyp).ok)
     return _Prepared(bisystem, coherence_profile(bisystem), pairing_ok,
@@ -166,24 +169,28 @@ def _signal(prep: _Prepared, x) -> _Signal:
     return _analyse(prep.bisystem, _in_field(prep.bisystem, x))
 
 
-def _verdicts(prep: _Prepared, r_f, r_g, lhs, rhs) -> tuple:
-    """(hypothesis_ok, vacuous, satisfied) of certificates, elementwise over
-    scalars or broadcastable arrays of residuals, lhs and rhs."""
+def _certificates(prep: _Prepared, r_f, r_g, o_m, o_n, eps, delta) -> tuple:
+    """(lhs, rhs, numerator_f, numerator_g, hypothesis_ok, vacuous, satisfied)
+    of the certificates at fixed-point residuals (r_f, r_g), set sizes
+    (o_m, o_n) and concentration defects (eps, delta), elementwise over
+    scalars or broadcastable arrays."""
+    num_f, num_g, rhs = _bound(o_m, o_n, eps, delta, prep.profile)
+    lhs = np.multiply(o_m, o_n, dtype=float)
     hyp_ok = (r_f <= prep.tol_fp) & (r_g <= prep.tol_fp) & prep.pairing_ok
     vacuous = np.isinf(rhs)
-    return hyp_ok, vacuous, hyp_ok & ~vacuous & (lhs >= rhs - prep.tol_cert)
+    satisfied = hyp_ok & ~vacuous & (lhs >= rhs - prep.tol_cert)
+    return lhs, rhs, num_f, num_g, hyp_ok, vacuous, satisfied
 
 
 def _certify(prep: _Prepared, sig: _Signal, o_m: int, o_n: int,
              eps: Optional[float], delta: Optional[float]) -> BoundCertificate:
     """Certificate at set sizes (o_m, o_n) with concentration defects
     (eps, delta); eps = delta = None is the flat bound, evaluated at 0."""
-    num_f, num_g, rhs = _bound(o_m, o_n, 0.0 if eps is None else eps,
-                               0.0 if delta is None else delta, prep.profile)
-    lhs = float(o_m * o_n)
-    hyp_ok, vacuous, satisfied = _verdicts(prep, sig.r_f, sig.r_g, lhs, rhs)
+    lhs, rhs, num_f, num_g, hyp_ok, vacuous, satisfied = _certificates(
+        prep, sig.r_f, sig.r_g, o_m, o_n, 0.0 if eps is None else eps,
+        0.0 if delta is None else delta)
     return BoundCertificate(
-        lhs=lhs, rhs=float(rhs), numerator_f=float(num_f), numerator_g=float(num_g),
+        lhs=float(lhs), rhs=float(rhs), numerator_f=float(num_f), numerator_g=float(num_g),
         profile=prep.profile, fixedpoint_residual_f=float(sig.r_f),
         fixedpoint_residual_g=float(sig.r_g), hypothesis_ok=bool(hyp_ok),
         satisfied=bool(satisfied), vacuous=bool(vacuous), eta=prep.eta, tol_fp=prep.tol_fp,
@@ -248,8 +255,6 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
     """
     trials = _integer_arg("trials", trials, 1)
     concentrated_subsample = _integer_arg("concentrated_subsample", concentrated_subsample, 0)
-    if space.w < 1:
-        raise NoAdmissibleSignalError("admissible subspace is trivial (w = 0)")
     prep = _prepare(bisystem, eta, tol_fp, tol_cert)
     satisfied = conc_checked = conc_ok = 0
     min_margin = np.inf
@@ -269,10 +274,8 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
             min_margin = min(min_margin, margin.min())
         if zero.size:
             raise DegenerateInputError("signal is zero after thresholding")
-        s_f, s_g = _counts(sig.a, eta), _counts(sig.b, eta)
-        lhs = (s_f * s_g).astype(float)
-        rhs = _bound(s_f, s_g, 0.0, 0.0, prep.profile)[2]
-        ok = _verdicts(prep, sig.r_f, sig.r_g, lhs, rhs)[2]
+        lhs, rhs, *_, ok = _certificates(prep, sig.r_f, sig.r_g, _counts(sig.a, eta),
+                                         _counts(sig.b, eta), 0.0, 0.0)
         satisfied += int(np.count_nonzero(ok))
         failing.extend(seed + start + int(i) for i in np.flatnonzero(~ok))
         min_margin = min(min_margin, (lhs - rhs).min())
@@ -290,10 +293,9 @@ def _concentrated(prep: _Prepared, sig: _Signal, k: int) -> tuple:
     n, m = sig.a.shape[-1], sig.b.shape[-1]
     eps = _top_defects(np.abs(sig.a[:k]), range(1, n + 1))[1]
     delta = _top_defects(np.abs(sig.b[:k]), range(1, m + 1))[1]
-    o_m, o_n = np.arange(1, n + 1)[:, None], np.arange(1, m + 1)
-    rhs = _bound(o_m, o_n, eps[:, :, None], delta[:, None, :], prep.profile)[2]
-    lhs = (o_m * o_n).astype(float)
-    ok = _verdicts(prep, sig.r_f[:k, None, None], sig.r_g[:k, None, None], lhs, rhs)[2]
+    lhs, rhs, *_, ok = _certificates(prep, sig.r_f[:k, None, None], sig.r_g[:k, None, None],
+                                     np.arange(1, n + 1)[:, None], np.arange(1, m + 1),
+                                     eps[:, :, None], delta[:, None, :])
     return ok, lhs - rhs
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 from pathlib import Path
@@ -18,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .admissible import FAMILIES, _param, admissible_space, generate, sample_admissible
+from .admissible import _MAGNITUDE, FAMILIES, _param, admissible_space, generate, sample_admissible
 from .bounds import verify_fkdb, verify_fskpb
 from .coherence import coherence_profile, gram, sub_coherence
-from .config import ETA, ETA_HYP, GUARD, TOL_CERT, TOL_FP, TOL_RANK
+from .config import ETA, ETA_HYP, GUARD, TOL_CERT, TOL_FP, TOL_RANK, _valid_tolerance
 from .errors import ParameterError, SparseBoundsError, StructuralError
 from .oracle import min_sparsity_product
 from .serialization import (
@@ -59,14 +58,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tolerance(text: str) -> float:
-    """argparse type of every tolerance flag: a finite number >= 0."""
+    """argparse type of every tolerance flag: a finite number >= 0, by the
+    library's rule (config._valid_tolerance)."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
+        return _valid_tolerance("tolerance", float(text))
+    except (ValueError, ParameterError):
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return value
 
 
 def _guard(text: str) -> int:
@@ -132,7 +129,7 @@ def _family_descriptor(args) -> dict:
         base_params = {k: params[k] for k in ("d", "angle", "split") if k in params}
         params = {
             "base": {"family": args.base, "params": base_params, "seed": seed},
-            "magnitude": params.get("magnitude", 0.05),
+            "magnitude": params.get("magnitude", _MAGNITUDE),
         }
     return {"family": args.family, "params": params, "seed": seed}
 

@@ -35,8 +35,6 @@ def gram(system: PairedSystem) -> np.ndarray:
 
 def sub_coherence(system: PairedSystem) -> float:
     """Largest off-diagonal |f_j(tau_r)|; zero for n = 1 (empty maximum)."""
-    if system.n == 1:
-        return 0.0
     g = np.abs(gram(system))
     np.fill_diagonal(g, 0.0)
     return float(g.max())

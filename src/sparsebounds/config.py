@@ -2,8 +2,12 @@
 
 Every tolerance is a plain module constant and every public function that
 uses one takes it as a keyword argument, so nothing is hard-coded into the
-math itself.
+math itself.  _valid_tolerance is the one rule for the values they accept.
 """
+
+import math
+
+from .errors import ParameterError
 
 # Absolute zero threshold for l0 counts and support extraction.
 ETA = 1e-9
@@ -22,3 +26,16 @@ TOL_RANK = 1e-10
 
 # Default cap on n + m for exhaustive support-pattern search.
 GUARD = 24
+
+
+def _valid_tolerance(name: str, value):
+    """value itself when it is a finite number >= 0, the domain of every
+    tolerance; a NaN, infinite or negative one would turn every comparison
+    against it into a wrong verdict."""
+    try:
+        ok = math.isfinite(value) and value >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ParameterError(f"{name} must be a finite number >= 0, got {value!r}")
+    return value

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ETA
+from .config import ETA, _valid_tolerance
 from .errors import DegenerateInputError, ParameterError
 
 
@@ -29,9 +29,12 @@ def l0(a, eta: float = ETA) -> int:
 
 def _counts(a: np.ndarray, eta: float):
     """l0 of each row (last axis) of a."""
-    if eta < 0:
-        raise ParameterError("zero threshold eta must be nonnegative")
-    return np.count_nonzero(np.abs(a) > eta, axis=-1)
+    return np.count_nonzero(_nonzero(a, eta), axis=-1)
+
+
+def _nonzero(a, eta: float) -> np.ndarray:
+    """Mask of the entries of a whose magnitude is strictly above eta."""
+    return np.abs(a) > _valid_tolerance("eta", eta)
 
 
 def l1(a) -> float:
@@ -40,9 +43,7 @@ def l1(a) -> float:
 
 def support(a, eta: float = ETA) -> tuple:
     """Sorted indices of entries with magnitude above eta."""
-    if eta < 0:
-        raise ParameterError("zero threshold eta must be nonnegative")
-    return tuple(np.nonzero(_magnitudes(a) > eta)[0].tolist())
+    return tuple(np.flatnonzero(_nonzero(a, eta)).tolist())
 
 
 def concentration_epsilon(a, index_set) -> float:
@@ -55,11 +56,7 @@ def concentration_epsilon(a, index_set) -> float:
     m = sorted(set(int(i) for i in index_set))
     if m and (m[0] < 0 or m[-1] >= mags.size):
         raise ParameterError(f"index set not contained in [0, {mags.size})")
-    total = mags.sum()
-    if total <= 0.0:
-        raise DegenerateInputError("sequence has zero l1 mass")
-    off = total - mags[m].sum() if m else total
-    return float(min(1.0, max(0.0, off / total)))
+    return float(_defects(mags.sum(), mags[m].sum()))
 
 
 def best_set(a, size: int) -> ConcentrationWitness:
@@ -83,10 +80,15 @@ def _top_defects(mags: np.ndarray, sizes) -> tuple:
     as concentration_epsilon sums it, so the defects have its bits."""
     k = mags.shape[0]
     rank = np.argsort(np.argsort(-mags, axis=-1, kind="stable"), axis=-1)
-    total = mags.sum(axis=-1)
+    inside = np.empty((k, len(sizes)))
+    for j, size in enumerate(sizes):
+        inside[:, j] = mags[rank < size].reshape(k, size).sum(axis=-1)
+    return rank, _defects(mags.sum(axis=-1)[:, None], inside)
+
+
+def _defects(total, inside):
+    """Concentration defects (total - inside) / total, clamped to [0, 1],
+    elementwise over the l1 masses of sequences and of their sets."""
     if np.any(total <= 0.0):
         raise DegenerateInputError("sequence has zero l1 mass")
-    off = np.empty((k, len(sizes)))
-    for j, size in enumerate(sizes):
-        off[:, j] = total - mags[rank < size].reshape(k, size).sum(axis=-1)
-    return rank, np.minimum(1.0, np.maximum(0.0, off / total[:, None]))
+    return np.minimum(1.0, np.maximum(0.0, (total - inside) / total))

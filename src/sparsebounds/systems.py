@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ETA_HYP
+from .config import ETA_HYP, _valid_tolerance
 from .errors import HypothesisError, StructuralError
 
 REAL = "real"
@@ -129,7 +129,7 @@ class ValidationReport:
 def validate_pairing(system: PairedSystem, eta_hyp: float = ETA_HYP) -> ValidationReport:
     """Check the hypothesis |f_j(tau_j)| >= 1 for every index j."""
     diag = np.abs(np.einsum("jd,dj->j", system.functionals, system.vectors))
-    per_index = diag >= 1.0 - eta_hyp
+    per_index = diag >= 1.0 - _valid_tolerance("eta_hyp", eta_hyp)
     return ValidationReport(diag, per_index, bool(per_index.all()), eta_hyp)
 
 
@@ -139,6 +139,7 @@ def from_hilbert_vectors(vectors, eta_hyp: float = ETA_HYP) -> PairedSystem:
     The functionals are the conjugate transpose of the column matrix, so the
     diagonal pairings are the squared column norms.
     """
+    _valid_tolerance("eta_hyp", eta_hyp)
     field_tag = infer_field(vectors)
     T = _as_matrix(vectors, field_tag, "vectors")
     norms = np.linalg.norm(T, axis=0)

@@ -13,7 +13,7 @@ from sparsebounds import (
     sample_admissible,
     validate_pairing,
 )
-from sparsebounds.admissible import AdmissibleSpace, _rank, null_space_basis
+from sparsebounds.admissible import AdmissibleSpace, _below_cutoff, _rank, null_space_basis
 from sparsebounds.bounds import fixedpoint_residuals
 from sparsebounds.coherence import coherence_profile, sub_coherence
 from sparsebounds.errors import NoAdmissibleSignalError, ParameterError
@@ -92,6 +92,36 @@ def test_null_space_dimension_matches_full_svd_rank(case):
     assert basis.shape == (a.shape[1], a.shape[1] - rank)
 
 
+@st.composite
+def null_space_cases(draw):
+    """(a, tol_rank): a seeded real or complex matrix, tall, square or wide up
+    to 40 x 40, of rank up to min(shape) (0 is the zero matrix), at a scale
+    that puts it under or above the cutoff."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rank = draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, v = rng.standard_normal((rows, rank)), rng.standard_normal((rank, cols))
+    if draw(st.booleans()):
+        u = u + 1j * rng.standard_normal((rows, rank))
+    scale = draw(st.sampled_from([1e-14, 1e-8, 1.0, 1e6]))
+    return scale * (u @ v), draw(st.sampled_from([1e-10, 1e-6, 1e-2]))
+
+
+@given(null_space_cases())
+def test_null_space_basis_has_full_svd_bits(case):
+    # The reduced SVD of a tall or square matrix holds all of vh, with the
+    # bits of the full SVD's; under the cutoff the basis is I, exactly.
+    a, tol_rank = case
+    basis = null_space_basis(a, tol_rank)
+    if _below_cutoff(a, tol_rank):
+        expected = np.eye(a.shape[1], dtype=a.dtype)
+    else:
+        _, s, vh = np.linalg.svd(a, full_matrices=True)
+        expected = vh[_rank(s, tol_rank):].conj().T
+    assert basis.dtype == a.dtype
+    assert np.array_equal(basis, expected)
+
+
 def _complexified(bisystem):
     """The same bisystem over the complex field."""
     def lift(s):
@@ -111,12 +141,11 @@ def factorizations(monkeypatch):
 
 
 class TestReducedSvd:
-    """admissible_space returns I, with no factorization, for a 2d x d stack
-    under the cutoff (||stack||_F <= tol_rank): exactly 0 for identity_pair,
-    rounding noise for dft_pair, rotated_pair and perturbed over them.  Any
-    other stack takes the SVD of its triangular factor.  LAPACK's gesdd reduces a
-    stack that tall by QR itself, so on both paths the basis must be
-    bit-identical to null_space_basis of the unreduced stack."""
+    """admissible_space is null_space_basis of its 2d x d stack: I, with no
+    factorization, for a stack under the cutoff (||stack||_F <= tol_rank):
+    exactly 0 for identity_pair, rounding noise for dft_pair, rotated_pair and
+    perturbed over them.  Any other stack takes one reduced SVD.  On both
+    paths the basis must be bit-identical to null_space_basis of the stack."""
 
     @pytest.mark.parametrize("family,params,d", [
         pytest.param(family, params, d, id=f"{label}-d{d}")
@@ -157,7 +186,7 @@ class TestReducedSvd:
                 assert calls == []
                 assert np.array_equal(basis, np.eye(d, dtype=stacked.dtype))
             else:
-                assert calls == ["qr", "svd"]
+                assert calls == ["svd"]
             assert np.array_equal(basis, null_space_basis(stacked, tol_rank))
             assert basis.dtype == stacked.dtype
 

@@ -129,6 +129,27 @@ def test_top_defects_have_concentration_epsilon_bits(n):
             assert row_eps[size] == concentration_epsilon(row, chosen)
 
 
+@st.composite
+def thresholded_sequences(draw):
+    """(a, eta): a real or complex sequence, some of whose entries have
+    magnitude exactly eta."""
+    eta = draw(st.floats(0.0, 10.0))
+    units = [1, -1, 1j, -1j] if draw(st.booleans()) else [1.0, -1.0]
+    entries = draw(st.lists(st.tuples(st.one_of(st.none(), st.floats(-20.0, 20.0)),
+                                      st.sampled_from(units)), max_size=12))
+    a = np.array([(eta if v is None else v) * u for v, u in entries],
+                 dtype=np.result_type(*units))
+    return a, eta
+
+
+@given(thresholded_sequences())
+def test_support_size_is_l0(case):
+    a, eta = case
+    chosen = support(a, eta)
+    assert len(chosen) == l0(a, eta)
+    assert all(abs(a[i]) > eta for i in chosen)
+
+
 def test_top_defects_zero_mass_rejected():
     with pytest.raises(DegenerateInputError):
         _top_defects(np.array([[1.0, 0.0], [0.0, 0.0]]), [1])
