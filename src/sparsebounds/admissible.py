@@ -6,24 +6,30 @@ both systems; their span is computed as a numerical null space via SVD.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_RANK, _valid_tolerance
+from .config import TOL_RANK, _valid_integer, _valid_tolerance
 from .dft import dft_matrix
 from .errors import NoAdmissibleSignalError, ParameterError
 from .systems import (
     COMPLEX,
     BiSystem,
     PairedSystem,
-    _integer,
     from_hilbert_vectors,
     identity_system,
 )
 
-FAMILIES = ("identity_pair", "dft_pair", "rotated_pair", "subspace_union", "perturbed")
+# The parameter names each family takes; generate refuses any other.
+_PARAMS = {
+    "identity_pair": ("d",),
+    "dft_pair": ("d",),
+    "rotated_pair": ("d", "angle"),
+    "subspace_union": ("d", "split"),
+    "perturbed": ("base", "magnitude"),
+}
+FAMILIES = tuple(_PARAMS)
 
 # Default magnitude of the perturbed family, also recorded by the CLI manifest.
 _MAGNITUDE = 0.05
@@ -103,23 +109,12 @@ def sample_admissible(space: AdmissibleSpace, seed: int) -> np.ndarray:
     """
     if space.w < 1:
         raise NoAdmissibleSignalError("admissible subspace is trivial (w = 0)")
-    rng = np.random.default_rng(_seed(seed))
+    rng = np.random.default_rng(_valid_integer("seed", seed, 0))
     c = rng.standard_normal(space.w)
     if np.iscomplexobj(space.basis):
         c = c + 1j * rng.standard_normal(space.w)
     c = c / np.abs(c).max()
     return space.basis @ c
-
-
-def _seed(seed) -> int:
-    """seed as a nonnegative integer, the domain of np.random.default_rng."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = -1
-    if value < 0:
-        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
-    return value
 
 
 def _rotation(d: int, angle_deg: float) -> np.ndarray:
@@ -151,57 +146,56 @@ def generate(family: str, params: dict, seed: int = 0) -> BiSystem:
         params = dict(params)
     except (TypeError, ValueError):
         raise ParameterError(f"family parameters must be an object, got {params!r}")
-    seed = _seed(seed)
-    if family == "identity_pair":
-        d = _pos_int(params, "d")
-        return BiSystem(identity_system(d), identity_system(d))
-    if family == "dft_pair":
-        d = _pos_int(params, "d")
-        eye = identity_system(d, COMPLEX)
-        return BiSystem(eye, from_hilbert_vectors(dft_matrix(d)))
-    if family == "rotated_pair":
-        d = _pos_int(params, "d")
-        if d < 2:
-            raise ParameterError("rotated_pair needs d >= 2")
-        angle = _param(params, "angle", float, 45.0)
-        return BiSystem(identity_system(d), from_hilbert_vectors(_rotation(d, angle)))
-    if family == "subspace_union":
-        d = _pos_int(params, "d")
-        split = _param(params, "split", int, 1)
-        if not 1 <= split <= d:
-            raise ParameterError(f"split must be in [1, {d}], got {split}")
-        rng = np.random.default_rng(seed)
-        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        first = from_hilbert_vectors(q[:, :split])
-        return BiSystem(first, identity_system(d))
+    if family not in FAMILIES:
+        raise ParameterError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    unknown = sorted(set(params) - set(_PARAMS[family]), key=str)
+    if unknown:
+        raise ParameterError(f"{family} takes no parameter {unknown[0]!r}; "
+                             f"it takes {', '.join(_PARAMS[family])}")
+    seed = _valid_integer("seed", seed, 0)
     if family == "perturbed":
         base = params.get("base")
         if not isinstance(base, dict) or "family" not in base:
             raise ParameterError("perturbed needs a base family descriptor")
-        magnitude = _param(params, "magnitude", float, _MAGNITUDE)
+        magnitude = _param(params, "magnitude", default=_MAGNITUDE)
         if not 0.0 <= magnitude < 1.0:
             raise ParameterError(f"magnitude must be in [0, 1), got {magnitude}")
-        inner = generate(base["family"], base.get("params", {}), _param(base, "seed", int, seed))
+        inner = generate(base["family"], base.get("params", {}),
+                         _param(base, "seed", least=0, default=seed))
         return _perturb(inner, magnitude, seed)
-    raise ParameterError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    d = _param(params, "d", least=1)
+    if family == "identity_pair":
+        return BiSystem(identity_system(d), identity_system(d))
+    if family == "dft_pair":
+        eye = identity_system(d, COMPLEX)
+        return BiSystem(eye, from_hilbert_vectors(dft_matrix(d)))
+    if family == "rotated_pair":
+        if d < 2:
+            raise ParameterError("rotated_pair needs d >= 2")
+        angle = _param(params, "angle", default=45.0)
+        return BiSystem(identity_system(d), from_hilbert_vectors(_rotation(d, angle)))
+    # subspace_union
+    split = _param(params, "split", least=1, default=1)
+    if split > d:
+        raise ParameterError(f"split must be in [1, {d}], got {split}")
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    first = from_hilbert_vectors(q[:, :split])
+    return BiSystem(first, identity_system(d))
 
 
-def _param(params: dict, key: str, kind, default=None):
-    """params[key], or default when it is absent, converted by kind (int, by
-    the rule of systems._integer, or float)."""
+def _param(params: dict, key: str, least=None, default=None):
+    """params[key], or default when it is absent: an integer >= least by the
+    library's rule (config._valid_integer), or a float when least is None."""
+    if key not in params and default is None:
+        raise ParameterError(f"family parameter {key!r} missing")
+    value = params.get(key, default)
+    if least is not None:
+        return _valid_integer(f"family parameter {key!r}", value, least)
     try:
-        value = params[key] if default is None else params.get(key, default)
-        return _integer(value) if kind is int else kind(value)
-    except (KeyError, TypeError, ValueError):
-        noun = "an integer" if kind is int else "a number"
-        raise ParameterError(f"family parameter {key!r} missing or not {noun}")
-
-
-def _pos_int(params: dict, key: str) -> int:
-    value = _param(params, key, int)
-    if value < 1:
-        raise ParameterError(f"family parameter {key!r} must be positive, got {value}")
-    return value
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"family parameter {key!r} must be a number, got {value!r}")
 
 
 def _perturb(bisystem: BiSystem, magnitude: float, seed: int) -> BiSystem:

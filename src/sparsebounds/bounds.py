@@ -10,10 +10,10 @@ import numpy as np
 from . import dft
 from .admissible import AdmissibleSpace, sample_admissible
 from .coherence import CoherenceProfile, coherence_profile
-from .config import ETA, ETA_HYP, TOL_CERT, TOL_FP, _valid_tolerance
-from .errors import DegenerateInputError, ParameterError
-from .sparsity import _counts, _top_defects, concentration_epsilon, l0, l1
-from .systems import BiSystem, _as_signal, _coerce, _integer, infer_field, validate_pairing
+from .config import ETA, ETA_HYP, TOL_CERT, TOL_FP, _valid_integer, _valid_tolerance
+from .errors import DegenerateInputError
+from .sparsity import _concentration, _counts, _top_defects, l0, l1
+from .systems import BiSystem, _as_signal, _coerce, infer_field, validate_pairing
 
 
 def ds_product(h, eta: float = ETA) -> tuple:
@@ -27,7 +27,7 @@ def ds_product(h, eta: float = ETA) -> tuple:
 
 def eb_bound(mu: float) -> float:
     """1 / mu^2 for the cross-coherence mu of two orthonormal bases."""
-    if mu <= 0.0:
+    if _valid_tolerance("mu", mu) <= 0.0:
         raise DegenerateInputError("cross coherence must be positive for two bases")
     return 1.0 / (mu * mu)
 
@@ -42,6 +42,7 @@ def fkdb_rhs(s_f: int, s_g: int, prof: CoherenceProfile) -> float:
 
 def fskpb_rhs(o_m: int, o_n: int, eps: float, delta: float, prof: CoherenceProfile) -> float:
     """Concentrated variant of the bound for set sizes (o_m, o_n)."""
+    o_m, o_n = _valid_integer("o_m", o_m, 0), _valid_integer("o_n", o_n, 0)
     return float(_bound(o_m, o_n, eps, delta, prof)[2])
 
 
@@ -164,9 +165,10 @@ def _apply(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _signal(prep: _Prepared, x) -> _Signal:
-    if l0(x, prep.eta) == 0:
+    x = _in_field(prep.bisystem, x)
+    if _counts(x, prep.eta) == 0:
         raise DegenerateInputError("signal is zero after thresholding")
-    return _analyse(prep.bisystem, _in_field(prep.bisystem, x))
+    return _analyse(prep.bisystem, x)
 
 
 def _certificates(prep: _Prepared, r_f, r_g, o_m, o_n, eps, delta) -> tuple:
@@ -207,7 +209,7 @@ def verify_fkdb(bisystem: BiSystem, x, eta: float = ETA, tol_fp: float = TOL_FP,
     """
     prep = _prepare(bisystem, eta, tol_fp, tol_cert, eta_hyp)
     sig = _signal(prep, x)
-    return _certify(prep, sig, l0(sig.a, eta), l0(sig.b, eta), None, None)
+    return _certify(prep, sig, _counts(sig.a, eta), _counts(sig.b, eta), None, None)
 
 
 def verify_fskpb(bisystem: BiSystem, x, set_m, set_n, eta: float = ETA,
@@ -220,10 +222,9 @@ def verify_fskpb(bisystem: BiSystem, x, set_m, set_n, eta: float = ETA,
     """
     prep = _prepare(bisystem, eta, tol_fp, tol_cert, eta_hyp)
     sig = _signal(prep, x)
-    set_m, set_n = {int(i) for i in set_m}, {int(i) for i in set_n}
-    return _certify(prep, sig, len(set_m), len(set_n),
-                    concentration_epsilon(sig.a, set_m),
-                    concentration_epsilon(sig.b, set_n))
+    (o_m, eps), (o_n, delta) = (_concentration(np.abs(sig.a), set_m),
+                                _concentration(np.abs(sig.b), set_n))
+    return _certify(prep, sig, o_m, o_n, eps, delta)
 
 
 @dataclass(frozen=True)
@@ -253,8 +254,9 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
     summary equals that of verify_fkdb and verify_fskpb called signal by
     signal, bit for bit.
     """
-    trials = _integer_arg("trials", trials, 1)
-    concentrated_subsample = _integer_arg("concentrated_subsample", concentrated_subsample, 0)
+    trials = _valid_integer("trials", trials, 1)
+    seed = _valid_integer("seed", seed, 0)
+    concentrated_subsample = _valid_integer("concentrated_subsample", concentrated_subsample, 0)
     prep = _prepare(bisystem, eta, tol_fp, tol_cert)
     satisfied = conc_checked = conc_ok = 0
     min_margin = np.inf
@@ -297,17 +299,6 @@ def _concentrated(prep: _Prepared, sig: _Signal, k: int) -> tuple:
                                      np.arange(1, n + 1)[:, None], np.arange(1, m + 1),
                                      eps[:, :, None], delta[:, None, :])
     return ok, lhs - rhs
-
-
-def _integer_arg(name: str, value, least: int) -> int:
-    """value as an integer count >= least, by the rule of systems._integer."""
-    try:
-        count = _integer(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-    if count < least:
-        raise ParameterError(f"{name} must be >= {least}, got {value!r}")
-    return count
 
 
 def per_index_slack(bisystem: BiSystem, x) -> np.ndarray:

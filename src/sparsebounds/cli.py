@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .admissible import _MAGNITUDE, FAMILIES, _param, admissible_space, generate, sample_admissible
+from .admissible import _MAGNITUDE, FAMILIES, admissible_space, generate, sample_admissible
 from .bounds import verify_fkdb, verify_fskpb
 from .coherence import coherence_profile, gram, sub_coherence
-from .config import ETA, ETA_HYP, GUARD, TOL_CERT, TOL_FP, TOL_RANK, _valid_tolerance
+from .config import (ETA, ETA_HYP, GUARD, TOL_CERT, TOL_FP, TOL_RANK, _valid_integer,
+                     _valid_tolerance)
 from .errors import ParameterError, SparseBoundsError, StructuralError
 from .oracle import min_sparsity_product
 from .serialization import (
@@ -68,9 +69,10 @@ def _tolerance(text: str) -> float:
 
 def _guard(text: str) -> int:
     """argparse type of --guard: an integer >= 2, the least n + m of any bisystem."""
-    if not text.strip().removeprefix("+").isdecimal() or int(text) < 2:
+    try:
+        return _valid_integer("guard", int(text), 2)
+    except (ValueError, ParameterError):
         raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
-    return int(text)
 
 
 _TOLERANCES = {
@@ -112,25 +114,23 @@ def _family_descriptor(args) -> dict:
         doc = load_json(args.descriptor)
         if not isinstance(doc, dict) or "family" not in doc:
             raise StructuralError("descriptor file needs a JSON object with a 'family' key")
-        seed = _param(doc, "seed", int, 0)
+        seed = _valid_integer("seed", doc.get("seed", 0), 0)
         return {"family": doc["family"], "params": doc.get("params", {}), "seed": seed}
     if not args.family:
         sources = "--bisystem, --descriptor, or" if "bisystem" in args else "--descriptor or"
         raise ParameterError(f"provide {sources} --family")
     seed = _seed_or_default(args.seed)
-    params = {}
-    for key in ("d", "angle", "split", "magnitude"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
+    # Every flag given goes to the family, and generate refuses one it does not take.
+    params = {key: getattr(args, key) for key in ("d", "angle", "split", "magnitude")
+              if getattr(args, key) is not None}
     if args.family == "perturbed":
         if not args.base:
             raise ParameterError("perturbed needs --base naming the base family")
-        base_params = {k: params[k] for k in ("d", "angle", "split") if k in params}
-        params = {
-            "base": {"family": args.base, "params": base_params, "seed": seed},
-            "magnitude": params.get("magnitude", _MAGNITUDE),
-        }
+        magnitude = params.pop("magnitude", _MAGNITUDE)
+        params = {"base": {"family": args.base, "params": params, "seed": seed},
+                  "magnitude": magnitude}
+    elif args.base:
+        raise ParameterError(f"--base applies to perturbed only, not {args.family}")
     return {"family": args.family, "params": params, "seed": seed}
 
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import _valid_integer
 from .errors import ParameterError
 
 
 def dft_matrix(d: int) -> np.ndarray:
     """Unitary DFT matrix, entry (j, k) = exp(-2 pi i j k / d) / sqrt(d)."""
+    d = _valid_integer("d", d, 1)
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     return np.exp(-2j * np.pi * j * k / d) / np.sqrt(d)
 

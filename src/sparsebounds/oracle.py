@@ -5,8 +5,8 @@ The search enumerates support-pattern pairs (S_f, S_g) in increasing order of
 pattern's feasibility as a null-space problem; the first feasible pattern is
 therefore a minimizer of the sparsity product over the admissible subspace.
 Each S_f is projected once per call onto V, a loosely cut null space of the
-first system's rows outside S_f, by one stacked SVD per batch of S_f of equal
-size; P = C V (m x k) is kept until the last size class of that |S_f|.  A
+first system's rows outside S_f, by one stacked SVD per BATCH S_f of equal size
+in the first size class of that |S_f|; P = C V (m x k) is kept until its last.  A
 size class is then filtered in batches of at most BATCH patterns: the S_f of
 equal k are tested together, across S_f and S_g, by an LDL^H pivot test of
 G - cutoff * I for the k x k Gram matrix G of the rows of P outside S_g, and
@@ -25,7 +25,7 @@ import numpy as np
 
 from .admissible import AdmissibleSpace, _rank, null_space_basis
 from .bounds import verify_fkdb
-from .config import ETA, GUARD, TOL_RANK, _valid_tolerance
+from .config import ETA, GUARD, TOL_RANK, _valid_integer, _valid_tolerance
 from .errors import DegenerateInputError, GuardExceededError, NoAdmissibleSignalError
 from .systems import BiSystem
 
@@ -68,6 +68,7 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
     """
     _valid_tolerance("eta", eta)
     _valid_tolerance("tol_rank", tol_rank)
+    guard = _valid_integer("guard", guard, 0)
     n, m = bisystem.first.n, bisystem.second.n
     if n + m > guard:
         raise GuardExceededError(f"search space n + m = {n + m} exceeds guard {guard}")
@@ -95,22 +96,19 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
     a_unit, c_unit = a_rows / scale, c_rows / scale
     t = tol_rank + 1e3 * np.finfo(float).eps
     cutoff = 2.0 * (t + np.linalg.norm(c_unit, 2) / MARGIN) ** 2
-    # |S_f| -> (C Vh^H / s as m x count x width, k per S_f); the last k columns
-    # of each S_f are its P / s.  Made in the first size class of |S_f|,
-    # (|S_f|, 1), at width w and cut to the largest k at its end, and dropped
-    # in the last one, (|S_f|, m).
+    # |S_f| -> (the rows off each S_f, their projections and k per S_f, as
+    # _project returns them).  Made in the first size class of |S_f|,
+    # (|S_f|, 1), and dropped in the last one, (|S_f|, m).
     projections = {}
 
     searched = 0
     for size_f, size_g in _pattern_order(n, m):
-        off_f, off_g = _complements(n, size_f), _complements(m, size_g)
         if size_g == 1:
-            projections[size_f] = (np.empty((m, len(off_f), space.w), c_unit.dtype),
-                                   np.empty(len(off_f), int))
-        p, ks = (projections.pop if size_g == m else projections.get)(size_f)
+            off_f = _complements(n, size_f)
+            projections[size_f] = (off_f, *_project(a_unit[off_f], c_unit, MARGIN * t))
+        off_f, p, ks = (projections.pop if size_g == m else projections.get)(size_f)
+        off_g = _complements(m, size_g)
         for rows, cols in _batches(len(off_f), len(off_g)):
-            if size_g == 1 and cols.start == 0:
-                p[:, rows], ks[rows] = _project(a_unit[off_f[rows]], c_unit, MARGIN * t)
             for i_f, i_g in _candidates(p[:, rows], ks[rows], off_g[cols], cutoff):
                 i_f, i_g = rows.start + int(i_f), cols.start + int(i_g)
                 off = np.concatenate([a_rows[off_f[i_f]], c_rows[off_g[i_g]]])
@@ -118,8 +116,6 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
                 if basis.shape[1] > 0:
                     return _report(bisystem, space, basis[:, 0], (size_f, size_g), eta, guard,
                                    searched + i_f * len(off_g) + i_g + 1)
-        if size_g == 1 < m:  # every S_f of this size is projected: keep the widest P
-            projections[size_f] = p[:, :, p.shape[2] - ks.max():].copy(), ks
         searched += len(off_f) * len(off_g)
     raise NoAdmissibleSignalError("no feasible support pattern found")
 
@@ -143,12 +139,18 @@ def _batches(count_f: int, count_g: int):
 
 
 def _project(a_off: np.ndarray, c_unit: np.ndarray, cut: float) -> tuple:
-    """(C Vh^H / s as m x F x w, k per S_f) for a stack a_off (F, r, w) of the
-    rows A_off / s of F sets S_f, where Vh holds A_off's right singular vectors
-    and its last k rows, those beyond the rank at cut, span V."""
-    _, s, vh = np.linalg.svd(a_off)
-    p = c_unit @ vh.conj().transpose(0, 2, 1)
-    return p.transpose(1, 0, 2), vh.shape[-1] - _rank(s, cut)
+    """(C Vh^H / s as m x F x width, k per S_f) for a stack a_off (F, r, w) of
+    the rows A_off / s of F sets S_f, one stacked SVD per BATCH sets.  The last
+    k rows of Vh, A_off's right singular vectors beyond the rank at cut, span
+    V; the last k of the width = max k columns of each S_f are its P / s."""
+    p, ks = [], []
+    for start in range(0, len(a_off), BATCH):
+        _, s, vh = np.linalg.svd(a_off[start:start + BATCH])
+        p.append(c_unit @ vh.conj().transpose(0, 2, 1))
+        ks.append(vh.shape[-1] - _rank(s, cut))
+    ks = np.concatenate(ks)
+    p = np.concatenate(p)[:, :, a_off.shape[2] - ks.max():]
+    return np.ascontiguousarray(p.transpose(1, 0, 2)), ks
 
 
 def _candidates(p: np.ndarray, ks: np.ndarray, off_g: np.ndarray, cutoff: float):

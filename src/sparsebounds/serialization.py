@@ -22,8 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import StructuralError
-from .systems import COMPLEX, REAL, BiSystem, PairedSystem, _integer
+from .config import _valid_integer
+from .errors import ParameterError, StructuralError
+from .systems import COMPLEX, REAL, BiSystem, PairedSystem
 
 
 def _encode(a) -> list:
@@ -105,11 +106,11 @@ def signal_from_dict(data: dict) -> np.ndarray:
 
 
 def _int_field(data: dict, key: str) -> int:
-    """data[key] as an int, by the rule of systems._integer."""
+    """data[key] as an int, by the library's rule (config._valid_integer)."""
     try:
-        return _integer(data[key])
-    except (TypeError, ValueError):
-        raise StructuralError(f"{key!r} must be an integer, got {data[key]!r}")
+        return _valid_integer(repr(key), data[key], 0)
+    except ParameterError as exc:
+        raise StructuralError(str(exc)) from None
 
 
 def _read_csv_matrix(path: Path, field_tag: str) -> list:

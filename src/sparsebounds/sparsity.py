@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ETA, _valid_tolerance
+from .config import ETA, _valid_array, _valid_integer, _valid_tolerance
 from .errors import DegenerateInputError, ParameterError
 
 
@@ -19,12 +19,13 @@ class ConcentrationWitness:
 
 
 def _magnitudes(a) -> np.ndarray:
-    return np.abs(np.asarray(a).ravel())
+    """|a| of an outside sequence a, flattened, once a passes the array rule."""
+    return np.abs(_valid_array("sequence", a).ravel())
 
 
 def l0(a, eta: float = ETA) -> int:
     """Number of entries with magnitude strictly above eta."""
-    return int(_counts(np.asarray(a).ravel(), eta))
+    return int(_counts(_magnitudes(a), eta))
 
 
 def _counts(a: np.ndarray, eta: float):
@@ -43,7 +44,7 @@ def l1(a) -> float:
 
 def support(a, eta: float = ETA) -> tuple:
     """Sorted indices of entries with magnitude above eta."""
-    return tuple(np.flatnonzero(_nonzero(a, eta)).tolist())
+    return tuple(np.flatnonzero(_nonzero(_magnitudes(a), eta)).tolist())
 
 
 def concentration_epsilon(a, index_set) -> float:
@@ -52,11 +53,16 @@ def concentration_epsilon(a, index_set) -> float:
     Equals the fraction of the l1 mass lying outside the set; always in
     [0, 1].  Raises on zero total mass.
     """
-    mags = _magnitudes(a)
-    m = sorted(set(int(i) for i in index_set))
-    if m and (m[0] < 0 or m[-1] >= mags.size):
+    return _concentration(_magnitudes(a), index_set)[1]
+
+
+def _concentration(mags: np.ndarray, index_set) -> tuple:
+    """(size, concentration_epsilon) of the set index_set, whose indices are
+    integers >= 0, for the magnitudes mags."""
+    m = sorted({_valid_integer("index", i, 0) for i in index_set})
+    if m and m[-1] >= mags.size:
         raise ParameterError(f"index set not contained in [0, {mags.size})")
-    return float(_defects(mags.sum(), mags[m].sum()))
+    return len(m), float(_defects(mags.sum(), mags[m].sum()))
 
 
 def best_set(a, size: int) -> ConcentrationWitness:
@@ -65,8 +71,8 @@ def best_set(a, size: int) -> ConcentrationWitness:
     Ties broken by lowest index; this set minimizes concentration_epsilon
     over all sets of the given cardinality.
     """
-    mags = _magnitudes(a)
-    if not 0 <= size <= mags.size:
+    mags, size = _magnitudes(a), _valid_integer("size", size, 0)
+    if size > mags.size:
         raise ParameterError(f"set size {size} outside [0, {mags.size}]")
     rank, eps = _top_defects(mags[None], [size])
     return ConcentrationWitness(tuple(np.flatnonzero(rank[0] < size).tolist()), float(eps[0, 0]))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ETA_HYP, _valid_tolerance
+from .config import ETA_HYP, _valid_array, _valid_integer, _valid_tolerance
 from .errors import HypothesisError, StructuralError
 
 REAL = "real"
@@ -30,30 +30,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _coerce(a, field_tag: str, name: str) -> np.ndarray:
-    """a as an array of the field's dtype; a real field refuses a nonzero
-    imaginary part instead of dropping it."""
+    """a as a finite array of the field's dtype; a real field refuses a
+    nonzero imaginary part instead of dropping it."""
     a = np.asarray(a)
     if field_tag == REAL and np.iscomplexobj(a):
         if np.any(a.imag != 0):
             raise StructuralError(f"{name} has complex entries but the field is real")
         a = a.real
-    return np.asarray(a, dtype=_DTYPES[field_tag])
+    return _valid_array(name, np.asarray(a, dtype=_DTYPES[field_tag]))
 
 
 def _as_matrix(a, field_tag: str, name: str) -> np.ndarray:
     a = _coerce(a, field_tag, name)
     if a.ndim != 2:
         raise StructuralError(f"{name} must be a 2-d matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise StructuralError(f"{name} contains non-finite entries")
     return a
-
-
-def _integer(value) -> int:
-    """value as an int; a float with a fractional part is refused, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(value)
-    return int(value)
 
 
 def infer_field(*arrays) -> str:
@@ -169,5 +160,5 @@ def synthesis(system: PairedSystem, coefficients) -> np.ndarray:
 
 def identity_system(d: int, field_tag: str = REAL) -> PairedSystem:
     """The d x d identity as both vectors and functionals."""
-    eye = np.eye(d, dtype=_DTYPES[field_tag])
+    eye = np.eye(_valid_integer("d", d, 1), dtype=_DTYPES[field_tag])
     return PairedSystem(eye, eye, field_tag)

@@ -261,6 +261,43 @@ def test_manifest_pinned(tmp_path, monkeypatch, capsys, files, argv, manifest):
         assert json.loads((tmp_path / "g" / "manifest.json").read_text()) == doc["manifest"]
 
 
+@pytest.mark.parametrize("files,argv", [
+    ({"sig.json": '{"coordinates": [NaN, 1, 0, 0]}'},
+     ["verify", "--family", "dft_pair", "--d", "4", "--signal", "sig.json"]),
+    ({"sig.json": '{"coordinates": [Infinity, 1, 0, 0]}'},
+     ["verify", "--family", "dft_pair", "--d", "4", "--signal", "sig.json"]),
+    ({"sig.json": '{"coordinates": [1, 0, -Infinity, 0]}'},
+     ["verify", "--family", "dft_pair", "--d", "4", "--signal", "sig.json",
+      "--set-m", "0", "--set-n", "1"]),
+    ({"desc.json": descriptor("dft_pair", {"d": "4"})},
+     ["verify", "--descriptor", "desc.json", "--sample", "1"]),
+    ({"desc.json": descriptor("dft_pair", {"d": True})},
+     ["verify", "--descriptor", "desc.json", "--sample", "1"]),
+    ({"desc.json": descriptor("dft_pair", {"d": 4}, seed="3")},
+     ["verify", "--descriptor", "desc.json", "--sample", "1"]),
+    ({"sys.json": json.dumps({**SYSTEM_1X1, "d": "1"})}, ["validate", "sys.json"]),
+    ({}, ["verify", "--family", "dft_pair", "--d", "4", "--angle", "30", "--sample", "1"]),
+    ({}, ["verify", "--family", "dft_pair", "--d", "4", "--base", "dft_pair", "--sample", "1"]),
+    ({}, ["sample", "--family", "perturbed", "--base", "dft_pair", "--d", "4", "--split", "2"]),
+    ({"desc.json": descriptor("rotated_pair", {"d": 3, "angel": 30})},
+     ["sample", "--descriptor", "desc.json"]),
+    ({"desc.json": descriptor("no_such_family", {"d": 3})},
+     ["sample", "--descriptor", "desc.json"]),
+], ids=["signal-nan", "signal-infinity", "concentrated-signal-infinity", "descriptor-d-string",
+        "descriptor-d-bool", "descriptor-seed-string", "system-d-string", "unused-angle",
+        "base-without-perturbed", "unused-base-split", "misspelled-parameter",
+        "unknown-family"])
+def test_refused_input_exits_1_with_no_output(tmp_path, monkeypatch, capsys, files, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+
+
 def test_integral_floats_accepted(tmp_path, capsys):
     """Descriptor numbers with no fractional part count as the integers they equal."""
     docs = []

@@ -457,7 +457,7 @@ class TestExhaustiveVerify:
         {"trials": 3, "concentrated_subsample": 2.5},
     ])
     def test_malformed_counts_rejected(self, counts):
-        # Refused, not truncated, by the rule of systems._integer.
+        # Refused, not truncated, by the rule of config._valid_integer.
         b = generate("identity_pair", {"d": 2}, 0)
         with pytest.raises(ParameterError):
             exhaustive_verify(b, admissible_space(b), **counts)
