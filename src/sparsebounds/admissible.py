@@ -6,14 +6,16 @@ both systems; their span is computed as a numerical null space via SVD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_RANK, _valid_integer, _valid_tolerance
+from .config import TOL_RANK, _valid_integer, _valid_real
 from .dft import dft_matrix
 from .errors import NoAdmissibleSignalError, ParameterError
 from .systems import (
+    _DTYPES,
     COMPLEX,
     BiSystem,
     PairedSystem,
@@ -53,7 +55,7 @@ def null_space_basis(a: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
     already holds all of vh, with the full SVD's bits, and never forms the
     left factor, which nothing reads.
     """
-    if _below_cutoff(a, _valid_tolerance("tol_rank", tol_rank)):
+    if _below_cutoff(a, _valid_real("tol_rank", tol_rank)):
         return np.eye(a.shape[1], dtype=a.dtype)
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     return vh[_rank(s, tol_rank):].conj().T
@@ -91,8 +93,7 @@ def _below_cutoff(a: np.ndarray, tol_rank: float) -> bool:
 def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> AdmissibleSpace:
     """Common fixed subspace of both systems: the null space of the 2d x d
     stack [I - TF; I - WG]."""
-    dtype = np.result_type(bisystem.first.vectors.dtype, bisystem.second.vectors.dtype)
-    eye = np.eye(bisystem.d, dtype=dtype)
+    eye = np.eye(bisystem.d, dtype=_DTYPES[bisystem.field])
     stacked = np.vstack([
         eye - bisystem.first.vectors @ bisystem.first.functionals,
         eye - bisystem.second.vectors @ bisystem.second.functionals,
@@ -118,7 +119,7 @@ def sample_admissible(space: AdmissibleSpace, seed: int) -> np.ndarray:
 
 
 def _rotation(d: int, angle_deg: float) -> np.ndarray:
-    theta = np.deg2rad(angle_deg)
+    theta = math.radians(angle_deg)
     r = np.eye(d)
     r[0, 0] = r[1, 1] = np.cos(theta)
     r[0, 1] = -np.sin(theta)
@@ -157,13 +158,13 @@ def generate(family: str, params: dict, seed: int = 0) -> BiSystem:
         base = params.get("base")
         if not isinstance(base, dict) or "family" not in base:
             raise ParameterError("perturbed needs a base family descriptor")
-        magnitude = _param(params, "magnitude", default=_MAGNITUDE)
-        if not 0.0 <= magnitude < 1.0:
+        magnitude = _param(params, "magnitude", 0.0, _MAGNITUDE, real=True)
+        if magnitude >= 1.0:
             raise ParameterError(f"magnitude must be in [0, 1), got {magnitude}")
         inner = generate(base["family"], base.get("params", {}),
-                         _param(base, "seed", least=0, default=seed))
+                         _param(base, "seed", 0, seed))
         return _perturb(inner, magnitude, seed)
-    d = _param(params, "d", least=1)
+    d = _param(params, "d", 1)
     if family == "identity_pair":
         return BiSystem(identity_system(d), identity_system(d))
     if family == "dft_pair":
@@ -172,10 +173,10 @@ def generate(family: str, params: dict, seed: int = 0) -> BiSystem:
     if family == "rotated_pair":
         if d < 2:
             raise ParameterError("rotated_pair needs d >= 2")
-        angle = _param(params, "angle", default=45.0)
+        angle = _param(params, "angle", -math.inf, 45.0, real=True)
         return BiSystem(identity_system(d), from_hilbert_vectors(_rotation(d, angle)))
     # subspace_union
-    split = _param(params, "split", least=1, default=1)
+    split = _param(params, "split", 1, 1)
     if split > d:
         raise ParameterError(f"split must be in [1, {d}], got {split}")
     rng = np.random.default_rng(seed)
@@ -184,18 +185,14 @@ def generate(family: str, params: dict, seed: int = 0) -> BiSystem:
     return BiSystem(first, identity_system(d))
 
 
-def _param(params: dict, key: str, least=None, default=None):
-    """params[key], or default when it is absent: an integer >= least by the
-    library's rule (config._valid_integer), or a float when least is None."""
+def _param(params: dict, key: str, least, default=None, real: bool = False):
+    """params[key], or default when it is absent: a number >= least, an
+    integer by the library's integer rule (config._valid_integer) or, when
+    real, a finite number by its real-number rule (config._valid_real)."""
     if key not in params and default is None:
         raise ParameterError(f"family parameter {key!r} missing")
-    value = params.get(key, default)
-    if least is not None:
-        return _valid_integer(f"family parameter {key!r}", value, least)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"family parameter {key!r} must be a number, got {value!r}")
+    rule = _valid_real if real else _valid_integer
+    return rule(f"family parameter {key!r}", params.get(key, default), least)
 
 
 def _perturb(bisystem: BiSystem, magnitude: float, seed: int) -> BiSystem:

@@ -10,10 +10,10 @@ import numpy as np
 from . import dft
 from .admissible import AdmissibleSpace, sample_admissible
 from .coherence import CoherenceProfile, coherence_profile
-from .config import ETA, ETA_HYP, TOL_CERT, TOL_FP, _valid_integer, _valid_tolerance
+from .config import ETA, TOL_CERT, TOL_FP, _valid_integer, _valid_real
 from .errors import DegenerateInputError
 from .sparsity import _concentration, _counts, _top_defects, l0, l1
-from .systems import BiSystem, _as_signal, _coerce, infer_field, validate_pairing
+from .systems import BiSystem, _as_signal, _coerce, validate_pairing
 
 
 def ds_product(h, eta: float = ETA) -> tuple:
@@ -27,7 +27,7 @@ def ds_product(h, eta: float = ETA) -> tuple:
 
 def eb_bound(mu: float) -> float:
     """1 / mu^2 for the cross-coherence mu of two orthonormal bases."""
-    if _valid_tolerance("mu", mu) <= 0.0:
+    if _valid_real("mu", mu) <= 0.0:
         raise DegenerateInputError("cross coherence must be positive for two bases")
     return 1.0 / (mu * mu)
 
@@ -41,8 +41,10 @@ def fkdb_rhs(s_f: int, s_g: int, prof: CoherenceProfile) -> float:
 
 
 def fskpb_rhs(o_m: int, o_n: int, eps: float, delta: float, prof: CoherenceProfile) -> float:
-    """Concentrated variant of the bound for set sizes (o_m, o_n)."""
+    """Concentrated variant of the bound for set sizes (o_m, o_n) and
+    concentration defects (eps, delta) in [0, 1]."""
     o_m, o_n = _valid_integer("o_m", o_m, 0), _valid_integer("o_n", o_n, 0)
+    eps, delta = _valid_real("eps", eps, 0.0, 1.0), _valid_real("delta", delta, 0.0, 1.0)
     return float(_bound(o_m, o_n, eps, delta, prof)[2])
 
 
@@ -99,7 +101,7 @@ class BoundCertificate:
 
 def fixedpoint_residuals(bisystem: BiSystem, x) -> tuple:
     """Max-norm residuals of x against both fixed-point conditions."""
-    sig = _analyse(bisystem, _in_field(bisystem, np.asarray(x).ravel()))
+    sig = _analyse(bisystem, _in_field(bisystem, x))
     return float(sig.r_f), float(sig.r_g)
 
 
@@ -116,12 +118,10 @@ class _Prepared:
 
 
 def _prepare(bisystem: BiSystem, eta: float = ETA, tol_fp: float = TOL_FP,
-             tol_cert: float = TOL_CERT, eta_hyp: float = ETA_HYP) -> _Prepared:
+             tol_cert: float = TOL_CERT) -> _Prepared:
     for name, value in (("eta", eta), ("tol_fp", tol_fp), ("tol_cert", tol_cert)):
-        _valid_tolerance(name, value)
-    # validate_pairing checks eta_hyp.
-    pairing_ok = (validate_pairing(bisystem.first, eta_hyp).ok
-                  and validate_pairing(bisystem.second, eta_hyp).ok)
+        _valid_real(name, value)
+    pairing_ok = validate_pairing(bisystem.first).ok and validate_pairing(bisystem.second).ok
     return _Prepared(bisystem, coherence_profile(bisystem), pairing_ok,
                      eta, tol_fp, tol_cert)
 
@@ -139,12 +139,8 @@ class _Signal:
 
 
 def _in_field(bisystem: BiSystem, x) -> np.ndarray:
-    """x as one signal of the bisystem's field: complex when either system is."""
-    return _as_signal(_field(bisystem), x, bisystem.d, "signal")
-
-
-def _field(bisystem: BiSystem) -> str:
-    return infer_field(bisystem.first.vectors, bisystem.second.vectors)
+    """x as one signal (d,) of the bisystem's field."""
+    return _as_signal(bisystem.field, x, bisystem.d, "signal")
 
 
 def _analyse(bisystem: BiSystem, x: np.ndarray) -> _Signal:
@@ -201,26 +197,26 @@ def _certify(prep: _Prepared, sig: _Signal, o_m: int, o_n: int,
 
 
 def verify_fkdb(bisystem: BiSystem, x, eta: float = ETA, tol_fp: float = TOL_FP,
-                tol_cert: float = TOL_CERT, eta_hyp: float = ETA_HYP) -> BoundCertificate:
+                tol_cert: float = TOL_CERT) -> BoundCertificate:
     """Certificate for the sparsity-product inequality at signal x.
 
-    Hypothesis failure yields a certificate with hypothesis_ok=False and
+    Hypothesis failure (a pairing below 1 - ETA_HYP, or a fixed-point
+    residual above tol_fp) yields a certificate with hypothesis_ok=False and
     satisfied=False, never a silent pass.
     """
-    prep = _prepare(bisystem, eta, tol_fp, tol_cert, eta_hyp)
+    prep = _prepare(bisystem, eta, tol_fp, tol_cert)
     sig = _signal(prep, x)
     return _certify(prep, sig, _counts(sig.a, eta), _counts(sig.b, eta), None, None)
 
 
 def verify_fskpb(bisystem: BiSystem, x, set_m, set_n, eta: float = ETA,
-                 tol_fp: float = TOL_FP, tol_cert: float = TOL_CERT,
-                 eta_hyp: float = ETA_HYP) -> BoundCertificate:
+                 tol_fp: float = TOL_FP, tol_cert: float = TOL_CERT) -> BoundCertificate:
     """Concentrated certificate for index sets M (first system) and N (second).
 
     epsilon and delta are the exact concentration defects of the analysis
     coefficients on M and N; empty sets are allowed (epsilon or delta = 1).
     """
-    prep = _prepare(bisystem, eta, tol_fp, tol_cert, eta_hyp)
+    prep = _prepare(bisystem, eta, tol_fp, tol_cert)
     sig = _signal(prep, x)
     (o_m, eps), (o_n, delta) = (_concentration(np.abs(sig.a), set_m),
                                 _concentration(np.abs(sig.b), set_n))
@@ -265,7 +261,7 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
         block = range(start, min(start + _SWEEP_BLOCK, trials))
         x = np.array([sample_admissible(space, seed + t) for t in block])
         zero = np.flatnonzero(_counts(x, eta) == 0)
-        sig = _analyse(bisystem, _coerce(x, _field(bisystem), "signal"))
+        sig = _analyse(bisystem, _coerce(x, bisystem.field, "signal"))
         # A zero signal ends the sweep, as it ends the loop of single
         # certificates: only the signals before it are checked first.
         k = min(max(concentrated_subsample - start, 0), zero[0] if zero.size else len(block))

@@ -20,8 +20,7 @@ from . import __version__
 from .admissible import _MAGNITUDE, FAMILIES, admissible_space, generate, sample_admissible
 from .bounds import verify_fkdb, verify_fskpb
 from .coherence import coherence_profile, gram, sub_coherence
-from .config import (ETA, ETA_HYP, GUARD, TOL_CERT, TOL_FP, TOL_RANK, _valid_integer,
-                     _valid_tolerance)
+from .config import ETA, ETA_HYP, GUARD, TOL_CERT, TOL_FP, TOL_RANK, _valid_integer, _valid_real
 from .errors import ParameterError, SparseBoundsError, StructuralError
 from .oracle import min_sparsity_product
 from .serialization import (
@@ -60,9 +59,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _tolerance(text: str) -> float:
     """argparse type of every tolerance flag: a finite number >= 0, by the
-    library's rule (config._valid_tolerance)."""
+    library's rule (config._valid_real)."""
     try:
-        return _valid_tolerance("tolerance", float(text))
+        return _valid_real("tolerance", float(text))
     except (ValueError, ParameterError):
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
 

@@ -2,7 +2,7 @@
 
 Every tolerance is a plain module constant and every public function that
 uses one takes it as a keyword argument, so nothing is hard-coded into the
-math itself.  Each kind of outside value has one rule: _valid_tolerance,
+math itself.  Each kind of outside value has one rule: _valid_real,
 _valid_integer and _valid_array.
 """
 
@@ -31,16 +31,20 @@ TOL_RANK = 1e-10
 GUARD = 24
 
 
-def _valid_tolerance(name: str, value):
-    """value itself when it is a finite number >= 0, the domain of every
-    tolerance; a NaN, infinite or negative one would turn every comparison
-    against it into a wrong verdict."""
+def _valid_real(name: str, value, low: float = 0.0, high: float = math.inf):
+    """value itself when it is an int, a float or a NumPy real number (never
+    a bool or a string) that is finite and in [low, high]; the default
+    domain is that of every tolerance.  A NaN, infinite or out-of-domain one
+    would turn every comparison against it into a wrong verdict."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
     try:
-        ok = math.isfinite(value) and value >= 0
-    except TypeError:
+        ok = real and math.isfinite(value) and low <= value <= high
+    except OverflowError:  # an int beyond every float
         ok = False
     if not ok:
-        raise ParameterError(f"{name} must be a finite number >= 0, got {value!r}")
+        domain = (f" in [{low:g}, {high:g}]" if high < math.inf
+                  else f" >= {low:g}" if low > -math.inf else "")
+        raise ParameterError(f"{name} must be a finite number{domain}, got {value!r}")
     return value
 
 

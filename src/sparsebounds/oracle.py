@@ -25,7 +25,7 @@ import numpy as np
 
 from .admissible import AdmissibleSpace, _rank, null_space_basis
 from .bounds import verify_fkdb
-from .config import ETA, GUARD, TOL_RANK, _valid_integer, _valid_tolerance
+from .config import ETA, GUARD, TOL_RANK, _valid_integer, _valid_real
 from .errors import DegenerateInputError, GuardExceededError, NoAdmissibleSignalError
 from .systems import BiSystem
 
@@ -66,8 +66,8 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
     patterns_searched is the rank of the winning pattern in the full
     (product, lexicographic) order.
     """
-    _valid_tolerance("eta", eta)
-    _valid_tolerance("tol_rank", tol_rank)
+    _valid_real("eta", eta)
+    _valid_real("tol_rank", tol_rank)
     guard = _valid_integer("guard", guard, 0)
     n, m = bisystem.first.n, bisystem.second.n
     if n + m > guard:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ETA, _valid_array, _valid_integer, _valid_tolerance
+from .config import ETA, _valid_array, _valid_integer, _valid_real
 from .errors import DegenerateInputError, ParameterError
 
 
@@ -35,7 +35,7 @@ def _counts(a: np.ndarray, eta: float):
 
 def _nonzero(a, eta: float) -> np.ndarray:
     """Mask of the entries of a whose magnitude is strictly above eta."""
-    return np.abs(a) > _valid_tolerance("eta", eta)
+    return np.abs(a) > _valid_real("eta", eta)
 
 
 def l1(a) -> float:

@@ -8,11 +8,11 @@ the stored row, which is what :func:`from_hilbert_vectors` does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ETA_HYP, _valid_array, _valid_integer, _valid_tolerance
+from .config import ETA_HYP, _valid_array, _valid_integer, _valid_real
 from .errors import HypothesisError, StructuralError
 
 REAL = "real"
@@ -45,10 +45,6 @@ def _as_matrix(a, field_tag: str, name: str) -> np.ndarray:
     if a.ndim != 2:
         raise StructuralError(f"{name} must be a 2-d matrix, got ndim={a.ndim}")
     return a
-
-
-def infer_field(*arrays) -> str:
-    return COMPLEX if any(np.iscomplexobj(np.asarray(a)) for a in arrays) else REAL
 
 
 @dataclass(frozen=True)
@@ -102,6 +98,11 @@ class BiSystem:
     def d(self) -> int:
         return self.first.d
 
+    @property
+    def field(self) -> str:
+        """The field of the bisystem's signals: complex when either system's is."""
+        return COMPLEX if COMPLEX in (self.first.field, self.second.field) else REAL
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -120,24 +121,24 @@ class ValidationReport:
 def validate_pairing(system: PairedSystem, eta_hyp: float = ETA_HYP) -> ValidationReport:
     """Check the hypothesis |f_j(tau_j)| >= 1 for every index j."""
     diag = np.abs(np.einsum("jd,dj->j", system.functionals, system.vectors))
-    per_index = diag >= 1.0 - _valid_tolerance("eta_hyp", eta_hyp)
+    per_index = diag >= 1.0 - _valid_real("eta_hyp", eta_hyp)
     return ValidationReport(diag, per_index, bool(per_index.all()), eta_hyp)
 
 
-def from_hilbert_vectors(vectors, eta_hyp: float = ETA_HYP) -> PairedSystem:
-    """Build the Hilbert specialization f_j = <., tau_j> from unit-norm columns.
+def from_hilbert_vectors(vectors) -> PairedSystem:
+    """Build the Hilbert specialization f_j = <., tau_j> from columns of unit
+    norm within ETA_HYP.
 
     The functionals are the conjugate transpose of the column matrix, so the
     diagonal pairings are the squared column norms.
     """
-    _valid_tolerance("eta_hyp", eta_hyp)
-    field_tag = infer_field(vectors)
+    field_tag = COMPLEX if np.iscomplexobj(vectors) else REAL
     T = _as_matrix(vectors, field_tag, "vectors")
     norms = np.linalg.norm(T, axis=0)
-    bad = np.nonzero(np.abs(norms - 1.0) > eta_hyp)[0]
+    bad = np.nonzero(np.abs(norms - 1.0) > ETA_HYP)[0]
     if bad.size:
         j = int(bad[0])
-        raise HypothesisError(f"column {j} has norm {norms[j]:.6g}, expected 1 within {eta_hyp:g}")
+        raise HypothesisError(f"column {j} has norm {norms[j]:.6g}, expected 1 within {ETA_HYP:g}")
     return PairedSystem(T, T.conj().T, field_tag)
 
 

@@ -331,3 +331,5 @@ class TestFamilies:
             generate("no_such_family", {"d": 3}, 0)
         with pytest.raises(ParameterError):
             generate("perturbed", {"magnitude": 0.1}, 0)
+        with pytest.raises(ParameterError, match="d >= 2"):
+            generate("rotated_pair", {"d": 1}, 0)

@@ -19,10 +19,10 @@ from sparsebounds import (
     verify_fkdb,
     verify_fskpb,
 )
-from sparsebounds.bounds import _analyse
+from sparsebounds.bounds import _analyse, fixedpoint_residuals
 from sparsebounds.coherence import CoherenceProfile
 from sparsebounds.dft import dft_matrix
-from sparsebounds.errors import DegenerateInputError
+from sparsebounds.errors import DegenerateInputError, StructuralError
 
 
 def rotation(angle_deg):
@@ -239,7 +239,7 @@ def test_stacked_analysis_has_single_signal_bits(bisystem):
     # equal the certificates' analysis of that signal alone, bit for bit.
     rng = np.random.default_rng(0)
     x = rng.standard_normal((9, bisystem.d))
-    if np.iscomplexobj(bisystem.first.vectors) or np.iscomplexobj(bisystem.second.vectors):
+    if bisystem.field == "complex":
         x = x + 1j * rng.standard_normal(x.shape)
     stack = _analyse(bisystem, x)
     for i, row in enumerate(x):
@@ -247,3 +247,17 @@ def test_stacked_analysis_has_single_signal_bits(bisystem):
         for got, want in zip((stack.a[i], stack.b[i], stack.r_f[i], stack.r_g[i]),
                              (one.a, one.b, one.r_f, one.r_g)):
             assert got.tobytes() == want.tobytes()
+
+
+DFT4 = generate("dft_pair", {"d": 4})
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: verify_fkdb(DFT4, x),
+    lambda x: fixedpoint_residuals(DFT4, x),
+    lambda x: per_index_slack(DFT4, x),
+], ids=["verify_fkdb", "fixedpoint_residuals", "per_index_slack"])
+def test_signal_of_wrong_shape_refused(call):
+    # Four coordinates as a (2, 2) array are not a signal of d = 4.
+    with pytest.raises(StructuralError, match=r"shape \(2, 2\), expected \(4,\)"):
+        call(np.ones((2, 2)))

@@ -283,10 +283,20 @@ def test_manifest_pinned(tmp_path, monkeypatch, capsys, files, argv, manifest):
      ["sample", "--descriptor", "desc.json"]),
     ({"desc.json": descriptor("no_such_family", {"d": 3})},
      ["sample", "--descriptor", "desc.json"]),
+    ({"desc.json": descriptor("rotated_pair", {"d": 3, "angle": "30"})},
+     ["verify", "--descriptor", "desc.json", "--sample", "1"]),
+    ({"desc.json": descriptor("rotated_pair", {"d": 3, "angle": True})},
+     ["verify", "--descriptor", "desc.json", "--sample", "1"]),
+    ({"desc.json": descriptor("perturbed", {"base": {"family": "dft_pair", "params": {"d": 3}},
+                                            "magnitude": "0.1"})},
+     ["sample", "--descriptor", "desc.json"]),
+    ({}, ["verify", "--family", "rotated_pair", "--d", "3", "--angle", "nan", "--sample", "1"]),
+    ({}, ["verify", "--family", "dft_pair", "--d", "4", "--sample", "1", "--set-m", "a,b"]),
 ], ids=["signal-nan", "signal-infinity", "concentrated-signal-infinity", "descriptor-d-string",
         "descriptor-d-bool", "descriptor-seed-string", "system-d-string", "unused-angle",
         "base-without-perturbed", "unused-base-split", "misspelled-parameter",
-        "unknown-family"])
+        "unknown-family", "descriptor-angle-string", "descriptor-angle-bool",
+        "descriptor-magnitude-string", "angle-nan", "set-m-not-integers"])
 def test_refused_input_exits_1_with_no_output(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
@@ -342,6 +352,14 @@ class TestVerify:
         assert code in (0, 2)
         assert doc["epsilon"] is not None and doc["delta"] is not None
         assert doc["lhs"] == 2.0
+
+    def test_empty_set(self, capsys):
+        # An empty M holds none of the mass: epsilon = 1 and o_m = 0.
+        code, doc = run(capsys, "verify", "--family", "dft_pair", "--d", "4",
+                        "--sample", "42", "--set-m", "", "--set-n", "0")
+        assert code == 0
+        assert doc["epsilon"] == 1.0 and doc["lhs"] == 0.0
+        assert doc["manifest"]["parameters"]["set_m"] == []
 
     def test_zero_signal(self, tmp_path, capsys):
         sig = tmp_path / "zero.json"

@@ -12,6 +12,7 @@ from sparsebounds import (
     best_set,
     concentration_epsilon,
     ds_product,
+    forward,
     generate,
     l0,
     l1,
@@ -40,6 +41,7 @@ ENTRY_POINTS = {
     "concentration_epsilon": lambda x: concentration_epsilon(x, {0}),
     "best_set": lambda x: best_set(x, 1),
     "ds_product": lambda x: ds_product(x),
+    "forward": lambda x: forward(x),
 }
 
 NON_FINITE = {

@@ -9,6 +9,7 @@ from sparsebounds.serialization import (
     bisystem_from_dict,
     bisystem_to_dict,
     canonical_json,
+    load_json,
     load_system,
     signal_from_dict,
     signal_to_dict,
@@ -72,6 +73,28 @@ class TestSignalRoundTrip:
             signal_from_dict({"field": "real", "d": 5, "coordinates": [1.0, 2.0]})
 
 
+SYSTEM_3X3 = system_to_dict(identity_system(3))
+
+
+@pytest.mark.parametrize("load,doc,match", [
+    (system_from_dict, 5, "must be a JSON object"),
+    (bisystem_from_dict, {"first": SYSTEM_3X3}, "needs 'first' and 'second'"),
+    (signal_from_dict, {"field": "real", "d": 3}, "needs 'coordinates'"),
+    (system_from_dict, {**SYSTEM_3X3, "vectors": [["a", 0, 0], [0, 1, 0], [0, 0, 1]]},
+     "cannot parse vectors"),
+    (system_from_dict, {**SYSTEM_3X3, "field": "complex"}, r"must be \[re, im\] pairs"),
+], ids=["system-not-object", "bisystem-without-second", "signal-without-coordinates",
+        "unparseable-matrix", "complex-entries-not-pairs"])
+def test_malformed_document_refused(load, doc, match):
+    with pytest.raises(StructuralError, match=match):
+        load(doc)
+
+
+def test_missing_json_file_refused(tmp_path):
+    with pytest.raises(StructuralError, match="cannot read"):
+        load_json(tmp_path / "missing.json")
+
+
 class TestCsvLoader:
     def test_real_csv(self, tmp_path):
         np_eye = np.eye(2)
@@ -108,6 +131,23 @@ class TestCsvLoader:
         path = tmp_path / "m.json"
         path.write_text(canonical_json(manifest))
         with pytest.raises(StructuralError):
+            load_system(path)
+
+
+    @pytest.mark.parametrize("row,match", [
+        ("1.0,x", "cannot parse CSV entry"),
+        ("1.0,1+2j", "complex entry '1\\+2j' in a real-field matrix"),
+    ], ids=["unparseable-entry", "complex-entry-real-field"])
+    def test_bad_csv_entry(self, tmp_path, row, match):
+        (tmp_path / "v.csv").write_text(f"{row}\n0.0,1.0\n")
+        (tmp_path / "f.csv").write_text("1.0,0.0\n0.0,1.0\n")
+        manifest = {
+            "field": "real", "d": 2, "n": 2,
+            "vectors_csv": "v.csv", "functionals_csv": "f.csv",
+        }
+        path = tmp_path / "m.json"
+        path.write_text(canonical_json(manifest))
+        with pytest.raises(StructuralError, match=match):
             load_system(path)
 
 

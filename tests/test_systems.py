@@ -39,6 +39,21 @@ class TestConstruction:
         with pytest.raises(StructuralError):
             PairedSystem(bad, np.eye(2))
 
+    @pytest.mark.parametrize("vectors,functionals,field_tag,match", [
+        (np.ones(2), np.ones(2), "real", "must be a 2-d matrix"),
+        (np.eye(2), np.eye(2), "quaternion", "unknown field tag"),
+        (np.zeros((2, 0)), np.zeros((0, 2)), "real", "dimensions must be positive"),
+    ], ids=["one-d-array", "unknown-field-tag", "n-zero"])
+    def test_malformed_system_refused(self, vectors, functionals, field_tag, match):
+        with pytest.raises(StructuralError, match=match):
+            PairedSystem(vectors, functionals, field_tag)
+
+    def test_bisystem_field_is_complex_when_either_system_is(self):
+        real, cplx = identity_system(2), identity_system(2, "complex")
+        fields = [BiSystem(a, b).field for a, b in ((real, real), (real, cplx), (cplx, real),
+                                                    (cplx, cplx))]
+        assert fields == ["real", "complex", "complex", "complex"]
+
     def test_bisystem_dimension_mismatch(self):
         with pytest.raises(StructuralError):
             BiSystem(identity_system(2), identity_system(3))
