@@ -10,10 +10,10 @@ import numpy as np
 from . import dft
 from .admissible import AdmissibleSpace, sample_admissible
 from .coherence import CoherenceProfile, coherence_profile
-from .config import ETA, TOL_CERT, TOL_FP, _valid_integer, _valid_real
+from .config import ETA, TOL_CERT, TOL_FP, _valid_array, _valid_integer, _valid_real
 from .errors import DegenerateInputError
 from .sparsity import _concentration, _counts, _top_defects, l0, l1
-from .systems import BiSystem, _as_signal, _coerce, validate_pairing
+from .systems import _DTYPES, BiSystem, _as_signal, validate_pairing
 
 
 def ds_product(h, eta: float = ETA) -> tuple:
@@ -261,7 +261,7 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
         block = range(start, min(start + _SWEEP_BLOCK, trials))
         x = np.array([sample_admissible(space, seed + t) for t in block])
         zero = np.flatnonzero(_counts(x, eta) == 0)
-        sig = _analyse(bisystem, _coerce(x, bisystem.field, "signal"))
+        sig = _analyse(bisystem, _valid_array("signal", x, _DTYPES[bisystem.field]))
         # A zero signal ends the sweep, as it ends the loop of single
         # certificates: only the signals before it are checked first.
         k = min(max(concentrated_subsample - start, 0), zero[0] if zero.size else len(block))

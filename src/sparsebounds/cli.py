@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -38,15 +40,35 @@ from .systems import validate_pairing
 SEED_ENV = "SPARSEBOUNDS_SEED"
 
 
-def _seed_or_default(seed) -> int:
-    """seed, or $SPARSEBOUNDS_SEED (0 when unset) for a seed flag not given."""
-    if seed is not None:
-        return seed
-    text = os.environ.get(SEED_ENV, "0")
+def _number(name: str, text: str, rule, *domain):
+    """text read as a JSON number, as in a descriptor file, then decided by
+    config's rule: an int by _valid_integer (4.0 is 4), a float by
+    _valid_real (30 is 30.0); the rule refuses other text (1_0, +4, nan)."""
     try:
-        return int(text)
-    except ValueError:
-        raise ParameterError(f"${SEED_ENV} must be an integer, got {text!r}")
+        value = json.loads(text)
+    except (ValueError, RecursionError):
+        value = text
+    value = rule(name, value, *domain)
+    return float(value) if rule is _valid_real else value
+
+
+def _flag(rule, *domain):
+    """argparse type of a numeric flag: its text decided by _number."""
+    def parse(text):
+        try:
+            return _number("value", text, rule, *domain)
+        except ParameterError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return parse
+
+
+def _seed(text) -> int:
+    """A seed flag's text, or for a flag not given $SPARSEBOUNDS_SEED's ("0"
+    when unset), decided by _number."""
+    name = "seed"
+    if text is None:
+        name, text = f"${SEED_ENV}", os.environ.get(SEED_ENV, "0")
+    return _number(name, text, _valid_integer, 0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,23 +77,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(1, f"error: {self.prog}: {message}\n")
-
-
-def _tolerance(text: str) -> float:
-    """argparse type of every tolerance flag: a finite number >= 0, by the
-    library's rule (config._valid_real)."""
-    try:
-        return _valid_real("tolerance", float(text))
-    except (ValueError, ParameterError):
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-
-
-def _guard(text: str) -> int:
-    """argparse type of --guard: an integer >= 2, the least n + m of any bisystem."""
-    try:
-        return _valid_integer("guard", int(text), 2)
-    except (ValueError, ParameterError):
-        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
 
 
 _TOLERANCES = {
@@ -87,7 +92,7 @@ def _add_tolerances(parser, *flags):
     """Adds the tolerance flags and records their names for the manifest."""
     for flag in flags:
         default, help_text = _TOLERANCES[flag]
-        parser.add_argument(flag, type=_tolerance, default=default, help=help_text)
+        parser.add_argument(flag, type=_flag(_valid_real, 0.0), default=default, help=help_text)
     parser.set_defaults(tolerances=[flag[2:].replace("-", "_") for flag in flags])
 
 
@@ -99,17 +104,29 @@ def _add_bisystem_source(parser):
 def _add_family_source(parser):
     parser.add_argument("--descriptor", help="family descriptor JSON file")
     parser.add_argument("--family", choices=FAMILIES, help="generated family name")
-    parser.add_argument("--d", type=int, help="ambient dimension")
-    parser.add_argument("--angle", type=float, help="rotation angle in degrees")
-    parser.add_argument("--split", type=int, help="subspace dimension for subspace_union")
-    parser.add_argument("--magnitude", type=float, help="perturbation magnitude")
+    parser.add_argument("--d", type=_flag(_valid_integer, 1), help="ambient dimension")
+    parser.add_argument("--angle", help="rotation angle in degrees")
+    parser.add_argument("--split", type=_flag(_valid_integer, 1),
+                        help="subspace dimension for subspace_union")
+    parser.add_argument("--magnitude", help="perturbation magnitude")
     parser.add_argument("--base", choices=FAMILIES, help="base family for perturbed")
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"generation seed (default: ${SEED_ENV} or 0)")
+    parser.add_argument("--seed", help=f"generation seed (default: ${SEED_ENV} or 0)")
+
+
+# The flags of the --family source; no other source reads them.
+_FAMILY_FLAGS = ("family", "d", "angle", "split", "magnitude", "base", "seed")
+
+
+def _only_source(args, source: str, flags=_FAMILY_FLAGS) -> None:
+    """Refuses a flag of flags given with a source that does not read it."""
+    for flag in flags:
+        if getattr(args, flag, None) is not None:
+            raise ParameterError(f"--{flag} does not apply to --{source}")
 
 
 def _family_descriptor(args) -> dict:
     if args.descriptor:
+        _only_source(args, "descriptor")
         doc = load_json(args.descriptor)
         if not isinstance(doc, dict) or "family" not in doc:
             raise StructuralError("descriptor file needs a JSON object with a 'family' key")
@@ -118,10 +135,11 @@ def _family_descriptor(args) -> dict:
     if not args.family:
         sources = "--bisystem, --descriptor, or" if "bisystem" in args else "--descriptor or"
         raise ParameterError(f"provide {sources} --family")
-    seed = _seed_or_default(args.seed)
-    # Every flag given goes to the family, and generate refuses one it does not take.
-    params = {key: getattr(args, key) for key in ("d", "angle", "split", "magnitude")
-              if getattr(args, key) is not None}
+    seed = _seed(args.seed)
+    # Every flag given goes to the family, which refuses one it does not take.
+    params = {key: getattr(args, key) for key in ("d", "split") if getattr(args, key) is not None}
+    params.update({key: _number(f"--{key}", getattr(args, key), _valid_real, -math.inf)
+                   for key in ("angle", "magnitude") if getattr(args, key) is not None})
     if args.family == "perturbed":
         if not args.base:
             raise ParameterError("perturbed needs --base naming the base family")
@@ -136,6 +154,7 @@ def _family_descriptor(args) -> dict:
 def _resolve_bisystem(args) -> tuple:
     """Returns (BiSystem, manifest inputs entry)."""
     if args.bisystem:
+        _only_source(args, "bisystem", ("descriptor", *_FAMILY_FLAGS))
         return bisystem_from_dict(load_json(args.bisystem)), {"bisystem": args.bisystem}
     desc = _family_descriptor(args)
     return generate(desc["family"], desc["params"], desc["seed"]), {"descriptor": desc}
@@ -194,13 +213,9 @@ def _table_lines(document, prefix=""):
 def cmd_validate(args) -> int:
     system = load_system(args.system)
     report = validate_pairing(system, args.eta_hyp)
-    document = {
-        "diagonals": [float(v) for v in report.diagonals],
-        "per_index_ok": [bool(v) for v in report.per_index_ok],
-        "ok": report.ok,
-        "tolerance": report.tolerance,
-        "manifest": _manifest(args, {"system": args.system}),
-    }
+    document = {**vars(report), "diagonals": report.diagonals.tolist(),
+                "per_index_ok": report.per_index_ok.tolist(),
+                "manifest": _manifest(args, {"system": args.system})}
     _emit(document, args)
     return 0 if report.ok else 2
 
@@ -225,18 +240,16 @@ def cmd_coherence(args) -> int:
 def cmd_verify(args) -> int:
     bisystem, inputs = _resolve_bisystem(args)
     if args.signal:
+        _only_source(args, "signal", ("sample",))
         x = signal_from_dict(load_json(args.signal))
         inputs["signal"] = args.signal
     else:
-        sample_seed = _seed_or_default(args.sample)
-        space = admissible_space(bisystem, args.tol_rank)
-        x = sample_admissible(space, sample_seed)
-        inputs["sample_seed"] = sample_seed
+        inputs["sample_seed"] = sample_seed = _seed(args.sample)
+        x = sample_admissible(admissible_space(bisystem, args.tol_rank), sample_seed)
     sets = {}
     if args.set_m is not None or args.set_n is not None:
-        set_m, set_n = _parse_set(args.set_m), _parse_set(args.set_n)
-        sets = {"set_m": sorted(set_m), "set_n": sorted(set_n)}
-        cert = verify_fskpb(bisystem, x, set_m, set_n, eta=args.eta,
+        sets = {"set_m": _index_set(args.set_m), "set_n": _index_set(args.set_n)}
+        cert = verify_fskpb(bisystem, x, sets["set_m"], sets["set_n"], eta=args.eta,
                             tol_fp=args.tol_fp, tol_cert=args.tol_cert)
     else:
         cert = verify_fkdb(bisystem, x, eta=args.eta, tol_fp=args.tol_fp,
@@ -248,13 +261,9 @@ def cmd_verify(args) -> int:
     return 0 if cert.hypothesis_ok and cert.satisfied else 2
 
 
-def _parse_set(text):
-    if text is None or text == "":
-        return ()
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise ParameterError(f"cannot parse index set {text!r}; expected e.g. 0,2,5")
+def _index_set(text) -> list:
+    """The sorted distinct indices of comma-separated text, each decided by _number."""
+    return sorted({_number("index", v, _valid_integer, 0) for v in text.split(",")} if text else ())
 
 
 def cmd_search(args) -> int:
@@ -262,16 +271,8 @@ def cmd_search(args) -> int:
     space = admissible_space(bisystem, args.tol_rank)
     report = min_sparsity_product(bisystem, space, eta=args.eta,
                                   guard=args.guard, tol_rank=args.tol_rank)
-    document = {
-        "best_lhs": report.best_lhs,
-        "rhs_at_witness": report.rhs_at_witness,
-        "gap": report.gap,
-        "patterns_searched": report.patterns_searched,
-        "witness": signal_to_dict(report.witness),
-        "guard": report.guard,
-        "eta": report.eta,
-        "manifest": _manifest(args, inputs, guard=args.guard),
-    }
+    document = {**vars(report), "witness": signal_to_dict(report.witness),
+                "manifest": _manifest(args, inputs, guard=args.guard)}
     _emit(document, args)
     return 0
 
@@ -293,11 +294,9 @@ def cmd_generate(args) -> int:
 
 def cmd_sample(args) -> int:
     bisystem, inputs = _resolve_bisystem(args)
-    seed = _seed_or_default(args.sample)
-    space = admissible_space(bisystem, args.tol_rank)
-    x = sample_admissible(space, seed)
-    document = signal_to_dict(x)
-    document["manifest"] = _manifest(args, inputs, sample_seed=seed)
+    seed = _seed(args.sample)
+    x = sample_admissible(admissible_space(bisystem, args.tol_rank), seed)
+    document = {**signal_to_dict(x), "manifest": _manifest(args, inputs, sample_seed=seed)}
     _emit(document, args)
     return 0
 
@@ -329,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[output], help="emit a bound certificate for one signal")
     _add_bisystem_source(p)
     p.add_argument("--signal", help="signal JSON file")
-    p.add_argument("--sample", type=int, default=None,
-                   help="sample an admissible signal with this seed")
+    p.add_argument("--sample", help="sample an admissible signal with this seed")
     p.add_argument("--set-m", help="comma-separated index set for the first system")
     p.add_argument("--set-n", help="comma-separated index set for the second system")
     _add_tolerances(p, "--eta", "--tol-fp", "--tol-cert", "--tol-rank")
@@ -339,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[output],
                        help="exhaustive minimal sparsity-product search")
     _add_bisystem_source(p)
-    p.add_argument("--guard", type=_guard, default=GUARD, help="largest n + m searched")
+    p.add_argument("--guard", type=_flag(_valid_integer, 2), default=GUARD,
+                   help="largest n + m searched")
     _add_tolerances(p, "--eta", "--tol-rank")
     p.set_defaults(func=cmd_search)
 
@@ -351,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", parents=[output], help="sample an admissible signal")
     _add_bisystem_source(p)
-    p.add_argument("--sample", type=int, default=None, help="sampling seed")
+    p.add_argument("--sample", help="sampling seed")
     _add_tolerances(p, "--tol-rank")
     p.set_defaults(func=cmd_sample)
 

@@ -58,10 +58,23 @@ def _valid_integer(name: str, value, least: int) -> int:
     return int(value)
 
 
-def _valid_array(name: str, a) -> np.ndarray:
-    """a as an array when every entry is finite; a NaN or infinite entry
-    would pass or fail every threshold against it silently."""
-    a = np.asarray(a)
+def _valid_array(name: str, a, dtype=None) -> np.ndarray:
+    """a as an array of dtype (numpy's own when None) when it is a regular
+    nesting of numbers, all finite: a NaN or infinite entry would pass or
+    fail every threshold against it silently.  A real dtype never drops a
+    nonzero imaginary part."""
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:  # ragged nesting
+        raise StructuralError(f"cannot parse {name}: {exc}") from None
+    if a.dtype.kind not in "biufc":  # strings, objects
+        raise StructuralError(f"cannot parse {name}: entries of type {a.dtype} are not numbers")
+    if dtype is not None:
+        if np.iscomplexobj(a) and np.dtype(dtype).kind != "c":
+            if np.any(a.imag != 0):
+                raise StructuralError(f"{name} has complex entries but the field is real")
+            a = a.real
+        a = a.astype(dtype, copy=False)
     if not np.all(np.isfinite(a)):
         raise StructuralError(f"{name} contains non-finite entries")
     return a

@@ -23,7 +23,7 @@ def dft_matrix(d: int) -> np.ndarray:
 
 def forward(h) -> np.ndarray:
     """Unitary DFT of h: sum_k h_k exp(-2 pi i j k / d) / sqrt(d)."""
-    h = np.asarray(_valid_array("sequence", h), dtype=np.complex128).ravel()
+    h = _valid_array("sequence", h, np.complex128).ravel()
     if h.size == 0:
         raise ParameterError("transform length must be positive, got 0")
     return np.fft.fft(h, norm="ortho")

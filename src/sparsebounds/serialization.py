@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _valid_integer
+from .config import _valid_array, _valid_integer
 from .errors import ParameterError, StructuralError
 from .systems import COMPLEX, REAL, BiSystem, PairedSystem
 
@@ -39,10 +39,7 @@ def _decode(values, field_tag: str, name: str) -> np.ndarray:
     """Inverse of _encode: complex fields read trailing [re, im] pairs bit for bit."""
     if field_tag not in (REAL, COMPLEX):
         raise StructuralError(f"unknown field tag {field_tag!r}")
-    try:
-        a = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"cannot parse {name}: {exc}")
+    a = _valid_array(name, values, np.float64)
     if field_tag != COMPLEX:
         return a
     if a.shape[-1:] != (2,):

@@ -29,19 +29,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _coerce(a, field_tag: str, name: str) -> np.ndarray:
-    """a as a finite array of the field's dtype; a real field refuses a
-    nonzero imaginary part instead of dropping it."""
-    a = np.asarray(a)
-    if field_tag == REAL and np.iscomplexobj(a):
-        if np.any(a.imag != 0):
-            raise StructuralError(f"{name} has complex entries but the field is real")
-        a = a.real
-    return _valid_array(name, np.asarray(a, dtype=_DTYPES[field_tag]))
-
-
 def _as_matrix(a, field_tag: str, name: str) -> np.ndarray:
-    a = _coerce(a, field_tag, name)
+    a = _valid_array(name, a, _DTYPES[field_tag])
     if a.ndim != 2:
         raise StructuralError(f"{name} must be a 2-d matrix, got ndim={a.ndim}")
     return a
@@ -143,7 +132,7 @@ def from_hilbert_vectors(vectors) -> PairedSystem:
 
 
 def _as_signal(field_tag: str, x, length: int, name: str) -> np.ndarray:
-    x = _coerce(x, field_tag, name)
+    x = _valid_array(name, x, _DTYPES[field_tag])
     if x.shape != (length,):
         raise StructuralError(f"{name} has shape {x.shape}, expected ({length},)")
     return x

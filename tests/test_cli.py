@@ -292,11 +292,30 @@ def test_manifest_pinned(tmp_path, monkeypatch, capsys, files, argv, manifest):
      ["sample", "--descriptor", "desc.json"]),
     ({}, ["verify", "--family", "rotated_pair", "--d", "3", "--angle", "nan", "--sample", "1"]),
     ({}, ["verify", "--family", "dft_pair", "--d", "4", "--sample", "1", "--set-m", "a,b"]),
+    ({"bis.json": json.dumps(BISYSTEM_1X1)},
+     ["verify", "--bisystem", "bis.json", "--family", "identity_pair", "--d", "9", "--angle", "3",
+      "--sample", "1"]),
+    ({"bis.json": json.dumps(BISYSTEM_1X1)}, ["sample", "--bisystem", "bis.json", "--seed", "2"]),
+    ({"bis.json": json.dumps(BISYSTEM_1X1), "desc.json": descriptor("dft_pair", {"d": 4})},
+     ["search", "--bisystem", "bis.json", "--descriptor", "desc.json"]),
+    ({"sig.json": json.dumps({"coordinates": [1, 0, 0, 0]})},
+     ["verify", "--family", "dft_pair", "--d", "4", "--signal", "sig.json", "--sample", "5"]),
+    ({"desc.json": descriptor("dft_pair", {"d": 4})},
+     ["verify", "--descriptor", "desc.json", "--family", "dft_pair", "--sample", "1"]),
+    ({"desc.json": descriptor("dft_pair", {"d": 4})},
+     ["sample", "--descriptor", "desc.json", "--d", "8"]),
+    ({"desc.json": descriptor("dft_pair", {"d": 4})},
+     ["generate", "--descriptor", "desc.json", "--seed", "3", "--out", "g"]),
+    ({"desc.json": descriptor("perturbed", {"base": {"family": "dft_pair", "params": {"d": 3}}})},
+     ["sample", "--descriptor", "desc.json", "--magnitude", "0.1"]),
 ], ids=["signal-nan", "signal-infinity", "concentrated-signal-infinity", "descriptor-d-string",
         "descriptor-d-bool", "descriptor-seed-string", "system-d-string", "unused-angle",
         "base-without-perturbed", "unused-base-split", "misspelled-parameter",
         "unknown-family", "descriptor-angle-string", "descriptor-angle-bool",
-        "descriptor-magnitude-string", "angle-nan", "set-m-not-integers"])
+        "descriptor-magnitude-string", "angle-nan", "set-m-not-integers",
+        "bisystem-with-family-flags", "bisystem-with-seed", "bisystem-with-descriptor",
+        "signal-with-sample", "descriptor-with-family", "descriptor-with-d",
+        "descriptor-with-seed", "descriptor-with-magnitude"])
 def test_refused_input_exits_1_with_no_output(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
@@ -306,6 +325,95 @@ def test_refused_input_exits_1_with_no_output(tmp_path, monkeypatch, capsys, fil
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
+
+
+# Each numeric flag (and set index) with an argv that reads it at V, and the
+# two texts of one integral value it accepts.
+NUMERIC_FLAGS = {
+    "d": (["sample", "--family", "identity_pair", "--d", "V", "--sample", "1"], "4"),
+    "split": (["sample", "--family", "subspace_union", "--d", "5", "--split", "V",
+               "--sample", "1"], "4"),
+    "seed": (["sample", "--family", "subspace_union", "--d", "5", "--split", "2", "--seed", "V",
+              "--sample", "1"], "4"),
+    "sample": (["sample", "--family", "dft_pair", "--d", "4", "--sample", "V"], "4"),
+    "angle": (["verify", "--family", "rotated_pair", "--d", "2", "--angle", "V",
+               "--sample", "1"], "4"),
+    "magnitude": (["sample", "--family", "perturbed", "--base", "dft_pair", "--d", "3",
+                   "--magnitude", "V"], "0"),
+    "guard": (["search", "--family", "identity_pair", "--d", "2", "--guard", "V"], "4"),
+    "eta": (["verify", "--family", "dft_pair", "--d", "4", "--signal", "comb.json",
+             "--eta", "V"], "4"),
+    "eta-hyp": (["validate", "sys.json", "--eta-hyp", "V"], "4"),
+    "tol-fp": (["verify", "--family", "dft_pair", "--d", "4", "--sample", "1",
+                "--tol-fp", "V"], "4"),
+    "tol-cert": (["verify", "--family", "dft_pair", "--d", "4", "--sample", "1",
+                  "--tol-cert", "V"], "4"),
+    "tol-rank": (["sample", "--family", "dft_pair", "--d", "4", "--sample", "1",
+                  "--tol-rank", "V"], "4"),
+    "set-index": (["verify", "--family", "dft_pair", "--d", "4", "--sample", "1",
+                   "--set-m", "0,V", "--set-n", "V"], "3"),
+    "$SPARSEBOUNDS_SEED": (["sample", "--family", "dft_pair", "--d", "4"], "4"),
+}
+
+# Text that is no JSON number, or one no rule of the flag's kind accepts.
+NOT_NUMBERS = ["1_0", "\u0664", "0x4", "+4", "007", ".5", "4.", "nan", "Infinity", "true"]
+
+
+def run_flag(tmp_path, monkeypatch, flag, text):
+    """Exit code of the flag's argv with its value at text;
+    usage errors exit through SystemExit, the others return."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sys.json").write_text(json.dumps(SYSTEM_1X1))
+    (tmp_path / "comb.json").write_text(json.dumps({"coordinates": [8, 0, 8, 0]}))
+    argv, _ = NUMERIC_FLAGS[flag]
+    monkeypatch.delenv("SPARSEBOUNDS_SEED", raising=False)
+    if flag.startswith("$"):
+        monkeypatch.setenv(flag[1:], text)
+    try:
+        code = main([a.replace("V", text) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    return code
+
+
+@pytest.mark.parametrize("flag", NUMERIC_FLAGS)
+def test_integral_float_flag_text_means_the_integer(tmp_path, monkeypatch, capsys, flag):
+    """4 and 4.0 are one value, as in a descriptor file: same stdout, bytes and all."""
+    value = NUMERIC_FLAGS[flag][1]
+    outputs = []
+    for text in (value, value + ".0"):
+        code = run_flag(tmp_path, monkeypatch, flag, text)
+        captured = capsys.readouterr()
+        assert code in (0, 2), captured.err
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("text", NOT_NUMBERS)
+@pytest.mark.parametrize("flag", NUMERIC_FLAGS)
+def test_flag_text_not_a_json_number_exits_1(tmp_path, monkeypatch, capsys, flag, text):
+    assert run_flag(tmp_path, monkeypatch, flag, text) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_real_flags_recorded_as_floats(capsys):
+    """Integral text on a real flag is recorded as the float it means."""
+    assert main(["verify", "--family", "rotated_pair", "--d", "2", "--angle", "30",
+                 "--sample", "1", "--eta", "0"]) in (0, 2)
+    out = capsys.readouterr().out
+    assert '"angle": 30.0' in out and '"eta": 0.0' in out
+
+
+def test_certified_set_recorded_deduplicated(capsys):
+    """The manifest records the set the certificate used: sorted, distinct ints."""
+    code, doc = run(capsys, "verify", "--family", "dft_pair", "--d", "4", "--sample", "1",
+                    "--set-m", "0,0", "--set-n", "1.0,1")
+    assert code in (0, 2)
+    assert doc["lhs"] == 1.0
+    assert doc["manifest"]["parameters"]["set_m"] == [0]
+    assert doc["manifest"]["parameters"]["set_n"] == [1]
 
 
 def test_integral_floats_accepted(tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""Every array taken from outside is finite: signals and sequences with a NaN
-or infinite entry are refused with StructuralError where they enter, as
-system matrices are, instead of passing or failing a threshold silently."""
+"""Every array taken from outside is a regular nesting of finite numbers:
+signals, sequences and system matrices with a NaN or infinite entry, a
+string, an object or ragged rows are refused with StructuralError where they
+enter, by one rule (config._valid_array), instead of passing or failing a
+threshold silently or escaping as a raw numpy error."""
 
 import math
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from sparsebounds import (
+    PairedSystem,
     analysis,
     best_set,
     concentration_epsilon,
@@ -42,6 +45,7 @@ ENTRY_POINTS = {
     "best_set": lambda x: best_set(x, 1),
     "ds_product": lambda x: ds_product(x),
     "forward": lambda x: forward(x),
+    "PairedSystem": lambda x: PairedSystem([x], [x]),
 }
 
 NON_FINITE = {
@@ -51,12 +55,31 @@ NON_FINITE = {
     "complex-nan": [complex(0.0, math.nan), 1.0, 0.0, 0.0],
 }
 
+NOT_NUMBERS = {
+    "strings": ["a", "b"],
+    "none": [None, 1.0],
+    "ragged": [[1], [1, 2]],
+}
 
-@pytest.mark.parametrize("x", NON_FINITE.values(), ids=NON_FINITE.keys())
+
+@pytest.mark.parametrize("x", [*NON_FINITE.values(), *NOT_NUMBERS.values()],
+                         ids=[*NON_FINITE, *NOT_NUMBERS])
 @pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
 def test_non_finite_array_rejected(call, x):
     with pytest.raises(StructuralError):
         call(x)
+
+
+@pytest.mark.parametrize("x", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+def test_not_numbers_cannot_be_parsed(x):
+    with pytest.raises(StructuralError, match="cannot parse sequence"):
+        _valid_array("sequence", x)
+
+
+def test_real_dtype_keeps_imaginary_parts():
+    assert _valid_array("a", [1 + 0j, 2], np.float64).dtype == np.float64
+    with pytest.raises(StructuralError, match="complex entries"):
+        _valid_array("a", [1 + 1j, 2], np.float64)
 
 
 def test_nan_signal_is_not_reported_as_zero():

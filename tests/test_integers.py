@@ -23,6 +23,7 @@ from sparsebounds import (
     verify_fskpb,
 )
 from sparsebounds import oracle
+from sparsebounds.cli import _number
 from sparsebounds.config import _valid_integer
 from sparsebounds.errors import GuardExceededError, ParameterError, StructuralError
 from sparsebounds.serialization import signal_from_dict, system_from_dict
@@ -88,6 +89,21 @@ def test_valid_integer_is_an_int(value):
 def test_non_integer_rejected(value):
     with pytest.raises(ParameterError):
         _valid_integer("d", value, 0)
+
+
+@pytest.mark.parametrize("text", ["4", "4.0", "4e0", "0.4E+1", "40e-1", " 4 "])
+def test_flag_text_integer_is_an_int(text):
+    # Command-line text is read as a JSON number, then by the integer rule.
+    got = _number("--d", text, _valid_integer, 1)
+    assert got == 4 and type(got) is int
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0664", "1\u0664", "0x4", "+4", "007", ".5", "4.",
+                                  "nan", "NaN", "Infinity", "true", '"4"', "[4]", "4.5",
+                                  "-1", "1e999", "", "4 4"])
+def test_flag_text_not_an_integer_rejected(text):
+    with pytest.raises(ParameterError, match="--seed must be an integer >= 0"):
+        _number("--seed", text, _valid_integer, 0)
 
 
 def test_below_least_rejected():
