@@ -8,12 +8,12 @@ from typing import Optional
 import numpy as np
 
 from . import dft
-from .admissible import AdmissibleSpace, sample_admissible
+from .admissible import AdmissibleSpace, _samples
 from .coherence import CoherenceProfile, coherence_profile
 from .config import ETA, TOL_CERT, TOL_FP, _valid_array, _valid_integer, _valid_real
 from .errors import DegenerateInputError
 from .sparsity import _concentration, _counts, _top_defects, l0, l1
-from .systems import _DTYPES, BiSystem, _as_signal, validate_pairing
+from .systems import _DTYPES, BiSystem, _apply, _as_signal, validate_pairing
 
 
 def ds_product(h, eta: float = ETA) -> tuple:
@@ -146,18 +146,13 @@ def _in_field(bisystem: BiSystem, x) -> np.ndarray:
 def _analyse(bisystem: BiSystem, x: np.ndarray) -> _Signal:
     """x, one signal (d,) or a stack (k, d) in the bisystem's field, analysed
     by each system's matrices directly, so a real system pairs with a complex
-    one.  numpy's matmul runs one BLAS matrix-vector product per row of a
-    stack, so each row has the bits of the same signal analysed alone."""
+    one.  Each row of a stack has the bits of the same signal analysed
+    alone (systems._apply)."""
     first, second = bisystem.first, bisystem.second
     a, b = _apply(first.functionals, x), _apply(second.functionals, x)
     r_f = np.abs(x - _apply(first.vectors, a)).max(axis=-1)
     r_g = np.abs(x - _apply(second.vectors, b)).max(axis=-1)
     return _Signal(a, b, r_f, r_g)
-
-
-def _apply(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """matrix @ v for the vector x, or for every row v of a stack x."""
-    return (matrix @ x[..., None])[..., 0]
 
 
 def _signal(prep: _Prepared, x) -> _Signal:
@@ -244,6 +239,8 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
                       concentrated_subsample: int = 5) -> VerifySummary:
     """Verify certificates on many sampled admissible signals.
 
+    Trial t certifies sample_admissible(space, seed + t), bit for bit, so a
+    failing seed replays alone; each block of trials is seeded in one pass.
     On the first `concentrated_subsample` signals, also checks the
     concentrated certificate with M, N chosen by best_set at every
     cardinality pair.  The certificates are evaluated as arrays, and the
@@ -259,7 +256,7 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
     failing = []
     for start in range(0, trials, _SWEEP_BLOCK):
         block = range(start, min(start + _SWEEP_BLOCK, trials))
-        x = np.array([sample_admissible(space, seed + t) for t in block])
+        x = _samples(space, range(seed + block.start, seed + block.stop))
         zero = np.flatnonzero(_counts(x, eta) == 0)
         sig = _analyse(bisystem, _valid_array("signal", x, _DTYPES[bisystem.field]))
         # A zero signal ends the sweep, as it ends the loop of single

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
@@ -22,7 +21,17 @@ from . import __version__
 from .admissible import _MAGNITUDE, FAMILIES, admissible_space, generate, sample_admissible
 from .bounds import verify_fkdb, verify_fskpb
 from .coherence import coherence_profile, gram, sub_coherence
-from .config import ETA, ETA_HYP, GUARD, TOL_CERT, TOL_FP, TOL_RANK, _valid_integer, _valid_real
+from .config import (
+    ETA,
+    ETA_HYP,
+    GUARD,
+    TOL_CERT,
+    TOL_FP,
+    TOL_RANK,
+    _number,
+    _valid_integer,
+    _valid_real,
+)
 from .errors import ParameterError, SparseBoundsError, StructuralError
 from .oracle import min_sparsity_product
 from .serialization import (
@@ -38,18 +47,6 @@ from .serialization import (
 from .systems import validate_pairing
 
 SEED_ENV = "SPARSEBOUNDS_SEED"
-
-
-def _number(name: str, text: str, rule, *domain):
-    """text read as a JSON number, as in a descriptor file, then decided by
-    config's rule: an int by _valid_integer (4.0 is 4), a float by
-    _valid_real (30 is 30.0); the rule refuses other text (1_0, +4, nan)."""
-    try:
-        value = json.loads(text)
-    except (ValueError, RecursionError):
-        value = text
-    value = rule(name, value, *domain)
-    return float(value) if rule is _valid_real else value
 
 
 def _flag(rule, *domain):
@@ -121,7 +118,7 @@ def _only_source(args, source: str, flags=_FAMILY_FLAGS) -> None:
     """Refuses a flag of flags given with a source that does not read it."""
     for flag in flags:
         if getattr(args, flag, None) is not None:
-            raise ParameterError(f"--{flag} does not apply to --{source}")
+            raise ParameterError(f"--{flag.replace('_', '-')} does not apply to --{source}")
 
 
 def _family_descriptor(args) -> dict:
@@ -240,7 +237,10 @@ def cmd_coherence(args) -> int:
 def cmd_verify(args) -> int:
     bisystem, inputs = _resolve_bisystem(args)
     if args.signal:
-        _only_source(args, "signal", ("sample",))
+        _only_source(args, "signal", ("sample", "tol_rank"))
+    # Only sampling reads --tol-rank; the manifest records its value either way.
+    args.tol_rank = TOL_RANK if args.tol_rank is None else args.tol_rank
+    if args.signal:
         x = signal_from_dict(load_json(args.signal))
         inputs["signal"] = args.signal
     else:
@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set-m", help="comma-separated index set for the first system")
     p.add_argument("--set-n", help="comma-separated index set for the second system")
     _add_tolerances(p, "--eta", "--tol-fp", "--tol-cert", "--tol-rank")
-    p.set_defaults(func=cmd_verify)
+    # Unset unless given, so that a --signal run can refuse it (cmd_verify).
+    p.set_defaults(func=cmd_verify, tol_rank=None)
 
     p = sub.add_parser("search", parents=[output],
                        help="exhaustive minimal sparsity-product search")

@@ -3,9 +3,11 @@
 Every tolerance is a plain module constant and every public function that
 uses one takes it as a keyword argument, so nothing is hard-coded into the
 math itself.  Each kind of outside value has one rule: _valid_real,
-_valid_integer and _valid_array.
+_valid_integer and _valid_array; number text (a flag's, a CSV entry's) is
+read by _number.
 """
 
+import json
 import math
 
 import numpy as np
@@ -56,6 +58,19 @@ def _valid_integer(name: str, value, least: int) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
         raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _number(name: str, text: str, rule, *domain):
+    """text (a flag's or a CSV entry's) read as a JSON number, as in a
+    descriptor file, then decided by rule: an int by _valid_integer (4.0 is
+    4), a float by _valid_real (30 is 30.0); the rule refuses other text
+    (1_0, +4, nan)."""
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError):
+        value = text
+    value = rule(name, value, *domain)
+    return float(value) if rule is _valid_real else value
 
 
 def _valid_array(name: str, a, dtype=None) -> np.ndarray:

@@ -10,19 +10,21 @@ Signal JSON:   { "field": ..., "d": int, "coordinates": [...] }.
 
 CSV alternative: a manifest JSON
   { "field": ..., "d": ..., "n": ..., "vectors_csv": path, "functionals_csv": path }
-with each CSV holding one matrix row per line; complex entries use Python
-literals such as 1+2j.
+with each CSV holding one matrix row per line.  Each entry is number text,
+read as a flag's is; a complex entry joins two, such as 1+2j.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 
-from .config import _valid_array, _valid_integer
+from .config import _number, _valid_array, _valid_integer, _valid_real
 from .errors import ParameterError, StructuralError
 from .systems import COMPLEX, REAL, BiSystem, PairedSystem
 
@@ -118,11 +120,21 @@ def _read_csv_matrix(path: Path, field_tag: str) -> list:
         raise StructuralError(f"cannot read {path}: {exc}")
 
 
+# An entry ending in j: [real](+|-)imaginary j, the imaginary part taken from
+# its sign on; a sign after e or E belongs to an exponent.
+_COMPLEX_ENTRY = re.compile(r"(.*?)([+-]?(?:[eE][+-]?|[^+\-eE])*)j")
+
+
 def _parse_entry(text: str, field_tag: str):
+    """A CSV entry: a real number, or a complex one such as 1+2j, 2.5e-3-1j
+    or -2j; each part is number text, read by config._number as a flag's is."""
+    parts = _COMPLEX_ENTRY.fullmatch(text.strip())
+    real, imag = (parts[1] or "0", parts[2].removeprefix("+")) if parts else (text, "0")
     try:
-        value = complex(text.strip())
-    except ValueError as exc:
-        raise StructuralError(f"cannot parse CSV entry {text!r}: {exc}")
+        value = complex(_number("real part", real, _valid_real, -math.inf),
+                        _number("imaginary part", imag, _valid_real, -math.inf))
+    except ParameterError as exc:
+        raise StructuralError(f"cannot parse CSV entry {text!r}: {exc}") from None
     if field_tag == REAL:
         if value.imag != 0.0:
             raise StructuralError(f"complex entry {text!r} in a real-field matrix")

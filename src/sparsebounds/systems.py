@@ -138,6 +138,13 @@ def _as_signal(field_tag: str, x, length: int, name: str) -> np.ndarray:
     return x
 
 
+def _apply(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """matrix @ v for the vector x, or for every row v of a stack x.  numpy's
+    matmul runs one BLAS matrix-vector product per row of a stack, so each
+    row has the bits of matrix @ v for that row alone."""
+    return (matrix @ x[..., None])[..., 0]
+
+
 def analysis(system: PairedSystem, x) -> np.ndarray:
     """Apply the analysis operator: x -> (f_j(x))_j."""
     return system.functionals @ _as_signal(system.field, x, system.d, "signal")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sparsebounds import (
@@ -13,12 +13,31 @@ from sparsebounds import (
     sample_admissible,
     validate_pairing,
 )
-from sparsebounds.admissible import AdmissibleSpace, _below_cutoff, _rank, null_space_basis
+from sparsebounds.admissible import (
+    AdmissibleSpace,
+    _below_cutoff,
+    _pcg64_states,
+    _rank,
+    _samples,
+    null_space_basis,
+)
 from sparsebounds.bounds import fixedpoint_residuals
 from sparsebounds.coherence import coherence_profile, sub_coherence
 from sparsebounds.errors import NoAdmissibleSignalError, ParameterError
 
 TOL_FP = 1e-9
+
+
+def reference_sample(space, seed):
+    """The sampling contract written out with NumPy's own seeding: basis @ c,
+    c drawn by default_rng(seed) (real parts, then imaginary parts for a
+    complex basis) and normalized to max magnitude 1."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(space.w)
+    if np.iscomplexobj(space.basis):
+        c = c + 1j * rng.standard_normal(space.w)
+    c = c / np.abs(c).max()
+    return space.basis @ c
 
 
 def plane_system(columns):
@@ -272,6 +291,57 @@ class TestSampling:
             sample_admissible(space, seed)
         with pytest.raises(ParameterError, match="seed"):
             generate("subspace_union", {"d": 4, "split": 2}, seed)
+
+
+# Seeds of 1 to 10 entropy words: up to the pool size they are zero-padded,
+# past it each word is one more mixing round.
+MIXED_WORD_COUNTS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1, 2**96 + 5, 2**128 - 1,
+                     2**128, 2**128 + 1, 2**130, 2**160 + 7, 2**300, 2**319 + 3]
+
+
+class TestSeeding:
+    """The seeding pass of _samples against NumPy's own SeedSequence and
+    PCG64, and its rows against reference_sample."""
+
+    @given(st.integers(0, 2**64 - 1))
+    @example(0)
+    @example(2**32 - 1)
+    @example(2**32)
+    @example(2**64)
+    @example(2**128 - 1)
+    @example(2**128)
+    @example(2**300)
+    def test_pcg64_state_is_numpys(self, seed):
+        want = np.random.PCG64(seed).state["state"]
+        assert _pcg64_states([seed]) == [(want["state"], want["inc"])]
+
+    def test_one_block_of_mixed_word_counts(self):
+        seeds = MIXED_WORD_COUNTS * 3 + list(range(40))
+        np.random.default_rng(1).shuffle(seeds)
+        want = [np.random.PCG64(s).state["state"] for s in seeds]
+        assert _pcg64_states(seeds) == [(w["state"], w["inc"]) for w in want]
+
+    @pytest.mark.parametrize("family,params", [
+        ("identity_pair", {"d": 1}),                                  # real, w = d = 1
+        ("rotated_pair", {"d": 3, "angle": 30.0}),                    # real, w = d
+        ("subspace_union", {"d": 6, "split": 1}),                     # real, w = 1
+        ("subspace_union", {"d": 6, "split": 3}),                     # real, 1 < w < d
+        ("dft_pair", {"d": 5}),                                       # complex, w = d
+        ("perturbed", {"base": {"family": "dft_pair", "params": {"d": 4}}}),  # complex, w = d
+    ])
+    def test_rows_are_reference_samples(self, family, params):
+        space = admissible_space(generate(family, params, seed=2))
+        seeds = list(range(60)) + MIXED_WORD_COUNTS
+        got = _samples(space, seeds)
+        assert got.shape == (len(seeds), space.basis.shape[0])
+        for row, seed in zip(got, seeds):
+            assert row.tobytes() == reference_sample(space, seed).tobytes()
+            assert sample_admissible(space, seed).tobytes() == row.tobytes()
+
+    def test_complex_basis_of_one_column(self):
+        space = AdmissibleSpace(np.array([[1j], [0.0], [1.0]]) / np.sqrt(2), 1)
+        for seed in (0, 7, 2**128 + 1):
+            assert _samples(space, [seed])[0].tobytes() == reference_sample(space, seed).tobytes()
 
 
 class TestFamilies:

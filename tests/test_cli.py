@@ -246,7 +246,13 @@ BISYSTEM_1X1 = {"first": SYSTEM_1X1, "second": SYSTEM_1X1}
      ["sample", "--bisystem", "bis.json", "--sample", "4", "--tol-rank", "1e-11"],
      {"command": "sample", "inputs": {"bisystem": "bis.json"},
       "parameters": {"sample_seed": 4, "tol_rank": 1e-11}}),
-], ids=["validate", "coherence", "verify", "search", "generate", "sample"])
+    ({"sig.json": '{"coordinates": [1, 0, 1, 0]}'},
+     ["verify", "--family", "dft_pair", "--d", "4", "--signal", "sig.json"],
+     {"command": "verify",
+      "inputs": {"descriptor": {"family": "dft_pair", "params": {"d": 4}, "seed": 0},
+                 "signal": "sig.json"},
+      "parameters": {"eta": 1e-9, "tol_fp": 1e-9, "tol_cert": 1e-9, "tol_rank": 1e-10}}),
+], ids=["validate", "coherence", "verify", "search", "generate", "sample", "verify-signal"])
 def test_manifest_pinned(tmp_path, monkeypatch, capsys, files, argv, manifest):
     """The whole manifest of each command: every tolerance flag it takes, its
     explicit parameters, its inputs, and the version."""
@@ -308,6 +314,10 @@ def test_manifest_pinned(tmp_path, monkeypatch, capsys, files, argv, manifest):
      ["generate", "--descriptor", "desc.json", "--seed", "3", "--out", "g"]),
     ({"desc.json": descriptor("perturbed", {"base": {"family": "dft_pair", "params": {"d": 3}}})},
      ["sample", "--descriptor", "desc.json", "--magnitude", "0.1"]),
+    ({"sig.json": json.dumps({"coordinates": [1, 0, 1, 0]})},
+     ["verify", "--family", "dft_pair", "--d", "4", "--signal", "sig.json", "--tol-rank", "0.5"]),
+    ({"sys.json": json.dumps({**CSV_MANIFEST, "functionals_csv": "f.csv"}),
+      "v.csv": "1_0\n", "f.csv": "\u0664\n"}, ["validate", "sys.json"]),
 ], ids=["signal-nan", "signal-infinity", "concentrated-signal-infinity", "descriptor-d-string",
         "descriptor-d-bool", "descriptor-seed-string", "system-d-string", "unused-angle",
         "base-without-perturbed", "unused-base-split", "misspelled-parameter",
@@ -315,7 +325,8 @@ def test_manifest_pinned(tmp_path, monkeypatch, capsys, files, argv, manifest):
         "descriptor-magnitude-string", "angle-nan", "set-m-not-integers",
         "bisystem-with-family-flags", "bisystem-with-seed", "bisystem-with-descriptor",
         "signal-with-sample", "descriptor-with-family", "descriptor-with-d",
-        "descriptor-with-seed", "descriptor-with-magnitude"])
+        "descriptor-with-seed", "descriptor-with-magnitude", "signal-with-tol-rank",
+        "csv-entries-outside-number-grammar"])
 def test_refused_input_exits_1_with_no_output(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():

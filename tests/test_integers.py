@@ -23,8 +23,7 @@ from sparsebounds import (
     verify_fskpb,
 )
 from sparsebounds import oracle
-from sparsebounds.cli import _number
-from sparsebounds.config import _valid_integer
+from sparsebounds.config import _number, _valid_integer
 from sparsebounds.errors import GuardExceededError, ParameterError, StructuralError
 from sparsebounds.serialization import signal_from_dict, system_from_dict
 

@@ -35,6 +35,7 @@ from sparsebounds.config import ETA, GUARD, TOL_CERT, TOL_FP, TOL_RANK
 from sparsebounds.dft import dft_matrix
 from sparsebounds import oracle
 from sparsebounds.oracle import _pattern_order, _report
+from test_admissible import reference_sample
 
 
 def reference_search(bisystem, space, eta=ETA, guard=GUARD, tol_rank=TOL_RANK):
@@ -471,14 +472,15 @@ class TestExhaustiveVerify:
 
 def reference_verify(bisystem, space, trials, seed=0, eta=ETA, tol_fp=TOL_FP,
                      tol_cert=TOL_CERT, concentrated_subsample=5):
-    """exhaustive_verify written as a plain loop over the public certificates."""
+    """exhaustive_verify written as a plain loop over the public certificates,
+    its signals drawn by the test's own sampler, not the library's."""
     n, m = bisystem.first.n, bisystem.second.n
     tols = {"eta": eta, "tol_fp": tol_fp, "tol_cert": tol_cert}
     satisfied = conc_checked = conc_ok = 0
     min_margin = np.inf
     failing = []
     for t in range(trials):
-        x = sample_admissible(space, seed + t)
+        x = reference_sample(space, seed + t)
         cert = verify_fkdb(bisystem, x, **tols)
         min_margin = min(min_margin, cert.lhs - cert.rhs)
         if cert.hypothesis_ok and cert.satisfied:

@@ -6,6 +6,7 @@ import pytest
 from sparsebounds import generate, identity_system
 from sparsebounds.errors import StructuralError
 from sparsebounds.serialization import (
+    _parse_entry,
     bisystem_from_dict,
     bisystem_to_dict,
     canonical_json,
@@ -121,6 +122,19 @@ class TestCsvLoader:
         s = load_system(path)
         assert s.vectors[0, 0] == 1j
 
+    @pytest.mark.parametrize("text,value", [
+        ("1+2j", 1 + 2j), ("1-2j", 1 - 2j), ("-2j", -2j), ("2.5e-3+1E2j", 0.0025 + 100j),
+        ("1e-3-2e-5j", 0.001 - 2e-5j), ("4", 4), ("-0.5", -0.5), ("1+0j", 1),
+    ])
+    def test_complex_csv_entry(self, text, value):
+        assert _parse_entry(text, "complex") == [value.real, value.imag]
+
+    @pytest.mark.parametrize("text", ["1_0+2j", "1+2_0j", "1+\u0664j", "j", "1+j", "1++2j",
+                                      "nan+1j", "1+infj", "(1+2j)", "1+2"])
+    def test_complex_csv_entry_outside_number_grammar(self, text):
+        with pytest.raises(StructuralError, match="cannot parse CSV entry"):
+            _parse_entry(text, "complex")
+
     def test_csv_shape_mismatch(self, tmp_path):
         (tmp_path / "v.csv").write_text("1.0,0.0\n")
         (tmp_path / "f.csv").write_text("1.0,0.0\n0.0,1.0\n")
@@ -137,7 +151,14 @@ class TestCsvLoader:
     @pytest.mark.parametrize("row,match", [
         ("1.0,x", "cannot parse CSV entry"),
         ("1.0,1+2j", "complex entry '1\\+2j' in a real-field matrix"),
-    ], ids=["unparseable-entry", "complex-entry-real-field"])
+        # Entries are number text, read as a flag's: each of these is refused.
+        ("1_0,0.0", "cannot parse CSV entry '1_0'"),
+        ("\u0664,0.0", "cannot parse CSV entry '\u0664'"),
+        ("+4,0.0", "cannot parse CSV entry '\\+4'"),
+        ("nan,0.0", "cannot parse CSV entry 'nan'"),
+        ("1.0,", "cannot parse CSV entry ''"),
+    ], ids=["unparseable-entry", "complex-entry-real-field", "underscore", "arabic-indic-digit",
+            "leading-plus", "nan", "empty"])
     def test_bad_csv_entry(self, tmp_path, row, match):
         (tmp_path / "v.csv").write_text(f"{row}\n0.0,1.0\n")
         (tmp_path / "f.csv").write_text("1.0,0.0\n0.0,1.0\n")
