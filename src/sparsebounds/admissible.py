@@ -20,6 +20,7 @@ from .systems import (
     BiSystem,
     PairedSystem,
     _apply,
+    _matmul,
     from_hilbert_vectors,
     identity_system,
 )
@@ -96,8 +97,8 @@ def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> Admissib
     stack [I - TF; I - WG]."""
     eye = np.eye(bisystem.d, dtype=_DTYPES[bisystem.field])
     stacked = np.vstack([
-        eye - bisystem.first.vectors @ bisystem.first.functionals,
-        eye - bisystem.second.vectors @ bisystem.second.functionals,
+        eye - _matmul(bisystem.first.vectors, bisystem.first.functionals),
+        eye - _matmul(bisystem.second.vectors, bisystem.second.functionals),
     ])
     basis = null_space_basis(stacked, tol_rank)
     return AdmissibleSpace(basis, basis.shape[1])
@@ -301,10 +302,11 @@ def _param(params: dict, key: str, least, default=None, real: bool = False):
 def _perturb(bisystem: BiSystem, magnitude: float, seed: int) -> BiSystem:
     """Seeded perturbation that keeps every theorem hypothesis intact.
 
-    The ambient change of basis S = I + E (spectral norm of E below
-    `magnitude`) maps the admissible subspace without changing its
-    dimension; per-index scalings tau_j -> c_j tau_j, f_j -> f_j / c_j change
-    the cross-coherences while leaving every diagonal pairing exact.
+    The ambient change of basis S = I + E, with E a seeded uniform matrix
+    scaled to spectral norm `magnitude` (up to rounding), maps the admissible
+    subspace without changing its dimension; per-index scalings
+    tau_j -> c_j tau_j, f_j -> f_j / c_j change the cross-coherences while
+    leaving every diagonal pairing exact.
     """
     rng = np.random.default_rng(seed)
     d = bisystem.d
@@ -315,8 +317,8 @@ def _perturb(bisystem: BiSystem, magnitude: float, seed: int) -> BiSystem:
 
     def apply(system: PairedSystem) -> PairedSystem:
         c = rng.uniform(1.0, 1.0 + magnitude, size=system.n)
-        vectors = (s @ system.vectors) * c[None, :]
-        functionals = (system.functionals / c[:, None]) @ s_inv
+        vectors = _matmul(s, system.vectors) * c[None, :]
+        functionals = _matmul(system.functionals / c[:, None], s_inv)
         return PairedSystem(vectors, functionals, system.field)
 
     return BiSystem(apply(bisystem.first), apply(bisystem.second))

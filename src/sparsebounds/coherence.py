@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .systems import BiSystem, PairedSystem
+from .systems import BiSystem, PairedSystem, _matmul
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class CoherenceProfile:
 
 def gram(system: PairedSystem) -> np.ndarray:
     """Matrix of pairings, entry (j, r) = f_j(tau_r)."""
-    return system.functionals @ system.vectors
+    return _matmul(system.functionals, system.vectors)
 
 
 def sub_coherence(system: PairedSystem) -> float:
@@ -46,7 +46,7 @@ def cross_coherence(f_system: PairedSystem, w_system: PairedSystem) -> float:
         raise StructuralError(
             f"ambient dimensions differ: {f_system.d} vs {w_system.d}"
         )
-    return float(np.abs(f_system.functionals @ w_system.vectors).max())
+    return float(np.abs(_matmul(f_system.functionals, w_system.vectors)).max())
 
 
 def coherence_profile(bisystem: BiSystem) -> CoherenceProfile:

@@ -9,6 +9,7 @@ the stored row, which is what :func:`from_hilbert_vectors` does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,11 @@ def _as_matrix(a, field_tag: str, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairedSystem:
-    """Matched collections (tau_j, f_j): vectors d x n, functionals n x d."""
+    """Matched collections (tau_j, f_j): vectors d x n, functionals n x d.
+
+    Its arrays are private read-only copies, so per-system invariants such
+    as the pairing diagonals are computed once and kept on the instance.
+    """
 
     vectors: np.ndarray
     functionals: np.ndarray
@@ -64,6 +69,11 @@ class PairedSystem:
     @property
     def n(self) -> int:
         return self.vectors.shape[1]
+
+    @cached_property
+    def _diagonals(self) -> np.ndarray:
+        """The diagonal pairing magnitudes |f_j(tau_j)|, read-only."""
+        return _frozen(np.abs(np.einsum("jd,dj->j", self.functionals, self.vectors)))
 
 
 @dataclass(frozen=True)
@@ -109,7 +119,7 @@ class ValidationReport:
 
 def validate_pairing(system: PairedSystem, eta_hyp: float = ETA_HYP) -> ValidationReport:
     """Check the hypothesis |f_j(tau_j)| >= 1 for every index j."""
-    diag = np.abs(np.einsum("jd,dj->j", system.functionals, system.vectors))
+    diag = system._diagonals
     per_index = diag >= 1.0 - _valid_real("eta_hyp", eta_hyp)
     return ValidationReport(diag, per_index, bool(per_index.all()), eta_hyp)
 
@@ -143,6 +153,35 @@ def _apply(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     matmul runs one BLAS matrix-vector product per row of a stack, so each
     row has the bits of matrix @ v for that row alone."""
     return (matrix @ x[..., None])[..., 0]
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with a @ b's dtype, an operand whose imaginary part is exactly
+    zero multiplied as the real matrix it is.
+
+    numpy casts a real operand of a mixed product to complex, and a complex
+    product costs about four real ones.  Here real-valued @ real-valued is
+    one real product, and real-valued @ complex, or the reverse, one real
+    product with the complex operand's real and imaginary parts side by
+    side.  Complex @ complex and real @ real are a @ b, bit for bit.
+    """
+    dtype = np.result_type(a, b)
+    ra, rb = _real_part(a), _real_part(b)
+    if dtype.kind != "c" or ra is None and rb is None:
+        return a @ b
+    # A C-ordered complex matrix viewed as real holds each column's real and
+    # imaginary parts in two adjacent columns; so does a real matrix times it.
+    if rb is None:
+        return (ra @ np.ascontiguousarray(b).view(b.real.dtype)).view(dtype)
+    if ra is None:
+        # a @ b is the transpose of b^T @ a^T.
+        return (rb.T @ np.ascontiguousarray(a.T).view(a.real.dtype)).view(dtype).T
+    return (ra @ rb).astype(dtype)
+
+
+def _real_part(m: np.ndarray):
+    """m's real part when its imaginary part is exactly zero, else None."""
+    return None if np.iscomplexobj(m) and m.imag.any() else m.real
 
 
 def analysis(system: PairedSystem, x) -> np.ndarray:

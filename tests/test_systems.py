@@ -5,16 +5,25 @@ from hypothesis import strategies as st
 
 from sparsebounds import (
     BiSystem,
+    CoherenceProfile,
     PairedSystem,
+    admissible_space,
     analysis,
+    coherence_profile,
+    exhaustive_verify,
     from_hilbert_vectors,
+    generate,
     identity_system,
+    sample_admissible,
     synthesis,
     validate_pairing,
     verify_fkdb,
+    verify_fskpb,
 )
+from sparsebounds import admissible
 from sparsebounds.dft import dft_matrix
 from sparsebounds.errors import HypothesisError, StructuralError
+from sparsebounds.systems import _matmul
 
 
 def rotation(angle_deg):
@@ -116,6 +125,32 @@ class TestValidatePairing:
         report = validate_pairing(PairedSystem(mb, 1.5 * mb.T))
         assert report.ok
         np.testing.assert_allclose(report.diagonals, 1.0, atol=1e-12)
+
+    def test_each_call_compares_against_its_own_eta_hyp(self):
+        mb = mercedes_benz()
+        s = PairedSystem(mb, mb.T)
+        strict, loose = validate_pairing(s), validate_pairing(s, 0.5)
+        assert not strict.ok and loose.ok
+        diag = np.abs(np.einsum("jd,dj->j", s.functionals, s.vectors))
+        assert strict.diagonals.tobytes() == loose.diagonals.tobytes() == diag.tobytes()
+
+    def test_diagonals_computed_once_per_system(self, monkeypatch):
+        calls = []
+        einsum = np.einsum
+
+        def spy(subscripts, *operands, **kwargs):
+            calls.append(subscripts)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        b = generate("dft_pair", {"d": 4}, 0)
+        space = admissible_space(b)
+        x = sample_admissible(space, 0)
+        verify_fkdb(b, x)
+        verify_fskpb(b, x, {0}, {0})
+        exhaustive_verify(b, space, 3)
+        validate_pairing(b.first, 0.5)
+        assert calls == ["jd,dj->j", "jd,dj->j"]
 
 
 class TestFromHilbertVectors:
@@ -230,3 +265,95 @@ def test_hilbert_specialization_always_passes(seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((5, 3)))
     assert validate_pairing(from_hilbert_vectors(q)).ok
+
+
+# Operand kinds of the product rule: real dtype, complex dtype with every
+# imaginary part zero (of either sign), and complex with a nonzero imaginary
+# part among imaginary parts that are partly zero.
+KINDS = ("real", "real-valued", "complex")
+
+
+def operand(rng, shape, kind):
+    real = rng.standard_normal(shape)
+    if kind == "real":
+        return real
+    out = np.empty(shape, complex)
+    out.real = real
+    if kind == "real-valued":
+        out.imag = np.copysign(0.0, rng.standard_normal(shape))
+    else:
+        out.imag = rng.standard_normal(shape) * (rng.random(shape) < 0.5)
+        out.imag[0, 0] = 1.0
+    return out
+
+
+class TestProductRule:
+    """systems._matmul: a @ b, with real-valued operands multiplied as real
+    matrices."""
+
+    @settings(deadline=None)
+    @given(shape=st.tuples(*[st.integers(min_value=1, max_value=40)] * 3),
+           kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+           seed=st.integers(min_value=0, max_value=2**16))
+    def test_matches_matmul_within_rounding(self, shape, kinds, seed):
+        rng = np.random.default_rng(seed)
+        m, k, n = shape
+        a, b = operand(rng, (m, k), kinds[0]), operand(rng, (k, n), kinds[1])
+        got, want = _matmul(a, b), a @ b
+        assert got.dtype == want.dtype and got.shape == want.shape
+        bound = 4 * k * np.finfo(float).eps * np.linalg.norm(a) * np.linalg.norm(b)
+        assert np.abs(got - want).max() <= bound
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (17, 20, 19), (64, 64, 64),
+                                       (130, 97, 33)])
+    def test_complex_and_real_dtype_pairs_keep_bits(self, kind, shape):
+        rng = np.random.default_rng(sum(shape))
+        m, k, n = shape
+        a, b = operand(rng, (m, k), kind), operand(rng, (k, n), kind)
+        got, want = _matmul(a, b), a @ b
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("diagonal_kind", ["real", "real-valued"])
+    def test_identity_and_diagonal_operands_exact(self, kind, diagonal_kind):
+        rng = np.random.default_rng(3)
+        d = 37
+        x = operand(rng, (d, d), kind)
+        for diag in (np.ones(d), rng.standard_normal(d)):
+            diagonal = np.diag(diag).astype(float if diagonal_kind == "real" else complex)
+            np.testing.assert_array_equal(_matmul(diagonal, x), diag[:, None] * x)
+            np.testing.assert_array_equal(_matmul(x, diagonal), x * diag[None, :])
+
+    @pytest.mark.parametrize("d", [4, 64, 256, 512])
+    def test_dft_pair_keeps_plain_matmul_bits(self, monkeypatch, d):
+        """Every real-valued operand of dft_pair's mixed products is I, so
+        each sum has one nonzero term and the profile and admissible stack
+        equal the plain-@ expressions bit for bit."""
+        b = generate("dft_pair", {"d": d})
+        first, second = b.first, b.second
+
+        def sub(s):
+            g = np.abs(s.functionals @ s.vectors)
+            np.fill_diagonal(g, 0.0)
+            return float(g.max())
+
+        def cross(f, w):
+            return float(np.abs(f.functionals @ w.vectors).max())
+
+        assert coherence_profile(b) == CoherenceProfile(
+            sub(first), sub(second), cross(first, second), cross(second, first))
+        eye = np.eye(d, dtype=complex)
+        stacked = np.vstack([eye - first.vectors @ first.functionals,
+                             eye - second.vectors @ second.functionals])
+        stacks = []
+        null_space_basis = admissible.null_space_basis
+
+        def spy(a, tol_rank):
+            stacks.append(a)
+            return null_space_basis(a, tol_rank)
+
+        monkeypatch.setattr(admissible, "null_space_basis", spy)
+        basis = admissible_space(b).basis
+        assert stacks[0].dtype == stacked.dtype and stacks[0].tobytes() == stacked.tobytes()
+        assert basis.tobytes() == null_space_basis(stacked).tobytes()
