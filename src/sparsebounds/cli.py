@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .admissible import _MAGNITUDE, FAMILIES, admissible_space, generate, sample_admissible
 from .bounds import verify_fkdb, verify_fskpb
-from .coherence import coherence_profile, gram, sub_coherence
+from .coherence import _off_diagonal_max, coherence_profile, gram
 from .config import (
     ETA,
     ETA_HYP,
@@ -224,10 +224,10 @@ def cmd_coherence(args) -> int:
     if "first" in doc and "second" in doc:
         body = coherence_profile(bisystem_from_dict(doc)).as_dict()
     else:
-        system = _system_from_document(doc, Path(args.input).parent)
+        g = gram(_system_from_document(doc, Path(args.input).parent))
         body = {
-            "sub_coherence": sub_coherence(system),
-            "gram_diagonal": [float(v) for v in np.abs(np.diag(gram(system)))],
+            "sub_coherence": _off_diagonal_max(g),
+            "gram_diagonal": [float(v) for v in np.abs(np.diag(g))],
         }
     body["manifest"] = _manifest(args, {"input": args.input})
     _emit(body, args)

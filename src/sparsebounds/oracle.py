@@ -6,13 +6,18 @@ pattern's feasibility as a null-space problem; the first feasible pattern is
 therefore a minimizer of the sparsity product over the admissible subspace.
 Each S_f is projected once per call onto V, a loosely cut null space of the
 first system's rows outside S_f, by one stacked SVD per BATCH S_f of equal size
-in the first size class of that |S_f|; P = C V (m x k) is kept until its last.  A
-size class is then filtered in batches of at most BATCH patterns: the S_f of
-equal k are tested together, across S_f and S_g, by an LDL^H pivot test of
-G - cutoff * I for the k x k Gram matrix G of the rows of P outside S_g, and
-every S_g of an S_f with k = 0 is counted with no linear algebra.  Each
-batch's candidates are confirmed in order on their full off-pattern stacks, as
-a pattern-by-pattern scan would, before the next batch is filtered.
+in the first size class of that |S_f|; P = C V (m x k) and its shifted Gram
+matrix H = P^H P - cutoff * I, summed once over all m rows, are kept until its
+last.  A size class is then filtered in batches of at most BATCH patterns: the
+S_f of equal k are tested together, across S_f and S_g, by an LDL^H pivot test
+of G - cutoff * I for the k x k Gram matrix G of the rows of P outside S_g,
+downdated from H by the |S_g| outer products of the rows in S_g, and every S_g
+of an S_f with k = 0 is counted with no linear algebra.  The Gram stacks hold
+the k x k matrix axes first and the pattern axes last, so every elementwise
+step of the downdate and the pivot test runs over contiguous vectors of
+patterns.  Each batch's candidates are confirmed in order on their full
+off-pattern stacks, as a pattern-by-pattern scan would, before the next batch
+is filtered.
 """
 
 from __future__ import annotations
@@ -84,48 +89,55 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
     # 1 / MARGIN, so ||C_off V v|| <= t + ||C|| / MARGIN with ||v||^2 >=
     # 1 - MARGIN^-2: the Gram cutoff is twice the square of that bound.
     # The filter rejects a pattern only when every pivot of the LDL^H
-    # factorization of G - cutoff * I, G = (C_off V)^H C_off V, is > 0.  In
-    # floating point, forming G and factorizing it give the exact pivots of a
-    # perturbed G whose error is at most about (k + 1) * u * ||C / s||^2 from
-    # the factorization (u the unit roundoff; Higham, Accuracy and Stability
-    # of Numerical Algorithms, ch. 10) plus about m * k * u * ||C / s||^2 from
-    # the sums.  The factor 2 in the cutoff leaves a room of at least
-    # (||C / s|| / MARGIN)^2 = 1e-8 * ||C / s||^2 between a confirmed
-    # pattern's smallest eigenvalue of G and the cutoff, far above both.
+    # factorization of G - cutoff * I, G = (C_off V)^H C_off V, is > 0.  It
+    # forms G - cutoff * I as H minus the outer products p_i^H p_i of the rows
+    # i in S_g of P / s, H = (P / s)^H (P / s) - cutoff * I summed over all m
+    # rows.  In floating point that gives the exact pivots of a perturbed G.
+    # The factorization's error is at most about (k + 1) * u * ||C / s||^2 (u
+    # the unit roundoff; Higham, Accuracy and Stability of Numerical
+    # Algorithms, ch. 10).  The full sum over m rows plus the |S_g|
+    # subtractions add an entrywise error of about (m + |S_g|) * u *
+    # ||C / s||^2: every term is at most ||P / s||^2 <= ||C / s||^2 in
+    # magnitude, so the bound holds even when the rows in S_g carry almost
+    # all of H and cancel it.  The factor 2 in the cutoff leaves a room of at
+    # least (||C / s|| / MARGIN)^2 = 1e-8 * ||C / s||^2 between a confirmed
+    # pattern's smallest eigenvalue of G and the cutoff; at the default guard,
+    # m + |S_g| <= 46 keeps both errors about 6 orders of magnitude below it.
     scale = max(np.linalg.norm(np.concatenate([a_rows, c_rows]), 2), 1.0)
     a_unit, c_unit = a_rows / scale, c_rows / scale
     t = tol_rank + 1e3 * np.finfo(float).eps
     cutoff = 2.0 * (t + np.linalg.norm(c_unit, 2) / MARGIN) ** 2
-    # |S_f| -> (the rows off each S_f, their projections and k per S_f, as
-    # _project returns them).  Made in the first size class of |S_f|,
-    # (|S_f|, 1), and dropped in the last one, (|S_f|, m).
+    # |S_f| -> (the rows off each S_f, their projections P, H = P^H P - cutoff
+    # * I and k per S_f).  Made in the first size class of |S_f|, (|S_f|, 1),
+    # and dropped in the last one, (|S_f|, m).
     projections = {}
 
     searched = 0
     for size_f, size_g in _pattern_order(n, m):
         if size_g == 1:
-            off_f = _complements(n, size_f)
-            projections[size_f] = (off_f, *_project(a_unit[off_f], c_unit, MARGIN * t))
-        off_f, p, ks = (projections.pop if size_g == m else projections.get)(size_f)
-        off_g = _complements(m, size_g)
-        for rows, cols in _batches(len(off_f), len(off_g)):
-            for i_f, i_g in _candidates(p[:, rows], ks[rows], off_g[cols], cutoff):
+            # The rows outside each S_f, in the S_f's lexicographic order.
+            off_f = _subsets(n, n - size_f)[::-1]
+            p, ks = _project(a_unit[off_f], c_unit, MARGIN * t)
+            projections[size_f] = (off_f, p, _shifted_gram(p, cutoff), ks)
+        off_f, p, h, ks = (projections.pop if size_g == m else projections.get)(size_f)
+        s_g = _subsets(m, size_g)
+        for rows, cols in _batches(len(off_f), len(s_g)):
+            for i_f, i_g in _candidates(p[..., rows], ks[rows], h[..., rows], s_g[cols]):
                 i_f, i_g = rows.start + int(i_f), cols.start + int(i_g)
-                off = np.concatenate([a_rows[off_f[i_f]], c_rows[off_g[i_g]]])
+                off = np.concatenate([a_rows[off_f[i_f]], np.delete(c_rows, s_g[i_g], axis=0)])
                 basis = null_space_basis(off, tol_rank)
                 if basis.shape[1] > 0:
                     return _report(bisystem, space, basis[:, 0], (size_f, size_g), eta, guard,
-                                   searched + i_f * len(off_g) + i_g + 1)
-        searched += len(off_f) * len(off_g)
+                                   searched + i_f * len(s_g) + i_g + 1)
+        searched += len(off_f) * len(s_g)
     raise NoAdmissibleSignalError("no feasible support pattern found")
 
 
-def _complements(m: int, size: int) -> np.ndarray:
-    """Rows of the indices outside each size-subset of range(m), in the subsets'
-    lexicographic order, which is the reverse of their complements' order."""
-    rows = itertools.chain.from_iterable(itertools.combinations(range(m), m - size))
+def _subsets(m: int, size: int) -> np.ndarray:
+    """The size-subsets of range(m), one sorted row each, in lexicographic order."""
+    rows = itertools.chain.from_iterable(itertools.combinations(range(m), size))
     count = comb(m, size)
-    return np.fromiter(rows, np.min_scalar_type(m), count * (m - size)).reshape(count, -1)[::-1]
+    return np.fromiter(rows, np.min_scalar_type(m), count * size).reshape(count, size)
 
 
 def _batches(count_f: int, count_g: int):
@@ -139,57 +151,69 @@ def _batches(count_f: int, count_g: int):
 
 
 def _project(a_off: np.ndarray, c_unit: np.ndarray, cut: float) -> tuple:
-    """(C Vh^H / s as m x F x width, k per S_f) for a stack a_off (F, r, w) of
-    the rows A_off / s of F sets S_f, one stacked SVD per BATCH sets.  The last
-    k rows of Vh, A_off's right singular vectors beyond the rank at cut, span
-    V; the last k of the width = max k columns of each S_f are its P / s."""
+    """(p, k per S_f) for a stack a_off (F, r, w) of the rows A_off / s of F
+    sets S_f, one stacked SVD per BATCH sets.  The last k rows of Vh, A_off's
+    right singular vectors beyond the rank at cut, span V.  p (width, m, F),
+    width = max k, holds the last width rows of (C Vh^H / s)^T of each S_f,
+    so the last k of them are its P^T / s."""
     p, ks = [], []
     for start in range(0, len(a_off), BATCH):
         _, s, vh = np.linalg.svd(a_off[start:start + BATCH])
-        p.append(c_unit @ vh.conj().transpose(0, 2, 1))
+        p.append(vh.conj() @ c_unit.T)
         ks.append(vh.shape[-1] - _rank(s, cut))
     ks = np.concatenate(ks)
-    p = np.concatenate(p)[:, :, a_off.shape[2] - ks.max():]
-    return np.ascontiguousarray(p.transpose(1, 0, 2)), ks
+    p = np.concatenate(p)[:, a_off.shape[2] - ks.max():]
+    return np.ascontiguousarray(p.transpose(1, 2, 0)), ks
 
 
-def _candidates(p: np.ndarray, ks: np.ndarray, off_g: np.ndarray, cutoff: float):
-    """(i_f, i_g), in enumeration order, of the patterns whose Gram matrix
-    G = P_off^H P_off fails the positive-definiteness test of G - cutoff * I,
-    where P is the last ks[i_f] columns of p[:, i_f] and P_off its rows
-    off_g[i_g].  The S_f of equal k are tested together; k = 0 passes none."""
-    keep = np.zeros((len(off_g), len(ks)), bool)
-    for k in set(ks.tolist()) - {0}:
-        group = ks == k
-        keep[:, group] = _indefinite(_shifted_gram(p[:, group, p.shape[2] - k:], off_g, cutoff))
-    return zip(*np.nonzero(keep.T))
-
-
-def _shifted_gram(q: np.ndarray, off_g: np.ndarray, cutoff: float) -> np.ndarray:
-    """G - cutoff * I (len(off_g), F, k, k) for the F matrices P of q (m, F, k)
-    and each row set off_g[i_g], summed over the rows' outer products."""
-    k = q.shape[2]
-    h = np.empty((len(off_g),) + q.shape[1:] + (k,), q.dtype)
-    h[...] = -cutoff * np.eye(k)
-    if off_g.size:
-        outer = q.conj()[..., :, None] * q[..., None, :]
-        for rows in off_g.T:
-            h += outer[rows]
+def _shifted_gram(p: np.ndarray, cutoff: float) -> np.ndarray:
+    """H = P^H P - cutoff * I (width, width, F) over all m rows, for each S_f's
+    p (width, m, F); its last k rows and columns are those of the S_f's P."""
+    q = p.transpose(2, 0, 1)
+    h = (q.conj() @ q.transpose(0, 2, 1)).transpose(1, 2, 0)
+    h -= cutoff * np.eye(len(p))[..., None]
     return h
 
 
+def _candidates(p: np.ndarray, ks: np.ndarray, h: np.ndarray, s_g: np.ndarray):
+    """(i_f, i_g), in enumeration order, of the patterns whose Gram matrix
+    G = P_off^H P_off fails the positive-definiteness test of G - cutoff * I,
+    where P is the last ks[i_f] rows of p[:, :, i_f] transposed and P_off its
+    rows outside s_g[i_g]; G - cutoff * I is downdated from H, h[:, :, i_f].
+    The S_f of equal k are tested together; k = 0 passes none."""
+    keep = np.zeros((len(ks), len(s_g)), bool)
+    for k in set(ks.tolist()) - {0}:
+        group, cut = ks == k, len(p) - k
+        if group.all():
+            group = slice(None)  # a view, not a copy
+        keep[group] = _indefinite(_downdate(p[cut:, :, group], h[cut:, cut:, group], s_g)).T
+    return zip(*np.nonzero(keep))
+
+
+def _downdate(q: np.ndarray, h: np.ndarray, s_g: np.ndarray) -> np.ndarray:
+    """G - cutoff * I (k, k, len(s_g), F) for each S_g and each of the F
+    matrices P^T of q (k, m, F): h (k, k, F) less the outer products of the
+    rows of P in S_g."""
+    outer = q.conj()[:, None] * q[None]
+    g = np.empty(h.shape[:2] + (len(s_g),) + h.shape[2:], h.dtype)
+    g[...] = h[:, :, None]
+    for rows in s_g.T:
+        g -= outer.take(rows, axis=2)
+    return g
+
+
 def _indefinite(h: np.ndarray) -> np.ndarray:
-    """Whether each Hermitian matrix of a stack h (..., k, k) is not positive
+    """Whether each Hermitian matrix of a stack h (k, k, ...) is not positive
     definite: some pivot of its LDL^H factorization without pivoting is <= 0
     or NaN.  At k = 1 the test is h <= 0.  Overwrites h."""
-    positive = h[..., 0, 0].real > 0
+    positive = h[0, 0].real > 0
     with np.errstate(all="ignore"):  # a failed pivot may divide by zero
-        for _ in range(h.shape[-1] - 1):
-            col = h[..., 1:, :1]
-            row = col.conj().swapaxes(-1, -2) / h[..., :1, :1].real
-            h = h[..., 1:, 1:]
+        for _ in range(len(h) - 1):
+            col = h[1:, :1]
+            row = col.conj().swapaxes(0, 1) / h[:1, :1].real
+            h = h[1:, 1:]
             h -= col * row
-            positive &= h[..., 0, 0].real > 0
+            positive &= h[0, 0].real > 0
     return ~positive
 
 

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from sparsebounds import generate, identity_system
+from sparsebounds import cli, coherence, generate, identity_system
 from sparsebounds.cli import main
+from sparsebounds.coherence import gram, sub_coherence
 from sparsebounds.serialization import (
     bisystem_to_dict,
     canonical_json,
@@ -72,6 +73,26 @@ class TestCoherence:
         assert code == 0
         assert doc["sub_coherence"] == 0.0
         assert set(doc) == {"sub_coherence", "gram_diagonal", "manifest"}
+
+    def test_single_system_gram_computed_once(self, tmp_path, capsys, monkeypatch):
+        # sub_coherence and gram_diagonal both come from one d x d gram.
+        system = generate("dft_pair", {"d": 5}, 0).second
+        want = {"sub_coherence": sub_coherence(system),
+                "gram_diagonal": [float(v) for v in np.abs(np.diag(gram(system)))]}
+        path = tmp_path / "system.json"
+        path.write_text(canonical_json(system_to_dict(system)))
+        calls = []
+
+        def spy(s):
+            calls.append(s)
+            return gram(s)
+
+        monkeypatch.setattr(cli, "gram", spy)
+        monkeypatch.setattr(coherence, "gram", spy)
+        code, doc = run(capsys, "coherence", str(path))
+        assert code == 0
+        assert len(calls) == 1
+        assert {key: doc[key] for key in want} == want
 
     def test_non_object_json(self, tmp_path, capsys):
         path = tmp_path / "five.json"

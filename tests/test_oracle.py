@@ -224,6 +224,32 @@ class TestMinSparsityProduct:
         assert len({a.tobytes() for stack in stacks for a in stack}) == 62
         assert len(stacks) == 5
 
+    def test_shifted_gram_formed_once_per_s_f(self, monkeypatch):
+        # Each S_f's H = P^H P - cutoff * I is formed once per call, with its
+        # projection: for dft_pair d=6, one call per |S_f| = 1 ... 5 and 62
+        # matrices in all.  Every later class of a size downdates that H: the
+        # six classes (1, 1) ... (1, 6) all read the H of |S_f| = 1.
+        b = generate("dft_pair", {"d": 6}, 0)
+        space = admissible_space(b)
+        want = reference_search(b, space)
+        formed, downdated = [], []
+        shifted_gram, downdate = oracle._shifted_gram, oracle._downdate
+
+        def gram_spy(p, cutoff):
+            formed.append(shifted_gram(p, cutoff))
+            return formed[-1]
+
+        def downdate_spy(q, h, s_g):
+            downdated.append(h)
+            return downdate(q, h, s_g)
+
+        monkeypatch.setattr(oracle, "_shifted_gram", gram_spy)
+        monkeypatch.setattr(oracle, "_downdate", downdate_spy)
+        assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
+        assert [h.shape[-1] for h in formed] == [comb(6, size) for size in range(1, 6)]
+        assert all(any(np.shares_memory(h, f) for f in formed) for h in downdated)
+        assert sum(np.shares_memory(h, formed[0]) for h in downdated) == 6
+
     def test_size_class_mixing_k_matches_reference(self, monkeypatch):
         # In size class (3, 1) of this bisystem the S_f leave off-pattern rows
         # whose null spaces have dimension 0, 1 or 2; the winner (pattern 105)
@@ -404,7 +430,7 @@ class TestLdlFilter:
         for lam in (0.0, CUTOFF / 2, CUTOFF * (1 - 1e-3), CUTOFF * (1 + 1e-3), 100 * CUTOFF):
             g = psd_stack(rng, k, lam, 40, field)
             low = np.linalg.eigvalsh(g)[:, 0]
-            passed = oracle._indefinite(g - CUTOFF * np.eye(k))
+            passed = oracle._indefinite(np.moveaxis(g - CUTOFF * np.eye(k), (-2, -1), (0, 1)))
             assert passed[low <= CUTOFF / 2].all()
             assert not passed[low >= 2 * CUTOFF].any()
             # Within 1e-3 of the cutoff, far above rounding, the pivot test
@@ -420,15 +446,103 @@ class TestLdlFilter:
         # Only a factorization whose every pivot is > 0 rejects a pattern.
         h = np.eye(3)
         h[zero, zero] = 0.0
-        assert oracle._indefinite(h[None].copy()).all()
+        assert oracle._indefinite(np.moveaxis(h[None], (-2, -1), (0, 1)).copy()).all()
 
     def test_batches_of_any_shape(self):
-        # Stacks with two batch axes, as the filter passes (S_g, S_f, k, k).
+        # Stacks with two batch axes, as the filter passes (k, k, S_g, S_f).
         rng = np.random.default_rng(0)
         g = psd_stack(rng, 3, 0.0, 12, "complex")
         g[::2] += 2 * CUTOFF * np.eye(3)
-        passed = oracle._indefinite((g - CUTOFF * np.eye(3)).reshape(3, 4, 3, 3))
+        passed = oracle._indefinite(
+            np.moveaxis((g - CUTOFF * np.eye(3)).reshape(3, 4, 3, 3), (-2, -1), (0, 1)))
         np.testing.assert_array_equal(passed.ravel(), np.arange(12) % 2 == 1)
+
+
+def projection_stack(rng, m, ks, field, heavy=(), light=1.0, near=(), residual=0.0):
+    """The oracle's p (width, m, F) for F = len(ks) sets S_f, width = max(ks):
+    p[:, :, i_f] is the width x m P^T of one S_f, whose last ks[i_f] rows are
+    its projection.  Each P is scaled to spectral norm 1, the unit scale of
+    the oracle's rows.  Before that, the rows in `near` lose all but
+    `residual` of their component along one unit direction of the last ks[i_f]
+    coordinates, so the patterns whose S_g holds every other row have a Gram
+    matrix with a smallest eigenvalue of about residual^2 times the rows'
+    mass; and the rows outside `heavy` are scaled by `light`, so that with
+    light << 1 the rows in `heavy` carry almost all of P^H P."""
+    width = max(ks)
+    p = np.empty((width, m, len(ks)), complex if field == "complex" else float)
+    for i_f, k in enumerate(ks):
+        z = rng.standard_normal((m, width))
+        if field == "complex":
+            z = z + 1j * rng.standard_normal((m, width))
+        v = np.zeros(width, z.dtype)
+        if k:
+            v[width - k:] = rng.standard_normal(k)
+            v /= np.linalg.norm(v)
+        rows = list(near)
+        z[rows] -= np.outer(z[rows] @ v.conj(), v) * (1 - residual)
+        z[[i for i in range(m) if i not in heavy]] *= light
+        p[:, :, i_f] = (z / (np.linalg.norm(z, 2) or 1.0)).T
+    return p
+
+
+def assert_filter_sound(p, ks):
+    """oracle._candidates on every size class of S_g passes each pattern whose
+    smallest eigenvalue of P_off^H P_off is <= CUTOFF / 2 and rejects each one
+    whose smallest eigenvalue is >= 2 * CUTOFF; an S_f with k = 0 passes none."""
+    width, m = p.shape[:2]
+    h = oracle._shifted_gram(p, CUTOFF)
+    for size in range(1, m + 1):
+        s_g = oracle._subsets(m, size)
+        passed = {(int(i_f), int(i_g)) for i_f, i_g in oracle._candidates(p, ks, h, s_g)}
+        for i_f, k in enumerate(ks):
+            for i_g, rows in enumerate(s_g):
+                if k == 0:
+                    assert (i_f, i_g) not in passed
+                    continue
+                off = np.delete(p[width - k:, :, i_f].T, rows, axis=0)
+                sigma = np.linalg.svd(off, compute_uv=False)
+                low = sigma[-1] ** 2 if len(sigma) == k else 0.0
+                if low >= 2 * CUTOFF:
+                    assert (i_f, i_g) not in passed, (i_f, rows, low)
+                elif low <= CUTOFF / 2:
+                    assert (i_f, i_g) in passed, (i_f, rows, low)
+
+
+@st.composite
+def planted_projections(draw):
+    """A projection stack with m <= 8 rows and k <= 6, real or complex, with a
+    near-null direction planted on a drawn set of rows and a drawn share of
+    the mass on another."""
+    m = draw(st.integers(1, 8))
+    ks = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
+    if max(ks) == 0:
+        ks[0] = 1
+    rows = st.sets(st.integers(0, m - 1))
+    return projection_stack(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m, ks,
+        draw(st.sampled_from(["real", "complex"])),
+        heavy=draw(rows), light=10.0 ** draw(st.floats(-6.0, 0.0)),
+        near=draw(rows), residual=draw(st.sampled_from([0.0, 1e-5, 1e-4, 1e-3, 1e-2]))), ks
+
+
+# Example count from the hypothesis profile (tests/conftest.py).
+@given(planted_projections())
+def test_downdated_filter_sound_property(stack):
+    p, ks = stack
+    assert_filter_sound(p, np.array(ks))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("light", [1e-4, 1e-6])
+def test_downdated_filter_sound_under_cancellation(field, light):
+    # Rows 0-4 carry almost all of H = P^H P - cutoff * I, so every S_g that
+    # holds them leaves a Gram matrix of size light^2 ~ cutoff downdated from
+    # H by cancellation; rows 5-7 hold a near-null direction as well.
+    rng = np.random.default_rng(int(1 / light) + (field == "complex"))
+    ks = np.array([1, 3, 4, 4])
+    p = projection_stack(rng, 8, ks, field, heavy=range(5), light=light,
+                         near=range(5, 8), residual=1e-2)
+    assert_filter_sound(p, ks)
 
 
 class TestExhaustiveVerify:
