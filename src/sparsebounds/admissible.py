@@ -97,8 +97,8 @@ def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> Admissib
     stack [I - TF; I - WG]."""
     eye = np.eye(bisystem.d, dtype=_DTYPES[bisystem.field])
     stacked = np.vstack([
-        eye - _matmul(bisystem.first.vectors, bisystem.first.functionals),
-        eye - _matmul(bisystem.second.vectors, bisystem.second.functionals),
+        eye - _matmul(bisystem.first._vectors_form, bisystem.first._functionals_form),
+        eye - _matmul(bisystem.second._vectors_form, bisystem.second._functionals_form),
     ])
     basis = null_space_basis(stacked, tol_rank)
     return AdmissibleSpace(basis, basis.shape[1])
@@ -317,7 +317,7 @@ def _perturb(bisystem: BiSystem, magnitude: float, seed: int) -> BiSystem:
 
     def apply(system: PairedSystem) -> PairedSystem:
         c = rng.uniform(1.0, 1.0 + magnitude, size=system.n)
-        vectors = _matmul(s, system.vectors) * c[None, :]
+        vectors = _matmul(s, system._vectors_form) * c[None, :]
         functionals = _matmul(system.functionals / c[:, None], s_inv)
         return PairedSystem(vectors, functionals, system.field)
 

@@ -30,7 +30,7 @@ class CoherenceProfile:
 
 def gram(system: PairedSystem) -> np.ndarray:
     """Matrix of pairings, entry (j, r) = f_j(tau_r)."""
-    return _matmul(system.functionals, system.vectors)
+    return _matmul(system._functionals_form, system._vectors_form)
 
 
 def sub_coherence(system: PairedSystem) -> float:
@@ -51,7 +51,7 @@ def cross_coherence(f_system: PairedSystem, w_system: PairedSystem) -> float:
         raise StructuralError(
             f"ambient dimensions differ: {f_system.d} vs {w_system.d}"
         )
-    return float(np.abs(_matmul(f_system.functionals, w_system.vectors)).max())
+    return float(np.abs(_matmul(f_system._functionals_form, w_system._vectors_form)).max())
 
 
 def coherence_profile(bisystem: BiSystem) -> CoherenceProfile:

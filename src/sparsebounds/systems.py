@@ -42,7 +42,8 @@ class PairedSystem:
     """Matched collections (tau_j, f_j): vectors d x n, functionals n x d.
 
     Its arrays are private read-only copies, so per-system invariants such
-    as the pairing diagonals are computed once and kept on the instance.
+    as the pairing diagonals and each matrix's product form are computed
+    once and kept on the instance.
     """
 
     vectors: np.ndarray
@@ -74,6 +75,16 @@ class PairedSystem:
     def _diagonals(self) -> np.ndarray:
         """The diagonal pairing magnitudes |f_j(tau_j)|, read-only."""
         return _frozen(np.abs(np.einsum("jd,dj->j", self.functionals, self.vectors)))
+
+    @cached_property
+    def _vectors_form(self) -> _Form:
+        """The vectors' product form (_form), decided once."""
+        return _form(self.vectors)
+
+    @cached_property
+    def _functionals_form(self) -> _Form:
+        """The functionals' product form (_form), decided once."""
+        return _form(self.functionals)
 
 
 @dataclass(frozen=True)
@@ -155,9 +166,79 @@ def _apply(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (matrix @ x[..., None])[..., 0]
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b with a @ b's dtype, an operand whose imaginary part is exactly
-    zero multiplied as the real matrix it is.
+@dataclass(frozen=True)
+class _Form:
+    """A matrix with the cheapest form it exactly has, for _matmul.
+
+    real is the matrix as a real array when its imaginary part is exactly
+    zero, else None; diagonal is its diagonal, a real vector, when it is
+    also square with every off-diagonal entry zero, else None.
+    """
+
+    matrix: np.ndarray
+    real: np.ndarray | None
+    diagonal: np.ndarray | None
+
+
+def _form(m: np.ndarray) -> _Form:
+    """Classify m in O(m.size): one scan of its imaginary part and one count
+    of its nonzeros."""
+    real = None if np.iscomplexobj(m) and m.imag.any() else m.real
+    diagonal = None
+    if real is not None and m.shape[0] == m.shape[1]:
+        on = np.diagonal(real)
+        if np.count_nonzero(real) == np.count_nonzero(on):
+            diagonal = np.array(on)
+    return _Form(m, real, diagonal)
+
+
+def _matmul(a, b) -> np.ndarray:
+    """a @ b with a @ b's dtype, each operand multiplied in the cheapest form
+    it exactly has.
+
+    An operand is a finite matrix, or its _Form when that is kept (a
+    PairedSystem classifies each of its matrices once); a plain matrix is
+    classified here, in O(d^2) against the product's d^3.  A real-valued
+    diagonal operand makes the product a scaling of the other operand's rows
+    or columns (_scaled).  Otherwise an operand whose imaginary part is
+    exactly zero is multiplied as the real matrix it is (_dense).
+    """
+    a = a if isinstance(a, _Form) else _form(a)
+    b = b if isinstance(b, _Form) else _form(b)
+    dtype = np.result_type(a.matrix, b.matrix)
+    if a.diagonal is not None:
+        return _scaled(a.diagonal[:, None], b.matrix, dtype)
+    if b.diagonal is not None:
+        return _scaled(b.diagonal[None, :], a.matrix, dtype)
+    return _dense(a, b, dtype)
+
+
+def _scaled(scale: np.ndarray, x: np.ndarray, dtype) -> np.ndarray:
+    """diag(c) @ x for scale = c[:, None], x @ diag(c) for scale = c[None, :],
+    with the real vector c; the result has dtype.
+
+    Exact: each entry of the product is a sum with one nonzero term, so BLAS
+    returns that term's rounded product in any order of summation, and here
+    each entry is that one product.  + 0.0 makes every zero entry +0.0, as
+    BLAS leaves the exact zeros of its real sums, which start at +0.0.  BLAS
+    may leave -0.0 where the one term underflows (FMA keeps its sign) or in
+    its complex kernels; the sign of such a zero is all that can differ.  A
+    complex x is scaled through its float view, its real and imaginary parts
+    side by side.
+    """
+    if np.iscomplexobj(x):
+        x = np.ascontiguousarray(x).view(x.real.dtype).reshape(*x.shape, 2)
+        scale = scale[..., None]
+    out = x * scale
+    out += 0.0
+    if out.ndim == 3:
+        return out.view(dtype).reshape(out.shape[:2])
+    return out.astype(dtype, copy=False)
+
+
+def _dense(a: _Form, b: _Form, dtype) -> np.ndarray:
+    """a @ b by BLAS, an operand whose imaginary part is exactly zero
+    multiplied as the real matrix it is.
 
     numpy casts a real operand of a mixed product to complex, and a complex
     product costs about four real ones.  Here real-valued @ real-valued is
@@ -165,8 +246,8 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     product with the complex operand's real and imaginary parts side by
     side.  Complex @ complex and real @ real are a @ b, bit for bit.
     """
-    dtype = np.result_type(a, b)
-    ra, rb = _real_part(a), _real_part(b)
+    ra, rb = a.real, b.real
+    a, b = a.matrix, b.matrix
     if dtype.kind != "c" or ra is None and rb is None:
         return a @ b
     # A C-ordered complex matrix viewed as real holds each column's real and
@@ -177,11 +258,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # a @ b is the transpose of b^T @ a^T.
         return (rb.T @ np.ascontiguousarray(a.T).view(a.real.dtype)).view(dtype).T
     return (ra @ rb).astype(dtype)
-
-
-def _real_part(m: np.ndarray):
-    """m's real part when its imaginary part is exactly zero, else None."""
-    return None if np.iscomplexobj(m) and m.imag.any() else m.real
 
 
 def analysis(system: PairedSystem, x) -> np.ndarray:

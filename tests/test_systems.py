@@ -20,7 +20,7 @@ from sparsebounds import (
     verify_fkdb,
     verify_fskpb,
 )
-from sparsebounds import admissible
+from sparsebounds import admissible, systems
 from sparsebounds.dft import dft_matrix
 from sparsebounds.errors import HypothesisError, StructuralError
 from sparsebounds.systems import _matmul
@@ -357,3 +357,103 @@ class TestProductRule:
         basis = admissible_space(b).basis
         assert stacks[0].dtype == stacked.dtype and stacks[0].tobytes() == stacked.tobytes()
         assert basis.tobytes() == null_space_basis(stacked).tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("diagonal_kind", ["real", "real-valued"])
+    @pytest.mark.parametrize("entries", ["identity", "scaled", "zeros", "subnormal", "underflow"])
+    @pytest.mark.parametrize("d", [1, 37])
+    def test_real_diagonal_scales_with_blas_bytes(self, monkeypatch, kind, diagonal_kind, entries, d):
+        """A real-valued diagonal on either side is a scaling, with the bytes
+        of a @ b in every nonzero entry, subnormal ones included, and +0.0
+        in every zero entry.
+
+        BLAS leaves a zero entry the sign its kernel's order of summation
+        gives: with FMA, a one term that underflows to -0.0 keeps its sign
+        when every later term is -0.0 too, and its complex kernels sign some
+        exact zeros likewise.  So only the zeros are compared by value.
+        """
+        rng = np.random.default_rng(d)
+        c, x_scale = {
+            "identity": (np.ones(d), 1.0),
+            "scaled": (rng.standard_normal(d), 1.0),
+            "zeros": (np.where(rng.random(d) < 0.5, np.copysign(0.0, rng.standard_normal(d)),
+                               rng.standard_normal(d)), 1.0),
+            # Products of about 1e-310, below the smallest normal number.
+            "subnormal": (1e-160 * rng.standard_normal(d), 1e-150),
+            # Products of about 1e-400, rounded to zeros of either sign.
+            "underflow": (1e-200 * rng.standard_normal(d), 1e-200),
+        }[entries]
+        if entries == "zeros":
+            c[0] = -0.0
+        # diag(c), with zeros of either sign off the diagonal and, for the
+        # real-valued kind, as every imaginary part.
+        diagonal = np.copysign(0.0, rng.standard_normal((d, d)))
+        np.fill_diagonal(diagonal, c)
+        if diagonal_kind == "real-valued":
+            diagonal = diagonal + 0j
+            diagonal.imag = np.copysign(0.0, rng.standard_normal((d, d)))
+        assert systems._form(diagonal).diagonal is not None
+
+        def no_blas(*args):
+            raise AssertionError("a diagonal operand reached BLAS")
+
+        monkeypatch.setattr(systems, "_dense", no_blas)
+        for a, b in ((diagonal, x_scale * operand(rng, (d, 5), kind)),
+                     (x_scale * operand(rng, (5, d), kind), diagonal)):
+            got, want = _matmul(a, b), a @ b
+            assert got.dtype == want.dtype and got.shape == want.shape
+            got, want = got.view(float), want.view(float)
+            nonzero = want != 0
+            assert got[nonzero].tobytes() == want[nonzero].tobytes()
+            assert got[~nonzero].tobytes() == bytes(got[~nonzero].nbytes)
+            tiny = np.abs(want)
+            if entries == "subnormal":
+                assert ((tiny > 0) & (tiny < np.finfo(float).tiny)).any()
+            if entries == "underflow":
+                assert not tiny.any()
+
+    @pytest.mark.parametrize("d", [1, 6])
+    def test_complex_diagonal_takes_plain_matmul(self, monkeypatch, d):
+        """A diagonal with a nonzero imaginary part is no scaling: complex @
+        complex stays a @ b, bit for bit."""
+        rng = np.random.default_rng(d)
+        diagonal = np.diag(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        x = operand(rng, (d, d), "complex")
+        assert systems._form(diagonal).diagonal is None
+        dense = []
+        real_dense = systems._dense
+        monkeypatch.setattr(systems, "_dense", lambda *args: dense.append(args) or real_dense(*args))
+        for a, b in ((diagonal, x), (x, diagonal)):
+            got, want = _matmul(a, b), a @ b
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert len(dense) == 2
+
+    def test_dft_pair_forms_decided_once_per_matrix(self, monkeypatch):
+        """On dft_pair only the DFT system's W G and G W reach BLAS, and each
+        of the four system matrices is classified once for the whole
+        certificate pipeline."""
+        d = 64
+        dense, classified = [], []
+        real_dense, real_form = systems._dense, systems._form
+
+        def spy_dense(a, b, dtype):
+            dense.append((a.matrix, b.matrix))
+            return real_dense(a, b, dtype)
+
+        def spy_form(m):
+            classified.append(m)
+            return real_form(m)
+
+        monkeypatch.setattr(systems, "_dense", spy_dense)
+        monkeypatch.setattr(systems, "_form", spy_form)
+        b = generate("dft_pair", {"d": d})
+        space = admissible_space(b)
+        coherence_profile(b)
+        w, g = b.second.vectors, b.second.functionals
+        assert [(x is w, y is g) for x, y in dense] == [(True, True), (False, False)]
+        assert dense[1][0] is g and dense[1][1] is w
+        verify_fkdb(b, sample_admissible(space, 1))
+        exhaustive_verify(b, space, 3)
+        matrices = [b.first.vectors, b.first.functionals, w, g]
+        assert [sum(m is x for x in classified) for m in matrices] == [1, 1, 1, 1]
+        assert len(classified) == 4
