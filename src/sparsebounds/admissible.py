@@ -83,7 +83,7 @@ def _below_cutoff(a: np.ndarray, tol_rank: float) -> bool:
     tol_rank * max(sigma_max, 1) is at least tol_rank, so when ||a||_F <=
     tol_rank no singular value exceeds it.  This holds for the empty matrix
     and for a stack [I - TF; I - WG] that is pure rounding noise (e.g.
-    Frobenius norm 1.9e-12 for dft_pair at d = 512).
+    Frobenius norm 1.0e-14 for dft_pair at d = 512).
     """
     norm = np.linalg.norm(a)
     if norm < _UNDERFLOW:

@@ -15,10 +15,16 @@ from .errors import ParameterError
 
 
 def dft_matrix(d: int) -> np.ndarray:
-    """Unitary DFT matrix, entry (j, k) = exp(-2 pi i j k / d) / sqrt(d)."""
+    """Unitary DFT matrix, entry (j, k) = exp(-2 pi i j k / d) / sqrt(d).
+
+    The exponential has period d in j k, so the entry is the (j k mod d)-th
+    of the d scaled roots of unity: each root is evaluated once, at an
+    argument below 2 pi, and the matrix is exactly symmetric.
+    """
     d = _valid_integer("d", d, 1)
-    j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    return np.exp(-2j * np.pi * j * k / d) / np.sqrt(d)
+    roots = np.exp(-2j * np.pi * np.arange(d) / d) / np.sqrt(d)
+    j = np.arange(d)
+    return roots[np.outer(j, j) % d]
 
 
 def forward(h) -> np.ndarray:
