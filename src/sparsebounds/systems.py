@@ -188,7 +188,7 @@ def _form(m: np.ndarray) -> _Form:
     if real is not None and m.shape[0] == m.shape[1]:
         on = np.diagonal(real)
         if np.count_nonzero(real) == np.count_nonzero(on):
-            diagonal = np.array(on)
+            diagonal = _frozen(on)
     return _Form(m, real, diagonal)
 
 
