@@ -22,9 +22,9 @@ def dft_matrix(d: int) -> np.ndarray:
     argument below 2 pi, and the matrix is exactly symmetric.
     """
     d = _valid_integer("d", d, 1)
-    roots = np.exp(-2j * np.pi * np.arange(d) / d) / np.sqrt(d)
-    j = np.arange(d)
-    return roots[np.outer(j, j) % d]
+    k = np.arange(d)
+    roots = np.exp(-2j * np.pi * k / d) / np.sqrt(d)
+    return roots[np.outer(k, k) % d]
 
 
 def forward(h) -> np.ndarray:

@@ -181,11 +181,12 @@ class _Form:
 
 
 def _form(m: np.ndarray) -> _Form:
-    """Classify m in O(m.size): one scan of its imaginary part and one count
-    of its nonzeros."""
-    real = None if np.iscomplexobj(m) and m.imag.any() else m.real
+    """Classify m, exactly: one scan of its imaginary part and one count of
+    its nonzeros, each skipped when m's last row already holds a nonzero
+    imaginary part or off-diagonal entry, as a dense matrix's last row does."""
+    real = None if np.iscomplexobj(m) and (m.imag[-1:].any() or m.imag.any()) else m.real
     diagonal = None
-    if real is not None and m.shape[0] == m.shape[1]:
+    if real is not None and m.shape[0] == m.shape[1] and not real[-1:, :-1].any():
         on = np.diagonal(real)
         if np.count_nonzero(real) == np.count_nonzero(on):
             diagonal = _frozen(on)

@@ -457,3 +457,16 @@ class TestProductRule:
         matrices = [b.first.vectors, b.first.functionals, w, g]
         assert [sum(m is x for x in classified) for m in matrices] == [1, 1, 1, 1]
         assert len(classified) == 4
+
+    def test_form_decided_by_every_entry(self):
+        """The last row only rules forms out: a nonzero imaginary part or
+        off-diagonal entry anywhere else still counts."""
+        complex_first_row = np.eye(4, dtype=complex)
+        complex_first_row[0, 3] = 1e-300j
+        off_diagonal_first_row = np.eye(4, dtype=complex)
+        off_diagonal_first_row[0, 1] = 5e-324
+        forms = [systems._form(m) for m in (complex_first_row, off_diagonal_first_row,
+                                            np.eye(4, dtype=complex))]
+        assert [f.real is None for f in forms] == [True, False, False]
+        assert [f.diagonal is None for f in forms] == [True, True, False]
+        assert forms[2].diagonal.tobytes() == np.ones(4).tobytes()
