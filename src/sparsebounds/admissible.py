@@ -17,9 +17,12 @@ from .errors import NoAdmissibleSignalError, ParameterError
 from .systems import (
     _DTYPES,
     COMPLEX,
+    REAL,
     BiSystem,
     PairedSystem,
+    _adopt,
     _apply,
+    _hilbert,
     _matmul,
     from_hilbert_vectors,
     identity_system,
@@ -95,11 +98,11 @@ def _below_cutoff(a: np.ndarray, tol_rank: float) -> bool:
 def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> AdmissibleSpace:
     """Common fixed subspace of both systems: the null space of the 2d x d
     stack [I - TF; I - WG]."""
-    eye = np.eye(bisystem.d, dtype=_DTYPES[bisystem.field])
-    stacked = np.vstack([
-        eye - _matmul(bisystem.first._vectors_form, bisystem.first._functionals_form),
-        eye - _matmul(bisystem.second._vectors_form, bisystem.second._functionals_form),
-    ])
+    d, dtype = bisystem.d, _DTYPES[bisystem.field]
+    eye = np.eye(d, dtype=dtype)
+    stacked = np.empty((2 * d, d), dtype)
+    for half, system in zip((stacked[:d], stacked[d:]), (bisystem.first, bisystem.second)):
+        np.subtract(eye, _matmul(system._vectors_form, system._functionals_form), out=half)
     basis = null_space_basis(stacked, tol_rank)
     return AdmissibleSpace(basis, basis.shape[1])
 
@@ -272,13 +275,12 @@ def generate(family: str, params: dict, seed: int = 0) -> BiSystem:
     if family == "identity_pair":
         return BiSystem(identity_system(d), identity_system(d))
     if family == "dft_pair":
-        eye = identity_system(d, COMPLEX)
-        return BiSystem(eye, from_hilbert_vectors(dft_matrix(d)))
+        return BiSystem(identity_system(d, COMPLEX), _hilbert(dft_matrix(d), COMPLEX))
     if family == "rotated_pair":
         if d < 2:
             raise ParameterError("rotated_pair needs d >= 2")
         angle = _param(params, "angle", -math.inf, 45.0, real=True)
-        return BiSystem(identity_system(d), from_hilbert_vectors(_rotation(d, angle)))
+        return BiSystem(identity_system(d), _hilbert(_rotation(d, angle), REAL))
     # subspace_union
     split = _param(params, "split", 1, 1)
     if split > d:
@@ -303,22 +305,40 @@ def _perturb(bisystem: BiSystem, magnitude: float, seed: int) -> BiSystem:
     """Seeded perturbation that keeps every theorem hypothesis intact.
 
     The ambient change of basis S = I + E, with E a seeded uniform matrix
-    scaled to spectral norm `magnitude` (up to rounding), maps the admissible
-    subspace without changing its dimension; per-index scalings
-    tau_j -> c_j tau_j, f_j -> f_j / c_j change the cross-coherences while
-    leaving every diagonal pairing exact.
+    scaled to spectral norm `magnitude` (up to rounding, _spectral_norm),
+    maps the admissible subspace without changing its dimension; per-index
+    scalings tau_j -> c_j tau_j, f_j -> f_j / c_j change the
+    cross-coherences while leaving every diagonal pairing exact.  The new
+    systems keep the products S T diag(c) and diag(c)^-1 F S^-1 themselves
+    (_adopt), which share no memory with the base.
     """
     rng = np.random.default_rng(seed)
     d = bisystem.d
     e = rng.uniform(-1.0, 1.0, size=(d, d))
-    norm = np.linalg.norm(e, 2)
-    s = np.eye(d) + (magnitude / norm) * e if norm > 0 else np.eye(d)
+    norm = _spectral_norm(e)
+    s = np.eye(d)
+    if norm > 0:
+        e *= magnitude / norm
+        s += e
     s_inv = np.linalg.inv(s)
 
     def apply(system: PairedSystem) -> PairedSystem:
         c = rng.uniform(1.0, 1.0 + magnitude, size=system.n)
-        vectors = _matmul(s, system._vectors_form) * c[None, :]
+        vectors = _matmul(s, system._vectors_form)
+        vectors *= c
         functionals = _matmul(system.functionals / c[:, None], s_inv)
-        return PairedSystem(vectors, functionals, system.field)
+        return _adopt(vectors, functionals, system.field)
 
     return BiSystem(apply(bisystem.first), apply(bisystem.second))
+
+
+def _spectral_norm(e: np.ndarray) -> float:
+    """||e||_2 of a real square matrix, as sqrt(lambda_max(e e^T)).
+
+    e @ e.T is one symmetric rank-k update (syrk), and eigvalsh computes
+    eigenvalues only, about half the work of the singular values that
+    np.linalg.norm(e, 2) computes.  The symmetric eigensolver is backward
+    stable, so lambda_max is accurate to a few ulps of ||e e^T||_2 =
+    lambda_max; e = 0 gives 0.
+    """
+    return float(np.sqrt(np.linalg.eigvalsh(e @ e.T)[-1]))

@@ -30,6 +30,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """a itself, read-only from now on, for a fresh array that nothing else
+    holds; copied only when it is not C-ordered."""
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
+
+
 def _as_matrix(a, field_tag: str, name: str) -> np.ndarray:
     a = _valid_array(name, a, _DTYPES[field_tag])
     if a.ndim != 2:
@@ -41,9 +49,10 @@ def _as_matrix(a, field_tag: str, name: str) -> np.ndarray:
 class PairedSystem:
     """Matched collections (tau_j, f_j): vectors d x n, functionals n x d.
 
-    Its arrays are private read-only copies, so per-system invariants such
-    as the pairing diagonals and each matrix's product form are computed
-    once and kept on the instance.
+    Its arrays are private, read-only and C-ordered: copies of the arrays
+    it is given, or arrays a library constructor built for it (_adopt).
+    Per-system invariants such as the pairing diagonals and each matrix's
+    product form are therefore computed once and kept on the instance.
     """
 
     vectors: np.ndarray
@@ -51,10 +60,15 @@ class PairedSystem:
     field: str = REAL
 
     def __post_init__(self):
+        self._keep(_frozen)
+
+    def _keep(self, own) -> None:
+        """Check the field tag and both matrices, finiteness included, and
+        keep own(matrix) of each."""
         if self.field not in _DTYPES:
             raise StructuralError(f"unknown field tag {self.field!r}")
         for name in ("vectors", "functionals"):
-            object.__setattr__(self, name, _frozen(_as_matrix(getattr(self, name), self.field, name)))
+            object.__setattr__(self, name, own(_as_matrix(getattr(self, name), self.field, name)))
         d, n = self.vectors.shape
         if d < 1 or n < 1:
             raise StructuralError(f"dimensions must be positive, got d={d}, n={n}")
@@ -85,6 +99,21 @@ class PairedSystem:
     def _functionals_form(self) -> _Form:
         """The functionals' product form (_form), decided once."""
         return _form(self.functionals)
+
+
+def _adopt(vectors: np.ndarray, functionals: np.ndarray, field_tag: str) -> PairedSystem:
+    """PairedSystem(vectors, functionals, field_tag) that keeps the two
+    arrays themselves, frozen in place (_freeze), instead of copies.
+
+    For the library's constructors only: each array must be fresh and held
+    by nothing else, and the two must not share memory.  They are checked
+    as PairedSystem checks its arguments.
+    """
+    system = object.__new__(PairedSystem)
+    for name, value in (("vectors", vectors), ("functionals", functionals), ("field", field_tag)):
+        object.__setattr__(system, name, value)
+    system._keep(_freeze)
+    return system
 
 
 @dataclass(frozen=True)
@@ -143,13 +172,18 @@ def from_hilbert_vectors(vectors) -> PairedSystem:
     diagonal pairings are the squared column norms.
     """
     field_tag = COMPLEX if np.iscomplexobj(vectors) else REAL
-    T = _as_matrix(vectors, field_tag, "vectors")
+    return _hilbert(np.array(_as_matrix(vectors, field_tag, "vectors"), order="C"), field_tag)
+
+
+def _hilbert(T: np.ndarray, field_tag: str) -> PairedSystem:
+    """from_hilbert_vectors of a fresh matrix T that the system then keeps
+    (_adopt); the functionals T^H are written C-ordered in one pass."""
     norms = np.linalg.norm(T, axis=0)
     bad = np.nonzero(np.abs(norms - 1.0) > ETA_HYP)[0]
     if bad.size:
         j = int(bad[0])
         raise HypothesisError(f"column {j} has norm {norms[j]:.6g}, expected 1 within {ETA_HYP:g}")
-    return PairedSystem(T, T.conj().T, field_tag)
+    return _adopt(T, np.conjugate(T.T, out=np.empty(T.shape[::-1], T.dtype)), field_tag)
 
 
 def _as_signal(field_tag: str, x, length: int, name: str) -> np.ndarray:
@@ -245,7 +279,8 @@ def _dense(a: _Form, b: _Form, dtype) -> np.ndarray:
     product costs about four real ones.  Here real-valued @ real-valued is
     one real product, and real-valued @ complex, or the reverse, one real
     product with the complex operand's real and imaginary parts side by
-    side.  Complex @ complex and real @ real are a @ b, bit for bit.
+    side.  Complex @ complex and real @ real are a @ b, bit for bit.  The
+    product is C-ordered, as a system keeps it.
     """
     ra, rb = a.real, b.real
     a, b = a.matrix, b.matrix
@@ -256,8 +291,9 @@ def _dense(a: _Form, b: _Form, dtype) -> np.ndarray:
     if rb is None:
         return (ra @ np.ascontiguousarray(b).view(b.real.dtype)).view(dtype)
     if ra is None:
-        # a @ b is the transpose of b^T @ a^T.
-        return (rb.T @ np.ascontiguousarray(a.T).view(a.real.dtype)).view(dtype).T
+        # a @ b is the transpose of b^T @ a^T, returned C-ordered.
+        return np.ascontiguousarray(
+            (rb.T @ np.ascontiguousarray(a.T).view(a.real.dtype)).view(dtype).T)
     return (ra @ rb).astype(dtype)
 
 
@@ -272,6 +308,7 @@ def synthesis(system: PairedSystem, coefficients) -> np.ndarray:
 
 
 def identity_system(d: int, field_tag: str = REAL) -> PairedSystem:
-    """The d x d identity as both vectors and functionals."""
-    eye = np.eye(_valid_integer("d", d, 1), dtype=_DTYPES[field_tag])
-    return PairedSystem(eye, eye, field_tag)
+    """The d x d identity as both vectors and functionals, two arrays."""
+    d = _valid_integer("d", d, 1)
+    return _adopt(np.eye(d, dtype=_DTYPES[field_tag]), np.eye(d, dtype=_DTYPES[field_tag]),
+                  field_tag)

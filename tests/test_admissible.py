@@ -19,6 +19,7 @@ from sparsebounds.admissible import (
     _pcg64_states,
     _rank,
     _samples,
+    _spectral_norm,
     null_space_basis,
 )
 from sparsebounds.bounds import fixedpoint_residuals
@@ -345,6 +346,44 @@ class TestSeeding:
         space = AdmissibleSpace(np.array([[1j], [0.0], [1.0]]) / np.sqrt(2), 1)
         for seed in (0, 7, 2**128 + 1):
             assert _samples(space, [seed])[0].tobytes() == reference_sample(space, seed).tobytes()
+
+
+class TestSpectralNorm:
+    """perturbed scales E to spectral norm `magnitude` with _spectral_norm,
+    sqrt(lambda_max(E E^T)), not the SVD of np.linalg.norm(E, 2)."""
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 64, 256])
+    @pytest.mark.parametrize("kind", ["uniform", "zero", "rank-one"])
+    def test_matches_svd_norm(self, d, kind):
+        rng = np.random.default_rng(d)
+        e = {
+            "uniform": lambda: rng.uniform(-1.0, 1.0, size=(d, d)),
+            "zero": lambda: np.zeros((d, d)),
+            "rank-one": lambda: np.outer(rng.uniform(-1.0, 1.0, d), rng.uniform(-1.0, 1.0, d)),
+        }[kind]()
+        got, want = _spectral_norm(e), np.linalg.norm(e, 2)
+        if kind == "zero":
+            assert got == want == 0.0
+        else:
+            assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    @pytest.mark.parametrize("magnitude", [0.05, 0.3])
+    def test_perturbed_change_of_basis_has_the_magnitude(self, seed, magnitude):
+        """Replay perturbed's draws over identity_pair: its first system's
+        vectors are S diag(c_1), so S is recovered, and ||S - I||_2 is the
+        magnitude."""
+        d = 64
+        b = generate("perturbed", {"base": {"family": "identity_pair", "params": {"d": d}},
+                                   "magnitude": magnitude}, seed)
+        rng = np.random.default_rng(seed)
+        e = rng.uniform(-1.0, 1.0, size=(d, d))
+        c1 = rng.uniform(1.0, 1.0 + magnitude, size=d)
+        s = b.first.vectors / c1[None, :]
+        np.testing.assert_allclose(s, np.eye(d) + magnitude / np.linalg.norm(e, 2) * e,
+                                   rtol=0, atol=1e-15)
+        assert np.linalg.norm(s - np.eye(d), 2) == pytest.approx(magnitude, rel=1e-13)
+        assert np.linalg.norm(b.first.vectors @ b.first.functionals - np.eye(d), 2) <= 1e-12
 
 
 class TestFamilies:

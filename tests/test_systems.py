@@ -108,6 +108,80 @@ class TestConstruction:
         np.testing.assert_array_equal(analysis(s, np.array([1.0 + 0j, 0.0])), analysis(s, [1.0, 0.0]))
 
 
+# One instance of each family; perturbed over a complex and over a real base.
+FAMILY_CASES = [
+    ("identity_pair", {"d": 5}),
+    ("dft_pair", {"d": 6}),
+    ("rotated_pair", {"d": 4, "angle": 30.0}),
+    ("subspace_union", {"d": 6, "split": 2}),
+    ("perturbed", {"base": {"family": "dft_pair", "params": {"d": 6}}, "magnitude": 0.2}),
+    ("perturbed", {"base": {"family": "subspace_union", "params": {"d": 6, "split": 2}},
+                   "magnitude": 0.2}),
+]
+
+
+def matrices(bisystem):
+    return [m for s in (bisystem.first, bisystem.second) for m in (s.vectors, s.functionals)]
+
+
+class TestOwnership:
+    """A system's arrays are its own: copies of a caller's arrays, or arrays
+    a library constructor built for it, read-only and C-ordered."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_public_constructors_never_alias_caller_arrays(self, dtype):
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal((4, 3)).astype(dtype)
+        f = rng.standard_normal((3, 4)).astype(dtype)
+        q = np.asarray(np.linalg.qr(rng.standard_normal((4, 4)))[0], dtype=dtype)
+        field_tag = "complex" if dtype is complex else "real"
+        paired, hilbert = PairedSystem(v, f, field_tag), from_hilbert_vectors(q)
+        # A transposed view of q: from_hilbert_vectors copies it C-ordered too.
+        hilbert_t = from_hilbert_vectors(q.T)
+        before = [m.copy() for m in (paired.vectors, paired.functionals, hilbert.vectors,
+                                     hilbert.functionals, hilbert_t.vectors, hilbert_t.functionals)]
+        for caller in (v, f, q):
+            assert caller.flags.writeable
+            caller[:] = 7.0
+        after = (paired.vectors, paired.functionals, hilbert.vectors, hilbert.functionals,
+                 hilbert_t.vectors, hilbert_t.functionals)
+        for b, a in zip(before, after):
+            assert a.tobytes() == b.tobytes()
+            assert not any(np.shares_memory(a, caller) for caller in (v, f, q))
+        np.testing.assert_array_equal(hilbert.functionals, before[2].conj().T)
+
+    @pytest.mark.parametrize("family,params", FAMILY_CASES,
+                             ids=[f"{f}-{i}" for i, (f, _) in enumerate(FAMILY_CASES)])
+    def test_library_arrays_read_only_c_ordered_and_unshared(self, family, params):
+        b = generate(family, params, seed=3)
+        ms = matrices(b)
+        for m in ms:
+            assert not m.flags.writeable and m.flags.c_contiguous
+        for i, m in enumerate(ms):
+            for other in ms[i + 1:]:
+                assert not np.shares_memory(m, other)
+
+    @pytest.mark.parametrize("field_tag", ["real", "complex"])
+    def test_identity_system_holds_two_arrays(self, field_tag):
+        s = identity_system(4, field_tag)
+        assert not np.shares_memory(s.vectors, s.functionals)
+        for m in (s.vectors, s.functionals):
+            assert not m.flags.writeable and m.flags.c_contiguous
+            assert m.tobytes() == np.eye(4, dtype=m.dtype).tobytes()
+
+    @pytest.mark.parametrize("base_family,params", [
+        ("dft_pair", {"d": 6}), ("subspace_union", {"d": 6, "split": 2}),
+        ("identity_pair", {"d": 6}), ("rotated_pair", {"d": 6})])
+    def test_perturbed_shares_no_memory_with_its_base(self, base_family, params):
+        base = generate(base_family, params, seed=1)
+        before = [m.tobytes() for m in matrices(base)]
+        perturbed = admissible._perturb(base, 0.2, 4)
+        for m in matrices(perturbed):
+            assert not m.flags.writeable and m.flags.c_contiguous
+            assert not any(np.shares_memory(m, x) for x in matrices(base))
+        assert [m.tobytes() for m in matrices(base)] == before
+
+
 class TestValidatePairing:
     def test_identity_passes(self):
         report = validate_pairing(identity_system(3))
@@ -313,6 +387,22 @@ class TestProductRule:
         a, b = operand(rng, (m, k), kind), operand(rng, (k, n), kind)
         got, want = _matmul(a, b), a @ b
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kinds", [("complex", "real"), ("complex", "real-valued"),
+                                       ("real", "complex"), ("real-valued", "complex")])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (17, 20, 19), (64, 64, 64),
+                                       (130, 97, 33)])
+    def test_mixed_products_c_ordered(self, kinds, shape):
+        """Complex times real-valued, and the reverse, is returned C-ordered,
+        with the values of a @ b."""
+        rng = np.random.default_rng(sum(shape))
+        m, k, n = shape
+        a, b = operand(rng, (m, k), kinds[0]), operand(rng, (k, n), kinds[1])
+        got, want = _matmul(a, b), a @ b
+        assert got.flags.c_contiguous
+        assert got.dtype == want.dtype and got.shape == want.shape
+        bound = 4 * k * np.finfo(float).eps * np.linalg.norm(a) * np.linalg.norm(b)
+        assert np.abs(got - want).max() <= bound
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("diagonal_kind", ["real", "real-valued"])
