@@ -31,9 +31,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    """a itself, read-only from now on, for a fresh array that nothing else
-    holds; copied only when it is not C-ordered."""
-    a = np.ascontiguousarray(a)
+    """a itself, read-only from now on, for a fresh C-ordered array that
+    nothing else holds."""
     a.setflags(write=False)
     return a
 
@@ -105,9 +104,9 @@ def _adopt(vectors: np.ndarray, functionals: np.ndarray, field_tag: str) -> Pair
     """PairedSystem(vectors, functionals, field_tag) that keeps the two
     arrays themselves, frozen in place (_freeze), instead of copies.
 
-    For the library's constructors only: each array must be fresh and held
-    by nothing else, and the two must not share memory.  They are checked
-    as PairedSystem checks its arguments.
+    For the library's constructors only: each array must be fresh,
+    C-ordered and held by nothing else, and the two must not share memory.
+    They are checked as PairedSystem checks its arguments.
     """
     system = object.__new__(PairedSystem)
     for name, value in (("vectors", vectors), ("functionals", functionals), ("field", field_tag)):
