@@ -15,12 +15,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .admissible import _MAGNITUDE, FAMILIES, admissible_space, generate, sample_admissible
 from .bounds import verify_fkdb, verify_fskpb
-from .coherence import _off_diagonal_max, coherence_profile, gram
+from .coherence import coherence_profile, sub_coherence
 from .config import (
     ETA,
     ETA_HYP,
@@ -224,10 +222,10 @@ def cmd_coherence(args) -> int:
     if "first" in doc and "second" in doc:
         body = coherence_profile(bisystem_from_dict(doc)).as_dict()
     else:
-        g = gram(_system_from_document(doc, Path(args.input).parent))
+        system = _system_from_document(doc, Path(args.input).parent)
         body = {
-            "sub_coherence": _off_diagonal_max(g),
-            "gram_diagonal": [float(v) for v in np.abs(np.diag(g))],
+            "sub_coherence": sub_coherence(system),
+            "gram_diagonal": validate_pairing(system).diagonals.tolist(),
         }
     body["manifest"] = _manifest(args, {"input": args.input})
     _emit(body, args)

@@ -35,12 +35,7 @@ def gram(system: PairedSystem) -> np.ndarray:
 
 def sub_coherence(system: PairedSystem) -> float:
     """Largest off-diagonal |f_j(tau_r)|; zero for n = 1 (empty maximum)."""
-    return _off_diagonal_max(gram(system))
-
-
-def _off_diagonal_max(g: np.ndarray) -> float:
-    """Largest off-diagonal magnitude of a square gram matrix g."""
-    g = np.abs(g)
+    g = np.abs(gram(system))
     np.fill_diagonal(g, 0.0)
     return float(g.max())
 

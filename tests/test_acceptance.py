@@ -1,8 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line."""
 
-import itertools
+import inspect
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,27 +275,95 @@ def test_criterion_7_monotonicity_sweep():
              violations == 0, f"{violations} violations")
 
 
-def test_criterion_8_reproducibility(tmp_path, capsys):
-    commands = [
-        ["verify", "--family", "dft_pair", "--d", "4", "--sample", "42"],
-        ["verify", "--family", "rotated_pair", "--d", "2", "--angle", "45",
-         "--sample", "7", "--set-m", "0", "--set-n", "0,1"],
-        ["search", "--family", "dft_pair", "--d", "4"],
-        ["search", "--family", "subspace_union", "--d", "5", "--split", "2",
-         "--seed", "3"],
-        ["sample", "--family", "identity_pair", "--d", "3", "--sample", "5"],
-    ]
-    ok = True
-    for argv in commands:
-        assert main(list(argv)) == 0
-        first = capsys.readouterr().out
-        assert main(list(argv)) == 0
-        second = capsys.readouterr().out
-        ok = ok and first == second and len(first) > 0
-    out1, out2 = tmp_path / "g1", tmp_path / "g2"
-    gen = ["generate", "--family", "dft_pair", "--d", "4", "--seed", "0"]
-    assert main(gen + ["--out", str(out1)]) == 0
-    assert main(gen + ["--out", str(out2)]) == 0
-    capsys.readouterr()
-    ok = ok and (out1 / "bisystem.json").read_bytes() == (out2 / "bisystem.json").read_bytes()
-    _verdict("criterion 8: CLI manifests rerun byte-for-byte", ok)
+# Criterion 8's corpus: every CLI command whose output must rerun byte for
+# byte.  Rows that write files use relative --out names, so the coherence row
+# reads what its own run generated.
+RERUNS = [row.split() for row in [
+    "verify --family dft_pair --d 4 --sample 42",
+    "verify --family rotated_pair --d 2 --angle 45 --sample 7 --set-m 0 --set-n 0,1",
+    "verify --family rotated_pair --d 2 --angle 45 --sample 7",
+    "verify --family dft_pair --d 128 --sample 7",
+    # perturbed over dft_pair at d = 256: sizes where the real and the
+    # complex product kernels give different low bits.
+    "verify --family perturbed --base dft_pair --d 256 --sample 3",
+    # Diagonal system matrices multiply as scalings: identity_pair has them on
+    # both sides of every product, subspace_union as its second system.
+    "verify --family identity_pair --d 512 --sample 3",
+    "verify --family subspace_union --d 256 --split 100 --sample 3",
+    # perturbed builds its systems from its own products, frozen in place,
+    # and scales E by sqrt(lambda_max(E E^T)).
+    "generate --family perturbed --base dft_pair --d 64 --seed 5 --out gp",
+    "verify --family perturbed --base dft_pair --d 512 --sample 3",
+    "search --family dft_pair --d 4",
+    "search --family dft_pair --d 7",
+    "search --family subspace_union --d 5 --split 2 --seed 3",
+    "sample --family identity_pair --d 3 --sample 5",
+    # Flag values are JSON number text: 3.0 means 3, as in a descriptor file.
+    "sample --family identity_pair --d 3.0 --sample 5.0",
+    "sample --family dft_pair --d 4 --sample 3",
+    "generate --family dft_pair --d 4 --seed 0 --out g-dft",
+    "generate --family subspace_union --d 5 --split 2 --seed 9 --out g-union",
+    "generate --family rotated_pair --d 2 --seed 0 --out g",
+    "coherence g/bisystem.json",
+    # Two w = d noise stacks: the admissible basis is exactly I.
+    "sample --family dft_pair --d 64 --sample 3",
+    "search --family rotated_pair --d 4",
+    # A stack above the rank cutoff: the admissible basis takes the SVD.
+    "sample --family subspace_union --d 64 --split 20 --sample 3",
+    "verify --family subspace_union --d 64 --split 20 --sample 3",
+    # Seed 2^128 + 1: five entropy words, one past SeedSequence's pool.
+    f"sample --family subspace_union --d 8 --split 3 --sample {2**128 + 1}",
+    # The oracle's downdated Gram filter: the minimum and the winner's rank in
+    # the enumeration are known (asserted below).
+    "search --family dft_pair --d 9",
+    "search --family perturbed --base dft_pair --d 8 --seed 3",
+]]
+
+
+def rerun(rows):
+    """[exit code, stdout] of each argv row, run in order.  Self-contained, so
+    that criterion 8 runs this same source in a fresh interpreter too."""
+    import contextlib
+    import io
+
+    from sparsebounds.cli import main
+    ran = []
+    for argv in rows:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            ran.append([main(list(argv)), out.getvalue()])
+    return ran
+
+
+def test_criterion_8_reproducibility(tmp_path, monkeypatch):
+    """Every RERUNS row runs here and again in a fresh interpreter, each side
+    in its own directory: exit code, stdout and every written file must agree
+    byte for byte."""
+    monkeypatch.delenv("SPARSEBOUNDS_SEED", raising=False)
+    sides = [tmp_path / "here", tmp_path / "child"]
+    for side in sides:
+        side.mkdir()
+    monkeypatch.chdir(sides[0])
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    script = inspect.getsource(rerun) + "import json, sys\n" \
+        "json.dump(rerun(json.load(sys.stdin)), sys.stdout)"
+    child = subprocess.run([sys.executable, "-c", script], input=json.dumps(RERUNS),
+                           capture_output=True, text=True, cwd=sides[1], check=True,
+                           env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    runs = dict(zip(map(" ".join, RERUNS), zip(rerun(RERUNS), json.loads(child.stdout))))
+    files = [{str(p.relative_to(side)): p.read_bytes() for p in side.rglob("*") if p.is_file()}
+             for side in sides]
+    moved = [row for row, (here, there) in runs.items() if here != there]
+    moved += sorted(name for name in files[0].keys() | files[1].keys()
+                    if files[0].get(name) != files[1].get(name))
+    failed = [row for row, ((code, out), _) in runs.items() if code != 0 or not out]
+    out = {row: here[1] for row, (here, _) in runs.items()}
+    found = [(r["best_lhs"], r["patterns_searched"]) for r in map(json.loads, [
+        out["search --family dft_pair --d 9"],
+        out["search --family perturbed --base dft_pair --d 8 --seed 3"]])]
+    same_sample = (out["sample --family identity_pair --d 3.0 --sample 5.0"]
+                   == out["sample --family identity_pair --d 3 --sample 5"])
+    _verdict("criterion 8: CLI outputs rerun byte-for-byte in a fresh interpreter",
+             not moved and not failed and len(files[0]) == 8 and same_sample
+             and found == [(9, 25516), (8, 7921)],
+             f"{len(RERUNS)} commands, {len(files[0])} files; moved {moved}, "
+             f"failed {failed}, search minima {found}")

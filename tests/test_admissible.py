@@ -332,6 +332,7 @@ class TestSeeding:
         ("subspace_union", {"d": 6, "split": 3}),                     # real, 1 < w < d
         ("dft_pair", {"d": 5}),                                       # complex, w = d
         ("perturbed", {"base": {"family": "dft_pair", "params": {"d": 4}}}),  # complex, w = d
+        ("subspace_union", {"d": 8, "split": 3}),                     # criterion 8's 2^128 + 1 row
     ])
     def test_rows_are_reference_samples(self, family, params):
         space = admissible_space(generate(family, params, seed=2))

@@ -351,8 +351,10 @@ def test_batched_search_matches_reference_property(b):
 
 
 # The theorem's symmetries (ROADMAP item 1) at moderate scales: swapping the
-# systems, permuting either system's indices and per-index rescaling by c in
-# [1e-2, 1e2] leave best_lhs and the witness's l0 product unchanged.
+# systems, permuting either system's indices, per-index rescaling by c in
+# [1e-2, 1e2] and an ambient change of basis S = I + E, ||E||_2 <= 0.9
+# (tau_j -> S tau_j, f_j -> f_j S^-1), leave best_lhs and the witness's l0
+# product unchanged; the change of basis keeps patterns_searched too.
 @given(small_bisystems(), st.data())
 def test_search_invariant_under_symmetries(b, data):
     want = min_sparsity_product(b, admissible_space(b))
@@ -360,16 +362,23 @@ def test_search_invariant_under_symmetries(b, data):
     n, m = b.first.n, b.second.n
     scales = [np.array(data.draw(st.lists(st.floats(1e-2, 1e2), min_size=size, max_size=size)))
               for size in (n, m)]
+    e = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((b.d, b.d))
+    s = np.eye(b.d) + e * (data.draw(st.floats(0.0, 0.9)) / np.linalg.norm(e, 2))
+    based = BiSystem(*(PairedSystem(s @ p.vectors, p.functionals @ np.linalg.inv(s), p.field)
+                       for p in (b.first, b.second)))
     changed = [
         swapped(b),
         BiSystem(permuted(b.first, data.draw(st.permutations(range(n)))),
                  permuted(b.second, data.draw(st.permutations(range(m))))),
         BiSystem(rescaled_per_index(b.first, scales[0]), rescaled_per_index(b.second, scales[1])),
+        based,
     ]
     for other in changed:
         got = min_sparsity_product(other, admissible_space(other))
         assert got.best_lhs == want.best_lhs
         assert witness_l0_product(other, got) == product
+        if other is based:
+            assert got.patterns_searched == want.patterns_searched
 
 
 # A change of ambient basis inside the admissible space: the search over the
