@@ -545,6 +545,16 @@ class TestGenerate:
         entries = np.abs(np.array(doc["second"]["vectors"]))
         assert entries.max() == pytest.approx(np.sqrt(2) / 2)
 
+    def test_byte_identical_regeneration(self, tmp_path, capsys):
+        args = ["generate", "--family", "subspace_union", "--d", "5",
+                "--split", "2", "--seed", "9"]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        capsys.readouterr()
+        assert (out1 / "bisystem.json").read_bytes() == (out2 / "bisystem.json").read_bytes()
+        assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+
     def test_unknown_family(self, capsys):
         with pytest.raises(SystemExit):
             main(["generate", "--family", "nonsense", "--out", "/tmp/x"])
@@ -556,6 +566,14 @@ class TestGenerate:
 
 
 class TestSample:
+    def test_deterministic(self, capsys):
+        code, doc1 = run(capsys, "sample", "--family", "dft_pair", "--d", "4",
+                         "--sample", "3")
+        assert code == 0
+        _, doc2 = run(capsys, "sample", "--family", "dft_pair", "--d", "4",
+                      "--sample", "3")
+        assert doc1["coordinates"] == doc2["coordinates"]
+
     def test_no_admissible_signal(self, tmp_path, capsys):
         eye = np.eye(2)
         doubled = PairedSystem(np.hstack([eye, eye]), np.vstack([eye, eye]))
@@ -567,6 +585,15 @@ class TestSample:
 
 
 class TestReproducibility:
+    def test_verify_rerun_byte_identical(self, capsys):
+        args = ["verify", "--family", "rotated_pair", "--d", "2", "--angle", "45",
+                "--sample", "7"]
+        main(args)
+        first = capsys.readouterr().out
+        main(args)
+        second = capsys.readouterr().out
+        assert first == second
+
     def test_table_format(self, capsys):
         code = main(["search", "--family", "identity_pair", "--d", "2",
                      "--format", "table"])
