@@ -113,116 +113,26 @@ def sample_admissible(space: AdmissibleSpace, seed: int) -> np.ndarray:
     Deterministic for a fixed seed: basis @ c, with the coefficients c drawn
     by np.random.default_rng(seed).standard_normal (a second draw is the
     imaginary part for a complex basis) and normalized to max magnitude 1.
+    It is trial 0 of exhaustive_verify's sweep at that seed.
     """
-    return _samples(space, [_valid_integer("seed", seed, 0)])[0]
+    return _samples(space, np.random.default_rng(_valid_integer("seed", seed, 0)), 1)[0]
 
 
-def _samples(space: AdmissibleSpace, seeds) -> np.ndarray:
-    """Stack (k, d) of the signals of the k integer seeds >= 0, row i bit for
-    bit sample_admissible(space, seeds[i]).
+def _samples(space: AdmissibleSpace, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Stack (count, d) of the next count signals drawn from rng.
 
-    Every seed's default_rng state is computed in one pass (_pcg64_states)
-    and installed in turn on one generator, which then draws that seed's
-    coefficients; the ziggurat draws stay NumPy's own.
+    Row t's coefficients are row t of rng.standard_normal((count, 2, w)) for
+    a complex basis (real parts, then imaginary parts), or of
+    (count, 1, w) for a real one, normalized to max magnitude 1.
+    standard_normal fills its output in order, so draws of k and then of j
+    rows from one generator give the rows of one draw of k + j.
     """
     if space.w < 1:
         raise NoAdmissibleSignalError("admissible subspace is trivial (w = 0)")
     complex_basis = np.iscomplexobj(space.basis)
-    # Row i holds seed i's draws in their order: the real parts, then the
-    # imaginary parts for a complex basis.
-    draws = np.empty((len(seeds), 2 if complex_basis else 1, space.w))
-    # Its own seed is never drawn from: every row installs its state first.
-    generator = np.random.Generator(np.random.PCG64(0))
-    bit_generator = generator.bit_generator
-    for row, (state, inc) in zip(draws, _pcg64_states(seeds)):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        generator.standard_normal(out=row)
+    draws = rng.standard_normal((count, 2 if complex_basis else 1, space.w))
     c = draws[:, 0] + 1j * draws[:, 1] if complex_basis else draws[:, 0]
     return _apply(space.basis, c / np.abs(c).max(axis=-1, keepdims=True))
-
-
-# np.random.default_rng(s) is Generator(PCG64(SeedSequence(s))).  Both
-# seeding steps are fixed integer functions of s, written out here after
-# NumPy's SeedSequence (pool of 4 uint32 words) and PCG64 so that they run on
-# arrays, for many seeds at once, with the same bits.
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK_128 = (1 << 128) - 1
-# The pool words each mixing round updates: all but its source word.
-_OTHERS = [[dst for dst in range(_POOL) if dst != src] for src in range(_POOL)]
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The hash constant before and after each of count hash steps: a
-    sequence that does not depend on the seed."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return np.array(out, dtype=np.uint32)
-
-
-def _hash(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    """SeedSequence's hash step of uint32 words, with the hash constant
-    before and after the step."""
-    value = (value ^ before) * after
-    return value ^ (value >> _XSHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of pool words x with hashed words y."""
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> _XSHIFT)
-
-
-def _pool(words: np.ndarray) -> np.ndarray:
-    """SeedSequence's pool (k, 4) of the entropy words (k, n), n >= 4, of k
-    seeds: the first 4 words hashed, mixed with each other, then every
-    further word mixed into each pool word."""
-    n = words.shape[1]
-    h = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + (n - _POOL) * _POOL)
-    pool = _hash(words[:, :_POOL], h[:_POOL], h[1:_POOL + 1])
-    j = _POOL
-    for src, others in enumerate(_OTHERS):
-        hashed = _hash(pool[:, src, None], h[j:j + _POOL - 1], h[j + 1:j + _POOL])
-        pool[:, others] = _mix(pool[:, others], hashed)
-        j += _POOL - 1
-    for src in range(_POOL, n):
-        pool = _mix(pool, _hash(words[:, src, None], h[j:j + _POOL], h[j + 1:j + _POOL + 1]))
-        j += _POOL
-    return pool
-
-
-# Constants of SeedSequence.generate_state(4, np.uint64): 8 uint32 words,
-# drawn cyclically from the pool.
-_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
-
-
-def _pcg64_states(seeds) -> list:
-    """(state, inc) of PCG64 seeded by default_rng(s), for each int s >= 0.
-
-    A seed's entropy is its little-endian 32-bit words, zero-padded to the
-    pool size; the seeds are grouped by word count, since the words past the
-    pool's are mixed in one round each.  PCG64 seeds from the first two
-    128-bit state words (initstate, initseq) by two steps of its LCG.
-    """
-    seeds = list(seeds)
-    groups = {}
-    for i, s in enumerate(seeds):
-        groups.setdefault(max(_POOL, -(-s.bit_length() // 32)), []).append(i)
-    states = [None] * len(seeds)
-    for n, rows in groups.items():
-        entropy = b"".join(seeds[i].to_bytes(4 * n, "little") for i in rows)
-        pool = _pool(np.frombuffer(entropy, "<u4").reshape(len(rows), n).astype(np.uint32))
-        words = _hash(np.tile(pool, 2), _STATE_HASH[:-1], _STATE_HASH[1:])
-        for i, (s0, s1, q0, q1) in zip(rows, words.astype("<u4").view("<u8").tolist()):
-            inc = ((q0 << 64 | q1) << 1 | 1) & _MASK_128
-            states[i] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK_128, inc
-    return states
 
 
 def _rotation(d: int, angle_deg: float) -> np.ndarray:

@@ -225,7 +225,7 @@ class VerifySummary:
     concentrated_checked: int
     concentrated_satisfied: int
     min_margin: float
-    failing_seeds: tuple = field(default_factory=tuple)
+    failing_trials: tuple = field(default_factory=tuple)
 
 
 # Trials drawn and analysed per array pass of exhaustive_verify; bounds the
@@ -239,16 +239,20 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
                       concentrated_subsample: int = 5) -> VerifySummary:
     """Verify certificates on many sampled admissible signals.
 
-    Trial t certifies sample_admissible(space, seed + t), bit for bit, so a
-    failing seed replays alone; each block of trials is seeded in one pass.
-    On the first `concentrated_subsample` signals, also checks the
-    concentrated certificate with M, N chosen by best_set at every
-    cardinality pair.  The certificates are evaluated as arrays, and the
-    summary equals that of verify_fkdb and verify_fskpb called signal by
-    signal, bit for bit.
+    The trials are drawn from one stream, np.random.default_rng(seed): trial
+    t's coefficients are row t of its standard_normal((trials, 2, w)) for a
+    complex basis (real parts, then imaginary parts), or of (trials, 1, w)
+    for a real one, normalized to max magnitude 1, so trial 0 is
+    sample_admissible(space, seed) and trial t replays as row t of the
+    (t + 1)-row draw.  failing_trials holds the 0-based indices of the
+    trials whose flat certificate failed.  On the first
+    `concentrated_subsample` signals, also checks the concentrated
+    certificate with M, N chosen by best_set at every cardinality pair.
+    The certificates are evaluated as arrays, and the summary equals that of
+    verify_fkdb and verify_fskpb called signal by signal, bit for bit.
     """
     trials = _valid_integer("trials", trials, 1)
-    seed = _valid_integer("seed", seed, 0)
+    rng = np.random.default_rng(_valid_integer("seed", seed, 0))
     concentrated_subsample = _valid_integer("concentrated_subsample", concentrated_subsample, 0)
     prep = _prepare(bisystem, eta, tol_fp, tol_cert)
     satisfied = conc_checked = conc_ok = 0
@@ -256,7 +260,7 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
     failing = []
     for start in range(0, trials, _SWEEP_BLOCK):
         block = range(start, min(start + _SWEEP_BLOCK, trials))
-        x = _samples(space, range(seed + block.start, seed + block.stop))
+        x = _samples(space, rng, len(block))
         zero = np.flatnonzero(_counts(x, eta) == 0)
         sig = _analyse(bisystem, _valid_array("signal", x, _DTYPES[bisystem.field]))
         # A zero signal ends the sweep, as it ends the loop of single
@@ -272,12 +276,12 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
         lhs, rhs, *_, ok = _certificates(prep, sig.r_f, sig.r_g, _counts(sig.a, eta),
                                          _counts(sig.b, eta), 0.0, 0.0)
         satisfied += int(np.count_nonzero(ok))
-        failing.extend(seed + start + int(i) for i in np.flatnonzero(~ok))
+        failing.extend(start + int(i) for i in np.flatnonzero(~ok))
         min_margin = min(min_margin, (lhs - rhs).min())
     return VerifySummary(
         trials=trials, satisfied=satisfied, concentrated_checked=conc_checked,
         concentrated_satisfied=conc_ok, min_margin=float(min_margin),
-        failing_seeds=tuple(failing),
+        failing_trials=tuple(failing),
     )
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from sparsebounds import (
@@ -16,7 +16,6 @@ from sparsebounds import (
 from sparsebounds.admissible import (
     AdmissibleSpace,
     _below_cutoff,
-    _pcg64_states,
     _rank,
     _samples,
     _spectral_norm,
@@ -40,6 +39,20 @@ def reference_sample(space, seed):
         c = c + 1j * rng.standard_normal(space.w)
     c = c / np.abs(c).max()
     return space.basis @ c
+
+
+def reference_stream(space, seed, trials):
+    """The sweep contract written out with NumPy's own generator: row t is
+    basis @ c_t, c_t row t of default_rng(seed).standard_normal((trials, 2,
+    w)) (real parts, then imaginary parts) for a complex basis, of
+    (trials, 1, w) for a real one, normalized to max magnitude 1."""
+    rng = np.random.default_rng(seed)
+    if np.iscomplexobj(space.basis):
+        draws = rng.standard_normal((trials, 2, space.w))
+        rows = draws[:, 0] + 1j * draws[:, 1]
+    else:
+        rows = rng.standard_normal((trials, 1, space.w))[:, 0]
+    return [space.basis @ (c / np.abs(c).max()) for c in rows]
 
 
 def plane_system(columns):
@@ -297,33 +310,16 @@ class TestSampling:
             generate("subspace_union", {"d": 4, "split": 2}, seed)
 
 
-# Seeds of 1 to 10 entropy words: up to the pool size they are zero-padded,
-# past it each word is one more mixing round.
+# Seeds of 1 to 10 32-bit words: NumPy's SeedSequence zero-pads those of up
+# to 4 words and mixes each further word in with one more round.
 MIXED_WORD_COUNTS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1, 2**96 + 5, 2**128 - 1,
                      2**128, 2**128 + 1, 2**130, 2**160 + 7, 2**300, 2**319 + 3]
 
 
 class TestSeeding:
-    """The seeding pass of _samples against NumPy's own SeedSequence and
-    PCG64, and its rows against reference_sample."""
-
-    @given(st.integers(0, 2**64 - 1))
-    @example(0)
-    @example(2**32 - 1)
-    @example(2**32)
-    @example(2**64)
-    @example(2**128 - 1)
-    @example(2**128)
-    @example(2**300)
-    def test_pcg64_state_is_numpys(self, seed):
-        want = np.random.PCG64(seed).state["state"]
-        assert _pcg64_states([seed]) == [(want["state"], want["inc"])]
-
-    def test_one_block_of_mixed_word_counts(self):
-        seeds = MIXED_WORD_COUNTS * 3 + list(range(40))
-        np.random.default_rng(1).shuffle(seeds)
-        want = [np.random.PCG64(s).state["state"] for s in seeds]
-        assert _pcg64_states(seeds) == [(w["state"], w["inc"]) for w in want]
+    """The signals of a sweep at a seed, drawn by _samples from one
+    default_rng(seed) stream, against reference_stream; row 0 is
+    sample_admissible(space, seed), as reference_sample draws it."""
 
     @pytest.mark.parametrize("family,params", [
         ("identity_pair", {"d": 1}),                                  # real, w = d = 1
@@ -336,17 +332,25 @@ class TestSeeding:
     ])
     def test_rows_are_reference_samples(self, family, params):
         space = admissible_space(generate(family, params, seed=2))
-        seeds = list(range(60)) + MIXED_WORD_COUNTS
-        got = _samples(space, seeds)
-        assert got.shape == (len(seeds), space.basis.shape[0])
-        for row, seed in zip(got, seeds):
-            assert row.tobytes() == reference_sample(space, seed).tobytes()
-            assert sample_admissible(space, seed).tobytes() == row.tobytes()
+        for seed in MIXED_WORD_COUNTS:
+            got = _samples(space, np.random.default_rng(seed), 60)
+            assert got.shape == (60, space.basis.shape[0])
+            for row, want in zip(got, reference_stream(space, seed, 60), strict=True):
+                assert row.tobytes() == want.tobytes()
+            assert sample_admissible(space, seed).tobytes() == got[0].tobytes()
+            assert reference_sample(space, seed).tobytes() == got[0].tobytes()
+            # Blocks drawn in turn from one generator join up to one draw.
+            rng = np.random.default_rng(seed)
+            blocks = [_samples(space, rng, k) for k in (1, 7, 52)]
+            assert np.concatenate(blocks).tobytes() == got.tobytes()
 
     def test_complex_basis_of_one_column(self):
         space = AdmissibleSpace(np.array([[1j], [0.0], [1.0]]) / np.sqrt(2), 1)
         for seed in (0, 7, 2**128 + 1):
-            assert _samples(space, [seed])[0].tobytes() == reference_sample(space, seed).tobytes()
+            got = _samples(space, np.random.default_rng(seed), 5)
+            for row, want in zip(got, reference_stream(space, seed, 5), strict=True):
+                assert row.tobytes() == want.tobytes()
+            assert got[0].tobytes() == reference_sample(space, seed).tobytes()
 
 
 class TestSpectralNorm:

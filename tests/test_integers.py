@@ -130,15 +130,15 @@ def test_integral_float_family_parameters_keep_int_bits():
 
 
 def test_integral_float_sweep_equals_int_sweep():
-    # tol_fp = 0 fails every trial with a nonzero residual, so failing_seeds
-    # is not empty, and its seeds stay ints.
+    # tol_fp = 0 fails every trial with a nonzero residual, so failing_trials
+    # is not empty, and its trial indices stay ints.
     b = generate("dft_pair", {"d": 8})
     space = admissible_space(b)
     want = exhaustive_verify(b, space, 4, seed=3, tol_fp=0.0)
     got = exhaustive_verify(b, space, trials=4.0, seed=3.0, tol_fp=0.0)
     assert got == want
-    assert got.failing_seeds
-    assert all(type(s) is int for s in got.failing_seeds)
+    assert got.failing_trials
+    assert all(type(t) is int for t in got.failing_trials)
     assert type(got.trials) is int
     assert exhaustive_verify(b, space, 4, seed=np.int64(3), tol_fp=0.0) == want
 

@@ -1,6 +1,7 @@
 import collections
 import itertools
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from sparsebounds import (
     verify_fkdb,
     verify_fskpb,
 )
-from sparsebounds import bounds
+from sparsebounds import admissible, bounds
 from sparsebounds.admissible import FAMILIES, AdmissibleSpace, null_space_basis
 from sparsebounds.bounds import VerifySummary, exhaustive_verify
 from sparsebounds.errors import (
@@ -35,7 +36,7 @@ from sparsebounds.config import ETA, GUARD, TOL_CERT, TOL_FP, TOL_RANK
 from sparsebounds.dft import dft_matrix
 from sparsebounds import oracle
 from sparsebounds.oracle import _pattern_order, _report
-from test_admissible import reference_sample
+from test_admissible import reference_stream
 
 
 def reference_search(bisystem, space, eta=ETA, guard=GUARD, tol_rank=TOL_RANK):
@@ -559,7 +560,7 @@ class TestExhaustiveVerify:
         b = generate("dft_pair", {"d": 4}, 0)
         summary = exhaustive_verify(b, admissible_space(b), trials=1000, seed=0)
         assert summary.satisfied == 1000
-        assert summary.failing_seeds == ()
+        assert summary.failing_trials == ()
         assert summary.concentrated_satisfied == summary.concentrated_checked
         assert summary.min_margin >= -1e-9
 
@@ -567,7 +568,7 @@ class TestExhaustiveVerify:
         b = generate("subspace_union", {"d": 6, "split": 3}, 1)
         summary = exhaustive_verify(b, admissible_space(b), trials=1000, seed=0)
         assert summary.satisfied == 1000
-        assert summary.failing_seeds == ()
+        assert summary.failing_trials == ()
         assert summary.min_margin >= -1e-9
 
     def test_zero_trials_rejected(self):
@@ -602,14 +603,13 @@ def reference_verify(bisystem, space, trials, seed=0, eta=ETA, tol_fp=TOL_FP,
     satisfied = conc_checked = conc_ok = 0
     min_margin = np.inf
     failing = []
-    for t in range(trials):
-        x = reference_sample(space, seed + t)
+    for t, x in enumerate(reference_stream(space, seed, trials)):
         cert = verify_fkdb(bisystem, x, **tols)
         min_margin = min(min_margin, cert.lhs - cert.rhs)
         if cert.hypothesis_ok and cert.satisfied:
             satisfied += 1
         else:
-            failing.append(seed + t)
+            failing.append(t)
         if t < concentrated_subsample:
             # Analysed in the bisystem's field, as the certificates analyse
             # x: a real system of a mixed bisystem acts on the complex x.
@@ -624,7 +624,7 @@ def reference_verify(bisystem, space, trials, seed=0, eta=ETA, tol_fp=TOL_FP,
     return VerifySummary(
         trials=trials, satisfied=satisfied, concentrated_checked=conc_checked,
         concentrated_satisfied=conc_ok, min_margin=float(min_margin),
-        failing_seeds=tuple(failing),
+        failing_trials=tuple(failing),
     )
 
 
@@ -696,7 +696,7 @@ def verify_bisystems(draw):
 
 
 # Tolerances: a tol_fp near the rounding of the fixed-point residuals fails
-# some trials and passes others, which orders failing_seeds; eta = 0.05
+# some trials and passes others, which orders failing_trials; eta = 0.05
 # drops small coefficients from the l0 counts, and eta = 1e6 zeroes every
 # signal, which both paths refuse with the same error.
 verify_tolerances = st.fixed_dictionaries({
@@ -730,13 +730,13 @@ def test_exhaustive_verify_rescaled_fault_matches_reference():
     got = exhaustive_verify(b, space, 12, seed=3)
     assert got == reference_verify(b, space, 12, seed=3)
     assert got.satisfied == 0
-    assert got.failing_seeds == tuple(range(3, 15))
+    assert got.failing_trials == tuple(range(12))
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_exhaustive_verify_blocks_match_reference(monkeypatch, block):
     # Sweeps longer than one block: the concentrated subsample and the
-    # failing seeds run across block boundaries.
+    # failing trials run across block boundaries.
     monkeypatch.setattr(bounds, "_SWEEP_BLOCK", block)
     b = generate("rotated_pair", {"d": 3, "angle": 30.0}, 0)
     space = admissible_space(b)
@@ -744,6 +744,37 @@ def test_exhaustive_verify_blocks_match_reference(monkeypatch, block):
     got = exhaustive_verify(b, space, 20, seed=1, **kwargs)
     assert got == reference_verify(b, space, 20, seed=1, **kwargs)
     assert 0 < got.satisfied < got.trials
+
+
+def recorded_sweep(bisystem, space, trials, seed, block, **kwargs):
+    """exhaustive_verify's summary with sweep blocks of `block` trials, and
+    the signals it drew, stacked in order."""
+    drawn = []
+
+    def record(*args):
+        drawn.append(admissible._samples(*args))
+        return drawn[-1]
+
+    with mock.patch.object(bounds, "_SWEEP_BLOCK", block), \
+            mock.patch.object(bounds, "_samples", record):
+        summary = exhaustive_verify(bisystem, space, trials, seed=seed, **kwargs)
+    return summary, np.concatenate(drawn)
+
+
+# eta = 1e6 is left out: it refuses every sweep at trial 0.
+@given(verify_bisystems(), st.integers(0, 2**20), st.integers(1, 30), st.integers(1, 30),
+       st.sampled_from([1, 4, bounds._SWEEP_BLOCK]),
+       verify_tolerances.filter(lambda tolerances: tolerances["eta"] < 1e6))
+def test_exhaustive_verify_prefix_property(b, seed, trials, more, block, tolerances):
+    # A T-trial sweep is the start of every longer sweep at its seed: its
+    # signals are the first T, bit for bit, and its failing trials are the
+    # longer sweep's below T.
+    space = admissible_space(b)
+    short, x = recorded_sweep(b, space, trials, seed, block, **tolerances)
+    long, x_long = recorded_sweep(b, space, trials + more, seed, block, **tolerances)
+    assert x.tobytes() == x_long[:trials].tobytes()
+    assert short.failing_trials == tuple(t for t in long.failing_trials if t < trials)
+    assert short.satisfied == trials - len(short.failing_trials)
 
 
 @pytest.mark.parametrize("eta,subsample,want", [
