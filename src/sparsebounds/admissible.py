@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_RANK, _valid_integer, _valid_real
+from .config import TOL_RANK, _valid_array, _valid_integer, _valid_real
 from .dft import dft_matrix
-from .errors import NoAdmissibleSignalError, ParameterError
+from .errors import NoAdmissibleSignalError, ParameterError, StructuralError
 from .systems import (
     _DTYPES,
     COMPLEX,
@@ -107,6 +107,19 @@ def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> Admissib
     return AdmissibleSpace(basis, basis.shape[1])
 
 
+def _check_space(bisystem: BiSystem, space: AdmissibleSpace) -> None:
+    """Refuses a space whose basis is not a finite (d, w) matrix for the
+    bisystem's d and the space's w, or is complex-typed for a real bisystem.
+    The field is decided by dtype, not by value: a complex-typed basis draws
+    complex coefficients (_samples) even when its imaginary part is zero."""
+    basis = _valid_array("admissible basis", space.basis)
+    if basis.shape != (bisystem.d, space.w):
+        raise StructuralError(f"admissible basis has shape {basis.shape}, "
+                              f"expected (d, w) = ({bisystem.d}, {space.w})")
+    if np.iscomplexobj(basis) and bisystem.field == REAL:
+        raise StructuralError("admissible basis is complex but the bisystem is real")
+
+
 def sample_admissible(space: AdmissibleSpace, seed: int) -> np.ndarray:
     """Seeded random nonzero signal in the admissible subspace.
 
@@ -172,15 +185,11 @@ def generate(family: str, params: dict, seed: int = 0) -> BiSystem:
                              f"it takes {', '.join(_PARAMS[family])}")
     seed = _valid_integer("seed", seed, 0)
     if family == "perturbed":
-        base = params.get("base")
-        if not isinstance(base, dict) or "family" not in base:
-            raise ParameterError("perturbed needs a base family descriptor")
+        base = _descriptor(params.get("base"), seed, "perturbed base")
         magnitude = _param(params, "magnitude", 0.0, _MAGNITUDE, real=True)
         if magnitude >= 1.0:
             raise ParameterError(f"magnitude must be in [0, 1), got {magnitude}")
-        inner = generate(base["family"], base.get("params", {}),
-                         _param(base, "seed", 0, seed))
-        return _perturb(inner, magnitude, seed)
+        return _perturb(generate(*base), magnitude, seed)
     d = _param(params, "d", 1)
     if family == "identity_pair":
         return BiSystem(identity_system(d), identity_system(d))
@@ -199,6 +208,18 @@ def generate(family: str, params: dict, seed: int = 0) -> BiSystem:
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     first = from_hilbert_vectors(q[:, :split])
     return BiSystem(first, identity_system(d))
+
+
+def _descriptor(doc, seed: int, name: str) -> tuple:
+    """(family, params, seed) of the family descriptor doc, an object with a
+    'family' key, optional 'params' and 'seed' (default seed), no other key."""
+    if not isinstance(doc, dict) or "family" not in doc:
+        raise ParameterError(f"{name} needs an object with a 'family' key")
+    unknown = sorted(set(doc) - {"family", "params", "seed"}, key=str)
+    if unknown:
+        raise ParameterError(f"{name} takes no key {unknown[0]!r}; it takes family, params, seed")
+    seed = _valid_integer(f"{name} seed", doc.get("seed", seed), 0)
+    return doc["family"], doc.get("params", {}), seed
 
 
 def _param(params: dict, key: str, least, default=None, real: bool = False):

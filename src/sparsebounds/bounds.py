@@ -8,9 +8,9 @@ from typing import Optional
 import numpy as np
 
 from . import dft
-from .admissible import AdmissibleSpace, _samples
+from .admissible import AdmissibleSpace, _check_space, _samples
 from .coherence import CoherenceProfile, coherence_profile
-from .config import ETA, TOL_CERT, TOL_FP, _valid_array, _valid_integer, _valid_real
+from .config import ETA, TOL_CERT, TOL_FP, _valid_integer, _valid_real
 from .errors import DegenerateInputError
 from .sparsity import _concentration, _counts, _top_defects, l0, l1
 from .systems import _DTYPES, BiSystem, _apply, _as_signal, validate_pairing
@@ -255,14 +255,17 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
     rng = np.random.default_rng(_valid_integer("seed", seed, 0))
     concentrated_subsample = _valid_integer("concentrated_subsample", concentrated_subsample, 0)
     prep = _prepare(bisystem, eta, tol_fp, tol_cert)
+    _check_space(bisystem, space)
     satisfied = conc_checked = conc_ok = 0
     min_margin = np.inf
     failing = []
     for start in range(0, trials, _SWEEP_BLOCK):
         block = range(start, min(start + _SWEEP_BLOCK, trials))
-        x = _samples(space, rng, len(block))
+        # In the bisystem's field, as verify_fkdb analyses a signal: a real
+        # basis of a complex bisystem draws real signals.
+        x = _samples(space, rng, len(block)).astype(_DTYPES[bisystem.field], copy=False)
         zero = np.flatnonzero(_counts(x, eta) == 0)
-        sig = _analyse(bisystem, _valid_array("signal", x, _DTYPES[bisystem.field]))
+        sig = _analyse(bisystem, x)
         # A zero signal ends the sweep, as it ends the loop of single
         # certificates: only the signals before it are checked first.
         k = min(max(concentrated_subsample - start, 0), zero[0] if zero.size else len(block))

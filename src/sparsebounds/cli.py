@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .admissible import _MAGNITUDE, FAMILIES, admissible_space, generate, sample_admissible
+from .admissible import (_MAGNITUDE, FAMILIES, _descriptor, admissible_space, generate,
+                         sample_admissible)
 from .bounds import verify_fkdb, verify_fskpb
 from .coherence import coherence_profile, sub_coherence
 from .config import (
@@ -122,11 +123,8 @@ def _only_source(args, source: str, flags=_FAMILY_FLAGS) -> None:
 def _family_descriptor(args) -> dict:
     if args.descriptor:
         _only_source(args, "descriptor")
-        doc = load_json(args.descriptor)
-        if not isinstance(doc, dict) or "family" not in doc:
-            raise StructuralError("descriptor file needs a JSON object with a 'family' key")
-        seed = _valid_integer("seed", doc.get("seed", 0), 0)
-        return {"family": doc["family"], "params": doc.get("params", {}), "seed": seed}
+        family, params, seed = _descriptor(load_json(args.descriptor), 0, "descriptor file")
+        return {"family": family, "params": params, "seed": seed}
     if not args.family:
         sources = "--bisystem, --descriptor, or" if "bisystem" in args else "--descriptor or"
         raise ParameterError(f"provide {sources} --family")

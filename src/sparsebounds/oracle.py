@@ -28,7 +28,7 @@ from math import comb
 
 import numpy as np
 
-from .admissible import AdmissibleSpace, _rank, null_space_basis
+from .admissible import AdmissibleSpace, _check_space, _rank, null_space_basis
 from .bounds import verify_fkdb
 from .config import ETA, GUARD, TOL_RANK, _valid_integer, _valid_real
 from .errors import DegenerateInputError, GuardExceededError, NoAdmissibleSignalError
@@ -77,6 +77,7 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
     n, m = bisystem.first.n, bisystem.second.n
     if n + m > guard:
         raise GuardExceededError(f"search space n + m = {n + m} exceeds guard {guard}")
+    _check_space(bisystem, space)
     if space.w < 1:
         raise NoAdmissibleSignalError("admissible subspace is trivial (w = 0)")
     a_rows = bisystem.first.functionals @ space.basis
@@ -106,7 +107,8 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
     scale = max(np.linalg.norm(np.concatenate([a_rows, c_rows]), 2), 1.0)
     a_unit, c_unit = a_rows / scale, c_rows / scale
     t = tol_rank + 1e3 * np.finfo(float).eps
-    cutoff = 2.0 * (t + np.linalg.norm(c_unit, 2) / MARGIN) ** 2
+    with np.errstate(over="ignore"):  # inf for a tol_rank near the largest float
+        cutoff = 2.0 * (t + np.linalg.norm(c_unit, 2) / MARGIN) ** 2
     # |S_f| -> (the rows off each S_f, their projections P, H = P^H P - cutoff
     # * I and k per S_f).  Made in the first size class of |S_f|, (|S_f|, 1),
     # and dropped in the last one, (|S_f|, m).
@@ -171,7 +173,7 @@ def _shifted_gram(p: np.ndarray, cutoff: float) -> np.ndarray:
     p (width, m, F); its last k rows and columns are those of the S_f's P."""
     q = p.transpose(2, 0, 1)
     h = (q.conj() @ q.transpose(0, 2, 1)).transpose(1, 2, 0)
-    h -= cutoff * np.eye(len(p))[..., None]
+    h[np.diag_indices(len(p))] -= cutoff
     return h
 
 

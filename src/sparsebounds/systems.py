@@ -233,40 +233,24 @@ def _matmul(a, b) -> np.ndarray:
     An operand is a finite matrix, or its _Form when that is kept (a
     PairedSystem classifies each of its matrices once); a plain matrix is
     classified here, in O(d^2) against the product's d^3.  A real-valued
-    diagonal operand makes the product a scaling of the other operand's rows
-    or columns (_scaled).  Otherwise an operand whose imaginary part is
+    diagonal operand diag(c) scales the other operand x in one multiply,
+    c[:, None] * x or x * c.  Otherwise an operand whose imaginary part is
     exactly zero is multiplied as the real matrix it is (_dense).
+
+    The scaling is exact, as BLAS's sums of one nonzero term are: numpy
+    multiplies a complex a + bi by the real c as (a c - b 0) + (a 0 + b c) i,
+    one rounded product per part, and += 0.0 makes every zero +0.0, as BLAS
+    leaves the exact zeros of its real sums.  Only the sign of a zero can
+    differ, where BLAS keeps an underflowed term's -0.0 (FMA) or in its
+    complex kernels.
     """
     a = a if isinstance(a, _Form) else _form(a)
     b = b if isinstance(b, _Form) else _form(b)
     dtype = np.result_type(a.matrix, b.matrix)
-    if a.diagonal is not None:
-        return _scaled(a.diagonal[:, None], b.matrix, dtype)
-    if b.diagonal is not None:
-        return _scaled(b.diagonal[None, :], a.matrix, dtype)
-    return _dense(a, b, dtype)
-
-
-def _scaled(scale: np.ndarray, x: np.ndarray, dtype) -> np.ndarray:
-    """diag(c) @ x for scale = c[:, None], x @ diag(c) for scale = c[None, :],
-    with the real vector c; the result has dtype.
-
-    Exact: each entry of the product is a sum with one nonzero term, so BLAS
-    returns that term's rounded product in any order of summation, and here
-    each entry is that one product.  + 0.0 makes every zero entry +0.0, as
-    BLAS leaves the exact zeros of its real sums, which start at +0.0.  BLAS
-    may leave -0.0 where the one term underflows (FMA keeps its sign) or in
-    its complex kernels; the sign of such a zero is all that can differ.  A
-    complex x is scaled through its float view, its real and imaginary parts
-    side by side.
-    """
-    if np.iscomplexobj(x):
-        x = np.ascontiguousarray(x).view(x.real.dtype).reshape(*x.shape, 2)
-        scale = scale[..., None]
-    out = x * scale
+    if a.diagonal is None and b.diagonal is None:
+        return _dense(a, b, dtype)
+    out = a.diagonal[:, None] * b.matrix if a.diagonal is not None else a.matrix * b.diagonal
     out += 0.0
-    if out.ndim == 3:
-        return out.view(dtype).reshape(out.shape[:2])
     return out.astype(dtype, copy=False)
 
 

@@ -448,5 +448,7 @@ class TestFamilies:
             generate("no_such_family", {"d": 3}, 0)
         with pytest.raises(ParameterError):
             generate("perturbed", {"magnitude": 0.1}, 0)
+        with pytest.raises(ParameterError, match="perturbed base takes no key 'sed'"):
+            generate("perturbed", {"base": {"family": "dft_pair", "params": {"d": 4}, "sed": 1}})
         with pytest.raises(ParameterError, match="d >= 2"):
             generate("rotated_pair", {"d": 1}, 0)

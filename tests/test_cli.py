@@ -189,6 +189,23 @@ def test_malformed_input_exits_1(tmp_path, monkeypatch, capsys, files, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"family": "dft_pair", "params": {"d": 4}, "sead": 3}, "descriptor file takes no key 'sead'"),
+    ({"family": "perturbed", "params": {"base": {"family": "dft_pair", "params": {"d": 4},
+                                                 "sed": 3}}},
+     "perturbed base takes no key 'sed'"),
+], ids=["file", "perturbed-base"])
+def test_descriptor_unknown_key_is_named(tmp_path, monkeypatch, capsys, doc, message):
+    """A descriptor takes only family, params and seed, at both levels: a
+    misspelled seed is refused, not read as the default seed."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "desc.json").write_text(json.dumps(doc))
+    assert main(["verify", "--descriptor", "desc.json", "--sample", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}; it takes family, params, seed\n"
+
+
 @pytest.mark.parametrize("command,sources", [
     ("verify", "--bisystem, --descriptor, or --family"),
     ("search", "--bisystem, --descriptor, or --family"),

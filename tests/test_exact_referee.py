@@ -1,11 +1,13 @@
 """The oracle against an exact referee over the rationals.
 
-With integer vectors T and exact inverses F = T^-1 the admissible space is the
-whole space, and a pattern (S_f, S_g) is feasible exactly when the functional
-rows outside S_f and S_g have rank below d over Q.  The referee walks patterns
-in the oracle's order (|S_f| |S_g|, then |S_f|, then lexicographic sets) and
-decides each rank by fraction-free Bareiss elimination on Python ints: no
-cutoff anywhere.
+A pattern (S_f, S_g) is feasible exactly when some nonzero x is a fixed point
+of both systems, x = T F x = W G x, and is annihilated by the functional rows
+outside S_f and S_g: when the rows of I - TF, I - WG and those functional
+rows have rank below d over Q.  The referee walks patterns in the oracle's
+order (|S_f| |S_g|, then |S_f|, then lexicographic sets) and decides each rank
+by fraction-free Bareiss elimination on Python ints: no cutoff anywhere.  With
+integer T and its exact inverse F = T^-1, I - TF = 0 and the admissible space
+is the whole space; F = I + e_d l^T leaves only the hyperplane l^T x = 0.
 """
 
 import itertools
@@ -35,16 +37,25 @@ def rank(rows):
     return r
 
 
+def integer_rows(rows):
+    """Each rational row scaled to integers by the lcm of its denominators."""
+    return [[int(x * lcm(*(Fraction(y).denominator for y in row))) for x in row]
+            for row in rows]
+
+
 def referee(pairs):
     """(best_lhs, patterns_searched) of the exact search over the (T, F)
-    pairs' rational functional rows, each row scaled to integers first."""
-    f, g = ([[int(x * lcm(*(x.denominator for x in row))) for x in row] for row in rows]
-            for _, rows in pairs)
-    d, searched = len(f[0]), 0
+    pairs: the nonzero rows of I - TF and I - WG join every pattern's
+    functional rows outside it, all scaled to integers."""
+    d = len(pairs[0][0])
+    fixed = [row for t, f in pairs for row in integer_rows(np.eye(d, dtype=int) - np.dot(t, f))
+             if any(row)]
+    f, g = (integer_rows(rows) for _, rows in pairs)
+    searched = 0
     sizes = itertools.product(range(1, len(f) + 1), range(1, len(g) + 1))
     for i, j in sorted(sizes, key=lambda ij: (ij[0] * ij[1], ij[0])):
         for s_f in itertools.combinations(range(len(f)), i):
-            off_f = [row for k, row in enumerate(f) if k not in s_f]
+            off_f = fixed + [row for k, row in enumerate(f) if k not in s_f]
             for s_g in itertools.combinations(range(len(g)), j):
                 searched += 1
                 if rank(off_f + [row for k, row in enumerate(g) if k not in s_g]) < d:
@@ -64,11 +75,16 @@ def inverse(t):
     return m[:, d:]
 
 
+def float_bisystem(pairs, scales=(1.0, 1.0)):
+    """The (T, F) pairs in floats, each system rescaled per index by its scales."""
+    return BiSystem(*(rescaled_per_index(PairedSystem(np.array(t, float), np.array(f, float)), c)
+                      for (t, f), c in zip(pairs, scales)))
+
+
 def search(pairs, scales=(1.0, 1.0)):
     """(best_lhs, patterns_searched) of the float oracle, each system
     rescaled per index by its scales."""
-    b = BiSystem(*(rescaled_per_index(PairedSystem(np.array(t, float), np.array(f, float)), c)
-                   for (t, f), c in zip(pairs, scales)))
+    b = float_bisystem(pairs, scales)
     report = min_sparsity_product(b, admissible_space(b))
     return report.best_lhs, report.patterns_searched
 
@@ -81,6 +97,37 @@ def integer_matrix(rng, d):
             return t
 
 
+def moved(pairs, rng):
+    """The pairs under an integer unimodular change of ambient basis S
+    (T -> S T, F -> F S^-1) made of 2d random row additions."""
+    s = np.eye(len(pairs[0][0]), dtype=int)
+    for _ in range(2 * len(s)):
+        row, other = rng.choice(len(s), 2, replace=False)
+        s[row] += rng.choice([-1, 1]) * s[other]
+    return [(s @ t, f @ inverse(s)) for t, f in pairs]
+
+
+def hadamard_pair(k):
+    """The Sylvester-Hadamard basis H of Z_2^k with f_j = h_j^T / d: with the
+    identity, the Fourier pair of Z_2^k, in exact rationals."""
+    h = np.array([[1]])
+    for _ in range(k):
+        h = np.block([[h, h], [h, -h]])
+    return h, h * Fraction(1, len(h))
+
+
+def skewed_identity(rng, d, mu):
+    """(I, I + e_d l^T) for a rational l with l_d = 0 and max |l| = mu: every
+    diagonal pairing is 1, and the fixed points of T F are the hyperplane
+    l^T x = 0, so the admissible space has w = d - 1."""
+    k = rng.integers(-7, 8, d - 1).tolist()
+    j = int(rng.integers(d - 1))
+    k[j] = -7 if k[j] < 0 else 7
+    f = np.eye(d, dtype=int) + Fraction(0)
+    f[-1, :-1] += [mu * Fraction(v, 7) for v in k]
+    return np.eye(d, dtype=int), f
+
+
 @pytest.fixture(scope="module")
 def corpus():
     """40 (T, T^-1), (W, W^-1) bisystems at d = 3, 4, 5 and their referee answers."""
@@ -90,17 +137,42 @@ def corpus():
     return [(p, referee(p)) for p in pairs]
 
 
+MUS = (Fraction(1, 10), Fraction(1, 20), Fraction(1, 50))
+
+
+@pytest.fixture(scope="module")
+def skewed_corpus():
+    """40 (I, I + e_d l^T), (W, W^-1) bisystems at d = 3, 4, 5, with max |l|
+    cycling through MUS, then that first system against the Sylvester-Hadamard
+    pairs at d = 4 (mu = 1/10) and 8 (mu = 1/20), and their referee answers."""
+    rng = np.random.default_rng(2025)
+    pairs = []
+    for i in range(40):
+        w = integer_matrix(rng, 3 + i % 3)
+        pairs.append([skewed_identity(rng, len(w), MUS[i // 3 % 3]), (w, inverse(w))])
+    for k in (2, 3):
+        h, g = hadamard_pair(k)
+        pairs.append([skewed_identity(rng, len(h), MUS[k - 2]), (h, g)])
+    return [(p, referee(p)) for p in pairs]
+
+
 def test_oracle_matches_referee(corpus):
-    """Unscaled, and under an integer unimodular change of ambient basis S
-    (T -> S T, F -> F S^-1) made of 2d random row additions."""
+    """Unscaled, and under an integer unimodular change of ambient basis."""
     rng = np.random.default_rng(7)
     for i, (pairs, want) in enumerate(corpus):
-        s = np.eye(len(pairs[0][0]), dtype=int)
-        for _ in range(2 * len(s)):
-            row, other = rng.choice(len(s), 2, replace=False)
-            s[row] += rng.choice([-1, 1]) * s[other]
-        moved = [(s @ t, f @ inverse(s)) for t, f in pairs]
-        assert [search(pairs), search(moved), referee(moved)] == [want] * 3, i
+        other = moved(pairs, rng)
+        assert [search(pairs), search(other), referee(other)] == [want] * 3, i
+
+
+def test_oracle_matches_referee_below_full_dimension(skewed_corpus):
+    """w = d - 1, unscaled and under an integer unimodular change of ambient
+    basis: the referee's rank tests include the rows of I - TF."""
+    rng = np.random.default_rng(8)
+    for i, (pairs, want) in enumerate(skewed_corpus):
+        other = moved(pairs, rng)
+        for case in (pairs, other):
+            assert admissible_space(float_bisystem(case)).w == len(case[0][0]) - 1, i
+        assert [search(pairs), search(other), referee(other)] == [want] * 3, i
 
 
 @pytest.mark.xfail(strict=True, raises=(AssertionError, DegenerateInputError),
@@ -114,11 +186,7 @@ def test_oracle_matches_referee_under_per_index_rescaling(corpus):
 
 @pytest.mark.parametrize("k,want", [(2, (4, 97)), (3, (8, 7921))])
 def test_sylvester_hadamard_pair(k, want):
-    """The identity against the Sylvester-Hadamard basis H of Z_2^k with
-    f_j = h_j^T / d: the Fourier pair of Z_2^k, in exact rationals."""
-    h = np.array([[1]])
-    for _ in range(k):
-        h = np.block([[h, h], [h, -h]])
-    eye = np.eye(len(h), dtype=int)
-    pairs = [(eye, eye + Fraction(0)), (h, h * Fraction(1, len(h)))]
+    """The identity against the Sylvester-Hadamard basis of Z_2^k."""
+    eye = np.eye(2 ** k, dtype=int)
+    pairs = [(eye, eye + Fraction(0)), hadamard_pair(k)]
     assert referee(pairs) == search(pairs) == want

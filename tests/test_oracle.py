@@ -31,6 +31,7 @@ from sparsebounds.errors import (
     GuardExceededError,
     NoAdmissibleSignalError,
     ParameterError,
+    StructuralError,
 )
 from sparsebounds.config import ETA, GUARD, TOL_CERT, TOL_FP, TOL_RANK
 from sparsebounds.dft import dft_matrix
@@ -166,6 +167,14 @@ class TestMinSparsityProduct:
         b = BiSystem(identity_system(2), identity_system(2))
         with pytest.raises(NoAdmissibleSignalError):
             min_sparsity_product(b, AdmissibleSpace(np.zeros((2, 0)), 0))
+
+    def test_absurd_tol_rank_raises_only_the_witness_check(self):
+        """At tol_rank = 1e300 the Gram cutoff overflows to inf, so the filter
+        passes the first pattern and its witness fails the l0 check.  No numpy
+        warning comes first: pytest makes a RuntimeWarning an error."""
+        b = generate("dft_pair", {"d": 4}, 0)
+        with pytest.raises(DegenerateInputError, match="witness l0 product 4 differs"):
+            min_sparsity_product(b, admissible_space(b, 1e300), tol_rank=1e300)
 
     @pytest.mark.parametrize("family,params", [
         ("dft_pair", {"d": 4}),
@@ -792,3 +801,20 @@ def test_exhaustive_verify_errors_in_loop_order(eta, subsample, want):
     kwargs = dict(eta=eta, concentrated_subsample=subsample)
     assert verify_outcome(reference_verify, b, space, 3, 0, **kwargs) == want
     assert verify_outcome(exhaustive_verify, b, space, 3, 0, **kwargs) == want
+
+
+@pytest.mark.parametrize("run", [
+    lambda b, space: exhaustive_verify(b, space, trials=5),
+    lambda b, space: min_sparsity_product(b, space),
+], ids=["exhaustive_verify", "min_sparsity_product"])
+@pytest.mark.parametrize("space,message", [
+    (AdmissibleSpace(np.eye(5, 4), 4), r"shape \(5, 4\), expected \(d, w\) = \(4, 4\)"),
+    (AdmissibleSpace(np.diag([1.0, np.nan, 1.0, 1.0]), 4), "non-finite"),
+    # dft_pair's basis is complex-typed: refused for the real rotated_pair.
+    (admissible_space(generate("dft_pair", {"d": 4}, 0)), "complex but the bisystem is real"),
+], ids=["five-rows", "nan", "complex-on-real"])
+def test_space_checked_against_bisystem(run, space, message):
+    """Both consumers of a space refuse one that does not fit the bisystem,
+    with StructuralError, before any draw or product."""
+    with pytest.raises(StructuralError, match=message):
+        run(generate("rotated_pair", {"d": 4}, 0), space)
