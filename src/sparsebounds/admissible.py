@@ -74,8 +74,8 @@ def _rank(s: np.ndarray, tol_rank: float) -> np.ndarray:
 
 # Underflow of the entries' squares only lowers a computed Frobenius norm, by
 # less than the smallest normal number per entry: less than the norm's own
-# rounding at or above this value.  Under it, the norm of a / max |a_ij| is
-# taken instead.
+# rounding at or above this value.  Under it, and where the squares overflow
+# to inf, the norm of a / max |a_ij| is taken instead.
 _UNDERFLOW = np.finfo(float).tiny ** 0.25
 
 
@@ -88,10 +88,11 @@ def _below_cutoff(a: np.ndarray, tol_rank: float) -> bool:
     and for a stack [I - TF; I - WG] that is pure rounding noise (e.g.
     Frobenius norm 1.0e-14 for dft_pair at d = 512).
     """
-    norm = np.linalg.norm(a)
-    if norm < _UNDERFLOW:
-        top = np.abs(a).max(initial=0.0)
-        norm = top * np.linalg.norm(a / top) if top else 0.0
+    with np.errstate(over="ignore"):  # a norm beyond the largest float is inf
+        norm = np.linalg.norm(a)
+        if norm < _UNDERFLOW or norm == np.inf:
+            top = np.abs(a).max(initial=0.0)
+            norm = top * np.linalg.norm(a / top) if 0 < top < np.inf else top
     return bool(norm <= tol_rank)
 
 

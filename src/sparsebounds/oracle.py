@@ -5,7 +5,7 @@ The search enumerates support-pattern pairs (S_f, S_g) in increasing order of
 pattern's feasibility as a null-space problem; the first feasible pattern is
 therefore a minimizer of the sparsity product over the admissible subspace.
 Each S_f is projected once per call onto V, a loosely cut null space of the
-first system's rows outside S_f, by one stacked SVD per BATCH S_f of equal size
+first system's rows outside S_f, by one stacked SVD over all S_f of equal size
 in the first size class of that |S_f|; P = C V (m x k) and its shifted Gram
 matrix H = P^H P - cutoff * I, summed once over all m rows, are kept until its
 last.  A size class is then filtered in batches of at most BATCH patterns: the
@@ -34,9 +34,9 @@ from .config import ETA, GUARD, TOL_RANK, _valid_integer, _valid_real
 from .errors import DegenerateInputError, GuardExceededError, NoAdmissibleSignalError
 from .systems import BiSystem
 
-# Patterns (S_f, S_g) per filter batch, and S_f per projection SVD call: few
-# enough that the scan stops soon after the first feasible pattern and that the
-# stacks stay small, enough to amortize numpy's per-call overhead.
+# Patterns (S_f, S_g) per filter batch: few enough that the scan stops soon
+# after the first feasible pattern and that the stacks stay small, enough to
+# amortize numpy's per-call overhead.
 BATCH = 512
 # Projection cutoff over the confirmation cutoff (see min_sparsity_product).
 MARGIN = 1e4
@@ -119,8 +119,7 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
         if size_g == 1:
             # The rows outside each S_f, in the S_f's lexicographic order.
             off_f = _subsets(n, n - size_f)[::-1]
-            p, ks = _project(a_unit[off_f], c_unit, MARGIN * t)
-            projections[size_f] = (off_f, p, _shifted_gram(p, cutoff), ks)
+            projections[size_f] = (off_f, *_project(a_unit[off_f], c_unit, MARGIN * t, cutoff))
         off_f, p, h, ks = (projections.pop if size_g == m else projections.get)(size_f)
         s_g = _subsets(m, size_g)
         for rows, cols in _batches(len(off_f), len(s_g)):
@@ -152,29 +151,22 @@ def _batches(count_f: int, count_g: int):
             yield slice(f, min(f + step_f, count_f)), slice(g, min(g + step_g, count_g))
 
 
-def _project(a_off: np.ndarray, c_unit: np.ndarray, cut: float) -> tuple:
-    """(p, k per S_f) for a stack a_off (F, r, w) of the rows A_off / s of F
-    sets S_f, one stacked SVD per BATCH sets.  The last k rows of Vh, A_off's
-    right singular vectors beyond the rank at cut, span V.  p (width, m, F),
+def _project(a_off: np.ndarray, c_unit: np.ndarray, cut: float, cutoff: float) -> tuple:
+    """(p, h, k per S_f) for a stack a_off (F, r, w) of the rows A_off / s of F
+    sets S_f, by one stacked SVD.  The last k rows of Vh, A_off's right
+    singular vectors beyond the rank at cut, span V.  p (width, m, F),
     width = max k, holds the last width rows of (C Vh^H / s)^T of each S_f,
-    so the last k of them are its P^T / s."""
-    p, ks = [], []
-    for start in range(0, len(a_off), BATCH):
-        _, s, vh = np.linalg.svd(a_off[start:start + BATCH])
-        p.append(vh.conj() @ c_unit.T)
-        ks.append(vh.shape[-1] - _rank(s, cut))
-    ks = np.concatenate(ks)
-    p = np.concatenate(p)[:, a_off.shape[2] - ks.max():]
-    return np.ascontiguousarray(p.transpose(1, 2, 0)), ks
-
-
-def _shifted_gram(p: np.ndarray, cutoff: float) -> np.ndarray:
-    """H = P^H P - cutoff * I (width, width, F) over all m rows, for each S_f's
-    p (width, m, F); its last k rows and columns are those of the S_f's P."""
-    q = p.transpose(2, 0, 1)
-    h = (q.conj() @ q.transpose(0, 2, 1)).transpose(1, 2, 0)
-    h[np.diag_indices(len(p))] -= cutoff
-    return h
+    the last k of them its P^T / s; h (width, width, F) holds H = P^H P -
+    cutoff * I over all m rows, whose last k rows and columns are its P's."""
+    _, s, vh = np.linalg.svd(a_off)
+    ks = vh.shape[-1] - _rank(s, cut)
+    width = ks.max()
+    q = vh[:, vh.shape[-1] - width:].conj() @ c_unit.T
+    h = q.conj() @ q.transpose(0, 2, 1)
+    i = np.arange(width)
+    h[:, i, i] -= cutoff
+    return (np.ascontiguousarray(q.transpose(1, 2, 0)),
+            np.ascontiguousarray(h.transpose(1, 2, 0)), ks)
 
 
 def _candidates(p: np.ndarray, ks: np.ndarray, h: np.ndarray, s_g: np.ndarray):

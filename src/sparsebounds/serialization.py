@@ -168,7 +168,7 @@ def load_json(path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise StructuralError(f"cannot read {path}: {exc}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # nested too deep
         raise StructuralError(f"invalid JSON in {path}: {exc}")
 
 

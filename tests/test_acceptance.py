@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,8 @@ from sparsebounds import (
     verify_fskpb,
 )
 from sparsebounds.cli import main
-from sparsebounds.systems import BiSystem
+from sparsebounds.systems import BiSystem, PairedSystem
+from test_exact_referee import skewed_identity
 from test_oracle import reference_search, report_fields
 
 ETA = 1e-9
@@ -57,8 +59,24 @@ CONFIGS = [
     ("perturbed", {"base": {"family": "rotated_pair", "params": {"d": 2, "angle": 45.0}}, "magnitude": 0.08}),
 ]
 SEEDS = range(50)
+# 2 partners x 3 sizes x 2 mu x 10 seeds = 120 "skewed" BiSystems whose first
+# system's sub-coherence is mu, so the bounds' numerator terms are nonzero.
+SKEWED = [{"partner": partner, "d": d, "mu": mu} for partner in ("dft_pair", "rotated_pair")
+          for d in (4, 6, 8) for mu in ("1/10", "1/50")]
+SKEWED_SEEDS = range(10)
 SIGNALS_PER_SYSTEM = 5
-SEED_DEPENDENT = {"subspace_union", "perturbed"}
+SEED_DEPENDENT = {"subspace_union", "perturbed", "skewed"}
+
+
+def skewed(partner, d, mu, seed):
+    """T = I, F = I + e_d l^T (test_exact_referee.skewed_identity: l_d = 0,
+    max |l| = mu, w = d - 1) in floats, against the second system of partner
+    (dft_pair, or rotated_pair at angle 30) at d."""
+    params = {"d": d, "angle": 30.0} if partner == "rotated_pair" else {"d": d}
+    second = generate(partner, params, 0).second
+    rng = np.random.default_rng(seed)
+    t, f = (np.array(a, float) for a in skewed_identity(rng, d, Fraction(mu)))
+    return BiSystem(PairedSystem(t, f, second.field), second)
 
 
 def _verdict(name, ok, detail=""):
@@ -71,14 +89,19 @@ def _verdict(name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def corpus():
+    made = [(family, params, seed, generate(family, params, seed))
+            for family, params in CONFIGS for seed in SEEDS]
+    made += [("skewed", params, seed, skewed(**params, seed=seed))
+             for params in SKEWED for seed in SKEWED_SEEDS]
     instances = []
-    for family, params in CONFIGS:
-        for seed in SEEDS:
-            b = generate(family, params, seed)
-            space = admissible_space(b)
-            signals = [sample_admissible(space, 1000 * seed + t)
-                       for t in range(SIGNALS_PER_SYSTEM)]
-            instances.append((family, params, seed, b, space, signals))
+    for family, params, seed, b in made:
+        space = admissible_space(b)
+        if family == "skewed":
+            assert space.w == b.d - 1
+            assert coherence_profile(b).sub_coherence_f >= 0.02
+        signals = [sample_admissible(space, 1000 * seed + t)
+                   for t in range(SIGNALS_PER_SYSTEM)]
+        instances.append((family, params, seed, b, space, signals))
     return instances
 
 

@@ -100,6 +100,10 @@ class TestNullSpaceBasis:
         assert basis.shape == (2, 1)
         np.testing.assert_allclose(np.abs(basis[:, 0]), [0.0, 1.0])
 
+    def test_huge_entries_have_full_rank(self):
+        # Their squares overflow to inf in a plain Frobenius norm.
+        assert null_space_basis(1e200 * np.eye(3)).shape == (3, 0)
+
 
 @st.composite
 def straddling_matrices(draw):
@@ -260,6 +264,12 @@ class TestAdmissibleSpace:
         r = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
         space = admissible_space(BiSystem(identity_system(2), from_hilbert_vectors(r)))
         assert space.w == 2
+
+    def test_huge_vectors_leave_no_fixed_point(self):
+        # T = 1e200 I and F = I meet the pairing hypothesis, but
+        # I - TF = (1 - 1e200) I has full rank: w = 0.
+        b = BiSystem(PairedSystem(1e200 * np.eye(2), np.eye(2)), identity_system(2))
+        assert admissible_space(b).w == 0
 
     def test_plane_intersection(self):
         xy = plane_system(np.eye(3)[:, [0, 1]])

@@ -356,6 +356,7 @@ def test_manifest_pinned(tmp_path, monkeypatch, capsys, files, argv, manifest):
      ["verify", "--family", "dft_pair", "--d", "4", "--signal", "sig.json", "--tol-rank", "0.5"]),
     ({"sys.json": json.dumps({**CSV_MANIFEST, "functionals_csv": "f.csv"}),
       "v.csv": "1_0\n", "f.csv": "\u0664\n"}, ["validate", "sys.json"]),
+    ({"deep.json": "[" * 10000 + "]" * 10000}, ["coherence", "deep.json"]),
 ], ids=["signal-nan", "signal-infinity", "concentrated-signal-infinity", "descriptor-d-string",
         "descriptor-d-bool", "descriptor-seed-string", "system-d-string", "unused-angle",
         "base-without-perturbed", "unused-base-split", "misspelled-parameter",
@@ -364,7 +365,7 @@ def test_manifest_pinned(tmp_path, monkeypatch, capsys, files, argv, manifest):
         "bisystem-with-family-flags", "bisystem-with-seed", "bisystem-with-descriptor",
         "signal-with-sample", "descriptor-with-family", "descriptor-with-d",
         "descriptor-with-seed", "descriptor-with-magnitude", "signal-with-tol-rank",
-        "csv-entries-outside-number-grammar"])
+        "csv-entries-outside-number-grammar", "json-nested-too-deep"])
 def test_refused_input_exits_1_with_no_output(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
@@ -599,6 +600,18 @@ class TestSample:
         path.write_text(canonical_json(b))
         code = main(["sample", "--bisystem", str(path), "--sample", "0"])
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [["verify", "--sample", "1"], ["search"]])
+    def test_huge_vectors_refused_with_one_line(self, tmp_path, capsys, argv):
+        # I - TF = (1 - 1e200) I: its Frobenius norm's squares overflow.
+        huge = PairedSystem(1e200 * np.eye(2), np.eye(2))
+        b = {"first": system_to_dict(huge), "second": system_to_dict(identity_system(2))}
+        path = tmp_path / "big.json"
+        path.write_text(canonical_json(b))
+        assert main([argv[0], "--bisystem", str(path), *argv[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: admissible subspace is trivial (w = 0)\n"
 
 
 class TestReproducibility:

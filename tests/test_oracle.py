@@ -243,22 +243,38 @@ class TestMinSparsityProduct:
         space = admissible_space(b)
         want = reference_search(b, space)
         formed, downdated = [], []
-        shifted_gram, downdate = oracle._shifted_gram, oracle._downdate
+        project, downdate = oracle._project, oracle._downdate
 
-        def gram_spy(p, cutoff):
-            formed.append(shifted_gram(p, cutoff))
+        def project_spy(*args):
+            formed.append(project(*args))
             return formed[-1]
 
         def downdate_spy(q, h, s_g):
             downdated.append(h)
             return downdate(q, h, s_g)
 
-        monkeypatch.setattr(oracle, "_shifted_gram", gram_spy)
+        monkeypatch.setattr(oracle, "_project", project_spy)
         monkeypatch.setattr(oracle, "_downdate", downdate_spy)
         assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
-        assert [h.shape[-1] for h in formed] == [comb(6, size) for size in range(1, 6)]
-        assert all(any(np.shares_memory(h, f) for f in formed) for h in downdated)
-        assert sum(np.shares_memory(h, formed[0]) for h in downdated) == 6
+        assert [h.shape[-1] for _, h, _ in formed] == [comb(6, size) for size in range(1, 6)]
+        assert all(any(np.shares_memory(h, f) for _, f, _ in formed) for h in downdated)
+        assert sum(np.shares_memory(h, formed[0][1]) for h in downdated) == 6
+
+    def test_dft_pair_d12_projects_each_size_in_one_call(self, monkeypatch):
+        # dft_pair d=12 reaches size classes of comb(12, 5) = 792 and
+        # comb(12, 6) = 924 sets S_f, each projected by one stacked SVD (the
+        # confirmations factor single matrices).
+        b = generate("dft_pair", {"d": 12}, 0)
+        space = admissible_space(b)
+        stacks = projected_stacks(monkeypatch)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            report = min_sparsity_product(b, space)
+        assert (report.best_lhs, report.patterns_searched) == (12, 349793)
+        assert witness_l0_product(b, report) == 12
+        assert [len(stack) for stack in stacks] == [comb(12, size) for size in range(1, 12)]
+        assert max(map(len, stacks)) == 924
+        stacked = [len(a) for (a, *_), _ in svd.call_args_list if a.ndim == 3]
+        assert stacked == list(map(len, stacks))
 
     def test_size_class_mixing_k_matches_reference(self, monkeypatch):
         # In size class (3, 1) of this bisystem the S_f leave off-pattern rows
@@ -509,7 +525,8 @@ def assert_filter_sound(p, ks):
     smallest eigenvalue of P_off^H P_off is <= CUTOFF / 2 and rejects each one
     whose smallest eigenvalue is >= 2 * CUTOFF; an S_f with k = 0 passes none."""
     width, m = p.shape[:2]
-    h = oracle._shifted_gram(p, CUTOFF)
+    h = np.einsum("imf,jmf->ijf", p.conj(), p)
+    h[np.arange(width), np.arange(width)] -= CUTOFF
     for size in range(1, m + 1):
         s_g = oracle._subsets(m, size)
         passed = {(int(i_f), int(i_g)) for i_f, i_g in oracle._candidates(p, ks, h, s_g)}
