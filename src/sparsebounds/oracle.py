@@ -4,24 +4,29 @@ The search enumerates support-pattern pairs (S_f, S_g) in increasing order of
 |S_f| * |S_g| (ties by |S_f|, then lexicographic sets) and solves each
 pattern's feasibility as a null-space problem; the first feasible pattern is
 therefore a minimizer of the sparsity product over the admissible subspace.
-Each S_f is projected once per call onto V, a loosely cut null space of the
-first system's rows outside S_f, by one stacked SVD over all S_f of equal size
-in the first size class of that |S_f|; P = C V (m x k) and its shifted Gram
-matrix H = P^H P - cutoff * I, summed once over all m rows, are kept until its
-last.  A size class is then filtered in batches of at most BATCH patterns: the
-S_f of equal k are tested together, across S_f and S_g, by an LDL^H pivot test
-of G - cutoff * I for the k x k Gram matrix G of the rows of P outside S_g,
-downdated from H by the |S_g| outer products of the rows in S_g, and every S_g
-of an S_f with k = 0 is counted with no linear algebra.  The Gram stacks hold
-the k x k matrix axes first and the pattern axes last, so every elementwise
-step of the downdate and the pivot test runs over contiguous vectors of
-patterns.  Each batch's candidates are confirmed in order on their full
-off-pattern stacks, as a pattern-by-pattern scan would, before the next batch
-is filtered.
+Each size class projects the side with fewer sets, S_g when comb(m, |S_g|)
+< comb(n, |S_f|) and S_f otherwise, unless only the other side's sets of the
+class are projected already, which it then reuses.  Described for S_f (for
+S_g, exchange the two systems): each S_f is projected onto V, a loosely cut
+null space of the first system's rows outside S_f, by one stacked SVD over
+all S_f of equal size in the first class that projects them; P = C V (m x k)
+and its shifted Gram matrix H = P^H P - cutoff * I, summed once over all m
+rows, are kept until the search returns.  A size class is then filtered in
+batches of at most BATCH patterns: the projected sets of equal k are tested
+together, across S_f and S_g, by an LDL^H pivot test of G - cutoff * I for
+the k x k Gram matrix G of the rows of P outside S_g, downdated from H by the
+|S_g| outer products of the rows in S_g, and every pattern of a projected
+set with k = 0 is counted with no linear algebra.  The Gram stacks hold the
+k x k matrix axes first and the pattern axes last, so every elementwise step
+of the downdate and the pivot test runs over contiguous vectors of patterns.
+Each batch's candidates are confirmed in enumeration order (S_f-major) on
+their full off-pattern stacks, as a pattern-by-pattern scan would, before
+the next batch is filtered.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -84,11 +89,13 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
     c_rows = bisystem.second.functionals @ space.basis
     # The filter must pass every pattern the confirmation accepts.  Rows divided
     # by s = max(||[A; C]||, 1) give a confirmed pattern a unit c with
-    # ||[A_off; C_off] c|| <= t (tol_rank plus a rounding allowance).  V spans
-    # A_off's singular vectors of singular value up to MARGIN * t, so k = 0
-    # rules out every S_g, and c = V v + u, u orthogonal to V, has ||u|| <=
-    # 1 / MARGIN, so ||C_off V v|| <= t + ||C|| / MARGIN with ||v||^2 >=
-    # 1 - MARGIN^-2: the Gram cutoff is twice the square of that bound.
+    # ||[A_off; C_off] c|| <= t (tol_rank plus a rounding allowance).  Write
+    # the argument for a class that projects S_f; one that projects S_g reads
+    # the same with A and C, and S_f and S_g, exchanged.  V spans A_off's
+    # singular vectors of singular value up to MARGIN * t, so k = 0 rules out
+    # every S_g, and c = V v + u, u orthogonal to V, has ||u|| <= 1 / MARGIN,
+    # so ||C_off V v|| <= t + ||C|| / MARGIN with ||v||^2 >= 1 - MARGIN^-2:
+    # the Gram cutoff is twice the square of that bound.
     # The filter rejects a pattern only when every pivot of the LDL^H
     # factorization of G - cutoff * I, G = (C_off V)^H C_off V, is > 0.  It
     # forms G - cutoff * I as H minus the outer products p_i^H p_i of the rows
@@ -103,35 +110,53 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
     # all of H and cancel it.  The factor 2 in the cutoff leaves a room of at
     # least (||C / s|| / MARGIN)^2 = 1e-8 * ||C / s||^2 between a confirmed
     # pattern's smallest eigenvalue of G and the cutoff; at the default guard,
-    # m + |S_g| <= 46 keeps both errors about 6 orders of magnitude below it.
-    scale = max(np.linalg.norm(np.concatenate([a_rows, c_rows]), 2), 1.0)
-    a_unit, c_unit = a_rows / scale, c_rows / scale
+    # m + |S_g| <= 46 (n + |S_f| <= 46 when S_g is projected) keeps both
+    # errors about 6 orders of magnitude below it.
+    scale = max(_norm2(np.concatenate([a_rows, c_rows])), 1.0)
+    units = (a_rows / scale, c_rows / scale)
     t = tol_rank + 1e3 * np.finfo(float).eps
     with np.errstate(over="ignore"):  # inf for a tol_rank near the largest float
-        cutoff = 2.0 * (t + np.linalg.norm(c_unit, 2) / MARGIN) ** 2
-    # |S_f| -> (the rows off each S_f, their projections P, H = P^H P - cutoff
-    # * I and k per S_f).  Made in the first size class of |S_f|, (|S_f|, 1),
-    # and dropped in the last one, (|S_f|, m).
+        # Side 0 projects S_f and tests the rows of C; side 1 projects S_g.
+        cutoffs = [2.0 * (t + _norm2(u) / MARGIN) ** 2 for u in units[::-1]]
+    subsets = functools.cache(_subsets)
+    # (side, size) -> (P, H = P^H P - cutoff * I and k) of every projected set
+    # of that size, made in the first class that projects them.
     projections = {}
 
     searched = 0
-    for size_f, size_g in _pattern_order(n, m):
-        if size_g == 1:
-            # The rows outside each S_f, in the S_f's lexicographic order.
-            off_f = _subsets(n, n - size_f)[::-1]
-            projections[size_f] = (off_f, *_project(a_unit[off_f], c_unit, MARGIN * t, cutoff))
-        off_f, p, h, ks = (projections.pop if size_g == m else projections.get)(size_f)
-        s_g = _subsets(m, size_g)
-        for rows, cols in _batches(len(off_f), len(s_g)):
-            for i_f, i_g in _candidates(p[..., rows], ks[rows], h[..., rows], s_g[cols]):
-                i_f, i_g = rows.start + int(i_f), cols.start + int(i_g)
-                off = np.concatenate([a_rows[off_f[i_f]], np.delete(c_rows, s_g[i_g], axis=0)])
+    for sizes in _pattern_order(n, m):
+        s_f, s_g = subsets(n, sizes[0]), subsets(m, sizes[1])
+        # Project the side with fewer sets (ties: S_f), unless only the other
+        # side's sets of this class are projected already: reuse those.
+        side = int(len(s_g) < len(s_f))
+        if (side, sizes[side]) not in projections and (1 - side, sizes[1 - side]) in projections:
+            side = 1 - side
+        count, size = (n, m)[side], sizes[side]
+        if (side, size) not in projections:
+            # The rows outside each projected set, in the sets' lexicographic order.
+            outside = subsets(count, count - size)[::-1]
+            projections[side, size] = _project(units[side][outside], units[1 - side],
+                                               MARGIN * t, cutoffs[side])
+        p, h, ks = projections[side, size]
+        tested = (s_g, s_f)[side]
+        for block in _batches(len(s_f), len(s_g)):
+            here, there = block[side], block[1 - side]
+            keep = _candidates(p[..., here], ks[here], h[..., here], tested[there])
+            for i_f, i_g in zip(*np.nonzero(keep.T if side else keep)):
+                i_f, i_g = block[0].start + int(i_f), block[1].start + int(i_g)
+                off = np.concatenate([np.delete(a_rows, s_f[i_f], axis=0),
+                                      np.delete(c_rows, s_g[i_g], axis=0)])
                 basis = null_space_basis(off, tol_rank)
                 if basis.shape[1] > 0:
-                    return _report(bisystem, space, basis[:, 0], (size_f, size_g), eta, guard,
+                    return _report(bisystem, space, basis[:, 0], sizes, eta, guard,
                                    searched + i_f * len(s_g) + i_g + 1)
-        searched += len(off_f) * len(s_g)
+        searched += len(s_f) * len(s_g)
     raise NoAdmissibleSignalError("no feasible support pattern found")
+
+
+def _norm2(a: np.ndarray) -> float:
+    """||a||_2, the value np.linalg.norm(a, 2) returns, without its overhead."""
+    return np.linalg.svd(a, compute_uv=False)[0]
 
 
 def _subsets(m: int, size: int) -> np.ndarray:
@@ -152,12 +177,13 @@ def _batches(count_f: int, count_g: int):
 
 
 def _project(a_off: np.ndarray, c_unit: np.ndarray, cut: float, cutoff: float) -> tuple:
-    """(p, h, k per S_f) for a stack a_off (F, r, w) of the rows A_off / s of F
-    sets S_f, by one stacked SVD.  The last k rows of Vh, A_off's right
-    singular vectors beyond the rank at cut, span V.  p (width, m, F),
-    width = max k, holds the last width rows of (C Vh^H / s)^T of each S_f,
-    the last k of them its P^T / s; h (width, width, F) holds H = P^H P -
-    cutoff * I over all m rows, whose last k rows and columns are its P's."""
+    """(p, h, k per set) for a stack a_off (F, r, w) of the rows A_off / s of
+    one system outside F sets, by one stacked SVD; c_unit (m, w) holds the
+    other system's rows C / s.  The last k rows of Vh, A_off's right singular
+    vectors beyond the rank at cut, span V.  p (width, m, F), width = max k,
+    holds the last width rows of (C Vh^H / s)^T of each set, the last k of
+    them its P^T / s; h (width, width, F) holds H = P^H P - cutoff * I over
+    all m rows, whose last k rows and columns are its P's."""
     _, s, vh = np.linalg.svd(a_off)
     ks = vh.shape[-1] - _rank(s, cut)
     width = ks.max()
@@ -169,19 +195,20 @@ def _project(a_off: np.ndarray, c_unit: np.ndarray, cut: float, cutoff: float) -
             np.ascontiguousarray(h.transpose(1, 2, 0)), ks)
 
 
-def _candidates(p: np.ndarray, ks: np.ndarray, h: np.ndarray, s_g: np.ndarray):
-    """(i_f, i_g), in enumeration order, of the patterns whose Gram matrix
-    G = P_off^H P_off fails the positive-definiteness test of G - cutoff * I,
-    where P is the last ks[i_f] rows of p[:, :, i_f] transposed and P_off its
-    rows outside s_g[i_g]; G - cutoff * I is downdated from H, h[:, :, i_f].
-    The S_f of equal k are tested together; k = 0 passes none."""
+def _candidates(p: np.ndarray, ks: np.ndarray, h: np.ndarray, s_g: np.ndarray) -> np.ndarray:
+    """Whether each pattern (i_f, i_g), as a (len(ks), len(s_g)) mask, has a
+    Gram matrix G = P_off^H P_off that fails the positive-definiteness test of
+    G - cutoff * I, where P is the last ks[i_f] rows of p[:, :, i_f]
+    transposed and P_off its rows outside s_g[i_g]; G - cutoff * I is
+    downdated from H, h[:, :, i_f].  The projected sets of equal k are tested
+    together; k = 0 passes none."""
     keep = np.zeros((len(ks), len(s_g)), bool)
     for k in set(ks.tolist()) - {0}:
         group, cut = ks == k, len(p) - k
         if group.all():
             group = slice(None)  # a view, not a copy
         keep[group] = _indefinite(_downdate(p[cut:, :, group], h[cut:, cut:, group], s_g)).T
-    return zip(*np.nonzero(keep))
+    return keep
 
 
 def _downdate(q: np.ndarray, h: np.ndarray, s_g: np.ndarray) -> np.ndarray:

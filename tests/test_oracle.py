@@ -1,6 +1,4 @@
-import collections
 import itertools
-from math import comb
 from unittest import mock
 
 import numpy as np
@@ -117,17 +115,27 @@ def witness_l0_product(bisystem, report):
     return l0(analysis(bisystem.first, x)) * l0(analysis(bisystem.second, x))
 
 
-def block_union():
-    """The identity against a seeded union of coordinate blocks, a line in
-    rows 0, 2, 4 and a plane in rows 1, 3, 5: the subspace_union shape with
-    its systems swapped, but structured, so S_f of one size leave
-    off-pattern rows of different ranks (k = 0, 1, 2)."""
+def block_basis():
+    """A seeded orthonormal basis of a union of coordinate blocks, a line in
+    rows 0, 2, 4 and a plane in rows 1, 3, 5: the identity's rows over it
+    outside sets of one size have different ranks (k = 0, 1, 2 at size 3)."""
     rng = np.random.default_rng(2)
     q = np.zeros((6, 3))
     q[:3, :2] = np.linalg.qr(rng.standard_normal((3, 2)))[0]
     q[3:, 2] = rng.standard_normal(3)
     q[3:, 2] /= np.linalg.norm(q[3:, 2])
-    return BiSystem(identity_system(6), from_hilbert_vectors(q[[3, 0, 4, 1, 5, 2]]))
+    return q[[3, 0, 4, 1, 5, 2]]
+
+
+def block_frame():
+    """The identity against a seeded tight frame of eight vectors spanning
+    block_basis(), so the admissible space is that 3-dimensional space.  In
+    classes where the identity has fewer sets, such as (3, 2) with 20
+    against 28, the search projects the identity's S_f; in the swap, its
+    S_g."""
+    q = block_basis()
+    u = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 8)))[0][:3]
+    return BiSystem(identity_system(6), PairedSystem(q @ u, (q @ u).T))
 
 
 class TestMinSparsityProduct:
@@ -216,10 +224,13 @@ class TestMinSparsityProduct:
 
     def test_winner_projection_cached_from_earlier_class(self, monkeypatch):
         # dft_pair d=6 wins in size class (1, 6) with S_f = {0}, projected in
-        # class (1, 1) and reused across nine classes in between.  Each of the
-        # 62 S_f with 1 <= |S_f| <= 5 is projected exactly once: comb(6, |S_f|)
-        # distinct stacks of 6 - |S_f| rows, one batched SVD per size, and
-        # |S_f| = 6 is never reached.
+        # class (1, 1).  Each class projects the side with fewer sets (ties:
+        # S_f) unless only the other side's sets are projected already, and
+        # each (side, size) is projected once, in its first class: S_f of
+        # size 1 in (1, 1), S_g of size 1 in (2, 1) and S_f of size 2 in
+        # (2, 2); 27 matrices.  Class (5, 1) reuses the S_g of size 1 and the
+        # winner's class (1, 6) the S_f of size 1, where the fewer-sets rule
+        # alone would project 6 S_f and the single S_g of size 6.
         b = generate("dft_pair", {"d": 6}, 0)
         space = admissible_space(b)
         want = reference_search(b, space)
@@ -227,18 +238,21 @@ class TestMinSparsityProduct:
         got = min_sparsity_product(b, space)
         assert report_fields(got) == report_fields(want)
         assert int(np.count_nonzero(np.abs(got.witness) > ETA)) == 1
-        projected = collections.Counter()
-        for stack in stacks:
-            projected[stack.shape[1]] += len(stack)
-        assert projected == {6 - size: comb(6, size) for size in range(1, 6)}
-        assert len({a.tobytes() for stack in stacks for a in stack}) == 62
-        assert len(stacks) == 5
+        assert [stack.shape[:2] for stack in stacks] == [(6, 5), (6, 5), (15, 4)]
+        # The first stack holds the first system's rows, the second the
+        # second's: the rows outside S_f = {0} and outside S_g = {0}.
+        rows = [b.first.functionals @ space.basis, b.second.functionals @ space.basis]
+        scale = max(np.linalg.norm(np.concatenate(rows), 2), 1.0)
+        for side in (0, 1):
+            np.testing.assert_array_equal(stacks[side][0], rows[side][1:] / scale)
 
     def test_shifted_gram_formed_once_per_s_f(self, monkeypatch):
-        # Each S_f's H = P^H P - cutoff * I is formed once per call, with its
-        # projection: for dft_pair d=6, one call per |S_f| = 1 ... 5 and 62
-        # matrices in all.  Every later class of a size downdates that H: the
-        # six classes (1, 1) ... (1, 6) all read the H of |S_f| = 1.
+        # Each projected set's H = P^H P - cutoff * I, an S_f's or an S_g's,
+        # is formed once per call, with its projection: for dft_pair d=6, one
+        # call per (side, size) and 27 matrices in all.  Every later class of
+        # a (side, size) downdates that H: the six classes (1, 1) ... (1, 6)
+        # read the H of S_f of size 1, the four classes (2, 1) ... (5, 1) that
+        # of S_g of size 1.
         b = generate("dft_pair", {"d": 6}, 0)
         space = admissible_space(b)
         want = reference_search(b, space)
@@ -256,14 +270,15 @@ class TestMinSparsityProduct:
         monkeypatch.setattr(oracle, "_project", project_spy)
         monkeypatch.setattr(oracle, "_downdate", downdate_spy)
         assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
-        assert [h.shape[-1] for _, h, _ in formed] == [comb(6, size) for size in range(1, 6)]
+        assert [h.shape[-1] for _, h, _ in formed] == [6, 6, 15]
         assert all(any(np.shares_memory(h, f) for _, f, _ in formed) for h in downdated)
-        assert sum(np.shares_memory(h, formed[0][1]) for h in downdated) == 6
+        assert [sum(np.shares_memory(h, f) for h in downdated) for _, f, _ in formed[:2]] == [6, 4]
 
     def test_dft_pair_d12_projects_each_size_in_one_call(self, monkeypatch):
-        # dft_pair d=12 reaches size classes of comb(12, 5) = 792 and
-        # comb(12, 6) = 924 sets S_f, each projected by one stacked SVD (the
-        # confirmations factor single matrices).
+        # dft_pair d=12 reaches size classes of comb(12, 6) = 924 sets on
+        # each side, but projects only the side with fewer sets, or reuses the
+        # other side's: 376 matrices in five calls, each by one stacked SVD
+        # (the confirmations factor single matrices).
         b = generate("dft_pair", {"d": 12}, 0)
         space = admissible_space(b)
         stacks = projected_stacks(monkeypatch)
@@ -271,33 +286,38 @@ class TestMinSparsityProduct:
             report = min_sparsity_product(b, space)
         assert (report.best_lhs, report.patterns_searched) == (12, 349793)
         assert witness_l0_product(b, report) == 12
-        assert [len(stack) for stack in stacks] == [comb(12, size) for size in range(1, 12)]
-        assert max(map(len, stacks)) == 924
+        assert [len(stack) for stack in stacks] == [12, 12, 66, 66, 220]
         stacked = [len(a) for (a, *_), _ in svd.call_args_list if a.ndim == 3]
         assert stacked == list(map(len, stacks))
 
     def test_size_class_mixing_k_matches_reference(self, monkeypatch):
-        # In size class (3, 1) of this bisystem the S_f leave off-pattern rows
-        # whose null spaces have dimension 0, 1 or 2; the winner (pattern 105)
-        # lies in that class, behind S_f of every k.
-        b = block_union()
-        space = admissible_space(b)
-        rows = b.first.functionals @ space.basis
-        ks = {null_space_basis(np.delete(rows, s_f, axis=0), oracle.MARGIN * TOL_RANK).shape[1]
-              for s_f in itertools.combinations(range(6), 3)}
+        # The identity's sets of size 3 leave rows over block_basis() whose
+        # null spaces have dimension 0, 1 or 2.  Against the eight-vector
+        # frame, classes such as (3, 2) (28 frame sets against 20) project
+        # the identity's S_f, and one filter call tests S_f of k = 1 and k = 2
+        # together; with the systems swapped the same happens to its S_g.  The
+        # winner lies well behind those classes.
+        rows = block_basis()
+        ks = {null_space_basis(np.delete(rows, s, axis=0), oracle.MARGIN * TOL_RANK).shape[1]
+              for s in itertools.combinations(range(6), 3)}
         assert ks == {0, 1, 2}
-        batches = []
+        mixed = []
         candidates = oracle._candidates
 
         def spy(p, k, *args):
-            batches.append(set(k.tolist()) - {0})
+            # The identity's sets are projected against the frame's 8 rows.
+            if p.shape[1] == 8 and set(k.tolist()) >= {1, 2}:
+                mixed.append(k)
             return candidates(p, k, *args)
 
         monkeypatch.setattr(oracle, "_candidates", spy)
-        want = reference_search(b, space)
-        assert want.patterns_searched == 105
-        assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
-        assert {1, 2} in batches
+        for b in (block_frame(), swapped(block_frame())):
+            space = admissible_space(b)
+            want = reference_search(b, space)
+            assert want.best_lhs == 16
+            mixed.clear()
+            assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
+            assert mixed
 
     @pytest.mark.parametrize("c", [1e8, 1e10, 1e-8, 1e12])
     def test_rescaled_matches_reference(self, c):
@@ -327,6 +347,24 @@ class TestMinSparsityProduct:
         space = admissible_space(b)
         want = reference_search(b, space)
         assert want.patterns_searched == 1
+        assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
+
+    def test_filter_passes_pattern_confirmed_near_cutoff_projecting_s_g(self):
+        # The mirror of the test above for a class that projects S_g: with
+        # n = 3 and m = 2, class (1, 1) projects the two S_g.  The first
+        # pattern ({0}, {0}) leaves C_off = [0, 3e-6], just above the
+        # projection cutoff, so V = e_1, and A_off = [[-x, 1], [0, 1e-12]],
+        # whose projected block is about x.  The Gram cutoff must come from
+        # ||A / s||, 2 (t + ||A / s|| / MARGIN)^2; given the first side's,
+        # 2 (t + ||C / s|| / MARGIN)^2, the filter rejects the pattern, the
+        # search confirms a later one, and this test fails.
+        x = 2e-5
+        f = np.array([[1.0, 1.0], [-x, 1.0], [0.0, 1e-12]])
+        c = np.diag([1e-3, 3e-6])
+        b = BiSystem(PairedSystem(np.linalg.pinv(f), f), PairedSystem(np.linalg.inv(c), c))
+        space = admissible_space(b)
+        want = reference_search(b, space)
+        assert (want.best_lhs, want.patterns_searched) == (1, 1)
         assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
 
     def test_witness_disagreeing_with_pattern_raises(self):
@@ -405,6 +443,37 @@ def test_search_invariant_under_symmetries(b, data):
         assert witness_l0_product(other, got) == product
         if other is based:
             assert got.patterns_searched == want.patterns_searched
+
+
+def swap_corpus():
+    """(bisystem, its swap) pairs: dft_pair, identity_pair and rotated_pair
+    (angle 25) at d = 2 ... 6 and their perturbed versions (magnitude 0.2),
+    and subspace_union at d + 2 with split 1 and 2, at seeds 0-2."""
+    for seed, d in itertools.product(range(3), range(2, 7)):
+        for family, params in [("dft_pair", {"d": d}), ("identity_pair", {"d": d}),
+                               ("rotated_pair", {"d": d, "angle": 25.0})]:
+            b = generate(family, params, seed)
+            yield b, swapped(b)
+            base = {"family": family, "params": params}
+            p = generate("perturbed", {"base": base, "magnitude": 0.2}, seed)
+            yield p, swapped(p)
+        for split in (1, 2):
+            b = generate("subspace_union", {"d": d + 2, "split": split}, seed)
+            yield b, swapped(b)
+
+
+def test_swap_matches_reference_and_keeps_minimum():
+    # Swapping first and second exchanges which side each size class
+    # projects; the report must still be the reference's, and the swap must
+    # keep best_lhs and the witness's l0 product.
+    for b, other in swap_corpus():
+        found = []
+        for c in (b, other):
+            space = admissible_space(c)
+            got = min_sparsity_product(c, space)
+            assert report_fields(got) == report_fields(reference_search(c, space))
+            found.append((got.best_lhs, witness_l0_product(c, got)))
+        assert found[0] == found[1]
 
 
 # A change of ambient basis inside the admissible space: the search over the
@@ -529,7 +598,8 @@ def assert_filter_sound(p, ks):
     h[np.arange(width), np.arange(width)] -= CUTOFF
     for size in range(1, m + 1):
         s_g = oracle._subsets(m, size)
-        passed = {(int(i_f), int(i_g)) for i_f, i_g in oracle._candidates(p, ks, h, s_g)}
+        keep = oracle._candidates(p, ks, h, s_g)
+        passed = {(int(i_f), int(i_g)) for i_f, i_g in zip(*np.nonzero(keep))}
         for i_f, k in enumerate(ks):
             for i_g, rows in enumerate(s_g):
                 if k == 0:
