@@ -10,10 +10,10 @@ import numpy as np
 from . import dft
 from .admissible import AdmissibleSpace, _check_space, _samples
 from .coherence import CoherenceProfile, coherence_profile
-from .config import ETA, TOL_CERT, TOL_FP, _valid_integer, _valid_real
+from .config import ETA, ETA_HYP, TOL_CERT, TOL_FP, _valid_integer, _valid_real
 from .errors import DegenerateInputError
 from .sparsity import _concentration, _counts, _top_defects, l0, l1
-from .systems import _DTYPES, BiSystem, _apply, _as_signal, validate_pairing
+from .systems import _DTYPES, BiSystem, _apply, _as_signal
 
 
 def ds_product(h, eta: float = ETA) -> tuple:
@@ -121,7 +121,9 @@ def _prepare(bisystem: BiSystem, eta: float = ETA, tol_fp: float = TOL_FP,
              tol_cert: float = TOL_CERT) -> _Prepared:
     for name, value in (("eta", eta), ("tol_fp", tol_fp), ("tol_cert", tol_cert)):
         _valid_real(name, value)
-    pairing_ok = validate_pairing(bisystem.first).ok and validate_pairing(bisystem.second).ok
+    # validate_pairing's test at ETA_HYP, on the diagonals each system keeps.
+    pairing_ok = all(bool((s._diagonals >= 1.0 - ETA_HYP).all())
+                     for s in (bisystem.first, bisystem.second))
     return _Prepared(bisystem, coherence_profile(bisystem), pairing_ok,
                      eta, tol_fp, tol_cert)
 
@@ -157,7 +159,7 @@ def _analyse(bisystem: BiSystem, x: np.ndarray) -> _Signal:
 
 def _signal(prep: _Prepared, x) -> _Signal:
     x = _in_field(prep.bisystem, x)
-    if _counts(x, prep.eta) == 0:
+    if _counts(np.abs(x), prep.eta) == 0:
         raise DegenerateInputError("signal is zero after thresholding")
     return _analyse(prep.bisystem, x)
 
@@ -201,7 +203,8 @@ def verify_fkdb(bisystem: BiSystem, x, eta: float = ETA, tol_fp: float = TOL_FP,
     """
     prep = _prepare(bisystem, eta, tol_fp, tol_cert)
     sig = _signal(prep, x)
-    return _certify(prep, sig, _counts(sig.a, eta), _counts(sig.b, eta), None, None)
+    return _certify(prep, sig, _counts(np.abs(sig.a), eta), _counts(np.abs(sig.b), eta),
+                    None, None)
 
 
 def verify_fskpb(bisystem: BiSystem, x, set_m, set_n, eta: float = ETA,
@@ -264,20 +267,21 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
         # In the bisystem's field, as verify_fkdb analyses a signal: a real
         # basis of a complex bisystem draws real signals.
         x = _samples(space, rng, len(block)).astype(_DTYPES[bisystem.field], copy=False)
-        zero = np.flatnonzero(_counts(x, eta) == 0)
+        zero = np.flatnonzero(_counts(np.abs(x), eta) == 0)
         sig = _analyse(bisystem, x)
+        mag_a, mag_b = np.abs(sig.a), np.abs(sig.b)
         # A zero signal ends the sweep, as it ends the loop of single
         # certificates: only the signals before it are checked first.
         k = min(max(concentrated_subsample - start, 0), zero[0] if zero.size else len(block))
         if k:
-            ok, margin = _concentrated(prep, sig, k)
+            ok, margin = _concentrated(prep, sig, mag_a[:k], mag_b[:k])
             conc_checked += ok.size
             conc_ok += int(np.count_nonzero(ok))
             min_margin = min(min_margin, margin.min())
         if zero.size:
             raise DegenerateInputError("signal is zero after thresholding")
-        lhs, rhs, *_, ok = _certificates(prep, sig.r_f, sig.r_g, _counts(sig.a, eta),
-                                         _counts(sig.b, eta), 0.0, 0.0)
+        lhs, rhs, *_, ok = _certificates(prep, sig.r_f, sig.r_g, _counts(mag_a, eta),
+                                         _counts(mag_b, eta), 0.0, 0.0)
         satisfied += int(np.count_nonzero(ok))
         failing.extend(start + int(i) for i in np.flatnonzero(~ok))
         min_margin = min(min_margin, (lhs - rhs).min())
@@ -288,13 +292,13 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
     )
 
 
-def _concentrated(prep: _Prepared, sig: _Signal, k: int) -> tuple:
+def _concentrated(prep: _Prepared, sig: _Signal, mag_a: np.ndarray, mag_b: np.ndarray) -> tuple:
     """Verdicts and margins (k, n, m) of the concentrated certificates of the
-    first k signals of a stack, with M and N the best_set sets of every size
-    pair (o_m, o_n)."""
-    n, m = sig.a.shape[-1], sig.b.shape[-1]
-    eps = _top_defects(np.abs(sig.a[:k]), range(1, n + 1))[1]
-    delta = _top_defects(np.abs(sig.b[:k]), range(1, m + 1))[1]
+    first k signals of a stack, whose analysis magnitudes are mag_a (k, n)
+    and mag_b (k, m), with M and N the best_set sets of every size pair
+    (o_m, o_n)."""
+    (k, n), m = mag_a.shape, mag_b.shape[1]
+    eps, delta = _top_defects(mag_a)[:, 1:], _top_defects(mag_b)[:, 1:]
     lhs, rhs, *_, ok = _certificates(prep, sig.r_f[:k, None, None], sig.r_g[:k, None, None],
                                      np.arange(1, n + 1)[:, None], np.arange(1, m + 1),
                                      eps[:, :, None], delta[:, None, :])

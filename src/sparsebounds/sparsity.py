@@ -28,14 +28,14 @@ def l0(a, eta: float = ETA) -> int:
     return int(_counts(_magnitudes(a), eta))
 
 
-def _counts(a: np.ndarray, eta: float):
-    """l0 of each row (last axis) of a."""
-    return np.count_nonzero(_nonzero(a, eta), axis=-1)
+def _counts(mags: np.ndarray, eta: float):
+    """l0 of each row (last axis) of the magnitudes mags."""
+    return np.count_nonzero(_nonzero(mags, eta), axis=-1)
 
 
-def _nonzero(a, eta: float) -> np.ndarray:
-    """Mask of the entries of a whose magnitude is strictly above eta."""
-    return np.abs(a) > _valid_real("eta", eta)
+def _nonzero(mags: np.ndarray, eta: float) -> np.ndarray:
+    """Mask of the magnitudes mags strictly above eta."""
+    return mags > _valid_real("eta", eta)
 
 
 def l1(a) -> float:
@@ -51,7 +51,9 @@ def concentration_epsilon(a, index_set) -> float:
     """Smallest epsilon for which a is epsilon-concentrated on the set.
 
     Equals the fraction of the l1 mass lying outside the set; always in
-    [0, 1].  Raises on zero total mass.
+    [0, 1].  Raises on zero total mass.  Both masses are summed largest
+    magnitude first (_masses), so epsilon is exactly invariant under a
+    permutation of the indices that maps the set with them.
     """
     return _concentration(_magnitudes(a), index_set)[1]
 
@@ -62,34 +64,45 @@ def _concentration(mags: np.ndarray, index_set) -> tuple:
     m = sorted({_valid_integer("index", i, 0) for i in index_set})
     if m and m[-1] >= mags.size:
         raise ParameterError(f"index set not contained in [0, {mags.size})")
-    return len(m), float(_defects(mags.sum(), mags[m].sum()))
+    return len(m), float(_defects(_masses(mags)[-1], _masses(mags[m])[-1]))
 
 
 def best_set(a, size: int) -> ConcentrationWitness:
     """Index set of the `size` largest magnitudes, with its exact epsilon.
 
     Ties broken by lowest index; this set minimizes concentration_epsilon
-    over all sets of the given cardinality.
+    over all sets of the given cardinality.  epsilon has the bits of
+    concentration_epsilon on the set: a tie changes which indices are
+    chosen, not the magnitudes summed.
     """
     mags, size = _magnitudes(a), _valid_integer("size", size, 0)
     if size > mags.size:
         raise ParameterError(f"set size {size} outside [0, {mags.size}]")
-    rank, eps = _top_defects(mags[None], [size])
-    return ConcentrationWitness(tuple(np.flatnonzero(rank[0] < size).tolist()), float(eps[0, 0]))
+    chosen = np.sort(np.argsort(-mags, kind="stable")[:size])
+    return ConcentrationWitness(tuple(chosen.tolist()), float(_top_defects(mags)[size]))
 
 
-def _top_defects(mags: np.ndarray, sizes) -> tuple:
-    """Largest-magnitude prefixes of each row of mags (k, n): the rank of
-    every entry in a stable descending argsort (ties to the lowest index),
-    and the (k, len(sizes)) concentration defects of the sets of the `size`
-    largest entries.  Each set is summed as a contiguous row in index order,
-    as concentration_epsilon sums it, so the defects have its bits."""
-    k = mags.shape[0]
-    rank = np.argsort(np.argsort(-mags, axis=-1, kind="stable"), axis=-1)
-    inside = np.empty((k, len(sizes)))
-    for j, size in enumerate(sizes):
-        inside[:, j] = mags[rank < size].reshape(k, size).sum(axis=-1)
-    return rank, _defects(mags.sum(axis=-1)[:, None], inside)
+def _top_defects(mags: np.ndarray) -> np.ndarray:
+    """Concentration defects (..., n + 1) of the sets of the `size` largest
+    entries of each row of mags (..., n), for size = 0..n: one sort and one
+    running sum.  The l1 mass of a set depends only on its multiset of
+    magnitudes (_masses), so each defect has the bits of
+    concentration_epsilon on any set of `size` largest entries, best_set's
+    included."""
+    inside = _masses(mags)
+    return _defects(inside[..., -1:], inside)
+
+
+def _masses(mags: np.ndarray) -> np.ndarray:
+    """l1 masses (..., n + 1) of the 0..n largest magnitudes of each row
+    (last axis) of mags (..., n): the magnitudes summed one at a time,
+    largest first.  The one summation rule of a set's mass and of the total
+    mass, so a full set has a defect of exactly 0.  np.cumsum adds in
+    sequence; tied magnitudes are equal values, so their order does not
+    matter."""
+    out = np.zeros(mags.shape[:-1] + (mags.shape[-1] + 1,))
+    np.cumsum(np.sort(mags, axis=-1)[..., ::-1], axis=-1, out=out[..., 1:])
+    return out
 
 
 def _defects(total, inside):

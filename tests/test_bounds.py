@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from sparsebounds import (
+    AdmissibleSpace,
     BiSystem,
     PairedSystem,
     analysis,
     ds_product,
     eb_bound,
+    exhaustive_verify,
     fkdb_rhs,
     from_hilbert_vectors,
     fskpb_rhs,
@@ -16,11 +18,13 @@ from sparsebounds import (
     identity_system,
     per_index_slack,
     support,
+    validate_pairing,
     verify_fkdb,
     verify_fskpb,
 )
 from sparsebounds.bounds import _analyse, fixedpoint_residuals
 from sparsebounds.coherence import CoherenceProfile
+from sparsebounds.config import ETA_HYP
 from sparsebounds.dft import dft_matrix
 from sparsebounds.errors import DegenerateInputError, StructuralError
 
@@ -117,6 +121,19 @@ class TestVerifyFkdb:
         cert = verify_fkdb(b, [1.0, 1.0])
         assert not cert.hypothesis_ok
         assert not cert.satisfied
+
+    @pytest.mark.parametrize("slack,ok", [(0.5 * ETA_HYP, True), (2 * ETA_HYP, False)])
+    def test_pairing_hypothesis_at_eta_hyp(self, slack, ok):
+        # A pairing within ETA_HYP below 1 passes and one further below fails,
+        # as validate_pairing decides; tol_fp = 1 leaves the pairing alone
+        # to decide.
+        first = PairedSystem(np.eye(2), (1.0 - slack) * np.eye(2))
+        b = BiSystem(first, identity_system(2))
+        assert validate_pairing(first).ok is ok
+        assert verify_fkdb(b, [1.0, 1.0], tol_fp=1.0).hypothesis_ok is ok
+        assert verify_fskpb(b, [1.0, 1.0], (0,), (1,), tol_fp=1.0).hypothesis_ok is ok
+        space = AdmissibleSpace(np.eye(2), 2)
+        assert exhaustive_verify(b, space, 3, tol_fp=1.0).satisfied == (3 if ok else 0)
 
     def test_zero_signal_rejected(self):
         b = BiSystem(identity_system(2), identity_system(2))

@@ -724,10 +724,15 @@ def reference_verify(bisystem, space, trials, seed=0, eta=ETA, tol_fp=TOL_FP,
     )
 
 
+# n >= 9 and not a multiple of 8: lengths at which a pairwise sum of a set's
+# magnitudes would depend on numpy's 8-term blocks.
 @pytest.mark.parametrize("family,params", [
     ("dft_pair", {"d": 16}),
     ("perturbed", {"base": {"family": "dft_pair", "params": {"d": 4}}, "magnitude": 0.1}),
     ("subspace_union", {"d": 6, "split": 3}),
+    ("identity_pair", {"d": 9}),
+    ("rotated_pair", {"d": 10, "angle": 30.0}),
+    ("perturbed", {"base": {"family": "dft_pair", "params": {"d": 11}}, "magnitude": 0.05}),
 ])
 def test_exhaustive_verify_matches_reference_loop(family, params):
     b = generate(family, params, seed=2)

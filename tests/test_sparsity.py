@@ -2,10 +2,20 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sparsebounds import best_set, concentration_epsilon, l0, l1, support
+from sparsebounds import (
+    BiSystem,
+    PairedSystem,
+    best_set,
+    concentration_epsilon,
+    identity_system,
+    l0,
+    l1,
+    support,
+    verify_fskpb,
+)
 from sparsebounds.errors import DegenerateInputError, ParameterError
 from sparsebounds.sparsity import _top_defects
 
@@ -91,17 +101,17 @@ class TestProfile:
         assert l1(a) == pytest.approx(1.0)
 
 
+# Magnitudes with ties: integers drawn from a short range repeat often.
+magnitude_values = st.floats(min_value=-100, max_value=100, allow_nan=False) | st.integers(-3, 3)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
-    values=st.lists(
-        st.floats(min_value=-100, max_value=100, allow_nan=False),
-        min_size=1,
-        max_size=8,
-    ),
+    values=st.lists(magnitude_values, min_size=1, max_size=8),
     size=st.integers(min_value=0, max_value=8),
 )
 def test_best_set_minimizes_over_all_subsets(values, size):
-    a = np.array(values)
+    a = np.array(values, dtype=float)
     if np.abs(a).sum() == 0.0:
         return
     size = min(size, a.size)
@@ -109,7 +119,7 @@ def test_best_set_minimizes_over_all_subsets(values, size):
     # Independent oracle: exhaustive enumeration of every subset of that size.
     for subset in itertools.combinations(range(a.size), size):
         assert best.epsilon <= concentration_epsilon(a, subset) + 1e-12
-    assert best.epsilon == pytest.approx(concentration_epsilon(a, best.set))
+    assert best.epsilon == concentration_epsilon(a, best.set)
 
 
 @pytest.mark.parametrize("n", [1, 5, 8, 9, 17, 128, 129, 300])
@@ -120,13 +130,58 @@ def test_top_defects_have_concentration_epsilon_bits(n):
     rows = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n),
                      np.round(2 * rng.standard_normal(n)) + 0j])
     rows[1, 0] = 1.0
-    rank, eps = _top_defects(np.abs(rows), range(n + 1))
-    for row, row_rank, row_eps in zip(rows, rank, eps):
+    eps = _top_defects(np.abs(rows))
+    assert eps.shape == (2, n + 1)
+    for row, row_eps in zip(rows, eps):
         order = np.argsort(-np.abs(row), kind="stable")
+        assert (row_eps[0], row_eps[n]) == (1.0, 0.0)
         for size in range(n + 1):
             chosen = sorted(order[:size].tolist())
-            assert np.flatnonzero(row_rank < size).tolist() == chosen
-            assert row_eps[size] == concentration_epsilon(row, chosen)
+            best = best_set(row, size)
+            assert best.set == tuple(chosen)
+            assert best.epsilon == row_eps[size] == concentration_epsilon(row, chosen)
+
+
+@st.composite
+def permuted_coefficients(draw):
+    """(a, p, q, s, t, size): real or complex coefficients a of length n with
+    tied magnitudes and at least one above ETA, two permutations p, q of
+    range(n), two index sets s, t and a set size."""
+    n = draw(st.integers(1, 12))
+    parts = st.lists(magnitude_values, min_size=n, max_size=n)
+    a = np.array(draw(parts), dtype=float)
+    if draw(st.booleans()):
+        a = a + 1j * np.array(draw(parts))
+    assume(l0(a) > 0)
+    perms, sets = st.permutations(range(n)), st.sets(st.integers(0, n - 1))
+    return (a, np.array(draw(perms)), np.array(draw(perms)), draw(sets), draw(sets),
+            draw(st.integers(0, n)))
+
+
+def permuted_identity(p, field):
+    """The identity system with its indices permuted: functional i is e_p[i],
+    so its analysis of x is x[p], exactly."""
+    eye = np.eye(p.size)
+    return PairedSystem(eye[:, p], eye[p], field)
+
+
+@given(permuted_coefficients())
+def test_concentration_invariant_under_index_permutation(case):
+    # Coefficients a[p] with the set mapped by the inverse permutation hold
+    # the same magnitudes inside and outside the set, so every defect keeps
+    # its bits.
+    a, p, q, s, t, size = case
+    inv_p, inv_q = np.argsort(p), np.argsort(q)
+    s_p, t_q = [inv_p[i] for i in s], [inv_q[i] for i in t]
+    eps, delta = concentration_epsilon(a, s), concentration_epsilon(a, t)
+    assert concentration_epsilon(a[p], s_p) == eps
+    assert best_set(a[p], size).epsilon == best_set(a, size).epsilon
+    field = "complex" if np.iscomplexobj(a) else "real"
+    identity = identity_system(a.size, field)
+    cert = verify_fskpb(BiSystem(identity, identity), a, s, t)
+    moved = verify_fskpb(BiSystem(permuted_identity(p, field), permuted_identity(q, field)),
+                         a, s_p, t_q)
+    assert (moved.epsilon, moved.delta) == (cert.epsilon, cert.delta) == (eps, delta)
 
 
 @st.composite
@@ -152,4 +207,4 @@ def test_support_size_is_l0(case):
 
 def test_top_defects_zero_mass_rejected():
     with pytest.raises(DegenerateInputError):
-        _top_defects(np.array([[1.0, 0.0], [0.0, 0.0]]), [1])
+        _top_defects(np.array([[1.0, 0.0], [0.0, 0.0]]))
