@@ -7,6 +7,7 @@ both systems; their span is computed as a numerical null space via SVD.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +21,7 @@ from .systems import (
     REAL,
     BiSystem,
     PairedSystem,
-    _adopt,
     _apply,
-    _hilbert,
     _matmul,
     from_hilbert_vectors,
     identity_system,
@@ -174,9 +173,7 @@ def generate(family: str, params: dict, seed: int = 0) -> BiSystem:
                                   diagonals and the admissible dimension are
                                   preserved exactly
     """
-    try:
-        params = dict(params)
-    except (TypeError, ValueError):
+    if not isinstance(params, Mapping):
         raise ParameterError(f"family parameters must be an object, got {params!r}")
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
@@ -195,12 +192,12 @@ def generate(family: str, params: dict, seed: int = 0) -> BiSystem:
     if family == "identity_pair":
         return BiSystem(identity_system(d), identity_system(d))
     if family == "dft_pair":
-        return BiSystem(identity_system(d, COMPLEX), _hilbert(dft_matrix(d), COMPLEX))
+        return BiSystem(identity_system(d, COMPLEX), from_hilbert_vectors(dft_matrix(d)))
     if family == "rotated_pair":
         if d < 2:
             raise ParameterError("rotated_pair needs d >= 2")
         angle = _param(params, "angle", -math.inf, 45.0, real=True)
-        return BiSystem(identity_system(d), _hilbert(_rotation(d, angle), REAL))
+        return BiSystem(identity_system(d), from_hilbert_vectors(_rotation(d, angle)))
     # subspace_union
     split = _param(params, "split", 1, 1)
     if split > d:
@@ -241,8 +238,8 @@ def _perturb(bisystem: BiSystem, magnitude: float, seed: int) -> BiSystem:
     maps the admissible subspace without changing its dimension; per-index
     scalings tau_j -> c_j tau_j, f_j -> f_j / c_j change the
     cross-coherences while leaving every diagonal pairing exact.  The new
-    systems keep the products S T diag(c) and diag(c)^-1 F S^-1 themselves
-    (_adopt), which share no memory with the base.
+    systems copy the products S T diag(c) and diag(c)^-1 F S^-1, so they
+    share no memory with the base.
     """
     rng = np.random.default_rng(seed)
     d = bisystem.d
@@ -259,7 +256,7 @@ def _perturb(bisystem: BiSystem, magnitude: float, seed: int) -> BiSystem:
         vectors = _matmul(s, system._vectors_form)
         vectors *= c
         functionals = _matmul(system.functionals / c[:, None], s_inv)
-        return _adopt(vectors, functionals, system.field)
+        return PairedSystem(vectors, functionals, system.field)
 
     return BiSystem(apply(bisystem.first), apply(bisystem.second))
 

@@ -30,13 +30,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """a itself, read-only from now on, for a fresh C-ordered array that
-    nothing else holds."""
-    a.setflags(write=False)
-    return a
-
-
 def _as_matrix(a, field_tag: str, name: str) -> np.ndarray:
     a = _valid_array(name, a, _DTYPES[field_tag])
     if a.ndim != 2:
@@ -48,8 +41,8 @@ def _as_matrix(a, field_tag: str, name: str) -> np.ndarray:
 class PairedSystem:
     """Matched collections (tau_j, f_j): vectors d x n, functionals n x d.
 
-    Its arrays are private, read-only and C-ordered: copies of the arrays
-    it is given, or arrays a library constructor built for it (_adopt).
+    Its arrays are private, read-only and C-ordered copies of the arrays it
+    is given, whoever gives them, the library's own constructors included.
     Per-system invariants such as the pairing diagonals and each matrix's
     product form are therefore computed once and kept on the instance.
     """
@@ -59,15 +52,11 @@ class PairedSystem:
     field: str = REAL
 
     def __post_init__(self):
-        self._keep(_frozen)
-
-    def _keep(self, own) -> None:
-        """Check the field tag and both matrices, finiteness included, and
-        keep own(matrix) of each."""
         if self.field not in _DTYPES:
             raise StructuralError(f"unknown field tag {self.field!r}")
         for name in ("vectors", "functionals"):
-            object.__setattr__(self, name, own(_as_matrix(getattr(self, name), self.field, name)))
+            matrix = _as_matrix(getattr(self, name), self.field, name)
+            object.__setattr__(self, name, _frozen(matrix))
         d, n = self.vectors.shape
         if d < 1 or n < 1:
             raise StructuralError(f"dimensions must be positive, got d={d}, n={n}")
@@ -98,21 +87,6 @@ class PairedSystem:
     def _functionals_form(self) -> _Form:
         """The functionals' product form (_form), decided once."""
         return _form(self.functionals)
-
-
-def _adopt(vectors: np.ndarray, functionals: np.ndarray, field_tag: str) -> PairedSystem:
-    """PairedSystem(vectors, functionals, field_tag) that keeps the two
-    arrays themselves, frozen in place (_freeze), instead of copies.
-
-    For the library's constructors only: each array must be fresh,
-    C-ordered and held by nothing else, and the two must not share memory.
-    They are checked as PairedSystem checks its arguments.
-    """
-    system = object.__new__(PairedSystem)
-    for name, value in (("vectors", vectors), ("functionals", functionals), ("field", field_tag)):
-        object.__setattr__(system, name, value)
-    system._keep(_freeze)
-    return system
 
 
 @dataclass(frozen=True)
@@ -171,18 +145,13 @@ def from_hilbert_vectors(vectors) -> PairedSystem:
     diagonal pairings are the squared column norms.
     """
     field_tag = COMPLEX if np.iscomplexobj(vectors) else REAL
-    return _hilbert(np.array(_as_matrix(vectors, field_tag, "vectors"), order="C"), field_tag)
-
-
-def _hilbert(T: np.ndarray, field_tag: str) -> PairedSystem:
-    """from_hilbert_vectors of a fresh matrix T that the system then keeps
-    (_adopt); the functionals T^H are written C-ordered in one pass."""
+    T = _as_matrix(vectors, field_tag, "vectors")
     norms = np.linalg.norm(T, axis=0)
     bad = np.nonzero(np.abs(norms - 1.0) > ETA_HYP)[0]
     if bad.size:
         j = int(bad[0])
         raise HypothesisError(f"column {j} has norm {norms[j]:.6g}, expected 1 within {ETA_HYP:g}")
-    return _adopt(T, np.conjugate(T.T, out=np.empty(T.shape[::-1], T.dtype)), field_tag)
+    return PairedSystem(T, T.conj().T, field_tag)
 
 
 def _as_signal(field_tag: str, x, length: int, name: str) -> np.ndarray:
@@ -292,6 +261,5 @@ def synthesis(system: PairedSystem, coefficients) -> np.ndarray:
 
 def identity_system(d: int, field_tag: str = REAL) -> PairedSystem:
     """The d x d identity as both vectors and functionals, two arrays."""
-    d = _valid_integer("d", d, 1)
-    return _adopt(np.eye(d, dtype=_DTYPES[field_tag]), np.eye(d, dtype=_DTYPES[field_tag]),
-                  field_tag)
+    eye = np.eye(_valid_integer("d", d, 1))
+    return PairedSystem(eye, eye, field_tag)

@@ -313,7 +313,7 @@ RERUNS = [row.split() for row in [
     # both sides of every product, subspace_union as its second system.
     "verify --family identity_pair --d 512 --sample 3",
     "verify --family subspace_union --d 256 --split 100 --sample 3",
-    # perturbed builds its systems from its own products, frozen in place,
+    # perturbed builds its systems from copies of its own products,
     # and scales E by sqrt(lambda_max(E E^T)).
     "generate --family perturbed --base dft_pair --d 64 --seed 5 --out gp",
     "verify --family perturbed --base dft_pair --d 512 --sample 3",

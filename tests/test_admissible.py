@@ -462,3 +462,11 @@ class TestFamilies:
             generate("perturbed", {"base": {"family": "dft_pair", "params": {"d": 4}, "sed": 1}})
         with pytest.raises(ParameterError, match="d >= 2"):
             generate("rotated_pair", {"d": 1}, 0)
+
+    @pytest.mark.parametrize("params", [[["d", 4]], [["d", 4], ["d", 9]], (("d", 4),), None],
+                             ids=["pairs", "repeated-key", "tuple", "none"])
+    def test_params_must_be_a_mapping(self, params):
+        with pytest.raises(ParameterError, match="family parameters must be an object"):
+            generate("dft_pair", params, 0)
+        with pytest.raises(ParameterError, match="family parameters must be an object"):
+            generate("perturbed", {"base": {"family": "dft_pair", "params": params}}, 0)

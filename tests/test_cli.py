@@ -357,6 +357,8 @@ def test_manifest_pinned(tmp_path, monkeypatch, capsys, files, argv, manifest):
     ({"sys.json": json.dumps({**CSV_MANIFEST, "functionals_csv": "f.csv"}),
       "v.csv": "1_0\n", "f.csv": "\u0664\n"}, ["validate", "sys.json"]),
     ({"deep.json": "[" * 10000 + "]" * 10000}, ["coherence", "deep.json"]),
+    ({"desc.json": descriptor("dft_pair", [["d", 4]], seed=0)},
+     ["sample", "--descriptor", "desc.json"]),
 ], ids=["signal-nan", "signal-infinity", "concentrated-signal-infinity", "descriptor-d-string",
         "descriptor-d-bool", "descriptor-seed-string", "system-d-string", "unused-angle",
         "base-without-perturbed", "unused-base-split", "misspelled-parameter",
@@ -365,7 +367,7 @@ def test_manifest_pinned(tmp_path, monkeypatch, capsys, files, argv, manifest):
         "bisystem-with-family-flags", "bisystem-with-seed", "bisystem-with-descriptor",
         "signal-with-sample", "descriptor-with-family", "descriptor-with-d",
         "descriptor-with-seed", "descriptor-with-magnitude", "signal-with-tol-rank",
-        "csv-entries-outside-number-grammar", "json-nested-too-deep"])
+        "csv-entries-outside-number-grammar", "json-nested-too-deep", "descriptor-params-array"])
 def test_refused_input_exits_1_with_no_output(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():

@@ -57,6 +57,11 @@ class TestConstruction:
         with pytest.raises(StructuralError, match=match):
             PairedSystem(vectors, functionals, field_tag)
 
+    @pytest.mark.parametrize("field_tag", ["quaternion", None])
+    def test_identity_system_refuses_unknown_field_tag(self, field_tag):
+        with pytest.raises(StructuralError, match="unknown field tag"):
+            identity_system(3, field_tag)
+
     def test_bisystem_field_is_complex_when_either_system_is(self):
         real, cplx = identity_system(2), identity_system(2, "complex")
         fields = [BiSystem(a, b).field for a, b in ((real, real), (real, cplx), (cplx, real),
