@@ -10,10 +10,10 @@ import numpy as np
 from . import dft
 from .admissible import AdmissibleSpace, _check_space, _samples
 from .coherence import CoherenceProfile, coherence_profile
-from .config import ETA, ETA_HYP, TOL_CERT, TOL_FP, _valid_integer, _valid_real
+from .config import ETA, TOL_CERT, TOL_FP, _valid_integer, _valid_real
 from .errors import DegenerateInputError
 from .sparsity import _concentration, _counts, _top_defects, l0, l1
-from .systems import _DTYPES, BiSystem, _apply, _as_signal
+from .systems import _DTYPES, BiSystem, _apply, _as_signal, _paired
 
 
 def ds_product(h, eta: float = ETA) -> tuple:
@@ -121,9 +121,8 @@ def _prepare(bisystem: BiSystem, eta: float = ETA, tol_fp: float = TOL_FP,
              tol_cert: float = TOL_CERT) -> _Prepared:
     for name, value in (("eta", eta), ("tol_fp", tol_fp), ("tol_cert", tol_cert)):
         _valid_real(name, value)
-    # validate_pairing's test at ETA_HYP, on the diagonals each system keeps.
-    pairing_ok = all(bool((s._diagonals >= 1.0 - ETA_HYP).all())
-                     for s in (bisystem.first, bisystem.second))
+    # validate_pairing's test at ETA_HYP, without its report.
+    pairing_ok = all(bool(_paired(s).all()) for s in (bisystem.first, bisystem.second))
     return _Prepared(bisystem, coherence_profile(bisystem), pairing_ok,
                      eta, tol_fp, tol_cert)
 

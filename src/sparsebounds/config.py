@@ -73,11 +73,12 @@ def _number(name: str, text: str, rule, *domain):
     return float(value) if rule is _valid_real else value
 
 
-def _valid_array(name: str, a, dtype=None) -> np.ndarray:
+def _valid_array(name: str, a, dtype=None, copy: bool = False) -> np.ndarray:
     """a as an array of dtype (numpy's own when None) when it is a regular
     nesting of numbers, all finite: a NaN or infinite entry would pass or
     fail every threshold against it silently.  A real dtype never drops a
-    nonzero imaginary part."""
+    nonzero imaginary part.  With copy and a dtype, the result is a new
+    C-ordered array made by one copy, the cast included."""
     try:
         a = np.asarray(a)
     except ValueError as exc:  # ragged nesting
@@ -89,7 +90,7 @@ def _valid_array(name: str, a, dtype=None) -> np.ndarray:
             if np.any(a.imag != 0):
                 raise StructuralError(f"{name} has complex entries but the field is real")
             a = a.real
-        a = a.astype(dtype, copy=False)
+        a = a.astype(dtype, order="C" if copy else "K", copy=copy)
     if not np.all(np.isfinite(a)):
         raise StructuralError(f"{name} contains non-finite entries")
     return a

@@ -30,8 +30,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_matrix(a, field_tag: str, name: str) -> np.ndarray:
-    a = _valid_array(name, a, _DTYPES[field_tag])
+def _as_matrix(a, field_tag: str, name: str, copy: bool = False) -> np.ndarray:
+    a = _valid_array(name, a, _DTYPES[field_tag], copy)
     if a.ndim != 2:
         raise StructuralError(f"{name} must be a 2-d matrix, got ndim={a.ndim}")
     return a
@@ -55,8 +55,10 @@ class PairedSystem:
         if self.field not in _DTYPES:
             raise StructuralError(f"unknown field tag {self.field!r}")
         for name in ("vectors", "functionals"):
-            matrix = _as_matrix(getattr(self, name), self.field, name)
-            object.__setattr__(self, name, _frozen(matrix))
+            # One copy, cast and all, is the system's private matrix.
+            matrix = _as_matrix(getattr(self, name), self.field, name, copy=True)
+            matrix.setflags(write=False)
+            object.__setattr__(self, name, matrix)
         d, n = self.vectors.shape
         if d < 1 or n < 1:
             raise StructuralError(f"dimensions must be positive, got d={d}, n={n}")
@@ -130,11 +132,16 @@ class ValidationReport:
         object.__setattr__(self, "per_index_ok", _frozen(np.asarray(self.per_index_ok, dtype=bool)))
 
 
+def _paired(system: PairedSystem, eta_hyp: float = ETA_HYP) -> np.ndarray:
+    """The pairing hypothesis |f_j(tau_j)| >= 1 - eta_hyp of each index j,
+    on the diagonals the system keeps."""
+    return system._diagonals >= 1.0 - eta_hyp
+
+
 def validate_pairing(system: PairedSystem, eta_hyp: float = ETA_HYP) -> ValidationReport:
     """Check the hypothesis |f_j(tau_j)| >= 1 for every index j."""
-    diag = system._diagonals
-    per_index = diag >= 1.0 - _valid_real("eta_hyp", eta_hyp)
-    return ValidationReport(diag, per_index, bool(per_index.all()), eta_hyp)
+    per_index = _paired(system, _valid_real("eta_hyp", eta_hyp))
+    return ValidationReport(system._diagonals, per_index, bool(per_index.all()), eta_hyp)
 
 
 def from_hilbert_vectors(vectors) -> PairedSystem:

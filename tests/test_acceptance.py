@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +19,7 @@ from sparsebounds import (
     fkdb_rhs,
     fskpb_rhs,
     generate,
+    l0,
     min_sparsity_product,
     per_index_slack,
     sample_admissible,
@@ -28,9 +28,7 @@ from sparsebounds import (
     verify_fskpb,
 )
 from sparsebounds.cli import main
-from sparsebounds.systems import BiSystem, PairedSystem
-from test_exact_referee import skewed_identity
-from test_oracle import reference_search, report_fields
+from referees import kdb_rhs, reference_search, report_fields, skewed, swapped
 
 ETA = 1e-9
 TOL_CERT = 1e-9
@@ -66,17 +64,7 @@ SKEWED = [{"partner": partner, "d": d, "mu": mu} for partner in ("dft_pair", "ro
 SKEWED_SEEDS = range(10)
 SIGNALS_PER_SYSTEM = 5
 SEED_DEPENDENT = {"subspace_union", "perturbed", "skewed"}
-
-
-def skewed(partner, d, mu, seed):
-    """T = I, F = I + e_d l^T (test_exact_referee.skewed_identity: l_d = 0,
-    max |l| = mu, w = d - 1) in floats, against the second system of partner
-    (dft_pair, or rotated_pair at angle 30) at d."""
-    params = {"d": d, "angle": 30.0} if partner == "rotated_pair" else {"d": d}
-    second = generate(partner, params, 0).second
-    rng = np.random.default_rng(seed)
-    t, f = (np.array(a, float) for a in skewed_identity(rng, d, Fraction(mu)))
-    return BiSystem(PairedSystem(t, f, second.field), second)
+BASE_FAMILIES = {"identity_pair", "dft_pair", "rotated_pair", "subspace_union"}
 
 
 def _verdict(name, ok, detail=""):
@@ -156,9 +144,8 @@ def test_criterion_4_per_index_inequality(corpus):
     worst = np.inf
     failures = 0
     for family, params, seed, b, space, signals in corpus:
-        swapped = BiSystem(b.second, b.first)
-        for x in signals:
-            for system in (b, swapped):
+        for system in (b, swapped(b)):
+            for x in signals:
                 slack = per_index_slack(system, x)
                 worst = min(worst, float(slack.min()))
                 failures += int(slack.min() < -1e-9)
@@ -237,8 +224,9 @@ def test_criterion_5_concentrated_reduction_and_sweep(corpus):
 def test_criterion_6_oracle_consistency(corpus):
     t0 = time.monotonic()
     seen = set()
-    consistency_ok = True
+    consistency_ok = kdb_ok = True
     runs = 0
+    ratios = {}
     for family, params, seed, b, space, signals in corpus:
         if b.first.n + b.second.n > 12:
             continue
@@ -251,6 +239,15 @@ def test_criterion_6_oracle_consistency(corpus):
         runs += 1
         if report.best_lhs < report.rhs_at_witness - 1e-9:
             consistency_ok = False
+        # Classical KDB at the witness's sparsities bounds the same product;
+        # on the base families (f_j = tau_j^H, unit norms) it is FKDB.
+        kdb = kdb_rhs(b, *(l0(s.functionals @ report.witness, ETA) for s in (b.first, b.second)))
+        fkdb = report.rhs_at_witness
+        kdb_ok = kdb_ok and kdb <= report.best_lhs * (1 + 1e-12)
+        if family in BASE_FAMILIES:
+            kdb_ok = kdb_ok and abs(kdb - fkdb) <= 1e-12 * max(1.0, fkdb)
+        if fkdb > 0:
+            ratios.setdefault(family, []).append(kdb / fkdb)
 
     batched_ok = True
     checked = set()
@@ -265,9 +262,12 @@ def test_criterion_6_oracle_consistency(corpus):
                 == report_fields(reference_search(b, space, eta=ETA)))
         batched_ok = batched_ok and same
     elapsed = time.monotonic() - t0
-    _verdict("criterion 6: oracle consistency + batched/reference-loop agreement",
-             consistency_ok and batched_ok,
-             f"{runs} oracle runs, {len(checked)} reference comparisons, {elapsed:.1f}s")
+    kdb_range = ", ".join(f"{family} {min(r):.3f}-{max(r):.3f}" for family, r in ratios.items())
+    _verdict("criterion 6: oracle consistency + batched/reference-loop agreement"
+             " + KDB <= best_lhs",
+             consistency_ok and batched_ok and kdb_ok,
+             f"{runs} oracle runs, {len(checked)} reference comparisons, "
+             f"KDB/FKDB {kdb_range}, {elapsed:.1f}s")
 
 
 def test_criterion_7_monotonicity_sweep():

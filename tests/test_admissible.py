@@ -25,34 +25,9 @@ from sparsebounds.bounds import fixedpoint_residuals
 from sparsebounds.coherence import coherence_profile, sub_coherence
 from sparsebounds.errors import NoAdmissibleSignalError, ParameterError
 from sparsebounds.systems import _matmul
+from referees import reference_stream
 
 TOL_FP = 1e-9
-
-
-def reference_sample(space, seed):
-    """The sampling contract written out with NumPy's own seeding: basis @ c,
-    c drawn by default_rng(seed) (real parts, then imaginary parts for a
-    complex basis) and normalized to max magnitude 1."""
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(space.w)
-    if np.iscomplexobj(space.basis):
-        c = c + 1j * rng.standard_normal(space.w)
-    c = c / np.abs(c).max()
-    return space.basis @ c
-
-
-def reference_stream(space, seed, trials):
-    """The sweep contract written out with NumPy's own generator: row t is
-    basis @ c_t, c_t row t of default_rng(seed).standard_normal((trials, 2,
-    w)) (real parts, then imaginary parts) for a complex basis, of
-    (trials, 1, w) for a real one, normalized to max magnitude 1."""
-    rng = np.random.default_rng(seed)
-    if np.iscomplexobj(space.basis):
-        draws = rng.standard_normal((trials, 2, space.w))
-        rows = draws[:, 0] + 1j * draws[:, 1]
-    else:
-        rows = rng.standard_normal((trials, 1, space.w))[:, 0]
-    return [space.basis @ (c / np.abs(c).max()) for c in rows]
 
 
 def plane_system(columns):
@@ -329,7 +304,7 @@ MIXED_WORD_COUNTS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1, 2**96 + 5, 2*
 class TestSeeding:
     """The signals of a sweep at a seed, drawn by _samples from one
     default_rng(seed) stream, against reference_stream; row 0 is
-    sample_admissible(space, seed), as reference_sample draws it."""
+    sample_admissible(space, seed), and reference_stream's row 0 alone."""
 
     @pytest.mark.parametrize("family,params", [
         ("identity_pair", {"d": 1}),                                  # real, w = d = 1
@@ -348,7 +323,7 @@ class TestSeeding:
             for row, want in zip(got, reference_stream(space, seed, 60), strict=True):
                 assert row.tobytes() == want.tobytes()
             assert sample_admissible(space, seed).tobytes() == got[0].tobytes()
-            assert reference_sample(space, seed).tobytes() == got[0].tobytes()
+            assert reference_stream(space, seed, 1)[0].tobytes() == got[0].tobytes()
             # Blocks drawn in turn from one generator join up to one draw.
             rng = np.random.default_rng(seed)
             blocks = [_samples(space, rng, k) for k in (1, 7, 52)]
@@ -360,7 +335,7 @@ class TestSeeding:
             got = _samples(space, np.random.default_rng(seed), 5)
             for row, want in zip(got, reference_stream(space, seed, 5), strict=True):
                 assert row.tobytes() == want.tobytes()
-            assert got[0].tobytes() == reference_sample(space, seed).tobytes()
+            assert got[0].tobytes() == reference_stream(space, seed, 1)[0].tobytes()
 
 
 class TestSpectralNorm:

@@ -27,11 +27,7 @@ from sparsebounds.coherence import CoherenceProfile
 from sparsebounds.config import ETA_HYP
 from sparsebounds.dft import dft_matrix
 from sparsebounds.errors import DegenerateInputError, StructuralError
-
-
-def rotation(angle_deg):
-    t = np.deg2rad(angle_deg)
-    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+from referees import rotation
 
 
 class TestDonohoStark:

@@ -13,6 +13,7 @@ from sparsebounds.serialization import (
     system_to_dict,
 )
 from sparsebounds.systems import PairedSystem, validate_pairing
+from referees import mercedes_benz
 
 
 def run(capsys, *argv):
@@ -22,8 +23,7 @@ def run(capsys, *argv):
 
 
 def mercedes_benz_file(tmp_path):
-    angles = np.deg2rad([90.0, 210.0, 330.0])
-    mb = np.sqrt(2.0 / 3.0) * np.vstack([np.cos(angles), np.sin(angles)])
+    mb = mercedes_benz()
     path = tmp_path / "mb.json"
     path.write_text(canonical_json(system_to_dict(PairedSystem(mb, mb.T))))
     return str(path)

@@ -22,11 +22,7 @@ from sparsebounds import (
 from sparsebounds import coherence
 from sparsebounds.dft import dft_matrix
 from sparsebounds.errors import StructuralError
-
-
-def rotation(angle_deg):
-    t = np.deg2rad(angle_deg)
-    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+from referees import permuted, rotation
 
 
 class TestGram:
@@ -146,5 +142,4 @@ def test_sub_coherence_permutation_invariant(seed):
     rng = np.random.default_rng(seed)
     system = PairedSystem(rng.standard_normal((3, 5)), rng.standard_normal((5, 3)))
     perm = rng.permutation(5)
-    permuted = PairedSystem(system.vectors[:, perm], system.functionals[perm, :])
-    assert sub_coherence(permuted) == pytest.approx(sub_coherence(system), abs=1e-15)
+    assert sub_coherence(permuted(system, perm)) == pytest.approx(sub_coherence(system), abs=1e-15)

@@ -1,18 +1,11 @@
-"""The oracle against an exact referee over the rationals.
-
-A pattern (S_f, S_g) is feasible exactly when some nonzero x is a fixed point
-of both systems, x = T F x = W G x, and is annihilated by the functional rows
-outside S_f and S_g: when the rows of I - TF, I - WG and those functional
-rows have rank below d over Q.  The referee walks patterns in the oracle's
-order (|S_f| |S_g|, then |S_f|, then lexicographic sets) and decides each rank
-by fraction-free Bareiss elimination on Python ints: no cutoff anywhere.  With
-integer T and its exact inverse F = T^-1, I - TF = 0 and the admissible space
-is the whole space; F = I + e_d l^T leaves only the hyperplane l^T x = 0.
+"""The oracle against referees.referee, the exact search over the rationals
+that decides each pattern's rank by Bareiss elimination, with no cutoff.
+With integer T and its exact inverse F = T^-1, I - TF = 0 and the admissible
+space is the whole space; F = I + e_d l^T leaves only the hyperplane
+l^T x = 0.
 """
 
-import itertools
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 import pytest
@@ -20,59 +13,13 @@ import pytest
 from sparsebounds import admissible_space, min_sparsity_product
 from sparsebounds.errors import DegenerateInputError
 from sparsebounds.systems import BiSystem, PairedSystem
-from test_oracle import rescaled_per_index
-
-
-def rank(rows):
-    """Rank of integer rows by Bareiss elimination; every division is exact."""
-    rows, r, prev = [list(row) for row in rows], 0, 1
-    for col in range(len(rows[0])):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is not None:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            p = rows[r][col]
-            for i in range(r + 1, len(rows)):
-                rows[i] = [(p * a - rows[i][col] * b) // prev for a, b in zip(rows[i], rows[r])]
-            prev, r = p, r + 1
-    return r
-
-
-def integer_rows(rows):
-    """Each rational row scaled to integers by the lcm of its denominators."""
-    return [[int(x * lcm(*(Fraction(y).denominator for y in row))) for x in row]
-            for row in rows]
-
-
-def referee(pairs):
-    """(best_lhs, patterns_searched) of the exact search over the (T, F)
-    pairs: the nonzero rows of I - TF and I - WG join every pattern's
-    functional rows outside it, all scaled to integers."""
-    d = len(pairs[0][0])
-    fixed = [row for t, f in pairs for row in integer_rows(np.eye(d, dtype=int) - np.dot(t, f))
-             if any(row)]
-    f, g = (integer_rows(rows) for _, rows in pairs)
-    searched = 0
-    sizes = itertools.product(range(1, len(f) + 1), range(1, len(g) + 1))
-    for i, j in sorted(sizes, key=lambda ij: (ij[0] * ij[1], ij[0])):
-        for s_f in itertools.combinations(range(len(f)), i):
-            off_f = fixed + [row for k, row in enumerate(f) if k not in s_f]
-            for s_g in itertools.combinations(range(len(g)), j):
-                searched += 1
-                if rank(off_f + [row for k, row in enumerate(g) if k not in s_g]) < d:
-                    return i * j, searched
-
-
-def inverse(t):
-    """Exact inverse of a nonsingular integer matrix, in Fractions."""
-    d = len(t)
-    m = np.hstack([t, np.eye(d, dtype=int)]).astype(object) + Fraction(0)
-    for c in range(d):
-        p = c + np.flatnonzero(m[c:, c])[0]
-        m[[c, p]] = m[[p, c]]
-        m[c] /= m[c, c]
-        others = np.arange(d) != c
-        m[others] -= np.outer(m[others, c], m[c])
-    return m[:, d:]
+from referees import (
+    hadamard_pair,
+    inverse,
+    referee,
+    rescaled_per_index,
+    skewed_identity,
+)
 
 
 def float_bisystem(pairs, scales=(1.0, 1.0)):
@@ -105,27 +52,6 @@ def moved(pairs, rng):
         row, other = rng.choice(len(s), 2, replace=False)
         s[row] += rng.choice([-1, 1]) * s[other]
     return [(s @ t, f @ inverse(s)) for t, f in pairs]
-
-
-def hadamard_pair(k):
-    """The Sylvester-Hadamard basis H of Z_2^k with f_j = h_j^T / d: with the
-    identity, the Fourier pair of Z_2^k, in exact rationals."""
-    h = np.array([[1]])
-    for _ in range(k):
-        h = np.block([[h, h], [h, -h]])
-    return h, h * Fraction(1, len(h))
-
-
-def skewed_identity(rng, d, mu):
-    """(I, I + e_d l^T) for a rational l with l_d = 0 and max |l| = mu: every
-    diagonal pairing is 1, and the fixed points of T F are the hyperplane
-    l^T x = 0, so the admissible space has w = d - 1."""
-    k = rng.integers(-7, 8, d - 1).tolist()
-    j = int(rng.integers(d - 1))
-    k[j] = -7 if k[j] < 0 else 7
-    f = np.eye(d, dtype=int) + Fraction(0)
-    f[-1, :-1] += [mu * Fraction(v, 7) for v in k]
-    return np.eye(d, dtype=int), f
 
 
 @pytest.fixture(scope="module")

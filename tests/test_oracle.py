@@ -11,7 +11,6 @@ from sparsebounds import (
     PairedSystem,
     admissible_space,
     analysis,
-    best_set,
     from_hilbert_vectors,
     generate,
     identity_system,
@@ -31,65 +30,20 @@ from sparsebounds.errors import (
     ParameterError,
     StructuralError,
 )
-from sparsebounds.config import ETA, GUARD, TOL_CERT, TOL_FP, TOL_RANK
+from sparsebounds.config import ETA, TOL_CERT, TOL_FP, TOL_RANK
 from sparsebounds.dft import dft_matrix
 from sparsebounds import oracle
-from sparsebounds.oracle import _pattern_order, _report
-from test_admissible import reference_stream
-
-
-def reference_search(bisystem, space, eta=ETA, guard=GUARD, tol_rank=TOL_RANK):
-    """min_sparsity_product as a plain loop of one null-space solve per pattern,
-    on the off-pattern rows gathered pattern by pattern."""
-    n, m = bisystem.first.n, bisystem.second.n
-    a_rows = bisystem.first.functionals @ space.basis
-    c_rows = bisystem.second.functionals @ space.basis
-    searched = 0
-    for size_f, size_g in _pattern_order(n, m):
-        for s_f in itertools.combinations(range(n), size_f):
-            for s_g in itertools.combinations(range(m), size_g):
-                searched += 1
-                off = np.vstack([np.delete(a_rows, list(s_f), axis=0),
-                                 np.delete(c_rows, list(s_g), axis=0)])
-                basis = null_space_basis(off, tol_rank)
-                if basis.shape[1] > 0:
-                    return _report(bisystem, space, basis[:, 0], (size_f, size_g), eta,
-                                   guard, searched)
-    raise NoAdmissibleSignalError("no feasible support pattern found")
-
-
-def report_fields(report):
-    """Every field of a TightnessReport, the witness as dtype and raw bytes."""
-    return (report.best_lhs, report.patterns_searched, report.rhs_at_witness, report.gap,
-            report.guard, report.eta, report.witness.dtype, report.witness.tobytes())
-
-
-def outcome(search, bisystem, space):
-    """report_fields of a search, or the type and message of the error it raised."""
-    try:
-        return report_fields(search(bisystem, space))
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-def rotation(angle_deg):
-    t = np.deg2rad(angle_deg)
-    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-
-
-def swapped(bisystem):
-    return BiSystem(bisystem.second, bisystem.first)
-
-
-def rescaled_per_index(system, c):
-    """tau_j -> c_j tau_j, f_j -> f_j / c_j: every hypothesis stays exact."""
-    c = np.broadcast_to(c, system.n)
-    return PairedSystem(system.vectors * c, system.functionals / c[:, None], system.field)
-
-
-def rescaled(bisystem, c):
-    """One scale c for every index of both systems."""
-    return BiSystem(*(rescaled_per_index(s, c) for s in (bisystem.first, bisystem.second)))
+from referees import (
+    outcome,
+    permuted,
+    reference_search,
+    reference_verify,
+    report_fields,
+    rescaled,
+    rescaled_per_index,
+    rotation,
+    swapped,
+)
 
 
 def projected_stacks(monkeypatch):
@@ -104,10 +58,6 @@ def projected_stacks(monkeypatch):
 
     monkeypatch.setattr(oracle, "_project", spy)
     return stacks
-
-
-def permuted(system, perm):
-    return PairedSystem(system.vectors[:, perm], system.functionals[perm], system.field)
 
 
 def witness_l0_product(bisystem, report):
@@ -688,40 +638,6 @@ class TestExhaustiveVerify:
         space = admissible_space(b)
         got = exhaustive_verify(b, space, trials=4.0, concentrated_subsample=2.0)
         assert got == exhaustive_verify(b, space, trials=4, concentrated_subsample=2)
-
-
-def reference_verify(bisystem, space, trials, seed=0, eta=ETA, tol_fp=TOL_FP,
-                     tol_cert=TOL_CERT, concentrated_subsample=5):
-    """exhaustive_verify written as a plain loop over the public certificates,
-    its signals drawn by the test's own sampler, not the library's."""
-    n, m = bisystem.first.n, bisystem.second.n
-    tols = {"eta": eta, "tol_fp": tol_fp, "tol_cert": tol_cert}
-    satisfied = conc_checked = conc_ok = 0
-    min_margin = np.inf
-    failing = []
-    for t, x in enumerate(reference_stream(space, seed, trials)):
-        cert = verify_fkdb(bisystem, x, **tols)
-        min_margin = min(min_margin, cert.lhs - cert.rhs)
-        if cert.hypothesis_ok and cert.satisfied:
-            satisfied += 1
-        else:
-            failing.append(t)
-        if t < concentrated_subsample:
-            # Analysed in the bisystem's field, as the certificates analyse
-            # x: a real system of a mixed bisystem acts on the complex x.
-            a, b = bisystem.first.functionals @ x, bisystem.second.functionals @ x
-            for o_m in range(1, n + 1):
-                for o_n in range(1, m + 1):
-                    c = verify_fskpb(bisystem, x, best_set(a, o_m).set, best_set(b, o_n).set,
-                                     **tols)
-                    conc_checked += 1
-                    conc_ok += int(c.hypothesis_ok and c.satisfied)
-                    min_margin = min(min_margin, c.lhs - c.rhs)
-    return VerifySummary(
-        trials=trials, satisfied=satisfied, concentrated_checked=conc_checked,
-        concentrated_satisfied=conc_ok, min_margin=float(min_margin),
-        failing_trials=tuple(failing),
-    )
 
 
 # n >= 9 and not a multiple of 8: lengths at which a pairwise sum of a set's

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,17 +26,7 @@ from sparsebounds import admissible, systems
 from sparsebounds.dft import dft_matrix
 from sparsebounds.errors import HypothesisError, StructuralError
 from sparsebounds.systems import _matmul
-
-
-def rotation(angle_deg):
-    t = np.deg2rad(angle_deg)
-    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-
-
-def mercedes_benz():
-    """Parseval frame of three vectors of norm sqrt(2/3) in R^2."""
-    angles = np.deg2rad([90.0, 210.0, 330.0])
-    return np.sqrt(2.0 / 3.0) * np.vstack([np.cos(angles), np.sin(angles)])
+from referees import mercedes_benz, rotation
 
 
 class TestConstruction:
@@ -185,6 +177,22 @@ class TestOwnership:
             assert not m.flags.writeable and m.flags.c_contiguous
             assert not any(np.shares_memory(m, x) for x in matrices(base))
         assert [m.tobytes() for m in matrices(base)] == before
+
+
+@pytest.mark.parametrize("d", [256, 512])
+def test_cast_matrix_copied_once(d):
+    # identity_system(d, "complex") casts its float eye (8 d^2 bytes) into the
+    # two complex matrices it keeps (16 d^2 each), one copy apiece.  The
+    # slack is the finiteness check's boolean mask (d^2) and 64 KiB; a second
+    # copy of either cast matrix adds 16 d^2.
+    identity_system(2, "complex")
+    tracemalloc.start()
+    try:
+        identity_system(d, "complex")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * d * d + 2 * 16 * d * d + d * d + 2**16
 
 
 class TestValidatePairing:
