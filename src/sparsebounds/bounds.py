@@ -81,22 +81,13 @@ class BoundCertificate:
     delta: Optional[float] = None
 
     def as_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "numerator_f": self.numerator_f,
-            "numerator_g": self.numerator_g,
-            "coherences": self.profile.as_dict(),
-            "residuals": {"f": self.fixedpoint_residual_f, "g": self.fixedpoint_residual_g},
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "hypothesis_ok": self.hypothesis_ok,
-            "satisfied": self.satisfied,
-            "vacuous": self.vacuous,
-            "eta": self.eta,
-            "tol_fp": self.tol_fp,
-            "tol_cert": self.tol_cert,
-        }
+        """The record's fields, with profile as coherences and the two
+        fixed-point residuals as residuals {f, g}."""
+        document = dict(vars(self))
+        document["coherences"] = document.pop("profile").as_dict()
+        document["residuals"] = {"f": document.pop("fixedpoint_residual_f"),
+                                 "g": document.pop("fixedpoint_residual_g")}
+        return document
 
 
 def fixedpoint_residuals(bisystem: BiSystem, x) -> tuple:
@@ -163,31 +154,30 @@ def _signal(prep: _Prepared, x) -> _Signal:
     return _analyse(prep.bisystem, x)
 
 
-def _certificates(prep: _Prepared, r_f, r_g, o_m, o_n, eps, delta) -> tuple:
-    """(lhs, rhs, numerator_f, numerator_g, hypothesis_ok, vacuous, satisfied)
-    of the certificates at fixed-point residuals (r_f, r_g), set sizes
-    (o_m, o_n) and concentration defects (eps, delta), elementwise over
-    scalars or broadcastable arrays."""
-    num_f, num_g, rhs = _bound(o_m, o_n, eps, delta, prep.profile)
+def _certificates(prep: _Prepared, r_f, r_g, o_m, o_n, eps, delta) -> dict:
+    """BoundCertificate's lhs, rhs, numerators and verdicts, keyed by field
+    name, at fixed-point residuals (r_f, r_g), set sizes (o_m, o_n) and
+    concentration defects (eps, delta), elementwise over scalars or
+    broadcastable arrays."""
+    numerator_f, numerator_g, rhs = _bound(o_m, o_n, eps, delta, prep.profile)
     lhs = np.multiply(o_m, o_n, dtype=float)
-    hyp_ok = (r_f <= prep.tol_fp) & (r_g <= prep.tol_fp) & prep.pairing_ok
+    hypothesis_ok = (r_f <= prep.tol_fp) & (r_g <= prep.tol_fp) & prep.pairing_ok
     vacuous = np.isinf(rhs)
-    satisfied = hyp_ok & ~vacuous & (lhs >= rhs - prep.tol_cert)
-    return lhs, rhs, num_f, num_g, hyp_ok, vacuous, satisfied
+    satisfied = hypothesis_ok & ~vacuous & (lhs >= rhs - prep.tol_cert)
+    return dict(lhs=lhs, rhs=rhs, numerator_f=numerator_f, numerator_g=numerator_g,
+                hypothesis_ok=hypothesis_ok, vacuous=vacuous, satisfied=satisfied)
 
 
 def _certify(prep: _Prepared, sig: _Signal, o_m: int, o_n: int,
              eps: Optional[float], delta: Optional[float]) -> BoundCertificate:
     """Certificate at set sizes (o_m, o_n) with concentration defects
     (eps, delta); eps = delta = None is the flat bound, evaluated at 0."""
-    lhs, rhs, num_f, num_g, hyp_ok, vacuous, satisfied = _certificates(
-        prep, sig.r_f, sig.r_g, o_m, o_n, 0.0 if eps is None else eps,
-        0.0 if delta is None else delta)
+    quantities = _certificates(prep, sig.r_f, sig.r_g, o_m, o_n, 0.0 if eps is None else eps,
+                               0.0 if delta is None else delta)
     return BoundCertificate(
-        lhs=float(lhs), rhs=float(rhs), numerator_f=float(num_f), numerator_g=float(num_g),
+        **{name: np.asarray(value).item() for name, value in quantities.items()},
         profile=prep.profile, fixedpoint_residual_f=float(sig.r_f),
-        fixedpoint_residual_g=float(sig.r_g), hypothesis_ok=bool(hyp_ok),
-        satisfied=bool(satisfied), vacuous=bool(vacuous), eta=prep.eta, tol_fp=prep.tol_fp,
+        fixedpoint_residual_g=float(sig.r_g), eta=prep.eta, tol_fp=prep.tol_fp,
         tol_cert=prep.tol_cert, epsilon=eps, delta=delta,
     )
 
@@ -279,11 +269,11 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
             min_margin = min(min_margin, margin.min())
         if zero.size:
             raise DegenerateInputError("signal is zero after thresholding")
-        lhs, rhs, *_, ok = _certificates(prep, sig.r_f, sig.r_g, _counts(mag_a, eta),
-                                         _counts(mag_b, eta), 0.0, 0.0)
-        satisfied += int(np.count_nonzero(ok))
-        failing.extend(start + int(i) for i in np.flatnonzero(~ok))
-        min_margin = min(min_margin, (lhs - rhs).min())
+        cert = _certificates(prep, sig.r_f, sig.r_g, _counts(mag_a, eta),
+                             _counts(mag_b, eta), 0.0, 0.0)
+        satisfied += int(np.count_nonzero(cert["satisfied"]))
+        failing.extend(start + int(i) for i in np.flatnonzero(~cert["satisfied"]))
+        min_margin = min(min_margin, (cert["lhs"] - cert["rhs"]).min())
     return VerifySummary(
         trials=trials, satisfied=satisfied, concentrated_checked=conc_checked,
         concentrated_satisfied=conc_ok, min_margin=float(min_margin),
@@ -298,10 +288,10 @@ def _concentrated(prep: _Prepared, sig: _Signal, mag_a: np.ndarray, mag_b: np.nd
     (o_m, o_n)."""
     (k, n), m = mag_a.shape, mag_b.shape[1]
     eps, delta = _top_defects(mag_a)[:, 1:], _top_defects(mag_b)[:, 1:]
-    lhs, rhs, *_, ok = _certificates(prep, sig.r_f[:k, None, None], sig.r_g[:k, None, None],
-                                     np.arange(1, n + 1)[:, None], np.arange(1, m + 1),
-                                     eps[:, :, None], delta[:, None, :])
-    return ok, lhs - rhs
+    cert = _certificates(prep, sig.r_f[:k, None, None], sig.r_g[:k, None, None],
+                         np.arange(1, n + 1)[:, None], np.arange(1, m + 1),
+                         eps[:, :, None], delta[:, None, :])
+    return cert["satisfied"], cert["lhs"] - cert["rhs"]
 
 
 def per_index_slack(bisystem: BiSystem, x) -> np.ndarray:

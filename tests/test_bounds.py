@@ -7,6 +7,7 @@ from sparsebounds import (
     AdmissibleSpace,
     BiSystem,
     PairedSystem,
+    admissible_space,
     analysis,
     ds_product,
     eb_bound,
@@ -26,8 +27,8 @@ from sparsebounds.bounds import _analyse, fixedpoint_residuals
 from sparsebounds.coherence import CoherenceProfile
 from sparsebounds.config import ETA_HYP
 from sparsebounds.dft import dft_matrix
-from sparsebounds.errors import DegenerateInputError, StructuralError
-from referees import rotation
+from sparsebounds.errors import DegenerateInputError, ParameterError, StructuralError
+from referees import reference_verify, rotation
 
 
 class TestDonohoStark:
@@ -142,6 +143,28 @@ class TestVerifyFkdb:
         cert = verify_fkdb(b, [1.0, 0.0])
         assert cert.vacuous
         assert not cert.satisfied
+
+
+@pytest.mark.parametrize("certify", [
+    verify_fkdb,
+    lambda b, x: verify_fskpb(b, x, (0, 2), (1,)),
+], ids=["flat", "concentrated"])
+def test_certificate_document_holds_the_record_fields(certify):
+    b = generate("dft_pair", {"d": 4}, 0)
+    cert = certify(b, [1.0, 0.0, 1.0, 0.0])
+    doc = cert.as_dict()
+    assert doc.pop("coherences") == {
+        name: getattr(cert.profile, name)
+        for name in ("sub_coherence_f", "sub_coherence_g", "cross_f_omega", "cross_g_tau")}
+    assert doc.pop("residuals") == {"f": cert.fixedpoint_residual_f,
+                                    "g": cert.fixedpoint_residual_g}
+    assert len(doc) == 12
+    for name, value in doc.items():
+        assert value == getattr(cert, name), name
+    for name in ("lhs", "rhs", "numerator_f", "numerator_g"):
+        assert type(doc[name]) is float, name
+    for name in ("hypothesis_ok", "satisfied", "vacuous"):
+        assert type(doc[name]) is bool, name
 
 
 class TestVerifyFskpb:
@@ -274,3 +297,58 @@ def test_signal_of_wrong_shape_refused(call):
     # Four coordinates as a (2, 2) array are not a signal of d = 4.
     with pytest.raises(StructuralError, match=r"shape \(2, 2\), expected \(4,\)"):
         call(np.ones((2, 2)))
+
+
+class TestExhaustiveVerify:
+    def test_dft_pair_thousand_trials(self):
+        b = generate("dft_pair", {"d": 4}, 0)
+        summary = exhaustive_verify(b, admissible_space(b), trials=1000, seed=0)
+        assert summary.satisfied == 1000
+        assert summary.failing_trials == ()
+        assert summary.concentrated_satisfied == summary.concentrated_checked
+        assert summary.min_margin >= -1e-9
+
+    def test_subspace_union_thousand_trials(self):
+        b = generate("subspace_union", {"d": 6, "split": 3}, 1)
+        summary = exhaustive_verify(b, admissible_space(b), trials=1000, seed=0)
+        assert summary.satisfied == 1000
+        assert summary.failing_trials == ()
+        assert summary.min_margin >= -1e-9
+
+    def test_zero_trials_rejected(self):
+        b = generate("identity_pair", {"d": 2}, 0)
+        with pytest.raises(ParameterError):
+            exhaustive_verify(b, admissible_space(b), trials=0)
+
+    @pytest.mark.parametrize("counts", [
+        {"trials": 2.5},
+        {"trials": 3, "concentrated_subsample": -2},
+        {"trials": 3, "concentrated_subsample": 2.5},
+    ])
+    def test_malformed_counts_rejected(self, counts):
+        # Refused, not truncated, by the rule of config._valid_integer.
+        b = generate("identity_pair", {"d": 2}, 0)
+        with pytest.raises(ParameterError):
+            exhaustive_verify(b, admissible_space(b), **counts)
+
+    def test_integral_float_counts_accepted(self):
+        b = generate("dft_pair", {"d": 3}, 0)
+        space = admissible_space(b)
+        got = exhaustive_verify(b, space, trials=4.0, concentrated_subsample=2.0)
+        assert got == exhaustive_verify(b, space, trials=4, concentrated_subsample=2)
+
+
+# n >= 9 and not a multiple of 8: lengths at which a pairwise sum of a set's
+# magnitudes would depend on numpy's 8-term blocks.
+@pytest.mark.parametrize("family,params", [
+    ("dft_pair", {"d": 16}),
+    ("perturbed", {"base": {"family": "dft_pair", "params": {"d": 4}}, "magnitude": 0.1}),
+    ("subspace_union", {"d": 6, "split": 3}),
+    ("identity_pair", {"d": 9}),
+    ("rotated_pair", {"d": 10, "angle": 30.0}),
+    ("perturbed", {"base": {"family": "dft_pair", "params": {"d": 11}}, "magnitude": 0.05}),
+])
+def test_exhaustive_verify_matches_reference_loop(family, params):
+    b = generate(family, params, seed=2)
+    space = admissible_space(b)
+    assert exhaustive_verify(b, space, trials=12, seed=5) == reference_verify(b, space, 12, seed=5)

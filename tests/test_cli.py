@@ -499,6 +499,26 @@ def test_tolerance_flags_accept_zero(capsys):
     assert doc["manifest"]["parameters"]["tol_fp"] == 0.0 == doc["eta"]
 
 
+# README's "Certificate JSON fields".
+CERTIFICATE_KEYS = {"lhs", "rhs", "numerator_f", "numerator_g", "coherences", "residuals",
+                    "epsilon", "delta", "hypothesis_ok", "satisfied", "vacuous", "eta",
+                    "tol_fp", "tol_cert"}
+
+
+@pytest.mark.parametrize("sets", [(), ("--set-m", "0", "--set-n", "0,1")],
+                         ids=["flat", "concentrated"])
+def test_certificate_document_schema(capsys, sets):
+    code, doc = run(capsys, "verify", "--family", "dft_pair", "--d", "4", "--sample", "42",
+                    *sets)
+    assert code == 0
+    assert set(doc) == CERTIFICATE_KEYS | {"signal", "manifest"}
+    assert set(doc["coherences"]) == {"sub_coherence_f", "sub_coherence_g",
+                                      "cross_f_omega", "cross_g_tau"}
+    assert set(doc["residuals"]) == {"f", "g"}
+    defects = [doc["epsilon"], doc["delta"]]
+    assert defects == [None, None] if not sets else None not in defects
+
+
 class TestVerify:
     def test_family_sample(self, capsys):
         code, doc = run(capsys, "verify", "--family", "dft_pair", "--d", "4",

@@ -2,7 +2,7 @@
 that decides each pattern's rank by Bareiss elimination, with no cutoff.
 With integer T and its exact inverse F = T^-1, I - TF = 0 and the admissible
 space is the whole space; F = I + e_d l^T leaves only the hyperplane
-l^T x = 0.
+l^T x = 0, and so do the n = d + 1 frames T = [I | t], F = [I ; l^T / (l.t)].
 """
 
 from fractions import Fraction
@@ -82,6 +82,31 @@ def skewed_corpus():
     return [(p, referee(p)) for p in pairs]
 
 
+def frame_pair(rng, d):
+    """(T, F) = ([I | t], [I ; l^T / (l.t)]) for integer t, l in {-2..2}^d with
+    l.t != 0, by rejection: n = d + 1, every pairing is exactly 1, and
+    T F = I + t l^T / (l.t) fixes exactly the hyperplane l^T x = 0."""
+    while True:
+        t, l = rng.integers(-2, 3, (2, d))
+        if t @ l:
+            break
+    f = np.vstack([np.eye(d, dtype=int), l]) * Fraction(1)
+    f[-1] /= int(t @ l)
+    return np.hstack([np.eye(d, dtype=int), t[:, None]]), f
+
+
+@pytest.fixture(scope="module")
+def frame_corpus():
+    """30 (T, F) frames of frame_pair against (W, W^-1) at d = 3, 4, 5, and
+    their referee answers."""
+    rng = np.random.default_rng(2026)
+    pairs = []
+    for i in range(30):
+        w = integer_matrix(rng, 3 + i % 3)
+        pairs.append([frame_pair(rng, len(w)), (w, inverse(w))])
+    return [(p, referee(p)) for p in pairs]
+
+
 def test_oracle_matches_referee(corpus):
     """Unscaled, and under an integer unimodular change of ambient basis."""
     rng = np.random.default_rng(7)
@@ -99,6 +124,14 @@ def test_oracle_matches_referee_below_full_dimension(skewed_corpus):
         for case in (pairs, other):
             assert admissible_space(float_bisystem(case)).w == len(case[0][0]) - 1, i
         assert [search(pairs), search(other), referee(other)] == [want] * 3, i
+
+
+def test_oracle_matches_referee_above_full_dimension(frame_corpus):
+    """n = d + 1 vectors in the first system, and w = d - 1."""
+    for i, (pairs, want) in enumerate(frame_corpus):
+        b, d = float_bisystem(pairs), len(pairs[0][0])
+        assert (b.first.n, admissible_space(b).w) == (d + 1, d - 1), i
+        assert search(pairs) == want, i
 
 
 @pytest.mark.xfail(strict=True, raises=(AssertionError, DegenerateInputError),

@@ -27,7 +27,6 @@ from sparsebounds.errors import (
     DegenerateInputError,
     GuardExceededError,
     NoAdmissibleSignalError,
-    ParameterError,
     StructuralError,
 )
 from sparsebounds.config import ETA, TOL_CERT, TOL_FP, TOL_RANK
@@ -599,61 +598,6 @@ def test_downdated_filter_sound_under_cancellation(field, light):
     p = projection_stack(rng, 8, ks, field, heavy=range(5), light=light,
                          near=range(5, 8), residual=1e-2)
     assert_filter_sound(p, ks)
-
-
-class TestExhaustiveVerify:
-    def test_dft_pair_thousand_trials(self):
-        b = generate("dft_pair", {"d": 4}, 0)
-        summary = exhaustive_verify(b, admissible_space(b), trials=1000, seed=0)
-        assert summary.satisfied == 1000
-        assert summary.failing_trials == ()
-        assert summary.concentrated_satisfied == summary.concentrated_checked
-        assert summary.min_margin >= -1e-9
-
-    def test_subspace_union_thousand_trials(self):
-        b = generate("subspace_union", {"d": 6, "split": 3}, 1)
-        summary = exhaustive_verify(b, admissible_space(b), trials=1000, seed=0)
-        assert summary.satisfied == 1000
-        assert summary.failing_trials == ()
-        assert summary.min_margin >= -1e-9
-
-    def test_zero_trials_rejected(self):
-        b = generate("identity_pair", {"d": 2}, 0)
-        with pytest.raises(ParameterError):
-            exhaustive_verify(b, admissible_space(b), trials=0)
-
-    @pytest.mark.parametrize("counts", [
-        {"trials": 2.5},
-        {"trials": 3, "concentrated_subsample": -2},
-        {"trials": 3, "concentrated_subsample": 2.5},
-    ])
-    def test_malformed_counts_rejected(self, counts):
-        # Refused, not truncated, by the rule of config._valid_integer.
-        b = generate("identity_pair", {"d": 2}, 0)
-        with pytest.raises(ParameterError):
-            exhaustive_verify(b, admissible_space(b), **counts)
-
-    def test_integral_float_counts_accepted(self):
-        b = generate("dft_pair", {"d": 3}, 0)
-        space = admissible_space(b)
-        got = exhaustive_verify(b, space, trials=4.0, concentrated_subsample=2.0)
-        assert got == exhaustive_verify(b, space, trials=4, concentrated_subsample=2)
-
-
-# n >= 9 and not a multiple of 8: lengths at which a pairwise sum of a set's
-# magnitudes would depend on numpy's 8-term blocks.
-@pytest.mark.parametrize("family,params", [
-    ("dft_pair", {"d": 16}),
-    ("perturbed", {"base": {"family": "dft_pair", "params": {"d": 4}}, "magnitude": 0.1}),
-    ("subspace_union", {"d": 6, "split": 3}),
-    ("identity_pair", {"d": 9}),
-    ("rotated_pair", {"d": 10, "angle": 30.0}),
-    ("perturbed", {"base": {"family": "dft_pair", "params": {"d": 11}}, "magnitude": 0.05}),
-])
-def test_exhaustive_verify_matches_reference_loop(family, params):
-    b = generate(family, params, seed=2)
-    space = admissible_space(b)
-    assert exhaustive_verify(b, space, trials=12, seed=5) == reference_verify(b, space, 12, seed=5)
 
 
 class TestMixedField:
