@@ -9,10 +9,11 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .config import TOL_RANK, _valid_array, _valid_integer, _valid_real
+from .config import TOL_RANK, _numbers, _valid_integer, _valid_real
 from .dft import dft_matrix
 from .errors import NoAdmissibleSignalError, ParameterError, StructuralError
 from .systems import (
@@ -22,6 +23,8 @@ from .systems import (
     BiSystem,
     PairedSystem,
     _apply,
+    _Form,
+    _form,
     _matmul,
     from_hilbert_vectors,
     identity_system,
@@ -43,10 +46,35 @@ _MAGNITUDE = 0.05
 
 @dataclass(frozen=True)
 class AdmissibleSpace:
-    """Orthonormal basis (d x w) of the shared fixed-point subspace."""
+    """Orthonormal basis (d x w) of the shared fixed-point subspace.
+
+    w is an integer >= 0 by the library's integer rule
+    (config._valid_integer: 2.0 is 2, True is refused).  The basis is a
+    private read-only copy of the array given, in that array's memory order,
+    so every product with it runs the BLAS call, and has the bits, of the
+    array given.  Per-space invariants, the basis's finiteness and its
+    product form (systems._form), are therefore decided once and kept on the
+    instance.  A space is checked where it is used (_check_basis).
+    """
 
     basis: np.ndarray
     w: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "w", _valid_integer("w", self.w, 0))
+        basis = np.array(_numbers("admissible basis", self.basis), order="K")
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
+
+    @cached_property
+    def _finite(self) -> bool:
+        """Whether every entry of the basis is finite, decided once."""
+        return bool(np.isfinite(self.basis).all())
+
+    @cached_property
+    def _form(self) -> _Form:
+        """The basis's product form (systems._form), decided once."""
+        return _form(self.basis)
 
 
 def null_space_basis(a: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
@@ -108,16 +136,25 @@ def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> Admissib
 
 
 def _check_space(bisystem: BiSystem, space: AdmissibleSpace) -> None:
-    """Refuses a space whose basis is not a finite (d, w) matrix for the
-    bisystem's d and the space's w, or is complex-typed for a real bisystem.
-    The field is decided by dtype, not by value: a complex-typed basis draws
-    complex coefficients (_samples) even when its imaginary part is zero."""
-    basis = _valid_array("admissible basis", space.basis)
-    if basis.shape != (bisystem.d, space.w):
-        raise StructuralError(f"admissible basis has shape {basis.shape}, "
-                              f"expected (d, w) = ({bisystem.d}, {space.w})")
-    if np.iscomplexobj(basis) and bisystem.field == REAL:
+    """Refuses a space that does not fit the bisystem: a basis that fails
+    _check_basis at the bisystem's d, or is complex-typed for a real
+    bisystem.  The field is decided by dtype, not by value: a complex-typed
+    basis draws complex coefficients (_samples) even when its imaginary part
+    is zero."""
+    _check_basis(space, bisystem.d)
+    if np.iscomplexobj(space.basis) and bisystem.field == REAL:
         raise StructuralError("admissible basis is complex but the bisystem is real")
+
+
+def _check_basis(space: AdmissibleSpace, d: int | None = None) -> None:
+    """Refuses a space whose basis has a non-finite entry or is not a (d, w)
+    matrix for the space's w and, when d is None, any d."""
+    if not space._finite:
+        raise StructuralError("admissible basis contains non-finite entries")
+    shape = space.basis.shape
+    if len(shape) != 2 or shape[1] != space.w or d not in (None, shape[0]):
+        raise StructuralError(f"admissible basis has shape {shape}, expected (d, w) = "
+                              f"({'d' if d is None else d}, {space.w})")
 
 
 def sample_admissible(space: AdmissibleSpace, seed: int) -> np.ndarray:
@@ -126,9 +163,12 @@ def sample_admissible(space: AdmissibleSpace, seed: int) -> np.ndarray:
     Deterministic for a fixed seed: basis @ c, with the coefficients c drawn
     by np.random.default_rng(seed).standard_normal (a second draw is the
     imaginary part for a complex basis) and normalized to max magnitude 1.
-    It is trial 0 of exhaustive_verify's sweep at that seed.
+    It is trial 0 of exhaustive_verify's sweep at that seed.  The space is
+    checked by _check_basis first.
     """
-    return _samples(space, np.random.default_rng(_valid_integer("seed", seed, 0)), 1)[0]
+    rng = np.random.default_rng(_valid_integer("seed", seed, 0))
+    _check_basis(space)
+    return _samples(space, rng, 1)[0]
 
 
 def _samples(space: AdmissibleSpace, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -138,14 +178,20 @@ def _samples(space: AdmissibleSpace, rng: np.random.Generator, count: int) -> np
     a complex basis (real parts, then imaginary parts), or of
     (count, 1, w) for a real one, normalized to max magnitude 1.
     standard_normal fills its output in order, so draws of k and then of j
-    rows from one generator give the rows of one draw of k + j.
+    rows from one generator give the rows of one draw of k + j.  The basis
+    applies by its kept form (systems._apply): an identity or diagonal basis
+    as a scaling.
     """
     if space.w < 1:
         raise NoAdmissibleSignalError("admissible subspace is trivial (w = 0)")
-    complex_basis = np.iscomplexobj(space.basis)
-    draws = rng.standard_normal((count, 2 if complex_basis else 1, space.w))
-    c = draws[:, 0] + 1j * draws[:, 1] if complex_basis else draws[:, 0]
-    return _apply(space.basis, c / np.abs(c).max(axis=-1, keepdims=True))
+    if np.iscomplexobj(space.basis):
+        # Each real part moved next to its imaginary part: one complex array.
+        draws = rng.standard_normal((count, 2, space.w)).transpose(0, 2, 1)
+        c = np.ascontiguousarray(draws).view(np.complex128)[..., 0]
+    else:
+        c = rng.standard_normal((count, space.w))
+    c /= np.abs(c).max(axis=-1, keepdims=True)
+    return _apply(space._form, c)
 
 
 def _rotation(d: int, angle_deg: float) -> np.ndarray:

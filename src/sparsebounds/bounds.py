@@ -13,7 +13,7 @@ from .coherence import CoherenceProfile, coherence_profile
 from .config import ETA, TOL_CERT, TOL_FP, _valid_integer, _valid_real
 from .errors import DegenerateInputError
 from .sparsity import _concentration, _counts, _top_defects, l0, l1
-from .systems import _DTYPES, BiSystem, _apply, _as_signal, _paired
+from .systems import _DTYPES, BiSystem, _apply, _as_signal
 
 
 def ds_product(h, eta: float = ETA) -> tuple:
@@ -112,9 +112,7 @@ def _prepare(bisystem: BiSystem, eta: float = ETA, tol_fp: float = TOL_FP,
              tol_cert: float = TOL_CERT) -> _Prepared:
     for name, value in (("eta", eta), ("tol_fp", tol_fp), ("tol_cert", tol_cert)):
         _valid_real(name, value)
-    # validate_pairing's test at ETA_HYP, without its report.
-    pairing_ok = all(bool(_paired(s).all()) for s in (bisystem.first, bisystem.second))
-    return _Prepared(bisystem, coherence_profile(bisystem), pairing_ok,
+    return _Prepared(bisystem, coherence_profile(bisystem), bisystem._pairing_ok,
                      eta, tol_fp, tol_cert)
 
 
@@ -137,13 +135,13 @@ def _in_field(bisystem: BiSystem, x) -> np.ndarray:
 
 def _analyse(bisystem: BiSystem, x: np.ndarray) -> _Signal:
     """x, one signal (d,) or a stack (k, d) in the bisystem's field, analysed
-    by each system's matrices directly, so a real system pairs with a complex
-    one.  Each row of a stack has the bits of the same signal analysed
-    alone (systems._apply)."""
+    by each system's kept matrix forms directly, so a real system pairs with
+    a complex one.  Each row of a stack has the bits of the same signal
+    analysed alone (systems._apply)."""
     first, second = bisystem.first, bisystem.second
-    a, b = _apply(first.functionals, x), _apply(second.functionals, x)
-    r_f = np.abs(x - _apply(first.vectors, a)).max(axis=-1)
-    r_g = np.abs(x - _apply(second.vectors, b)).max(axis=-1)
+    a, b = _apply(first._functionals_form, x), _apply(second._functionals_form, x)
+    r_f = np.abs(x - _apply(first._vectors_form, a)).max(axis=-1)
+    r_g = np.abs(x - _apply(second._vectors_form, b)).max(axis=-1)
     return _Signal(a, b, r_f, r_g)
 
 
@@ -161,9 +159,11 @@ def _certificates(prep: _Prepared, r_f, r_g, o_m, o_n, eps, delta) -> dict:
     broadcastable arrays."""
     numerator_f, numerator_g, rhs = _bound(o_m, o_n, eps, delta, prep.profile)
     lhs = np.multiply(o_m, o_n, dtype=float)
-    hypothesis_ok = (r_f <= prep.tol_fp) & (r_g <= prep.tol_fp) & prep.pairing_ok
+    hypothesis_ok = (np.maximum(r_f, r_g) <= prep.tol_fp) & prep.pairing_ok
     vacuous = np.isinf(rhs)
-    satisfied = hypothesis_ok & ~vacuous & (lhs >= rhs - prep.tol_cert)
+    # rhs is in [0, inf] and lhs is finite, so a vacuous bound (rhs = inf)
+    # already fails the comparison: it is never satisfied.
+    satisfied = hypothesis_ok & (lhs >= rhs - prep.tol_cert)
     return dict(lhs=lhs, rhs=rhs, numerator_f=numerator_f, numerator_g=numerator_g,
                 hypothesis_ok=hypothesis_ok, vacuous=vacuous, satisfied=satisfied)
 
@@ -256,23 +256,31 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
         # In the bisystem's field, as verify_fkdb analyses a signal: a real
         # basis of a complex bisystem draws real signals.
         x = _samples(space, rng, len(block)).astype(_DTYPES[bisystem.field], copy=False)
-        zero = np.flatnonzero(_counts(np.abs(x), eta) == 0)
+        zero = (_counts(np.abs(x), eta) == 0).nonzero()[0]
         sig = _analyse(bisystem, x)
-        mag_a, mag_b = np.abs(sig.a), np.abs(sig.b)
+        (_, n), m = sig.a.shape, sig.b.shape[1]
+        # |a| and |b| in one array, zero-padded to one width: a zero is never
+        # above eta and adds +0.0 to a running mass, so one call gives the
+        # l0 counts, and one the defects, of both systems, with their bits.
+        mags = np.zeros((2, len(block), max(n, m)))
+        np.abs(sig.a, out=mags[0, :, :n])
+        np.abs(sig.b, out=mags[1, :, :m])
         # A zero signal ends the sweep, as it ends the loop of single
         # certificates: only the signals before it are checked first.
         k = min(max(concentrated_subsample - start, 0), zero[0] if zero.size else len(block))
         if k:
-            ok, margin = _concentrated(prep, sig, mag_a[:k], mag_b[:k])
+            ok, margin = _concentrated(prep, sig, mags[:, :k], n, m)
             conc_checked += ok.size
-            conc_ok += int(np.count_nonzero(ok))
+            conc_ok += int(ok.sum())
             min_margin = min(min_margin, margin.min())
         if zero.size:
             raise DegenerateInputError("signal is zero after thresholding")
-        cert = _certificates(prep, sig.r_f, sig.r_g, _counts(mag_a, eta),
-                             _counts(mag_b, eta), 0.0, 0.0)
-        satisfied += int(np.count_nonzero(cert["satisfied"]))
-        failing.extend(start + int(i) for i in np.flatnonzero(~cert["satisfied"]))
+        count_a, count_b = _counts(mags, eta)
+        cert = _certificates(prep, sig.r_f, sig.r_g, count_a, count_b, 0.0, 0.0)
+        passed = int(cert["satisfied"].sum())
+        satisfied += passed
+        if passed < len(block):
+            failing.extend(start + int(i) for i in np.flatnonzero(~cert["satisfied"]))
         min_margin = min(min_margin, (cert["lhs"] - cert["rhs"]).min())
     return VerifySummary(
         trials=trials, satisfied=satisfied, concentrated_checked=conc_checked,
@@ -281,13 +289,14 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
     )
 
 
-def _concentrated(prep: _Prepared, sig: _Signal, mag_a: np.ndarray, mag_b: np.ndarray) -> tuple:
+def _concentrated(prep: _Prepared, sig: _Signal, mags: np.ndarray, n: int, m: int) -> tuple:
     """Verdicts and margins (k, n, m) of the concentrated certificates of the
-    first k signals of a stack, whose analysis magnitudes are mag_a (k, n)
-    and mag_b (k, m), with M and N the best_set sets of every size pair
-    (o_m, o_n)."""
-    (k, n), m = mag_a.shape, mag_b.shape[1]
-    eps, delta = _top_defects(mag_a)[:, 1:], _top_defects(mag_b)[:, 1:]
+    first k signals of a stack, whose analysis magnitudes are mags[0, :, :n]
+    and mags[1, :, :m] (zero-padded beyond), with M and N the best_set sets
+    of every size pair (o_m, o_n)."""
+    k = mags.shape[1]
+    defects = _top_defects(mags)
+    eps, delta = defects[0, :, 1:n + 1], defects[1, :, 1:m + 1]
     cert = _certificates(prep, sig.r_f[:k, None, None], sig.r_g[:k, None, None],
                          np.arange(1, n + 1)[:, None], np.arange(1, m + 1),
                          eps[:, :, None], delta[:, None, :])

@@ -3,8 +3,8 @@
 Every tolerance is a plain module constant and every public function that
 uses one takes it as a keyword argument, so nothing is hard-coded into the
 math itself.  Each kind of outside value has one rule: _valid_real,
-_valid_integer and _valid_array; number text (a flag's, a CSV entry's) is
-read by _number.
+_valid_integer and _valid_array (an array of numbers, _numbers, all
+finite); number text (a flag's, a CSV entry's) is read by _number.
 """
 
 import json
@@ -79,12 +79,7 @@ def _valid_array(name: str, a, dtype=None, copy: bool = False) -> np.ndarray:
     fail every threshold against it silently.  A real dtype never drops a
     nonzero imaginary part.  With copy and a dtype, the result is a new
     C-ordered array made by one copy, the cast included."""
-    try:
-        a = np.asarray(a)
-    except ValueError as exc:  # ragged nesting
-        raise StructuralError(f"cannot parse {name}: {exc}") from None
-    if a.dtype.kind not in "biufc":  # strings, objects
-        raise StructuralError(f"cannot parse {name}: entries of type {a.dtype} are not numbers")
+    a = _numbers(name, a)
     if dtype is not None:
         if np.iscomplexobj(a) and np.dtype(dtype).kind != "c":
             if np.any(a.imag != 0):
@@ -93,4 +88,16 @@ def _valid_array(name: str, a, dtype=None, copy: bool = False) -> np.ndarray:
         a = a.astype(dtype, order="C" if copy else "K", copy=copy)
     if not np.all(np.isfinite(a)):
         raise StructuralError(f"{name} contains non-finite entries")
+    return a
+
+
+def _numbers(name: str, a) -> np.ndarray:
+    """a as an array (numpy's own dtype) when it is a regular nesting of
+    numbers, finite or not."""
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:  # ragged nesting
+        raise StructuralError(f"cannot parse {name}: {exc}") from None
+    if a.dtype.kind not in "biufc":  # strings, objects
+        raise StructuralError(f"cannot parse {name}: entries of type {a.dtype} are not numbers")
     return a

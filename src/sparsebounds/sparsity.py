@@ -30,7 +30,7 @@ def l0(a, eta: float = ETA) -> int:
 
 def _counts(mags: np.ndarray, eta: float):
     """l0 of each row (last axis) of the magnitudes mags."""
-    return np.count_nonzero(_nonzero(mags, eta), axis=-1)
+    return _nonzero(mags, eta).sum(axis=-1)
 
 
 def _nonzero(mags: np.ndarray, eta: float) -> np.ndarray:
@@ -108,6 +108,6 @@ def _masses(mags: np.ndarray) -> np.ndarray:
 def _defects(total, inside):
     """Concentration defects (total - inside) / total, clamped to [0, 1],
     elementwise over the l1 masses of sequences and of their sets."""
-    if np.any(total <= 0.0):
+    if (total <= 0.0).any():
         raise DegenerateInputError("sequence has zero l1 mass")
     return np.minimum(1.0, np.maximum(0.0, (total - inside) / total))

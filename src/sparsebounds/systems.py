@@ -95,8 +95,9 @@ class PairedSystem:
 class BiSystem:
     """Two paired systems over the same ambient space.
 
-    Both systems own read-only arrays, so per-bisystem invariants such as
-    the coherence profile are computed once and kept on the instance.
+    Both systems own read-only arrays, so per-bisystem invariants, the
+    coherence profile and the pairing verdict, are computed once and kept on
+    the instance.
     """
 
     first: PairedSystem
@@ -116,6 +117,12 @@ class BiSystem:
     def field(self) -> str:
         """The field of the bisystem's signals: complex when either system's is."""
         return COMPLEX if COMPLEX in (self.first.field, self.second.field) else REAL
+
+    @cached_property
+    def _pairing_ok(self) -> bool:
+        """validate_pairing's verdict at ETA_HYP on both systems, without its
+        report, decided once."""
+        return all(bool(_paired(s).all()) for s in (self.first, self.second))
 
 
 @dataclass(frozen=True)
@@ -168,16 +175,9 @@ def _as_signal(field_tag: str, x, length: int, name: str) -> np.ndarray:
     return x
 
 
-def _apply(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """matrix @ v for the vector x, or for every row v of a stack x.  numpy's
-    matmul runs one BLAS matrix-vector product per row of a stack, so each
-    row has the bits of matrix @ v for that row alone."""
-    return (matrix @ x[..., None])[..., 0]
-
-
 @dataclass(frozen=True)
 class _Form:
-    """A matrix with the cheapest form it exactly has, for _matmul.
+    """A matrix with the cheapest form it exactly has, for _matmul and _apply.
 
     real is the matrix as a real array when its imaginary part is exactly
     zero, else None; diagonal is its diagonal, a real vector, when it is
@@ -225,9 +225,29 @@ def _matmul(a, b) -> np.ndarray:
     dtype = np.result_type(a.matrix, b.matrix)
     if a.diagonal is None and b.diagonal is None:
         return _dense(a, b, dtype)
-    out = a.diagonal[:, None] * b.matrix if a.diagonal is not None else a.matrix * b.diagonal
-    out += 0.0
-    return out.astype(dtype, copy=False)
+    return _exact(a.diagonal[:, None] * b.matrix if a.diagonal is not None
+                  else a.matrix * b.diagonal, dtype)
+
+
+def _exact(scaled: np.ndarray, dtype) -> np.ndarray:
+    """A product by a diagonal operand, computed as a scaling, with every zero
+    made +0.0 (+= 0.0), as the product's dtype."""
+    scaled += 0.0
+    return scaled.astype(dtype, copy=False)
+
+
+def _apply(form: _Form, x: np.ndarray) -> np.ndarray:
+    """The kept form's matrix @ v for the vector x, or for every row v of a
+    stack x, with matrix @ v's dtype.
+
+    A diagonal matrix diag(c) scales, x * c, by _matmul's exactness argument
+    (_exact).  Any other matrix runs numpy's stacked matmul, one BLAS
+    matrix-vector product per row, so each row has the bits of matrix @ v
+    for that row alone.
+    """
+    if form.diagonal is None:
+        return (form.matrix @ x[..., None])[..., 0]
+    return _exact(x * form.diagonal, np.result_type(form.matrix, x))
 
 
 def _dense(a: _Form, b: _Form, dtype) -> np.ndarray:

@@ -21,7 +21,10 @@ from sparsebounds import (
     BiSystem,
     PairedSystem,
     best_set,
+    dft_matrix,
+    from_hilbert_vectors,
     generate,
+    identity_system,
     verify_fkdb,
     verify_fskpb,
 )
@@ -37,6 +40,12 @@ from sparsebounds.oracle import _pattern_order, _report
 def rotation(angle_deg):
     t = np.deg2rad(angle_deg)
     return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+# The real identity paired with the complex DFT basis: its admissible basis,
+# profile and first-system analysis equal those of dft_pair d=4, whose first
+# system is the complex identity, so every result must equal dft_pair's.
+MIXED = BiSystem(identity_system(4), from_hilbert_vectors(dft_matrix(4)))
 
 
 def mercedes_benz():

@@ -23,8 +23,8 @@ from sparsebounds.admissible import (
 )
 from sparsebounds.bounds import fixedpoint_residuals
 from sparsebounds.coherence import coherence_profile, sub_coherence
-from sparsebounds.errors import NoAdmissibleSignalError, ParameterError
-from sparsebounds.systems import _matmul
+from sparsebounds.errors import NoAdmissibleSignalError, ParameterError, StructuralError
+from sparsebounds.systems import _apply, _matmul
 from referees import reference_stream
 
 TOL_FP = 1e-9
@@ -266,6 +266,42 @@ class TestAdmissibleSpace:
         )
 
 
+class TestSpaceRecord:
+    def test_basis_is_a_private_read_only_copy_in_its_order(self):
+        given = np.asfortranarray(np.eye(3)[:, :2])
+        space = AdmissibleSpace(given, 2)
+        given[0, 0] = 5.0
+        assert space.basis[0, 0] == 1.0
+        assert not space.basis.flags.writeable
+        assert space.basis.flags.f_contiguous and not space.basis.flags.c_contiguous
+        assert AdmissibleSpace(np.eye(3), 3).basis.flags.c_contiguous
+
+    def test_basis_of_no_numbers_refused(self):
+        with pytest.raises(StructuralError, match="cannot parse admissible basis"):
+            AdmissibleSpace([[1.0, 0.0], [1.0]], 2)
+        with pytest.raises(StructuralError, match="are not numbers"):
+            AdmissibleSpace(np.array([["a"]]), 1)
+
+    @pytest.mark.parametrize("family,params", [
+        ("identity_pair", {"d": 3}),
+        ("rotated_pair", {"d": 3, "angle": 30.0}),
+        ("dft_pair", {"d": 4}),
+        ("subspace_union", {"d": 5, "split": 2}),
+    ])
+    def test_basis_applies_by_its_form(self, family, params):
+        # An identity basis scales (systems._apply) with the bytes of the
+        # stacked matrix-vector product; a d x w basis (w < d) runs that product.
+        space = admissible_space(generate(family, params, 1))
+        assert (space._form.diagonal is not None) == (family != "subspace_union")
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal((6, space.w))
+        if np.iscomplexobj(space.basis):
+            c = c + 1j * rng.standard_normal(c.shape)
+        got = _apply(space._form, c)
+        want = (space.basis @ c[..., None])[..., 0]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestSampling:
     def test_full_space(self):
         space = admissible_space(BiSystem(identity_system(3), identity_system(3)))
@@ -285,6 +321,17 @@ class TestSampling:
     def test_trivial_space_rejected(self):
         with pytest.raises(NoAdmissibleSignalError):
             sample_admissible(AdmissibleSpace(np.zeros((3, 0)), 0), 0)
+
+    @pytest.mark.parametrize("space,message", [
+        (AdmissibleSpace(np.diag([1.0, np.nan, 1.0]), 3), "non-finite"),
+        (AdmissibleSpace(np.full((3, 1), np.inf), 1), "non-finite"),
+        (AdmissibleSpace(np.eye(3), 2), r"shape \(3, 3\), expected \(d, w\) = \(d, 2\)"),
+        (AdmissibleSpace(np.ones(3), 3), r"shape \(3,\), expected \(d, w\) = \(d, 3\)"),
+    ], ids=["nan", "inf", "w-mismatch", "one-axis"])
+    def test_unfit_basis_refused(self, space, message):
+        # _check_space's rule at any d: no NaN signal, no raw numpy error.
+        with pytest.raises(StructuralError, match=message):
+            sample_admissible(space, 0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
     def test_bad_seed_rejected(self, seed):

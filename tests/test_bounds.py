@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sparsebounds import (
     AdmissibleSpace,
@@ -9,6 +12,7 @@ from sparsebounds import (
     PairedSystem,
     admissible_space,
     analysis,
+    coherence_profile,
     ds_product,
     eb_bound,
     exhaustive_verify,
@@ -23,12 +27,14 @@ from sparsebounds import (
     verify_fkdb,
     verify_fskpb,
 )
-from sparsebounds.bounds import _analyse, fixedpoint_residuals
+from sparsebounds import admissible, bounds
+from sparsebounds.admissible import FAMILIES
+from sparsebounds.bounds import VerifySummary, _analyse, fixedpoint_residuals
 from sparsebounds.coherence import CoherenceProfile
-from sparsebounds.config import ETA_HYP
+from sparsebounds.config import ETA, ETA_HYP, TOL_CERT, TOL_FP
 from sparsebounds.dft import dft_matrix
 from sparsebounds.errors import DegenerateInputError, ParameterError, StructuralError
-from referees import reference_verify, rotation
+from referees import MIXED, reference_verify, rescaled, rescaled_per_index, rotation, skewed
 
 
 class TestDonohoStark:
@@ -352,3 +358,172 @@ def test_exhaustive_verify_matches_reference_loop(family, params):
     b = generate(family, params, seed=2)
     space = admissible_space(b)
     assert exhaustive_verify(b, space, trials=12, seed=5) == reference_verify(b, space, 12, seed=5)
+
+
+def verify_outcome(verify, bisystem, space, trials, seed, **kwargs):
+    """The summary of a verify run, or the type and message of the error it raised."""
+    try:
+        return verify(bisystem, space, trials, seed=seed, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def verify_bisystems(draw):
+    """A bisystem of any of the five families at d <= 6, the mixed
+    real/complex bisystem, or a skewed one, whose sub-coherence is far above
+    rounding."""
+    family = draw(st.sampled_from(FAMILIES + ("mixed", "skewed")))
+    if family == "mixed":
+        return MIXED
+    seed = draw(st.integers(0, 2**31 - 1))
+    if family == "skewed":
+        return skewed(draw(st.sampled_from(["dft_pair", "rotated_pair"])), draw(st.integers(2, 6)),
+                      draw(st.sampled_from([0.1, 0.3])), seed)
+    base = draw(st.sampled_from(FAMILIES[:-1])) if family == "perturbed" else family
+    d = draw(st.integers(2 if base == "rotated_pair" else 1, 6))
+    params = {"d": d}
+    if base == "rotated_pair":
+        params["angle"] = draw(st.floats(1.0, 89.0))
+    if base == "subspace_union":
+        params["split"] = draw(st.integers(1, d))
+    if family == "perturbed":
+        params = {"base": {"family": base, "params": params, "seed": seed},
+                  "magnitude": draw(st.floats(0.0, 0.9))}
+    return generate(family, params, seed)
+
+
+# Tolerances: a tol_fp near the rounding of the fixed-point residuals fails
+# some trials and passes others, which orders failing_trials; eta = 0.05
+# drops small coefficients from the l0 counts, and eta = 1e6 zeroes every
+# signal, which both paths refuse with the same error.
+verify_tolerances = st.fixed_dictionaries({
+    "eta": st.sampled_from([ETA, 0.0, 0.05, 1e6]),
+    "tol_fp": st.sampled_from([TOL_FP, 0.0]) | st.floats(-17.0, -14.0).map(lambda e: 10.0 ** e),
+    "tol_cert": st.sampled_from([TOL_CERT, 0.0]),
+})
+
+
+# Example count from the hypothesis profile (tests/conftest.py).
+@given(verify_bisystems(), st.integers(0, 2**20), st.integers(1, 60), st.integers(0, 8),
+       verify_tolerances)
+@example(generate("dft_pair", {"d": 4}, 0), 0, 40, 5,
+         {"eta": ETA, "tol_fp": 1e-16, "tol_cert": TOL_CERT})
+@example(MIXED, 4, 20, 8, {"eta": ETA, "tol_fp": 1e-17, "tol_cert": TOL_CERT})
+@example(generate("rotated_pair", {"d": 3, "angle": 30.0}, 0), 0, 10, 5,
+         {"eta": 1e6, "tol_fp": TOL_FP, "tol_cert": TOL_CERT})
+def test_exhaustive_verify_matches_reference_property(b, seed, trials, subsample, tolerances):
+    space = admissible_space(b)
+    kwargs = dict(concentrated_subsample=subsample, **tolerances)
+    want = verify_outcome(reference_verify, b, space, trials, seed, **kwargs)
+    assert verify_outcome(exhaustive_verify, b, space, trials, seed, **kwargs) == want
+
+
+def test_exhaustive_verify_rescaled_fault_matches_reference():
+    # The rescaling fault of ROADMAP item 1, as it stands: at c = 1e10 the
+    # absolute eta counts every analysis coefficient as zero, so every flat
+    # certificate reports lhs = 0 < rhs = 4.  Both paths agree on it.
+    b = rescaled(generate("dft_pair", {"d": 4}, 0), 1e10)
+    space = admissible_space(b)
+    got = exhaustive_verify(b, space, 12, seed=3)
+    assert got == reference_verify(b, space, 12, seed=3)
+    assert got.satisfied == 0
+    assert got.failing_trials == tuple(range(12))
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_exhaustive_verify_blocks_match_reference(monkeypatch, block):
+    # Sweeps longer than one block: the concentrated subsample and the
+    # failing trials run across block boundaries.
+    monkeypatch.setattr(bounds, "_SWEEP_BLOCK", block)
+    b = generate("rotated_pair", {"d": 3, "angle": 30.0}, 0)
+    space = admissible_space(b)
+    kwargs = dict(tol_fp=1e-16, concentrated_subsample=8)
+    got = exhaustive_verify(b, space, 20, seed=1, **kwargs)
+    assert got == reference_verify(b, space, 20, seed=1, **kwargs)
+    assert 0 < got.satisfied < got.trials
+
+
+def recorded_sweep(bisystem, space, trials, seed, block, **kwargs):
+    """exhaustive_verify's summary with sweep blocks of `block` trials, and
+    the signals it drew, stacked in order."""
+    drawn = []
+
+    def record(*args):
+        drawn.append(admissible._samples(*args))
+        return drawn[-1]
+
+    with mock.patch.object(bounds, "_SWEEP_BLOCK", block), \
+            mock.patch.object(bounds, "_samples", record):
+        summary = exhaustive_verify(bisystem, space, trials, seed=seed, **kwargs)
+    return summary, np.concatenate(drawn)
+
+
+# eta = 1e6 is left out: it refuses every sweep at trial 0.
+@given(verify_bisystems(), st.integers(0, 2**20), st.integers(1, 30), st.integers(1, 30),
+       st.sampled_from([1, 4, bounds._SWEEP_BLOCK]),
+       verify_tolerances.filter(lambda tolerances: tolerances["eta"] < 1e6))
+def test_exhaustive_verify_prefix_property(b, seed, trials, more, block, tolerances):
+    # A T-trial sweep is the start of every longer sweep at its seed: its
+    # signals are the first T, bit for bit, and its failing trials are the
+    # longer sweep's below T.
+    space = admissible_space(b)
+    short, x = recorded_sweep(b, space, trials, seed, block, **tolerances)
+    long, x_long = recorded_sweep(b, space, trials + more, seed, block, **tolerances)
+    assert x.tobytes() == x_long[:trials].tobytes()
+    assert short.failing_trials == tuple(t for t in long.failing_trials if t < trials)
+    assert short.satisfied == trials - len(short.failing_trials)
+
+
+@pytest.mark.parametrize("eta,subsample,want", [
+    (2.0, 5, (DegenerateInputError, "signal is zero after thresholding")),
+    (ETA, 5, (DegenerateInputError, "sequence has zero l1 mass")),
+    (ETA, 0, VerifySummary(3, 0, 0, 0, -1.0, (0, 1, 2))),
+])
+def test_exhaustive_verify_errors_in_loop_order(eta, subsample, want):
+    # The first system annihilates every sample of this space, so each
+    # concentrated check meets a zero-mass analysis vector; at eta = 2 the
+    # zero signal of trial 0 is refused first, as in the loop.
+    first = PairedSystem(np.array([[1.0], [0.0]]), np.array([[1.0, 0.0]]))
+    b = BiSystem(first, identity_system(2))
+    space = AdmissibleSpace(np.array([[0.0], [1.0]]), 1)
+    kwargs = dict(eta=eta, concentrated_subsample=subsample)
+    assert verify_outcome(reference_verify, b, space, 3, 0, **kwargs) == want
+    assert verify_outcome(exhaustive_verify, b, space, 3, 0, **kwargs) == want
+
+
+# Bisystems on which a sweep that took a wrong input to the bound would
+# differ from the loop of single certificates.  Every family above has
+# sub-coherence <= 1.2e-16, so its flat rhs hardly depends on the l0 counts;
+# a skewed system has sub-coherence mu.  The others fail the pairing by
+# 2 ETA_HYP (under its own basis, since its I - TF is above the rank cutoff),
+# rescale a diagonal system per index, or have a basis that is not square.
+SWEEP_CORPUS = {
+    **{f"skewed-{partner}-{mu}": (skewed(partner, 5, mu, 0), None)
+       for partner in ("dft_pair", "rotated_pair") for mu in (0.1, 0.3)},
+    "unpaired": (BiSystem(PairedSystem(np.eye(3), (1.0 - 2 * ETA_HYP) * np.eye(3)),
+                          generate("dft_pair", {"d": 3}, 0).second),
+                 AdmissibleSpace(np.eye(3), 3)),
+    "rescaled-diagonal": (BiSystem(rescaled_per_index(identity_system(4, "complex"),
+                                                      np.array([1e-3, 2.0, 7.5, 1e4])),
+                                   generate("dft_pair", {"d": 4}, 0).second), None),
+    "subspace_union": (generate("subspace_union", {"d": 7, "split": 3}, 5), None),
+}
+
+
+# With no concentrated checks, min_margin is the least flat margin; with
+# them, it is almost always a concentrated one.
+@pytest.mark.parametrize("tol_fp,subsample", [(TOL_FP, 0), (TOL_FP, 6), (1e-16, 6), (1.0, 6)])
+@pytest.mark.parametrize("name", SWEEP_CORPUS)
+def test_exhaustive_verify_matches_reference_on_corpus(name, tol_fp, subsample):
+    b, space = SWEEP_CORPUS[name]
+    space = space or admissible_space(b)
+    if name.startswith("skewed"):
+        assert coherence_profile(b).sub_coherence_f >= 0.1
+    kwargs = dict(tol_fp=tol_fp, concentrated_subsample=subsample)
+    got = exhaustive_verify(b, space, 40, seed=7, **kwargs)
+    want = reference_verify(b, space, 40, seed=7, **kwargs)
+    assert got == want
+    assert got.min_margin.hex() == want.min_margin.hex()
+    if name == "unpaired":
+        assert got.satisfied == got.concentrated_satisfied == 0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sparsebounds import (
+    AdmissibleSpace,
     admissible_space,
     best_set,
     coherence_profile,
@@ -38,6 +39,7 @@ ENTRY_POINTS = {
     "generate-seed": lambda v: generate("identity_pair", {"d": 2}, v),
     "generate-base-seed": lambda v: generate(
         "perturbed", {"base": {"family": "dft_pair", "params": {"d": 2}, "seed": v}}),
+    "AdmissibleSpace-w": lambda v: AdmissibleSpace(SPACE.basis, v),
     "sample_admissible-seed": lambda v: sample_admissible(SPACE, v),
     "exhaustive_verify-trials": lambda v: exhaustive_verify(DFT4, SPACE, v),
     "exhaustive_verify-seed": lambda v: exhaustive_verify(DFT4, SPACE, 3, seed=v),
@@ -115,6 +117,16 @@ def test_integral_float_seed_keeps_int_bits():
     want = sample_admissible(SPACE, 4)
     for seed in (4.0, np.int64(4), np.float64(4.0)):
         assert sample_admissible(SPACE, seed).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("w", [4.0, np.int64(4), np.float32(4.0)])
+def test_integral_float_w_is_an_int_everywhere(w):
+    # One rule for w: each consumer of the space takes it as the int 4.
+    space = AdmissibleSpace(SPACE.basis, w)
+    assert space.w == 4 and type(space.w) is int
+    assert exhaustive_verify(DFT4, space, 3) == exhaustive_verify(DFT4, SPACE, 3)
+    assert min_sparsity_product(DFT4, space).best_lhs == min_sparsity_product(DFT4, SPACE).best_lhs
+    assert sample_admissible(space, 2).tobytes() == sample_admissible(SPACE, 2).tobytes()
 
 
 def test_integral_float_family_parameters_keep_int_bits():

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from sparsebounds import (
@@ -20,23 +20,21 @@ from sparsebounds import (
     verify_fkdb,
     verify_fskpb,
 )
-from sparsebounds import admissible, bounds
-from sparsebounds.admissible import FAMILIES, AdmissibleSpace, null_space_basis
-from sparsebounds.bounds import VerifySummary, exhaustive_verify
+from sparsebounds.admissible import AdmissibleSpace, null_space_basis
+from sparsebounds.bounds import exhaustive_verify
 from sparsebounds.errors import (
     DegenerateInputError,
     GuardExceededError,
     NoAdmissibleSignalError,
     StructuralError,
 )
-from sparsebounds.config import ETA, TOL_CERT, TOL_FP, TOL_RANK
-from sparsebounds.dft import dft_matrix
+from sparsebounds.config import ETA, TOL_RANK
 from sparsebounds import oracle
 from referees import (
+    MIXED,
     outcome,
     permuted,
     reference_search,
-    reference_verify,
     report_fields,
     rescaled,
     rescaled_per_index,
@@ -601,11 +599,10 @@ def test_downdated_filter_sound_under_cancellation(field, light):
 
 
 class TestMixedField:
-    """The real identity paired with the complex DFT basis: its admissible basis,
-    profile and first-system analysis equal those of dft_pair d=4, whose first
-    system is the complex identity, so every result must equal dft_pair's."""
+    """referees.MIXED, the real identity paired with the complex DFT basis:
+    every result must equal dft_pair d=4's."""
 
-    mixed = BiSystem(identity_system(4), from_hilbert_vectors(dft_matrix(4)))
+    mixed = MIXED
     dft = generate("dft_pair", {"d": 4}, 0)
 
     def test_certificates_equal_dft_pair(self):
@@ -625,134 +622,6 @@ class TestMixedField:
         report = min_sparsity_product(self.mixed, space)
         assert report.best_lhs == 4
         assert report_fields(report) == report_fields(reference_search(self.mixed, space))
-
-
-def verify_outcome(verify, bisystem, space, trials, seed, **kwargs):
-    """The summary of a verify run, or the type and message of the error it raised."""
-    try:
-        return verify(bisystem, space, trials, seed=seed, **kwargs)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-@st.composite
-def verify_bisystems(draw):
-    """A bisystem of any of the five families at d <= 6, or the mixed
-    real/complex bisystem."""
-    family = draw(st.sampled_from(FAMILIES + ("mixed",)))
-    if family == "mixed":
-        return TestMixedField.mixed
-    seed = draw(st.integers(0, 2**31 - 1))
-    base = draw(st.sampled_from(FAMILIES[:-1])) if family == "perturbed" else family
-    d = draw(st.integers(2 if base == "rotated_pair" else 1, 6))
-    params = {"d": d}
-    if base == "rotated_pair":
-        params["angle"] = draw(st.floats(1.0, 89.0))
-    if base == "subspace_union":
-        params["split"] = draw(st.integers(1, d))
-    if family == "perturbed":
-        params = {"base": {"family": base, "params": params, "seed": seed},
-                  "magnitude": draw(st.floats(0.0, 0.9))}
-    return generate(family, params, seed)
-
-
-# Tolerances: a tol_fp near the rounding of the fixed-point residuals fails
-# some trials and passes others, which orders failing_trials; eta = 0.05
-# drops small coefficients from the l0 counts, and eta = 1e6 zeroes every
-# signal, which both paths refuse with the same error.
-verify_tolerances = st.fixed_dictionaries({
-    "eta": st.sampled_from([ETA, 0.0, 0.05, 1e6]),
-    "tol_fp": st.sampled_from([TOL_FP, 0.0]) | st.floats(-17.0, -14.0).map(lambda e: 10.0 ** e),
-    "tol_cert": st.sampled_from([TOL_CERT, 0.0]),
-})
-
-
-# Example count from the hypothesis profile (tests/conftest.py).
-@given(verify_bisystems(), st.integers(0, 2**20), st.integers(1, 60), st.integers(0, 8),
-       verify_tolerances)
-@example(generate("dft_pair", {"d": 4}, 0), 0, 40, 5,
-         {"eta": ETA, "tol_fp": 1e-16, "tol_cert": TOL_CERT})
-@example(TestMixedField.mixed, 4, 20, 8, {"eta": ETA, "tol_fp": 1e-17, "tol_cert": TOL_CERT})
-@example(generate("rotated_pair", {"d": 3, "angle": 30.0}, 0), 0, 10, 5,
-         {"eta": 1e6, "tol_fp": TOL_FP, "tol_cert": TOL_CERT})
-def test_exhaustive_verify_matches_reference_property(b, seed, trials, subsample, tolerances):
-    space = admissible_space(b)
-    kwargs = dict(concentrated_subsample=subsample, **tolerances)
-    want = verify_outcome(reference_verify, b, space, trials, seed, **kwargs)
-    assert verify_outcome(exhaustive_verify, b, space, trials, seed, **kwargs) == want
-
-
-def test_exhaustive_verify_rescaled_fault_matches_reference():
-    # The rescaling fault of ROADMAP item 1, as it stands: at c = 1e10 the
-    # absolute eta counts every analysis coefficient as zero, so every flat
-    # certificate reports lhs = 0 < rhs = 4.  Both paths agree on it.
-    b = rescaled(generate("dft_pair", {"d": 4}, 0), 1e10)
-    space = admissible_space(b)
-    got = exhaustive_verify(b, space, 12, seed=3)
-    assert got == reference_verify(b, space, 12, seed=3)
-    assert got.satisfied == 0
-    assert got.failing_trials == tuple(range(12))
-
-
-@pytest.mark.parametrize("block", [1, 3, 7])
-def test_exhaustive_verify_blocks_match_reference(monkeypatch, block):
-    # Sweeps longer than one block: the concentrated subsample and the
-    # failing trials run across block boundaries.
-    monkeypatch.setattr(bounds, "_SWEEP_BLOCK", block)
-    b = generate("rotated_pair", {"d": 3, "angle": 30.0}, 0)
-    space = admissible_space(b)
-    kwargs = dict(tol_fp=1e-16, concentrated_subsample=8)
-    got = exhaustive_verify(b, space, 20, seed=1, **kwargs)
-    assert got == reference_verify(b, space, 20, seed=1, **kwargs)
-    assert 0 < got.satisfied < got.trials
-
-
-def recorded_sweep(bisystem, space, trials, seed, block, **kwargs):
-    """exhaustive_verify's summary with sweep blocks of `block` trials, and
-    the signals it drew, stacked in order."""
-    drawn = []
-
-    def record(*args):
-        drawn.append(admissible._samples(*args))
-        return drawn[-1]
-
-    with mock.patch.object(bounds, "_SWEEP_BLOCK", block), \
-            mock.patch.object(bounds, "_samples", record):
-        summary = exhaustive_verify(bisystem, space, trials, seed=seed, **kwargs)
-    return summary, np.concatenate(drawn)
-
-
-# eta = 1e6 is left out: it refuses every sweep at trial 0.
-@given(verify_bisystems(), st.integers(0, 2**20), st.integers(1, 30), st.integers(1, 30),
-       st.sampled_from([1, 4, bounds._SWEEP_BLOCK]),
-       verify_tolerances.filter(lambda tolerances: tolerances["eta"] < 1e6))
-def test_exhaustive_verify_prefix_property(b, seed, trials, more, block, tolerances):
-    # A T-trial sweep is the start of every longer sweep at its seed: its
-    # signals are the first T, bit for bit, and its failing trials are the
-    # longer sweep's below T.
-    space = admissible_space(b)
-    short, x = recorded_sweep(b, space, trials, seed, block, **tolerances)
-    long, x_long = recorded_sweep(b, space, trials + more, seed, block, **tolerances)
-    assert x.tobytes() == x_long[:trials].tobytes()
-    assert short.failing_trials == tuple(t for t in long.failing_trials if t < trials)
-    assert short.satisfied == trials - len(short.failing_trials)
-
-
-@pytest.mark.parametrize("eta,subsample,want", [
-    (2.0, 5, (DegenerateInputError, "signal is zero after thresholding")),
-    (ETA, 5, (DegenerateInputError, "sequence has zero l1 mass")),
-    (ETA, 0, VerifySummary(3, 0, 0, 0, -1.0, (0, 1, 2))),
-])
-def test_exhaustive_verify_errors_in_loop_order(eta, subsample, want):
-    # The first system annihilates every sample of this space, so each
-    # concentrated check meets a zero-mass analysis vector; at eta = 2 the
-    # zero signal of trial 0 is refused first, as in the loop.
-    first = PairedSystem(np.array([[1.0], [0.0]]), np.array([[1.0, 0.0]]))
-    b = BiSystem(first, identity_system(2))
-    space = AdmissibleSpace(np.array([[0.0], [1.0]]), 1)
-    kwargs = dict(eta=eta, concentrated_subsample=subsample)
-    assert verify_outcome(reference_verify, b, space, 3, 0, **kwargs) == want
-    assert verify_outcome(exhaustive_verify, b, space, 3, 0, **kwargs) == want
 
 
 @pytest.mark.parametrize("run", [
