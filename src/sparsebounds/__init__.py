@@ -10,12 +10,9 @@ from .admissible import (
 )
 from .bounds import (
     BoundCertificate,
+    VerifySummary,
     ds_product,
-    eb_bound,
     exhaustive_verify,
-    fkdb_rhs,
-    fskpb_rhs,
-    per_index_slack,
     verify_fkdb,
     verify_fskpb,
 )
@@ -33,8 +30,6 @@ from .sparsity import (
     best_set,
     concentration_epsilon,
     l0,
-    l1,
-    support,
 )
 from .systems import (
     BiSystem,
@@ -43,6 +38,5 @@ from .systems import (
     analysis,
     from_hilbert_vectors,
     identity_system,
-    synthesis,
     validate_pairing,
 )

@@ -48,23 +48,29 @@ _MAGNITUDE = 0.05
 class AdmissibleSpace:
     """Orthonormal basis (d x w) of the shared fixed-point subspace.
 
-    w is an integer >= 0 by the library's integer rule
-    (config._valid_integer: 2.0 is 2, True is refused).  The basis is a
-    private read-only copy of the array given, in that array's memory order,
-    so every product with it runs the BLAS call, and has the bits, of the
-    array given.  Per-space invariants, the basis's finiteness and its
-    product form (systems._form), are therefore decided once and kept on the
-    instance.  A space is checked where it is used (_check_basis).
+    w is the basis's column count; a basis that is not a 2-d matrix is
+    refused with StructuralError.  The basis is a private read-only copy of
+    the array given, in that array's memory order, so every product with it
+    runs the BLAS call, and has the bits, of the array given.  Per-space
+    invariants, the basis's finiteness and its product form
+    (systems._form), are therefore decided once and kept on the instance.
+    A space is checked where it is used (_check_basis).
     """
 
     basis: np.ndarray
-    w: int
 
     def __post_init__(self):
-        object.__setattr__(self, "w", _valid_integer("w", self.w, 0))
         basis = np.array(_numbers("admissible basis", self.basis), order="K")
+        if basis.ndim != 2:
+            raise StructuralError(f"admissible basis has shape {basis.shape}, "
+                                  f"expected a (d, w) matrix")
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
+
+    @property
+    def w(self) -> int:
+        """The dimension of the subspace: the basis's column count."""
+        return self.basis.shape[1]
 
     @cached_property
     def _finite(self) -> bool:
@@ -131,8 +137,7 @@ def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> Admissib
     stacked = np.empty((2 * d, d), dtype)
     for half, system in zip((stacked[:d], stacked[d:]), (bisystem.first, bisystem.second)):
         np.subtract(eye, _matmul(system._vectors_form, system._functionals_form), out=half)
-    basis = null_space_basis(stacked, tol_rank)
-    return AdmissibleSpace(basis, basis.shape[1])
+    return AdmissibleSpace(null_space_basis(stacked, tol_rank))
 
 
 def _check_space(bisystem: BiSystem, space: AdmissibleSpace) -> None:
@@ -147,14 +152,13 @@ def _check_space(bisystem: BiSystem, space: AdmissibleSpace) -> None:
 
 
 def _check_basis(space: AdmissibleSpace, d: int | None = None) -> None:
-    """Refuses a space whose basis has a non-finite entry or is not a (d, w)
-    matrix for the space's w and, when d is None, any d."""
+    """Refuses a space whose basis has a non-finite entry or, when d is
+    given, does not have d rows."""
     if not space._finite:
         raise StructuralError("admissible basis contains non-finite entries")
-    shape = space.basis.shape
-    if len(shape) != 2 or shape[1] != space.w or d not in (None, shape[0]):
-        raise StructuralError(f"admissible basis has shape {shape}, expected (d, w) = "
-                              f"({'d' if d is None else d}, {space.w})")
+    if d not in (None, space.basis.shape[0]):
+        raise StructuralError(f"admissible basis has shape {space.basis.shape}, expected "
+                              f"(d, w) = ({d}, {space.w})")
 
 
 def sample_admissible(space: AdmissibleSpace, seed: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from .admissible import AdmissibleSpace, _check_space, _samples
 from .coherence import CoherenceProfile, coherence_profile
 from .config import ETA, TOL_CERT, TOL_FP, _valid_integer, _valid_real
 from .errors import DegenerateInputError
-from .sparsity import _concentration, _counts, _top_defects, l0, l1
+from .sparsity import _concentration, _counts, _top_defects, l0
 from .systems import _DTYPES, BiSystem, _apply, _as_signal
 
 
@@ -25,32 +25,12 @@ def ds_product(h, eta: float = ETA) -> tuple:
     return s_time, s_freq, s_time * s_freq
 
 
-def eb_bound(mu: float) -> float:
-    """1 / mu^2 for the cross-coherence mu of two orthonormal bases."""
-    if _valid_real("mu", mu) <= 0.0:
-        raise DegenerateInputError("cross coherence must be positive for two bases")
-    return 1.0 / (mu * mu)
-
-
-def fkdb_rhs(s_f: int, s_g: int, prof: CoherenceProfile) -> float:
-    """Bound on the sparsity product at sparsities (s_f, s_g): the concentrated
-    bound at eps = delta = 0.  A zero cross-coherence makes the bound infinite
-    (vacuous hypothesis), reported as math.inf, never as an arithmetic fault,
-    except that a zero numerator yields 0 outright."""
-    return fskpb_rhs(s_f, s_g, 0.0, 0.0, prof)
-
-
-def fskpb_rhs(o_m: int, o_n: int, eps: float, delta: float, prof: CoherenceProfile) -> float:
-    """Concentrated variant of the bound for set sizes (o_m, o_n) and
-    concentration defects (eps, delta) in [0, 1]."""
-    o_m, o_n = _valid_integer("o_m", o_m, 0), _valid_integer("o_n", o_n, 0)
-    eps, delta = _valid_real("eps", eps, 0.0, 1.0), _valid_real("delta", delta, 0.0, 1.0)
-    return float(_bound(o_m, o_n, eps, delta, prof)[2])
-
-
 def _bound(o_m, o_n, eps, delta, prof: CoherenceProfile) -> tuple:
-    """(numerator_f, numerator_g, rhs) of the concentrated bound, elementwise
-    over scalars or broadcastable arrays of set sizes and defects."""
+    """(numerator_f, numerator_g, rhs) of the concentrated bound at set sizes
+    (o_m, o_n) and concentration defects (eps, delta), elementwise over
+    scalars or broadcastable arrays; eps = delta = 0 is the flat bound.  A
+    zero cross-coherence makes rhs inf (a vacuous bound), never an
+    arithmetic fault, except that a zero numerator gives 0 outright."""
     num_f = 1.0 - eps - (o_m - 1 + eps) * prof.sub_coherence_f
     num_g = 1.0 - delta - (o_n - 1 + delta) * prof.sub_coherence_g
     num = np.maximum(0.0, num_f) * np.maximum(0.0, num_g)
@@ -92,7 +72,7 @@ class BoundCertificate:
 
 def fixedpoint_residuals(bisystem: BiSystem, x) -> tuple:
     """Max-norm residuals of x against both fixed-point conditions."""
-    sig = _analyse(bisystem, _in_field(bisystem, x))
+    sig = _analyse(bisystem, _as_signal(bisystem.field, x, bisystem.d, "signal"))
     return float(sig.r_f), float(sig.r_g)
 
 
@@ -128,11 +108,6 @@ class _Signal:
     r_g: np.ndarray
 
 
-def _in_field(bisystem: BiSystem, x) -> np.ndarray:
-    """x as one signal (d,) of the bisystem's field."""
-    return _as_signal(bisystem.field, x, bisystem.d, "signal")
-
-
 def _analyse(bisystem: BiSystem, x: np.ndarray) -> _Signal:
     """x, one signal (d,) or a stack (k, d) in the bisystem's field, analysed
     by each system's kept matrix forms directly, so a real system pairs with
@@ -146,7 +121,7 @@ def _analyse(bisystem: BiSystem, x: np.ndarray) -> _Signal:
 
 
 def _signal(prep: _Prepared, x) -> _Signal:
-    x = _in_field(prep.bisystem, x)
+    x = _as_signal(prep.bisystem.field, x, prep.bisystem.d, "signal")
     if _counts(np.abs(x), prep.eta) == 0:
         raise DegenerateInputError("signal is zero after thresholding")
     return _analyse(prep.bisystem, x)
@@ -212,6 +187,10 @@ def verify_fskpb(bisystem: BiSystem, x, set_m, set_n, eta: float = ETA,
 
 @dataclass(frozen=True)
 class VerifySummary:
+    """exhaustive_verify's tally: flat certificates satisfied of trials,
+    concentrated ones satisfied of checked, the least lhs - rhs over all of
+    them, and the 0-based indices of the trials whose flat certificate failed."""
+
     trials: int
     satisfied: int
     concentrated_checked: int
@@ -302,16 +281,3 @@ def _concentrated(prep: _Prepared, sig: _Signal, mags: np.ndarray, n: int, m: in
                          eps[:, :, None], delta[:, None, :])
     return cert["satisfied"], cert["lhs"] - cert["rhs"]
 
-
-def per_index_slack(bisystem: BiSystem, x) -> np.ndarray:
-    """Slack of the per-index proof inequality at every index j.
-
-    For admissible x the quantity
-    (1 + mu_f)|f_j(x)| - ||theta_f x||_1 mu_f is at most
-    ||theta_g x||_1 * cross_f_omega; returned is the (rhs - lhs) array,
-    nonnegative up to rounding on valid instances.
-    """
-    prof = coherence_profile(bisystem)
-    sig = _analyse(bisystem, _in_field(bisystem, x))
-    lhs = (1.0 + prof.sub_coherence_f) * np.abs(sig.a) - l1(sig.a) * prof.sub_coherence_f
-    return l1(sig.b) * prof.cross_f_omega - lhs

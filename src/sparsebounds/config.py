@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterError, StructuralError
 
-# Absolute zero threshold for l0 counts and support extraction.
+# Absolute zero threshold for l0 counts.
 ETA = 1e-9
 
 # Slack for the |f_j(tau_j)| >= 1 and unit-norm hypothesis checks.

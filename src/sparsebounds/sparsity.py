@@ -1,4 +1,4 @@
-"""Thresholded l0 counts, l1 mass, supports, and 1-norm concentration."""
+"""Thresholded l0 counts and 1-norm concentration."""
 
 from __future__ import annotations
 
@@ -24,27 +24,16 @@ def _magnitudes(a) -> np.ndarray:
 
 
 def l0(a, eta: float = ETA) -> int:
-    """Number of entries with magnitude strictly above eta."""
+    """Number of entries with magnitude strictly above eta, an absolute
+    threshold, not one relative to the scale of a (ROADMAP.md, item 1,
+    "Scale-aware thresholds")."""
     return int(_counts(_magnitudes(a), eta))
 
 
 def _counts(mags: np.ndarray, eta: float):
-    """l0 of each row (last axis) of the magnitudes mags."""
-    return _nonzero(mags, eta).sum(axis=-1)
-
-
-def _nonzero(mags: np.ndarray, eta: float) -> np.ndarray:
-    """Mask of the magnitudes mags strictly above eta."""
-    return mags > _valid_real("eta", eta)
-
-
-def l1(a) -> float:
-    return float(_magnitudes(a).sum())
-
-
-def support(a, eta: float = ETA) -> tuple:
-    """Sorted indices of entries with magnitude above eta."""
-    return tuple(np.flatnonzero(_nonzero(_magnitudes(a), eta)).tolist())
+    """l0 of each row (last axis) of the magnitudes mags: the count strictly
+    above eta."""
+    return (mags > _valid_real("eta", eta)).sum(axis=-1)
 
 
 def concentration_epsilon(a, index_set) -> float:

@@ -281,11 +281,6 @@ def analysis(system: PairedSystem, x) -> np.ndarray:
     return system.functionals @ _as_signal(system.field, x, system.d, "signal")
 
 
-def synthesis(system: PairedSystem, coefficients) -> np.ndarray:
-    """Apply the synthesis operator: (a_j)_j -> sum_j a_j tau_j."""
-    return system.vectors @ _as_signal(system.field, coefficients, system.n, "coefficients")
-
-
 def identity_system(d: int, field_tag: str = REAL) -> PairedSystem:
     """The d x d identity as both vectors and functionals, two arrays."""
     eye = np.eye(_valid_integer("d", d, 1))

@@ -4,11 +4,12 @@ Each referee restates a library path in the plainest code that can decide
 it: a search loop of one null-space solve per pattern, a sweep loop over
 the public certificates, the sampling stream written with NumPy's own
 generator, rank by fraction-free Bareiss elimination over the rationals,
-and the classical Kuppinger-Durisi-Bolcskei bound.  Beside them are the
-theorem's symmetries and the constructions that more than one test module
-builds.  Test modules import from this module only, never from each other.
-Beyond the library under test it uses only numpy and the standard library,
-and pytest does not collect it.
+the classical Kuppinger-Durisi-Bolcskei and Elad-Bruckstein bounds, the
+proof's per-index inequality and the support of a sequence.  Beside them
+are the theorem's symmetries and the constructions that more than one test
+module builds.  Test modules import from this module only, never from each
+other.  Beyond the library under test it uses only numpy and the standard
+library, and pytest does not collect it.
 """
 
 import itertools
@@ -278,3 +279,36 @@ def kdb_rhs(bisystem, s_f, s_g):
     num_f = max(0.0, 1.0 - mu(t, t) * (s_f - 1))
     num_g = max(0.0, 1.0 - mu(w, w) * (s_g - 1))
     return num_f * num_g / mu(t, w) ** 2
+
+
+# --- The Elad-Bruckstein bound, the proof's per-index inequality, supports ----
+#
+# Written with the systems' own matrices (functionals @ x), not through the
+# library's analysis, coherence or threshold code, so each checks that code
+# from outside.
+
+def eb_rhs(mu):
+    """The Elad-Bruckstein bound 1 / mu^2 (M. Elad, A. M. Bruckstein, IEEE
+    TIT 48(9), 2002) for two orthonormal bases with cross-coherence mu, the
+    largest |<tau_i, omega_k>|."""
+    return 1.0 / mu**2
+
+
+def per_index_slack(bisystem, x):
+    """Slack, at every index j, of the per-index inequality of the theorem's
+    proof: for admissible x, (1 + mu_f) |f_j(x)| - ||F x||_1 mu_f is at most
+    ||G x||_1 max_jk |f_j(omega_k)|, with mu_f the largest off-diagonal
+    |f_j(tau_r)|.  Returned is rhs - lhs, nonnegative up to rounding."""
+    first, second = bisystem.first, bisystem.second
+    x = np.asarray(x)
+    a, b = np.abs(first.functionals @ x), np.abs(second.functionals @ x)
+    gram = np.abs(first.functionals @ first.vectors)
+    np.fill_diagonal(gram, 0.0)
+    mu_f = gram.max(initial=0.0)
+    cross = np.abs(first.functionals @ second.vectors).max()
+    return b.sum() * cross - ((1.0 + mu_f) * a - a.sum() * mu_f)
+
+
+def support(a, eta=ETA):
+    """Sorted indices of the entries of a with magnitude strictly above eta."""
+    return tuple(np.flatnonzero(np.abs(np.asarray(a)) > eta).tolist())

@@ -16,19 +16,25 @@ from sparsebounds import (
     coherence_profile,
     analysis,
     ds_product,
-    fkdb_rhs,
-    fskpb_rhs,
     generate,
     l0,
     min_sparsity_product,
-    per_index_slack,
     sample_admissible,
-    support,
     verify_fkdb,
     verify_fskpb,
 )
+from sparsebounds import bounds
 from sparsebounds.cli import main
-from referees import kdb_rhs, reference_search, report_fields, skewed, swapped
+from referees import (
+    eb_rhs,
+    kdb_rhs,
+    per_index_slack,
+    reference_search,
+    report_fields,
+    skewed,
+    support,
+    swapped,
+)
 
 ETA = 1e-9
 TOL_CERT = 1e-9
@@ -65,6 +71,8 @@ SKEWED_SEEDS = range(10)
 SIGNALS_PER_SYSTEM = 5
 SEED_DEPENDENT = {"subspace_union", "perturbed", "skewed"}
 BASE_FAMILIES = {"identity_pair", "dft_pair", "rotated_pair", "subspace_union"}
+# The base families whose two systems are both orthonormal bases.
+ORTHONORMAL_PAIRS = {"identity_pair", "dft_pair", "rotated_pair"}
 
 
 def _verdict(name, ok, detail=""):
@@ -111,9 +119,13 @@ def test_criterion_2_eb_reduction_and_oracle():
     t0 = time.monotonic()
     rhs_ok = True
     for d in (4, 9, 16):
+        # Both sub-coherences are at most 2.3e-16, so the rhs is within 1e-12
+        # of 1 / mu^2 = d whatever the signal's sparsities.
         b = generate("dft_pair", {"d": d}, 0)
-        prof = coherence_profile(b)
-        rhs_ok = rhs_ok and abs(fkdb_rhs(1, 1, prof) - d) <= 1e-12
+        space = admissible_space(b)
+        for seed in range(3):
+            rhs = verify_fkdb(b, sample_admissible(space, seed), eta=ETA).rhs
+            rhs_ok = rhs_ok and abs(rhs - d) <= 1e-12
     oracle_ok = True
     for d in (4, 9):
         b = generate("dft_pair", {"d": d}, 0)
@@ -224,9 +236,10 @@ def test_criterion_5_concentrated_reduction_and_sweep(corpus):
 def test_criterion_6_oracle_consistency(corpus):
     t0 = time.monotonic()
     seen = set()
-    consistency_ok = kdb_ok = True
+    consistency_ok = kdb_ok = chain_ok = True
     runs = 0
     ratios = {}
+    eb_values = {}
     for family, params, seed, b, space, signals in corpus:
         if b.first.n + b.second.n > 12:
             continue
@@ -248,6 +261,14 @@ def test_criterion_6_oracle_consistency(corpus):
             kdb_ok = kdb_ok and abs(kdb - fkdb) <= 1e-12 * max(1.0, fkdb)
         if fkdb > 0:
             ratios.setdefault(family, []).append(kdb / fkdb)
+        if family in ORTHONORMAL_PAIRS:
+            # Two orthonormal bases: EB (1 / mu^2, mu the largest
+            # |<tau_i, omega_k>|) = KDB = FKDB, and on dft_pair also = d (DS).
+            mu = np.abs(b.first.vectors.conj().T @ b.second.vectors).max()
+            eb = eb_rhs(mu)
+            chain = [kdb, fkdb] + ([b.d] if family == "dft_pair" else [])
+            chain_ok = chain_ok and all(abs(eb - v) <= 1e-12 * eb for v in chain)
+            eb_values.setdefault(family, []).append(eb)
 
     batched_ok = True
     checked = set()
@@ -263,11 +284,13 @@ def test_criterion_6_oracle_consistency(corpus):
         batched_ok = batched_ok and same
     elapsed = time.monotonic() - t0
     kdb_range = ", ".join(f"{family} {min(r):.3f}-{max(r):.3f}" for family, r in ratios.items())
+    eb_range = ", ".join(f"{family} {min(v):.3f}-{max(v):.3f}" for family, v in eb_values.items())
     _verdict("criterion 6: oracle consistency + batched/reference-loop agreement"
-             " + KDB <= best_lhs",
-             consistency_ok and batched_ok and kdb_ok,
+             " + KDB <= best_lhs + EB = KDB = FKDB (= DS) on orthonormal pairs",
+             consistency_ok and batched_ok and kdb_ok and chain_ok
+             and eb_values.keys() == ORTHONORMAL_PAIRS,
              f"{runs} oracle runs, {len(checked)} reference comparisons, "
-             f"KDB/FKDB {kdb_range}, {elapsed:.1f}s")
+             f"KDB/FKDB {kdb_range}, EB {eb_range}, {elapsed:.1f}s")
 
 
 def test_criterion_7_monotonicity_sweep():
@@ -280,8 +303,8 @@ def test_criterion_7_monotonicity_sweep():
 
     def rhs(o_m=3, o_n=2, eps=0.1, delta=0.1, sub_f=0.15, sub_g=0.25,
             cx_f=0.6, cx_g=0.7):
-        return fskpb_rhs(o_m, o_n, eps, delta,
-                         CoherenceProfile(sub_f, sub_g, cx_f, cx_g))
+        return float(bounds._bound(o_m, o_n, eps, delta,
+                                   CoherenceProfile(sub_f, sub_g, cx_f, cx_g))[2])
 
     for lo, hi in zip(grid, grid[1:]):
         violations += rhs(eps=hi) > rhs(eps=lo)
@@ -294,7 +317,7 @@ def test_criterion_7_monotonicity_sweep():
     for lo, hi in zip(crosses, crosses[1:]):
         violations += rhs(cx_f=lo) < rhs(cx_f=hi)
         violations += rhs(cx_g=lo) < rhs(cx_g=hi)
-    _verdict("criterion 7: fskpb_rhs monotone in every stated direction",
+    _verdict("criterion 7: the bound's rhs monotone in every stated direction",
              violations == 0, f"{violations} violations")
 
 

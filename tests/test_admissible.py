@@ -269,18 +269,29 @@ class TestAdmissibleSpace:
 class TestSpaceRecord:
     def test_basis_is_a_private_read_only_copy_in_its_order(self):
         given = np.asfortranarray(np.eye(3)[:, :2])
-        space = AdmissibleSpace(given, 2)
+        space = AdmissibleSpace(given)
         given[0, 0] = 5.0
         assert space.basis[0, 0] == 1.0
         assert not space.basis.flags.writeable
         assert space.basis.flags.f_contiguous and not space.basis.flags.c_contiguous
-        assert AdmissibleSpace(np.eye(3), 3).basis.flags.c_contiguous
+        assert AdmissibleSpace(np.eye(3)).basis.flags.c_contiguous
+
+    @pytest.mark.parametrize("columns", [0, 1, 3])
+    def test_w_is_the_column_count(self, columns):
+        space = AdmissibleSpace(np.eye(3)[:, :columns])
+        assert space.w == columns and type(space.w) is int
+
+    @pytest.mark.parametrize("basis", [np.float64(1.0), np.ones((2, 2, 1))],
+                             ids=["scalar", "three-axes"])
+    def test_basis_not_a_matrix_refused(self, basis):
+        with pytest.raises(StructuralError, match="expected a \\(d, w\\) matrix"):
+            AdmissibleSpace(basis)
 
     def test_basis_of_no_numbers_refused(self):
         with pytest.raises(StructuralError, match="cannot parse admissible basis"):
-            AdmissibleSpace([[1.0, 0.0], [1.0]], 2)
+            AdmissibleSpace([[1.0, 0.0], [1.0]])
         with pytest.raises(StructuralError, match="are not numbers"):
-            AdmissibleSpace(np.array([["a"]]), 1)
+            AdmissibleSpace(np.array([["a"]]))
 
     @pytest.mark.parametrize("family,params", [
         ("identity_pair", {"d": 3}),
@@ -314,24 +325,24 @@ class TestSampling:
 
     def test_one_dimensional(self):
         basis = np.array([[0.0], [1.0], [0.0]])
-        x = sample_admissible(AdmissibleSpace(basis, 1), 3)
+        x = sample_admissible(AdmissibleSpace(basis), 3)
         assert x[1] != 0.0
         assert x[0] == 0.0 and x[2] == 0.0
 
     def test_trivial_space_rejected(self):
         with pytest.raises(NoAdmissibleSignalError):
-            sample_admissible(AdmissibleSpace(np.zeros((3, 0)), 0), 0)
+            sample_admissible(AdmissibleSpace(np.zeros((3, 0))), 0)
 
-    @pytest.mark.parametrize("space,message", [
-        (AdmissibleSpace(np.diag([1.0, np.nan, 1.0]), 3), "non-finite"),
-        (AdmissibleSpace(np.full((3, 1), np.inf), 1), "non-finite"),
-        (AdmissibleSpace(np.eye(3), 2), r"shape \(3, 3\), expected \(d, w\) = \(d, 2\)"),
-        (AdmissibleSpace(np.ones(3), 3), r"shape \(3,\), expected \(d, w\) = \(d, 3\)"),
-    ], ids=["nan", "inf", "w-mismatch", "one-axis"])
-    def test_unfit_basis_refused(self, space, message):
-        # _check_space's rule at any d: no NaN signal, no raw numpy error.
+    @pytest.mark.parametrize("basis,message", [
+        (np.diag([1.0, np.nan, 1.0]), "non-finite"),
+        (np.full((3, 1), np.inf), "non-finite"),
+        (np.ones(3), r"shape \(3,\), expected a \(d, w\) matrix"),
+    ], ids=["nan", "inf", "one-axis"])
+    def test_unfit_basis_refused(self, basis, message):
+        # No NaN signal, no raw numpy error: a basis that is not a matrix is
+        # refused when the space is made, a non-finite one where it is used.
         with pytest.raises(StructuralError, match=message):
-            sample_admissible(space, 0)
+            sample_admissible(AdmissibleSpace(basis), 0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
     def test_bad_seed_rejected(self, seed):
@@ -377,7 +388,7 @@ class TestSeeding:
             assert np.concatenate(blocks).tobytes() == got.tobytes()
 
     def test_complex_basis_of_one_column(self):
-        space = AdmissibleSpace(np.array([[1j], [0.0], [1.0]]) / np.sqrt(2), 1)
+        space = AdmissibleSpace(np.array([[1j], [0.0], [1.0]]) / np.sqrt(2))
         for seed in (0, 7, 2**128 + 1):
             got = _samples(space, np.random.default_rng(seed), 5)
             for row, want in zip(got, reference_stream(space, seed, 5), strict=True):

@@ -14,15 +14,11 @@ from sparsebounds import (
     analysis,
     coherence_profile,
     ds_product,
-    eb_bound,
     exhaustive_verify,
-    fkdb_rhs,
     from_hilbert_vectors,
-    fskpb_rhs,
     generate,
     identity_system,
-    per_index_slack,
-    support,
+    sample_admissible,
     validate_pairing,
     verify_fkdb,
     verify_fskpb,
@@ -34,7 +30,23 @@ from sparsebounds.coherence import CoherenceProfile
 from sparsebounds.config import ETA, ETA_HYP, TOL_CERT, TOL_FP
 from sparsebounds.dft import dft_matrix
 from sparsebounds.errors import DegenerateInputError, ParameterError, StructuralError
-from referees import MIXED, reference_verify, rescaled, rescaled_per_index, rotation, skewed
+from referees import (
+    MIXED,
+    eb_rhs,
+    per_index_slack,
+    reference_verify,
+    rescaled,
+    rescaled_per_index,
+    rotation,
+    skewed,
+    support,
+)
+
+
+def rhs(o_m, o_n, eps, delta, prof):
+    """The bound's rhs at set sizes (o_m, o_n) and defects (eps, delta), by
+    the one core every certificate uses (bounds._bound)."""
+    return float(bounds._bound(o_m, o_n, eps, delta, prof)[2])
 
 
 class TestDonohoStark:
@@ -55,52 +67,66 @@ class TestDonohoStark:
 
 
 class TestEladBruckstein:
+    """Two orthonormal bases have sub-coherences 0, so the bound is the
+    Elad-Bruckstein 1 / mu^2 at every pair of sparsities."""
+
+    @staticmethod
+    def rhs_at_every_size(mu):
+        prof = CoherenceProfile(0.0, 0.0, mu, mu)
+        return {rhs(s_f, s_g, 0.0, 0.0, prof) for s_f in range(1, 5) for s_g in range(1, 5)}
+
     def test_dft_case(self):
-        assert eb_bound(0.5) == pytest.approx(4.0)
+        assert self.rhs_at_every_size(0.5) == {eb_rhs(0.5)} == {4.0}
 
     def test_shared_vector(self):
-        assert eb_bound(1.0) == 1.0
+        assert self.rhs_at_every_size(1.0) == {eb_rhs(1.0)} == {1.0}
 
     def test_rotation_case(self):
-        assert eb_bound(np.sqrt(2) / 2) == pytest.approx(2.0)
+        (got,) = self.rhs_at_every_size(np.sqrt(2) / 2)
+        assert got == pytest.approx(eb_rhs(np.sqrt(2) / 2)) == pytest.approx(2.0)
 
     def test_zero_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            eb_bound(0.0)
+        # mu = 0 has no finite bound: 1 / mu^2 divides by zero, and the core
+        # reports the bound vacuous (inf) rather than failing.
+        with pytest.raises(ZeroDivisionError):
+            eb_rhs(0.0)
+        assert self.rhs_at_every_size(0.0) == {math.inf}
 
 
 class TestRhsFormulas:
     def test_hand_evaluated(self):
         prof = CoherenceProfile(0.2, 0.1, 0.5, 0.5)
-        assert fkdb_rhs(2, 2, prof) == pytest.approx(0.8 * 0.9 / 0.25)
+        assert rhs(2, 2, 0.0, 0.0, prof) == pytest.approx(0.8 * 0.9 / 0.25)
 
     def test_orthonormal_recovers_eb(self):
         mu = 0.5
         prof = CoherenceProfile(0.0, 0.0, mu, mu)
-        assert fkdb_rhs(3, 2, prof) == pytest.approx(eb_bound(mu))
+        assert rhs(3, 2, 0.0, 0.0, prof) == pytest.approx(eb_rhs(mu))
 
     def test_clamping_to_zero(self):
         prof = CoherenceProfile(0.6, 0.1, 0.5, 0.5)
-        assert fkdb_rhs(5, 2, prof) == 0.0
+        assert rhs(5, 2, 0.0, 0.0, prof) == 0.0
 
     def test_fskpb_reduces_to_fkdb(self):
+        # At zero defects the concentrated bound is the flat closed form.
         prof = CoherenceProfile(0.2, 0.3, 0.4, 0.6)
         for s_f in range(1, 5):
             for s_g in range(1, 5):
-                assert fskpb_rhs(s_f, s_g, 0.0, 0.0, prof) == fkdb_rhs(s_f, s_g, prof)
+                flat = max(0.0, 1.0 - (s_f - 1) * 0.2) * max(0.0, 1.0 - (s_g - 1) * 0.3) / 0.24
+                assert rhs(s_f, s_g, 0.0, 0.0, prof) == pytest.approx(flat, rel=1e-15)
 
     def test_fskpb_direct_substitution(self):
         prof = CoherenceProfile(0.0, 0.0, 1.0, 1.0)
-        assert fskpb_rhs(3, 7, 0.5, 0.0, prof) == pytest.approx(0.5)
+        assert rhs(3, 7, 0.5, 0.0, prof) == pytest.approx(0.5)
 
     def test_fskpb_clamps(self):
         prof = CoherenceProfile(0.5, 0.0, 1.0, 1.0)
-        assert fskpb_rhs(4, 1, 0.99, 0.0, prof) == 0.0
+        assert rhs(4, 1, 0.99, 0.0, prof) == 0.0
 
     def test_zero_cross_is_infinite_not_a_crash(self):
         prof = CoherenceProfile(0.0, 0.0, 0.0, 1.0)
-        assert math.isinf(fkdb_rhs(1, 1, prof))
-        assert fkdb_rhs(100, 1, CoherenceProfile(1.0, 0.0, 0.0, 1.0)) == 0.0
+        assert math.isinf(rhs(1, 1, 0.0, 0.0, prof))
+        assert rhs(100, 1, 0.0, 0.0, CoherenceProfile(1.0, 0.0, 0.0, 1.0)) == 0.0
 
 
 class TestVerifyFkdb:
@@ -135,7 +161,7 @@ class TestVerifyFkdb:
         assert validate_pairing(first).ok is ok
         assert verify_fkdb(b, [1.0, 1.0], tol_fp=1.0).hypothesis_ok is ok
         assert verify_fskpb(b, [1.0, 1.0], (0,), (1,), tol_fp=1.0).hypothesis_ok is ok
-        space = AdmissibleSpace(np.eye(2), 2)
+        space = AdmissibleSpace(np.eye(2))
         assert exhaustive_verify(b, space, 3, tol_fp=1.0).satisfied == (3 if ok else 0)
 
     def test_zero_signal_rejected(self):
@@ -215,6 +241,26 @@ class TestVerifyFskpb:
         assert cert.satisfied
 
 
+class TestMixedField:
+    """referees.MIXED, the real identity paired with the complex DFT basis:
+    every certificate and sweep must equal dft_pair d=4's."""
+
+    mixed = MIXED
+    dft = generate("dft_pair", {"d": 4}, 0)
+
+    def test_certificates_equal_dft_pair(self):
+        x = sample_admissible(admissible_space(self.mixed), 3)
+        assert np.iscomplexobj(x)
+        assert verify_fkdb(self.mixed, x).as_dict() == verify_fkdb(self.dft, x).as_dict()
+        assert (verify_fskpb(self.mixed, x, (0, 2), (1,)).as_dict()
+                == verify_fskpb(self.dft, x, (0, 2), (1,)).as_dict())
+
+    def test_exhaustive_verify_equals_dft_pair(self):
+        got = exhaustive_verify(self.mixed, admissible_space(self.mixed), trials=20, seed=4)
+        assert got == exhaustive_verify(self.dft, admissible_space(self.dft), trials=20, seed=4)
+        assert got.satisfied == 20
+
+
 class TestPerIndexInequality:
     def test_identity_pair(self):
         b = BiSystem(identity_system(3), identity_system(3))
@@ -241,30 +287,30 @@ def test_fskpb_monotonicity_grid():
 
     for eps in eps_grid:
         for hi, lo in zip(eps_grid[1:], eps_grid):
-            assert fskpb_rhs(o_m0, o_n0, hi, eps, prof0) <= fskpb_rhs(o_m0, o_n0, lo, eps, prof0)
-            assert fskpb_rhs(o_m0, o_n0, eps, hi, prof0) <= fskpb_rhs(o_m0, o_n0, eps, lo, prof0)
+            assert rhs(o_m0, o_n0, hi, eps, prof0) <= rhs(o_m0, o_n0, lo, eps, prof0)
+            assert rhs(o_m0, o_n0, eps, hi, prof0) <= rhs(o_m0, o_n0, eps, lo, prof0)
     for hi, lo in zip(list(size_grid)[1:], size_grid):
-        assert fskpb_rhs(hi, o_n0, 0.1, 0.1, prof0) <= fskpb_rhs(lo, o_n0, 0.1, 0.1, prof0)
-        assert fskpb_rhs(o_m0, hi, 0.1, 0.1, prof0) <= fskpb_rhs(o_m0, lo, 0.1, 0.1, prof0)
+        assert rhs(hi, o_n0, 0.1, 0.1, prof0) <= rhs(lo, o_n0, 0.1, 0.1, prof0)
+        assert rhs(o_m0, hi, 0.1, 0.1, prof0) <= rhs(o_m0, lo, 0.1, 0.1, prof0)
     sub_grid = GRID
     for hi, lo in zip(sub_grid[1:], sub_grid):
         assert (
-            fskpb_rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(hi, 0.2, 0.6, 0.7))
-            <= fskpb_rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(lo, 0.2, 0.6, 0.7))
+            rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(hi, 0.2, 0.6, 0.7))
+            <= rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(lo, 0.2, 0.6, 0.7))
         )
         assert (
-            fskpb_rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(0.2, hi, 0.6, 0.7))
-            <= fskpb_rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(0.2, lo, 0.6, 0.7))
+            rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(0.2, hi, 0.6, 0.7))
+            <= rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(0.2, lo, 0.6, 0.7))
         )
     cross_grid = np.linspace(0.1, 1.0, 11)
     for hi, lo in zip(cross_grid[1:], cross_grid):
         assert (
-            fskpb_rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(0.2, 0.2, lo, 0.7))
-            >= fskpb_rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(0.2, 0.2, hi, 0.7))
+            rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(0.2, 0.2, lo, 0.7))
+            >= rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(0.2, 0.2, hi, 0.7))
         )
         assert (
-            fskpb_rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(0.2, 0.2, 0.6, lo))
-            >= fskpb_rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(0.2, 0.2, 0.6, hi))
+            rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(0.2, 0.2, 0.6, lo))
+            >= rhs(o_m0, o_n0, 0.1, 0.1, CoherenceProfile(0.2, 0.2, 0.6, hi))
         )
 
 
@@ -297,8 +343,7 @@ DFT4 = generate("dft_pair", {"d": 4})
 @pytest.mark.parametrize("call", [
     lambda x: verify_fkdb(DFT4, x),
     lambda x: fixedpoint_residuals(DFT4, x),
-    lambda x: per_index_slack(DFT4, x),
-], ids=["verify_fkdb", "fixedpoint_residuals", "per_index_slack"])
+], ids=["verify_fkdb", "fixedpoint_residuals"])
 def test_signal_of_wrong_shape_refused(call):
     # Four coordinates as a (2, 2) array are not a signal of d = 4.
     with pytest.raises(StructuralError, match=r"shape \(2, 2\), expected \(4,\)"):
@@ -486,7 +531,7 @@ def test_exhaustive_verify_errors_in_loop_order(eta, subsample, want):
     # zero signal of trial 0 is refused first, as in the loop.
     first = PairedSystem(np.array([[1.0], [0.0]]), np.array([[1.0, 0.0]]))
     b = BiSystem(first, identity_system(2))
-    space = AdmissibleSpace(np.array([[0.0], [1.0]]), 1)
+    space = AdmissibleSpace(np.array([[0.0], [1.0]]))
     kwargs = dict(eta=eta, concentrated_subsample=subsample)
     assert verify_outcome(reference_verify, b, space, 3, 0, **kwargs) == want
     assert verify_outcome(exhaustive_verify, b, space, 3, 0, **kwargs) == want
@@ -503,7 +548,7 @@ SWEEP_CORPUS = {
        for partner in ("dft_pair", "rotated_pair") for mu in (0.1, 0.3)},
     "unpaired": (BiSystem(PairedSystem(np.eye(3), (1.0 - 2 * ETA_HYP) * np.eye(3)),
                           generate("dft_pair", {"d": 3}, 0).second),
-                 AdmissibleSpace(np.eye(3), 3)),
+                 AdmissibleSpace(np.eye(3))),
     "rescaled-diagonal": (BiSystem(rescaled_per_index(identity_system(4, "complex"),
                                                       np.array([1e-3, 2.0, 7.5, 1e4])),
                                    generate("dft_pair", {"d": 4}, 0).second), None),

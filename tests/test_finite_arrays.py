@@ -18,10 +18,6 @@ from sparsebounds import (
     forward,
     generate,
     l0,
-    l1,
-    per_index_slack,
-    support,
-    synthesis,
     verify_fkdb,
     verify_fskpb,
 )
@@ -33,14 +29,10 @@ DFT4 = generate("dft_pair", {"d": 4})
 
 ENTRY_POINTS = {
     "analysis": lambda x: analysis(DFT4.second, x),
-    "synthesis": lambda x: synthesis(DFT4.second, x),
     "verify_fkdb": lambda x: verify_fkdb(DFT4, x),
     "verify_fskpb": lambda x: verify_fskpb(DFT4, x, {0}, {1}),
     "fixedpoint_residuals": lambda x: fixedpoint_residuals(DFT4, x),
-    "per_index_slack": lambda x: per_index_slack(DFT4, x),
     "l0": lambda x: l0(x),
-    "support": lambda x: support(x),
-    "l1": lambda x: l1(x),
     "concentration_epsilon": lambda x: concentration_epsilon(x, {0}),
     "best_set": lambda x: best_set(x, 1),
     "ds_product": lambda x: ds_product(x),

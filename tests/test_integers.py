@@ -8,15 +8,11 @@ import numpy as np
 import pytest
 
 from sparsebounds import (
-    AdmissibleSpace,
     admissible_space,
     best_set,
-    coherence_profile,
     concentration_epsilon,
     dft_matrix,
     exhaustive_verify,
-    fkdb_rhs,
-    fskpb_rhs,
     generate,
     identity_system,
     min_sparsity_product,
@@ -31,7 +27,6 @@ from sparsebounds.serialization import signal_from_dict, system_from_dict
 DFT4 = generate("dft_pair", {"d": 4})
 SPACE = admissible_space(DFT4)
 X = sample_admissible(SPACE, 0)
-PROFILE = coherence_profile(DFT4)
 
 ENTRY_POINTS = {
     "generate-d": lambda v: generate("dft_pair", {"d": v}),
@@ -39,7 +34,6 @@ ENTRY_POINTS = {
     "generate-seed": lambda v: generate("identity_pair", {"d": 2}, v),
     "generate-base-seed": lambda v: generate(
         "perturbed", {"base": {"family": "dft_pair", "params": {"d": 2}, "seed": v}}),
-    "AdmissibleSpace-w": lambda v: AdmissibleSpace(SPACE.basis, v),
     "sample_admissible-seed": lambda v: sample_admissible(SPACE, v),
     "exhaustive_verify-trials": lambda v: exhaustive_verify(DFT4, SPACE, v),
     "exhaustive_verify-seed": lambda v: exhaustive_verify(DFT4, SPACE, 3, seed=v),
@@ -50,8 +44,6 @@ ENTRY_POINTS = {
     "verify_fskpb-set_n": lambda v: verify_fskpb(DFT4, X, [0], [1, v]),
     "concentration_epsilon-index": lambda v: concentration_epsilon(X, {v}),
     "best_set-size": lambda v: best_set(X, v),
-    "fkdb_rhs-s_f": lambda v: fkdb_rhs(v, 2, PROFILE),
-    "fskpb_rhs-o_n": lambda v: fskpb_rhs(2, v, 0.1, 0.2, PROFILE),
     "dft_matrix-d": lambda v: dft_matrix(v),
     "identity_system-d": lambda v: identity_system(v),
 }
@@ -119,16 +111,6 @@ def test_integral_float_seed_keeps_int_bits():
         assert sample_admissible(SPACE, seed).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("w", [4.0, np.int64(4), np.float32(4.0)])
-def test_integral_float_w_is_an_int_everywhere(w):
-    # One rule for w: each consumer of the space takes it as the int 4.
-    space = AdmissibleSpace(SPACE.basis, w)
-    assert space.w == 4 and type(space.w) is int
-    assert exhaustive_verify(DFT4, space, 3) == exhaustive_verify(DFT4, SPACE, 3)
-    assert min_sparsity_product(DFT4, space).best_lhs == min_sparsity_product(DFT4, SPACE).best_lhs
-    assert sample_admissible(space, 2).tobytes() == sample_admissible(SPACE, 2).tobytes()
-
-
 def test_integral_float_family_parameters_keep_int_bits():
     base = {"family": "subspace_union", "params": {"d": 5, "split": 2}}
     for family, params, floats in [
@@ -156,7 +138,6 @@ def test_integral_float_sweep_equals_int_sweep():
 
 
 def test_integral_float_sizes_equal_int_sizes():
-    assert fkdb_rhs(2.0, np.int64(3), PROFILE) == fkdb_rhs(2, 3, PROFILE)
     assert best_set(X, 2.0) == best_set(X, 2)
     assert concentration_epsilon(X, [1.0, np.int64(2)]) == concentration_epsilon(X, [1, 2])
     assert verify_fskpb(DFT4, X, [0.0], [1.0]) == verify_fskpb(DFT4, X, [0], [1])

@@ -16,9 +16,6 @@ from sparsebounds import (
     identity_system,
     l0,
     min_sparsity_product,
-    sample_admissible,
-    verify_fkdb,
-    verify_fskpb,
 )
 from sparsebounds.admissible import AdmissibleSpace, null_space_basis
 from sparsebounds.bounds import exhaustive_verify
@@ -121,7 +118,7 @@ class TestMinSparsityProduct:
     def test_trivial_space(self):
         b = BiSystem(identity_system(2), identity_system(2))
         with pytest.raises(NoAdmissibleSignalError):
-            min_sparsity_product(b, AdmissibleSpace(np.zeros((2, 0)), 0))
+            min_sparsity_product(b, AdmissibleSpace(np.zeros((2, 0))))
 
     def test_absurd_tol_rank_raises_only_the_witness_check(self):
         """At tol_rank = 1e300 the Gram cutoff overflows to inf, so the filter
@@ -441,7 +438,7 @@ def test_search_invariant_under_admissible_change_of_basis(family, params):
     stacked = np.vstack([eye - b.first.vectors @ b.first.functionals,
                          eye - b.second.vectors @ b.second.functionals])
     assert np.array_equal(space.basis, np.eye(d, dtype=stacked.dtype))
-    lapack = AdmissibleSpace(np.linalg.svd(stacked)[2].conj().T, d)
+    lapack = AdmissibleSpace(np.linalg.svd(stacked)[2].conj().T)
     assert not np.allclose(lapack.basis, space.basis)
     got = min_sparsity_product(b, space)
     other = min_sparsity_product(b, lapack)
@@ -600,22 +597,9 @@ def test_downdated_filter_sound_under_cancellation(field, light):
 
 class TestMixedField:
     """referees.MIXED, the real identity paired with the complex DFT basis:
-    every result must equal dft_pair d=4's."""
+    its search must find dft_pair d=4's minimum, as the reference loop does."""
 
     mixed = MIXED
-    dft = generate("dft_pair", {"d": 4}, 0)
-
-    def test_certificates_equal_dft_pair(self):
-        x = sample_admissible(admissible_space(self.mixed), 3)
-        assert np.iscomplexobj(x)
-        assert verify_fkdb(self.mixed, x).as_dict() == verify_fkdb(self.dft, x).as_dict()
-        assert (verify_fskpb(self.mixed, x, (0, 2), (1,)).as_dict()
-                == verify_fskpb(self.dft, x, (0, 2), (1,)).as_dict())
-
-    def test_exhaustive_verify_equals_dft_pair(self):
-        got = exhaustive_verify(self.mixed, admissible_space(self.mixed), trials=20, seed=4)
-        assert got == exhaustive_verify(self.dft, admissible_space(self.dft), trials=20, seed=4)
-        assert got.satisfied == 20
 
     def test_search_matches_reference(self):
         space = admissible_space(self.mixed)
@@ -629,8 +613,8 @@ class TestMixedField:
     lambda b, space: min_sparsity_product(b, space),
 ], ids=["exhaustive_verify", "min_sparsity_product"])
 @pytest.mark.parametrize("space,message", [
-    (AdmissibleSpace(np.eye(5, 4), 4), r"shape \(5, 4\), expected \(d, w\) = \(4, 4\)"),
-    (AdmissibleSpace(np.diag([1.0, np.nan, 1.0, 1.0]), 4), "non-finite"),
+    (AdmissibleSpace(np.eye(5, 4)), r"shape \(5, 4\), expected \(d, w\) = \(4, 4\)"),
+    (AdmissibleSpace(np.diag([1.0, np.nan, 1.0, 1.0])), "non-finite"),
     # dft_pair's basis is complex-typed: refused for the real rotated_pair.
     (admissible_space(generate("dft_pair", {"d": 4}, 0)), "complex but the bisystem is real"),
 ], ids=["five-rows", "nan", "complex-on-real"])
