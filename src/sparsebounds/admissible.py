@@ -44,7 +44,7 @@ FAMILIES = tuple(_PARAMS)
 _MAGNITUDE = 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdmissibleSpace:
     """Orthonormal basis (d x w) of the shared fixed-point subspace.
 

@@ -11,14 +11,19 @@ S_g, exchange the two systems): each S_f is projected onto V, a loosely cut
 null space of the first system's rows outside S_f, by one stacked SVD over
 all S_f of equal size in the first class that projects them; P = C V (m x k)
 and its shifted Gram matrix H = P^H P - cutoff * I, summed once over all m
-rows, are kept until the search returns.  A size class is then filtered in
-batches of at most BATCH patterns: the projected sets of equal k are tested
-together, across S_f and S_g, by an LDL^H pivot test of G - cutoff * I for
-the k x k Gram matrix G of the rows of P outside S_g, downdated from H by the
-|S_g| outer products of the rows in S_g, and every pattern of a projected
-set with k = 0 is counted with no linear algebra.  The Gram stacks hold the
-k x k matrix axes first and the pattern axes last, so every elementwise step
-of the downdate and the pivot test runs over contiguous vectors of patterns.
+rows, are kept until the search returns, with the sizes of S_g that Weyl's
+inequality rules out for the set: those at which H's smallest eigenvalue
+exceeds the sum of the |S_g| largest row masses ||p_i||^2 of P, so that
+G - cutoff * I below is positive definite for every S_g of that size.  A size
+class is then filtered in batches of at most BATCH patterns: the projected
+sets of equal k are tested together, across S_f and S_g, by an LDL^H pivot
+test of G - cutoff * I for the k x k Gram matrix G of the rows of P outside
+S_g, downdated from H by the |S_g| outer products of the rows in S_g.  Every
+pattern of a projected set with k = 0, or of a size the bound rules out for
+the set, is counted with no linear algebra; a batch or a class in which no
+set is left to test is counted whole.  The Gram stacks hold the k x k matrix
+axes first and the pattern axes last, so every elementwise step of the
+downdate and the pivot test runs over contiguous vectors of patterns.
 Each batch's candidates are confirmed in enumeration order (S_f-major) on
 their full off-pattern stacks, as a pattern-by-pattern scan would, before
 the next batch is filtered.
@@ -47,7 +52,7 @@ BATCH = 512
 MARGIN = 1e4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TightnessReport:
     """Outcome of the minimal-sparsity-product search on one BiSystem."""
 
@@ -112,6 +117,16 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
     # pattern's smallest eigenvalue of G and the cutoff; at the default guard,
     # m + |S_g| <= 46 (n + |S_f| <= 46 when S_g is projected) keeps both
     # errors about 6 orders of magnitude below it.
+    # Before the filter, a projected set counts as k = 0 in each class whose
+    # |S_g| Weyl's inequality rules out (_ruled_out): the smallest eigenvalue
+    # of G - cutoff * I = H - sum_{i in S_g} p_i^H p_i is at least that of H
+    # less the sum of the |S_g| largest ||p_i||^2, and where that is > 0 the
+    # filter rejects every pattern of the class with that set, as above.  The
+    # bound reads only the instance's projected rows, never a coherence bound.
+    # Its rounding, about k * u * ||H|| for eigvalsh (backward stable) and
+    # m * u * ||C / s||^2 for the sums of masses, lies as far inside the room
+    # as the filter's, so it never rules out a pattern the confirmation
+    # accepts.
     scale = max(_norm2(np.concatenate([a_rows, c_rows])), 1.0)
     units = (a_rows / scale, c_rows / scale)
     t = tol_rank + 1e3 * np.finfo(float).eps
@@ -119,8 +134,9 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
         # Side 0 projects S_f and tests the rows of C; side 1 projects S_g.
         cutoffs = [2.0 * (t + _norm2(u) / MARGIN) ** 2 for u in units[::-1]]
     subsets = functools.cache(_subsets)
-    # (side, size) -> (P, H = P^H P - cutoff * I and k) of every projected set
-    # of that size, made in the first class that projects them.
+    # (side, size) -> (P, H = P^H P - cutoff * I, k and the sizes ruled out) of
+    # every projected set of that size, made in the first class that projects
+    # them.
     projections = {}
 
     searched = 0
@@ -137,10 +153,15 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
             outside = subsets(count, count - size)[::-1]
             projections[side, size] = _project(units[side][outside], units[1 - side],
                                                MARGIN * t, cutoffs[side])
-        p, h, ks = projections[side, size]
+        p, h, ks, ruled_out = projections[side, size]
         tested = (s_g, s_f)[side]
-        for block in _batches(len(s_f), len(s_g)):
+        # The sets ruled out at this class's tested size count as k = 0; a
+        # class or block with no set left to test is not filtered.
+        ks = np.where(ruled_out > sizes[1 - side], 0, ks)
+        for block in _batches(len(s_f), len(s_g)) if ks.any() else ():
             here, there = block[side], block[1 - side]
+            if not ks[here].any():
+                continue
             keep = _candidates(p[..., here], ks[here], h[..., here], tested[there])
             for i_f, i_g in zip(*np.nonzero(keep.T if side else keep)):
                 i_f, i_g = block[0].start + int(i_f), block[1].start + int(i_g)
@@ -177,13 +198,14 @@ def _batches(count_f: int, count_g: int):
 
 
 def _project(a_off: np.ndarray, c_unit: np.ndarray, cut: float, cutoff: float) -> tuple:
-    """(p, h, k per set) for a stack a_off (F, r, w) of the rows A_off / s of
-    one system outside F sets, by one stacked SVD; c_unit (m, w) holds the
-    other system's rows C / s.  The last k rows of Vh, A_off's right singular
-    vectors beyond the rank at cut, span V.  p (width, m, F), width = max k,
-    holds the last width rows of (C Vh^H / s)^T of each set, the last k of
-    them its P^T / s; h (width, width, F) holds H = P^H P - cutoff * I over
-    all m rows, whose last k rows and columns are its P's."""
+    """(p, h, k, sizes ruled out per set) for a stack a_off (F, r, w) of the
+    rows A_off / s of one system outside F sets, by one stacked SVD; c_unit
+    (m, w) holds the other system's rows C / s.  The last k rows of Vh,
+    A_off's right singular vectors beyond the rank at cut, span V.  p (width,
+    m, F), width = max k, holds the last width rows of (C Vh^H / s)^T of each
+    set, the last k of them its P^T / s; h (width, width, F) holds H = P^H P
+    - cutoff * I over all m rows, whose last k rows and columns are its P's.
+    The sizes ruled out are _ruled_out's."""
     _, s, vh = np.linalg.svd(a_off)
     ks = vh.shape[-1] - _rank(s, cut)
     width = ks.max()
@@ -191,8 +213,32 @@ def _project(a_off: np.ndarray, c_unit: np.ndarray, cut: float, cutoff: float) -
     h = q.conj() @ q.transpose(0, 2, 1)
     i = np.arange(width)
     h[:, i, i] -= cutoff
-    return (np.ascontiguousarray(q.transpose(1, 2, 0)),
-            np.ascontiguousarray(h.transpose(1, 2, 0)), ks)
+    p, h = np.ascontiguousarray(q.transpose(1, 2, 0)), np.ascontiguousarray(h.transpose(1, 2, 0))
+    return p, h, ks, _ruled_out(p, h, ks)
+
+
+def _ruled_out(p: np.ndarray, h: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """For each set of a projection (p, h, ks as _project returns them), the
+    number b of sizes |S_g| = 0 ... b - 1 at which G - cutoff * I is positive
+    definite for every S_g, so that the filter rejects every such pattern.
+    G - cutoff * I is H less the outer products of the rows of P in S_g, so by
+    Weyl's inequality its smallest eigenvalue is at least low - top, for low
+    the smallest eigenvalue of H and top the sum of the |S_g| largest row
+    masses ||p_i||^2 of P.  A set with k = 0 (low = inf) is ruled out at every
+    size; none is when H is not finite, as an infinite cutoff makes it."""
+    width, m, count = p.shape
+    if not np.isfinite(h).all():  # eigvalsh would raise
+        return np.zeros(count, int)
+    low, mass = np.full(count, np.inf), np.zeros((m, count))
+    for k in set(ks.tolist()) - {0}:
+        group, cut = ks == k, width - k
+        if group.all():
+            group = slice(None)  # a view, not a copy
+        block, rows = np.moveaxis(h[cut:, cut:, group], -1, 0), p[cut:, :, group]
+        low[group] = block[:, 0, 0].real if k == 1 else np.linalg.eigvalsh(block)[:, 0]
+        mass[:, group] = (rows.conj() * rows).real.sum(axis=0)
+    top = np.cumsum(np.sort(mass, axis=0)[::-1], axis=0)
+    return (low > 0) + (low > top).sum(axis=0)
 
 
 def _candidates(p: np.ndarray, ks: np.ndarray, h: np.ndarray, s_g: np.ndarray) -> np.ndarray:

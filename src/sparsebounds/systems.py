@@ -37,7 +37,7 @@ def _as_matrix(a, field_tag: str, name: str, copy: bool = False) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairedSystem:
     """Matched collections (tau_j, f_j): vectors d x n, functionals n x d.
 
@@ -91,7 +91,7 @@ class PairedSystem:
         return _form(self.functionals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiSystem:
     """Two paired systems over the same ambient space.
 
@@ -125,7 +125,7 @@ class BiSystem:
         return all(bool(_paired(s).all()) for s in (self.first, self.second))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
     """Per-index diagonal pairing magnitudes |f_j(tau_j)| and pass flags."""
 

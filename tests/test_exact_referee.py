@@ -2,7 +2,8 @@
 that decides each pattern's rank by Bareiss elimination, with no cutoff.
 With integer T and its exact inverse F = T^-1, I - TF = 0 and the admissible
 space is the whole space; F = I + e_d l^T leaves only the hyperplane
-l^T x = 0, and so do the n = d + 1 frames T = [I | t], F = [I ; l^T / (l.t)].
+l^T x = 0, and so do the n = d + 1 frames T = [I | t], F = [I ; l^T / (l.t)];
+two such frames leave the intersection of their hyperplanes.
 """
 
 from fractions import Fraction
@@ -126,12 +127,36 @@ def test_oracle_matches_referee_below_full_dimension(skewed_corpus):
         assert [search(pairs), search(other), referee(other)] == [want] * 3, i
 
 
+@pytest.fixture(scope="module")
+def two_frame_corpus():
+    """24 pairs of frame_pair frames at d = 3, 4, 5, and their referee answers."""
+    rng = np.random.default_rng(2027)
+    pairs = [[frame_pair(rng, 3 + i % 3) for _ in "TW"] for i in range(24)]
+    return [(p, referee(p)) for p in pairs]
+
+
 def test_oracle_matches_referee_above_full_dimension(frame_corpus):
-    """n = d + 1 vectors in the first system, and w = d - 1."""
+    """n = d + 1 vectors in the first system, and w = d - 1, unscaled and
+    under an integer unimodular change of ambient basis."""
+    rng = np.random.default_rng(9)
     for i, (pairs, want) in enumerate(frame_corpus):
         b, d = float_bisystem(pairs), len(pairs[0][0])
         assert (b.first.n, admissible_space(b).w) == (d + 1, d - 1), i
-        assert search(pairs) == want, i
+        other = moved(pairs, rng)
+        assert [search(pairs), search(other), referee(other)] == [want] * 3, i
+
+
+def test_oracle_matches_referee_with_frames_in_both_systems(two_frame_corpus):
+    """n = m = d + 1, and w = d - 2 where the two hyperplanes l^T x = 0
+    differ, unscaled and under an integer unimodular change of ambient basis."""
+    rng = np.random.default_rng(10)
+    for i, (pairs, want) in enumerate(two_frame_corpus):
+        b, d = float_bisystem(pairs), len(pairs[0][0])
+        normals = np.array([f[-1] for _, f in pairs], float)  # each l / (l.t)
+        assert (b.first.n, b.second.n) == (d + 1, d + 1), i
+        assert admissible_space(b).w == d - np.linalg.matrix_rank(normals), i
+        other = moved(pairs, rng)
+        assert [search(pairs), search(other), referee(other)] == [want] * 3, i
 
 
 @pytest.mark.xfail(strict=True, raises=(AssertionError, DegenerateInputError),

@@ -61,24 +61,29 @@ def witness_l0_product(bisystem, report):
 
 def block_basis():
     """A seeded orthonormal basis of a union of coordinate blocks, a line in
-    rows 0, 2, 4 and a plane in rows 1, 3, 5: the identity's rows over it
-    outside sets of one size have different ranks (k = 0, 1, 2 at size 3)."""
+    rows 0, 4, 5 (its last column) and a plane in rows 1, 2, 3: the
+    identity's rows over it outside sets of one size have different ranks
+    (k = 0, 1, 2 at size 3)."""
     rng = np.random.default_rng(2)
     q = np.zeros((6, 3))
     q[:3, :2] = np.linalg.qr(rng.standard_normal((3, 2)))[0]
     q[3:, 2] = rng.standard_normal(3)
     q[3:, 2] /= np.linalg.norm(q[3:, 2])
-    return q[[3, 0, 4, 1, 5, 2]]
+    return q[[3, 0, 1, 2, 4, 5]]
 
 
 def block_frame():
-    """The identity against a seeded tight frame of eight vectors spanning
-    block_basis(), so the admissible space is that 3-dimensional space.  In
-    classes where the identity has fewer sets, such as (3, 2) with 20
-    against 28, the search projects the identity's S_f; in the swap, its
-    S_g."""
+    """The identity against a seeded tight frame of eight vectors q u_j,
+    q = block_basis(), that span q's columns, so the admissible space is
+    their 3-dimensional span.  The rows of u (3 x 8) are orthonormal, and the
+    line's row is zero at the first three functionals, so the line is the
+    pattern (3, 5): rows 0, 4, 5 and functionals 3 ... 7.  In classes where
+    the identity has fewer sets, such as (3, 5) with 20 against 56, the
+    search projects the identity's S_f; in the swap, its S_g."""
     q = block_basis()
-    u = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 8)))[0][:3]
+    z = np.random.default_rng(0).standard_normal((3, 8))
+    z[2, :3] = 0.0
+    u = np.linalg.qr(z[::-1].T)[0].T[::-1]
     return BiSystem(identity_system(6), PairedSystem(q @ u, (q @ u).T))
 
 
@@ -191,15 +196,15 @@ class TestMinSparsityProduct:
             np.testing.assert_array_equal(stacks[side][0], rows[side][1:] / scale)
 
     def test_shifted_gram_formed_once_per_s_f(self, monkeypatch):
-        # Each projected set's H = P^H P - cutoff * I, an S_f's or an S_g's,
-        # is formed once per call, with its projection: for dft_pair d=6, one
-        # call per (side, size) and 27 matrices in all.  Every later class of
-        # a (side, size) downdates that H: the six classes (1, 1) ... (1, 6)
-        # read the H of S_f of size 1, the four classes (2, 1) ... (5, 1) that
-        # of S_g of size 1.
-        b = generate("dft_pair", {"d": 6}, 0)
-        space = admissible_space(b)
-        want = reference_search(b, space)
+        # subspace_union d=8 split=4 pairs a system of 4 indices with one of
+        # 8, and every class projects the 4's sets: its S_f, and its S_g in
+        # the swap.  Each projected set's H = P^H P - cutoff * I is formed
+        # once per call, with its projection: one call per size, 15 matrices
+        # in all.  Every later class of that size downdates that H in place:
+        # the H of the 4's sets of size 2 in the classes that test 2 and 3
+        # of the 8's indices (and 4 in the swap).  Weyl's bound rules no set
+        # out in those classes, so every filter call reads a whole H.
+        base = generate("subspace_union", {"d": 8, "split": 4}, 0)
         formed, downdated = [], []
         project, downdate = oracle._project, oracle._downdate
 
@@ -208,15 +213,22 @@ class TestMinSparsityProduct:
             return formed[-1]
 
         def downdate_spy(q, h, s_g):
-            downdated.append(h)
+            downdated.append((h, s_g.shape[1]))
             return downdate(q, h, s_g)
 
         monkeypatch.setattr(oracle, "_project", project_spy)
         monkeypatch.setattr(oracle, "_downdate", downdate_spy)
-        assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
-        assert [h.shape[-1] for _, h, _ in formed] == [6, 6, 15]
-        assert all(any(np.shares_memory(h, f) for _, f, _ in formed) for h in downdated)
-        assert [sum(np.shares_memory(h, f) for h in downdated) for _, f, _ in formed[:2]] == [6, 4]
+        for b, reads in [(base, [[8], [2, 3], [2], []]),
+                         (swapped(base), [[8], [2, 3, 4], [2], [2]])]:
+            formed.clear()
+            downdated.clear()
+            space = admissible_space(b)
+            assert report_fields(min_sparsity_product(b, space)) == report_fields(
+                reference_search(b, space))
+            assert [f[1].shape[-1] for f in formed] == [4, 6, 4, 1]
+            assert all(any(np.shares_memory(h, f[1]) for f in formed) for h, _ in downdated)
+            assert [[size for h, size in downdated if np.shares_memory(h, f[1])]
+                    for f in formed] == reads
 
     def test_dft_pair_d12_projects_each_size_in_one_call(self, monkeypatch):
         # dft_pair d=12 reaches size classes of comb(12, 6) = 924 sets on
@@ -234,13 +246,34 @@ class TestMinSparsityProduct:
         stacked = [len(a) for (a, *_), _ in svd.call_args_list if a.ndim == 3]
         assert stacked == list(map(len, stacks))
 
+    @pytest.mark.parametrize("d,searched", [(9, 25516), (12, 349793)])
+    def test_dft_pair_filters_only_the_winners_class(self, monkeypatch, d, searched):
+        # Weyl's bound rules out every projected set in every class before
+        # the winner's, (1, d), whose spikes S_f = {j} all leave room for
+        # the single S_g of size d: one filter call, of d sets against it.
+        calls = []
+        candidates = oracle._candidates
+
+        def spy(p, ks, h, s_g):
+            calls.append((ks.tolist(), s_g.shape))
+            return candidates(p, ks, h, s_g)
+
+        monkeypatch.setattr(oracle, "_candidates", spy)
+        b = generate("dft_pair", {"d": d}, 0)
+        report = min_sparsity_product(b, admissible_space(b))
+        assert (report.best_lhs, report.patterns_searched) == (d, searched)
+        assert witness_l0_product(b, report) == d
+        assert calls == [([1] * d, (1, d))]
+
     def test_size_class_mixing_k_matches_reference(self, monkeypatch):
         # The identity's sets of size 3 leave rows over block_basis() whose
         # null spaces have dimension 0, 1 or 2.  Against the eight-vector
-        # frame, classes such as (3, 2) (28 frame sets against 20) project
-        # the identity's S_f, and one filter call tests S_f of k = 1 and k = 2
-        # together; with the systems swapped the same happens to its S_g.  The
-        # winner lies well behind those classes.
+        # frame the winner is the line, S_f = {0, 4, 5} (k = 1) in class
+        # (3, 5), which projects the identity's S_f in blocks of nine; the
+        # plane's S_f = {1, 2, 3} (k = 2) follows it in the same block, and
+        # Weyl's bound leaves it live at |S_g| = 5, so one filter call tests
+        # S_f of k = 1 and k = 2 together.  With the systems swapped the same
+        # happens to the identity's S_g in class (5, 3).
         rows = block_basis()
         ks = {null_space_basis(np.delete(rows, s, axis=0), oracle.MARGIN * TOL_RANK).shape[1]
               for s in itertools.combinations(range(6), 3)}
@@ -258,7 +291,7 @@ class TestMinSparsityProduct:
         for b in (block_frame(), swapped(block_frame())):
             space = admissible_space(b)
             want = reference_search(b, space)
-            assert want.best_lhs == 16
+            assert want.best_lhs == 15
             mixed.clear()
             assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
             assert mixed
@@ -534,15 +567,21 @@ def projection_stack(rng, m, ks, field, heavy=(), light=1.0, near=(), residual=0
 
 
 def assert_filter_sound(p, ks):
-    """oracle._candidates on every size class of S_g passes each pattern whose
-    smallest eigenvalue of P_off^H P_off is <= CUTOFF / 2 and rejects each one
-    whose smallest eigenvalue is >= 2 * CUTOFF; an S_f with k = 0 passes none."""
+    """The search's filter on every size class of S_g, Weyl's bound
+    (oracle._ruled_out) and then oracle._candidates on the sets the bound
+    leaves, passes each pattern whose smallest eigenvalue of P_off^H P_off is
+    <= CUTOFF / 2 and rejects each one whose smallest eigenvalue is
+    >= 2 * CUTOFF; an S_f with k = 0 passes none.  Every S_g of a size the
+    bound rules out for an S_f leaves a smallest eigenvalue >= CUTOFF, by SVD,
+    up to a rounding allowance of 1e-14 (about 100 u ||P||^2).  Returns the
+    number of sizes ruled out for each S_f."""
     width, m = p.shape[:2]
     h = np.einsum("imf,jmf->ijf", p.conj(), p)
     h[np.arange(width), np.arange(width)] -= CUTOFF
+    ruled_out = oracle._ruled_out(p, h, ks)
     for size in range(1, m + 1):
         s_g = oracle._subsets(m, size)
-        keep = oracle._candidates(p, ks, h, s_g)
+        keep = oracle._candidates(p, np.where(ruled_out > size, 0, ks), h, s_g)
         passed = {(int(i_f), int(i_g)) for i_f, i_g in zip(*np.nonzero(keep))}
         for i_f, k in enumerate(ks):
             for i_g, rows in enumerate(s_g):
@@ -552,10 +591,14 @@ def assert_filter_sound(p, ks):
                 off = np.delete(p[width - k:, :, i_f].T, rows, axis=0)
                 sigma = np.linalg.svd(off, compute_uv=False)
                 low = sigma[-1] ** 2 if len(sigma) == k else 0.0
+                if ruled_out[i_f] > size:
+                    assert low >= CUTOFF - 1e-14, (i_f, rows, low)
                 if low >= 2 * CUTOFF:
                     assert (i_f, i_g) not in passed, (i_f, rows, low)
                 elif low <= CUTOFF / 2:
                     assert (i_f, i_g) in passed, (i_f, rows, low)
+    assert (ruled_out[ks == 0] == m + 1).all()
+    return ruled_out
 
 
 @st.composite
@@ -593,6 +636,23 @@ def test_downdated_filter_sound_under_cancellation(field, light):
     p = projection_stack(rng, 8, ks, field, heavy=range(5), light=light,
                          near=range(5, 8), residual=1e-2)
     assert_filter_sound(p, ks)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("light", [1e-4, 2e-4, 3e-4, 5e-4])
+def test_weyl_bound_exact_at_k_1(field, light):
+    # At k = 1, G - cutoff * I is ||p||^2 - cutoff less the masses of the
+    # rows in S_g, so the bound is exact: it rules out a size exactly when
+    # every S_g of that size leaves ||p_off||^2 > CUTOFF.  Rows 5-7, of mass
+    # about light^2 / 4 each, put that edge near the cutoff at size 5.
+    rng = np.random.default_rng(int(1 / light) + (field == "complex"))
+    ks = np.array([1, 1, 1, 1, 2, 0])
+    p = projection_stack(rng, 8, ks, field, heavy=range(5), light=light)
+    ruled_out = assert_filter_sound(p, ks)
+    for i_f in np.flatnonzero(ks == 1):
+        # The sizes b at which the m - b lightest rows weigh > CUTOFF.
+        lightest = np.cumsum(np.sort(np.abs(p[-1, :, i_f]) ** 2))
+        assert ruled_out[i_f] == np.count_nonzero(lightest > CUTOFF)
 
 
 class TestMixedField:

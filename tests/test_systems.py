@@ -16,6 +16,7 @@ from sparsebounds import (
     from_hilbert_vectors,
     generate,
     identity_system,
+    min_sparsity_product,
     sample_admissible,
     validate_pairing,
     verify_fkdb,
@@ -174,6 +175,34 @@ class TestOwnership:
             assert not m.flags.writeable and m.flags.c_contiguous
             assert not any(np.shares_memory(m, x) for x in matrices(base))
         assert [m.tobytes() for m in matrices(base)] == before
+
+
+def array_record(kind):
+    """A fresh instance of one array-holding record type, made from its own
+    dft_pair d=2."""
+    b = generate("dft_pair", {"d": 2}, 0)
+    if kind == "PairedSystem":
+        return b.first
+    if kind == "BiSystem":
+        return b
+    if kind == "ValidationReport":
+        return validate_pairing(b.first)
+    space = admissible_space(b)
+    return space if kind == "AdmissibleSpace" else min_sparsity_product(b, space)
+
+
+@pytest.mark.parametrize("kind", ["PairedSystem", "BiSystem", "AdmissibleSpace",
+                                  "ValidationReport", "TightnessReport"])
+def test_array_records_compare_and_hash_by_identity(kind):
+    # A generated __eq__ would compare two records' arrays as a tuple and
+    # raise "truth value of an array ... is ambiguous".  Each record equals
+    # itself only, not an equal-valued one made apart, and is hashable.
+    one, other = array_record(kind), array_record(kind)
+    assert type(one).__name__ == kind
+    assert one == one and not one != one
+    assert one != other and not one == other
+    assert hash(one) == hash(one) != hash(other)
+    assert {one: 1, other: 2}[other] == 2
 
 
 @pytest.mark.parametrize("d", [256, 512])
