@@ -1,37 +1,43 @@
 """Brute-force ground truth: exhaustive support-pattern search.
 
-The search enumerates support-pattern pairs (S_f, S_g) in increasing order of
-|S_f| * |S_g| (ties by |S_f|, then lexicographic sets) and solves each
+The search enumerates support-pattern pairs (S_f, S_g) in increasing order
+of |S_f| * |S_g| (ties by |S_f|, then lexicographic sets) and solves each
 pattern's feasibility as a null-space problem; the first feasible pattern is
 therefore a minimizer of the sparsity product over the admissible subspace.
-Each size class projects the side with fewer sets, S_g when comb(m, |S_g|)
-< comb(n, |S_f|) and S_f otherwise, unless only the other side's sets of the
-class are projected already, which it then reuses.  Described for S_f (for
-S_g, exchange the two systems): each S_f is projected onto V, a loosely cut
-null space of the first system's rows outside S_f, by one stacked SVD over
-all S_f of equal size in the first class that projects them; P = C V (m x k)
-and its shifted Gram matrix H = P^H P - cutoff * I, summed once over all m
-rows, are kept until the search returns, with the sizes of S_g that Weyl's
-inequality rules out for the set: those at which H's smallest eigenvalue
-exceeds the sum of the |S_g| largest row masses ||p_i||^2 of P, so that
-G - cutoff * I below is positive definite for every S_g of that size.  A size
-class is then filtered in batches of at most BATCH patterns: the projected
-sets of equal k are tested together, across S_f and S_g, by an LDL^H pivot
-test of G - cutoff * I for the k x k Gram matrix G of the rows of P outside
-S_g, downdated from H by the |S_g| outer products of the rows in S_g.  Every
-pattern of a projected set with k = 0, or of a size the bound rules out for
-the set, is counted with no linear algebra; a batch or a class in which no
-set is left to test is counted whole.  The Gram stacks hold the k x k matrix
-axes first and the pattern axes last, so every elementwise step of the
-downdate and the pivot test runs over contiguous vectors of patterns.
-Each batch's candidates are confirmed in enumeration order (S_f-major) on
-their full off-pattern stacks, as a pattern-by-pattern scan would, before
-the next batch is filtered.
+The classes come one at a time, from a heap, so a search that stops early
+never orders the rest.  Each size class projects the side with fewer sets,
+S_g when comb(m, |S_g|) < comb(n, |S_f|) and S_f otherwise, unless only the
+other side's sets of the class are projected already, which it then reuses.
+Described for S_f (for S_g, exchange the two systems): each S_f is projected
+onto V, a loosely cut null space of the first system's rows outside S_f, by
+one stacked SVD over all S_f of equal size in the first class that projects
+them; P = C V (m x k) and its shifted Gram matrix H = P^H P - cutoff * I,
+summed once over all m rows, are kept until the search returns, with the
+sizes of S_g that Weyl's inequality rules out for the set, found in the
+projection on the same arrays: those at which H's smallest eigenvalue
+exceeds the sum of the |S_g| largest row masses ||p_i||^2 of P, so that G -
+cutoff * I below is positive definite for every S_g of that size.  A class
+at a size that every projected set rules out is counted by one comparison
+with the least of those sizes, and only a class that is filtered builds the
+tables of its S_f and S_g (a projection builds the table of its sets'
+complements).  A size class is otherwise filtered in batches of at most
+BATCH patterns: the projected sets of equal k are tested together, across
+S_f and S_g, by an LDL^H pivot test of G - cutoff * I for the k x k Gram
+matrix G of the rows of P outside S_g, downdated from H by the |S_g| outer
+products of the rows in S_g.  Every pattern of a projected set with k = 0,
+or of a size the bound rules out for the set, is counted with no linear
+algebra; a batch or a class in which no set is left to test is counted
+whole.  The Gram stacks hold the k x k matrix axes first and the pattern
+axes last, so every elementwise step of the downdate and the pivot test runs
+over contiguous vectors of patterns.  Each batch's candidates are confirmed
+in enumeration order (S_f-major) on their full off-pattern stacks, as a
+pattern-by-pattern scan would, before the next batch is filtered.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -66,11 +72,17 @@ class TightnessReport:
 
 
 def _pattern_order(n: int, m: int):
-    """All (|S_f|, |S_g|) size pairs by increasing product, then |S_f|."""
-    return sorted(
-        ((i, j) for i in range(1, n + 1) for j in range(1, m + 1)),
-        key=lambda ij: (ij[0] * ij[1], ij[0], ij[1]),
-    )
+    """All (|S_f|, |S_g|) size pairs by increasing product, then |S_f|, made
+    one at a time: a heap holds the next pair (i, j) of each |S_f| = i, keyed
+    (i * j, i), so a search that stops early never orders the rest."""
+    heap = [(i, i, 1) for i in range(1, n + 1)] if m else []  # sorted, so a heap
+    while heap:
+        _, i, j = heap[0]
+        yield i, j
+        if j < m:
+            heapq.heapreplace(heap, (i * (j + 1), i, j + 1))
+        else:
+            heapq.heappop(heap)
 
 
 def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
@@ -99,8 +111,12 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
     # the same with A and C, and S_f and S_g, exchanged.  V spans A_off's
     # singular vectors of singular value up to MARGIN * t, so k = 0 rules out
     # every S_g, and c = V v + u, u orthogonal to V, has ||u|| <= 1 / MARGIN,
-    # so ||C_off V v|| <= t + ||C|| / MARGIN with ||v||^2 >= 1 - MARGIN^-2:
-    # the Gram cutoff is twice the square of that bound.
+    # so ||C_off V v|| <= t + ||C / s|| / MARGIN with ||v||^2 >= 1 - MARGIN^-2:
+    # the Gram cutoff is twice the square of that bound with ||C / s|| read as
+    # min(||C / s||_F, 1), which is at least ||C / s|| because the Frobenius
+    # norm bounds the spectral one and s >= ||C||.  A larger cutoff only
+    # passes more patterns and rules out fewer sizes, and it widens the room
+    # below, so it saves the spectral norm's SVD at no cost to soundness.
     # The filter rejects a pattern only when every pivot of the LDL^H
     # factorization of G - cutoff * I, G = (C_off V)^H C_off V, is > 0.  It
     # forms G - cutoff * I as H minus the outer products p_i^H p_i of the rows
@@ -117,34 +133,38 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
     # pattern's smallest eigenvalue of G and the cutoff; at the default guard,
     # m + |S_g| <= 46 (n + |S_f| <= 46 when S_g is projected) keeps both
     # errors about 6 orders of magnitude below it.
-    # Before the filter, a projected set counts as k = 0 in each class whose
-    # |S_g| Weyl's inequality rules out (_ruled_out): the smallest eigenvalue
-    # of G - cutoff * I = H - sum_{i in S_g} p_i^H p_i is at least that of H
-    # less the sum of the |S_g| largest ||p_i||^2, and where that is > 0 the
-    # filter rejects every pattern of the class with that set, as above.  The
-    # bound reads only the instance's projected rows, never a coherence bound.
+    # With its projection, each projected set gets the sizes |S_g| that
+    # Weyl's inequality rules out for it (_ruled_out); it counts as k = 0 in
+    # each class of such a size, and a class at a size that every set rules
+    # out is counted whole, its subset tables never built.  The smallest
+    # eigenvalue of G - cutoff * I = H - sum_{i in S_g} p_i^H p_i is at least
+    # that of H less the sum of the |S_g| largest ||p_i||^2, and where that is
+    # > 0 the filter rejects every pattern of the class with that set, as
+    # above.  The bound reads only the instance's projected rows, never a
+    # coherence bound.
     # Its rounding, about k * u * ||H|| for eigvalsh (backward stable) and
     # m * u * ||C / s||^2 for the sums of masses, lies as far inside the room
     # as the filter's, so it never rules out a pattern the confirmation
     # accepts.
-    scale = max(_norm2(np.concatenate([a_rows, c_rows])), 1.0)
+    scale = max(np.linalg.svd(np.concatenate([a_rows, c_rows]), compute_uv=False)[0], 1.0)
     units = (a_rows / scale, c_rows / scale)
     t = tol_rank + 1e3 * np.finfo(float).eps
     with np.errstate(over="ignore"):  # inf for a tol_rank near the largest float
         # Side 0 projects S_f and tests the rows of C; side 1 projects S_g.
-        cutoffs = [2.0 * (t + _norm2(u) / MARGIN) ** 2 for u in units[::-1]]
+        cutoffs = [2.0 * (t + min(np.linalg.norm(u), 1.0) / MARGIN) ** 2 for u in units[::-1]]
+    # The tables of this call's projected and filtered size classes only.
     subsets = functools.cache(_subsets)
-    # (side, size) -> (P, H = P^H P - cutoff * I, k and the sizes ruled out) of
-    # every projected set of that size, made in the first class that projects
-    # them.
+    # (side, size) -> (P, H = P^H P - cutoff * I, k, the sizes ruled out and
+    # their least) of every projected set of that size, made in the first
+    # class that projects them.
     projections = {}
 
     searched = 0
     for sizes in _pattern_order(n, m):
-        s_f, s_g = subsets(n, sizes[0]), subsets(m, sizes[1])
+        counts = comb(n, sizes[0]), comb(m, sizes[1])
         # Project the side with fewer sets (ties: S_f), unless only the other
         # side's sets of this class are projected already: reuse those.
-        side = int(len(s_g) < len(s_f))
+        side = int(counts[1] < counts[0])
         if (side, sizes[side]) not in projections and (1 - side, sizes[1 - side]) in projections:
             side = 1 - side
         count, size = (n, m)[side], sizes[side]
@@ -153,31 +173,29 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
             outside = subsets(count, count - size)[::-1]
             projections[side, size] = _project(units[side][outside], units[1 - side],
                                                MARGIN * t, cutoffs[side])
-        p, h, ks, ruled_out = projections[side, size]
-        tested = (s_g, s_f)[side]
-        # The sets ruled out at this class's tested size count as k = 0; a
-        # class or block with no set left to test is not filtered.
-        ks = np.where(ruled_out > sizes[1 - side], 0, ks)
-        for block in _batches(len(s_f), len(s_g)) if ks.any() else ():
-            here, there = block[side], block[1 - side]
-            if not ks[here].any():
-                continue
-            keep = _candidates(p[..., here], ks[here], h[..., here], tested[there])
-            for i_f, i_g in zip(*np.nonzero(keep.T if side else keep)):
-                i_f, i_g = block[0].start + int(i_f), block[1].start + int(i_g)
-                off = np.concatenate([np.delete(a_rows, s_f[i_f], axis=0),
-                                      np.delete(c_rows, s_g[i_g], axis=0)])
-                basis = null_space_basis(off, tol_rank)
-                if basis.shape[1] > 0:
-                    return _report(bisystem, space, basis[:, 0], sizes, eta, guard,
-                                   searched + i_f * len(s_g) + i_g + 1)
-        searched += len(s_f) * len(s_g)
+        p, h, ks, ruled_out, least = projections[side, size]
+        # A class whose tested size every projected set rules out is counted
+        # whole.  Otherwise the sets ruled out count as k = 0, and a block
+        # with no set left to test is not filtered.
+        if sizes[1 - side] >= least:
+            s_f, s_g = subsets(n, sizes[0]), subsets(m, sizes[1])
+            tested = (s_g, s_f)[side]
+            ks = np.where(ruled_out > sizes[1 - side], 0, ks)
+            for block in _batches(*counts):
+                here, there = block[side], block[1 - side]
+                if not ks[here].any():
+                    continue
+                keep = _candidates(p[..., here], ks[here], h[..., here], tested[there])
+                for i_f, i_g in zip(*np.nonzero(keep.T if side else keep)):
+                    i_f, i_g = block[0].start + int(i_f), block[1].start + int(i_g)
+                    off = np.concatenate([np.delete(a_rows, s_f[i_f], axis=0),
+                                          np.delete(c_rows, s_g[i_g], axis=0)])
+                    basis = null_space_basis(off, tol_rank)
+                    if basis.shape[1] > 0:
+                        return _report(bisystem, space, basis[:, 0], sizes, eta, guard,
+                                       searched + i_f * counts[1] + i_g + 1)
+        searched += counts[0] * counts[1]
     raise NoAdmissibleSignalError("no feasible support pattern found")
-
-
-def _norm2(a: np.ndarray) -> float:
-    """||a||_2, the value np.linalg.norm(a, 2) returns, without its overhead."""
-    return np.linalg.svd(a, compute_uv=False)[0]
 
 
 def _subsets(m: int, size: int) -> np.ndarray:
@@ -198,47 +216,56 @@ def _batches(count_f: int, count_g: int):
 
 
 def _project(a_off: np.ndarray, c_unit: np.ndarray, cut: float, cutoff: float) -> tuple:
-    """(p, h, k, sizes ruled out per set) for a stack a_off (F, r, w) of the
-    rows A_off / s of one system outside F sets, by one stacked SVD; c_unit
-    (m, w) holds the other system's rows C / s.  The last k rows of Vh,
-    A_off's right singular vectors beyond the rank at cut, span V.  p (width,
-    m, F), width = max k, holds the last width rows of (C Vh^H / s)^T of each
-    set, the last k of them its P^T / s; h (width, width, F) holds H = P^H P
-    - cutoff * I over all m rows, whose last k rows and columns are its P's.
-    The sizes ruled out are _ruled_out's."""
-    _, s, vh = np.linalg.svd(a_off)
+    """(p, h, k, sizes ruled out per set, their least) for a stack a_off (F,
+    r, w) of the rows A_off / s of one system outside F sets, by one stacked
+    SVD; c_unit (m, w) holds the other system's rows C / s.  The last k rows
+    of Vh, A_off's right singular vectors beyond the rank at cut, span V.  p
+    (width, m, F), width = max k, holds the last width rows of (C Vh^H / s)^T
+    of each set, the last k of them its P^T / s; h (width, width, F) holds H
+    = P^H P - cutoff * I over all m rows, whose last k rows and columns are
+    its P's.  The sizes ruled out are _ruled_out's, on the same arrays sets
+    axis first.  For a tall or square stack the reduced SVD holds all of Vh,
+    with the full SVD's bits."""
+    _, s, vh = np.linalg.svd(a_off, full_matrices=a_off.shape[-2] < a_off.shape[-1])
     ks = vh.shape[-1] - _rank(s, cut)
     width = ks.max()
     q = vh[:, vh.shape[-1] - width:].conj() @ c_unit.T
     h = q.conj() @ q.transpose(0, 2, 1)
     i = np.arange(width)
     h[:, i, i] -= cutoff
+    ruled_out = _ruled_out(q, h, ks)
     p, h = np.ascontiguousarray(q.transpose(1, 2, 0)), np.ascontiguousarray(h.transpose(1, 2, 0))
-    return p, h, ks, _ruled_out(p, h, ks)
+    return p, h, ks, ruled_out, int(ruled_out.min())
 
 
-def _ruled_out(p: np.ndarray, h: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """For each set of a projection (p, h, ks as _project returns them), the
-    number b of sizes |S_g| = 0 ... b - 1 at which G - cutoff * I is positive
-    definite for every S_g, so that the filter rejects every such pattern.
-    G - cutoff * I is H less the outer products of the rows of P in S_g, so by
-    Weyl's inequality its smallest eigenvalue is at least low - top, for low
-    the smallest eigenvalue of H and top the sum of the |S_g| largest row
-    masses ||p_i||^2 of P.  A set with k = 0 (low = inf) is ruled out at every
-    size; none is when H is not finite, as an infinite cutoff makes it."""
-    width, m, count = p.shape
+def _ruled_out(q: np.ndarray, h: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """For each of the F sets of a projection, with q (F, width, m) its P^T in
+    the last k rows and h (F, width, width) its H in the last k rows and
+    columns, the number b of sizes |S_g| = 0 ... b - 1 at which G - cutoff * I
+    is positive definite for every S_g, so that the filter rejects every such
+    pattern.  G - cutoff * I is H less the outer products of the rows of P in
+    S_g, so by Weyl's inequality its smallest eigenvalue is at least low -
+    top, for low the smallest eigenvalue of H and top the sum of the |S_g|
+    largest row masses ||p_i||^2 of P.  A set with k = 0 (low = inf) is ruled
+    out at every size; none is when H is not finite, as an infinite cutoff
+    makes it."""
+    count, width, m = q.shape
     if not np.isfinite(h).all():  # eigvalsh would raise
         return np.zeros(count, int)
-    low, mass = np.full(count, np.inf), np.zeros((m, count))
-    for k in set(ks.tolist()) - {0}:
-        group, cut = ks == k, width - k
-        if group.all():
-            group = slice(None)  # a view, not a copy
-        block, rows = np.moveaxis(h[cut:, cut:, group], -1, 0), p[cut:, :, group]
-        low[group] = block[:, 0, 0].real if k == 1 else np.linalg.eigvalsh(block)[:, 0]
-        mass[:, group] = (rows.conj() * rows).real.sum(axis=0)
-    top = np.cumsum(np.sort(mass, axis=0)[::-1], axis=0)
-    return (low > 0) + (low > top).sum(axis=0)
+
+    def bound(q, h):  # low and the row masses of sets whose P^T is all of q
+        low = h[:, 0, 0].real if h.shape[-1] == 1 else np.linalg.eigvalsh(h)[:, 0]
+        return low, (q.conj() * q).real.sum(axis=1)
+
+    if width and ks.min() == width:  # the common case: every set shares k
+        low, mass = bound(q, h)
+    else:
+        low, mass = np.full(count, np.inf), np.zeros((count, m))
+        for k in set(ks.tolist()) - {0}:
+            group, cut = ks == k, width - k
+            low[group], mass[group] = bound(q[group, cut:], h[group, cut:, cut:])
+    top = np.cumsum(np.sort(mass, axis=1)[:, ::-1], axis=1)
+    return (low > 0) + (low[:, None] > top).sum(axis=1)
 
 
 def _candidates(p: np.ndarray, ks: np.ndarray, h: np.ndarray, s_g: np.ndarray) -> np.ndarray:

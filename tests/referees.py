@@ -33,7 +33,7 @@ from sparsebounds.admissible import null_space_basis
 from sparsebounds.bounds import VerifySummary
 from sparsebounds.config import ETA, GUARD, TOL_CERT, TOL_FP, TOL_RANK
 from sparsebounds.errors import NoAdmissibleSignalError
-from sparsebounds.oracle import _pattern_order, _report
+from sparsebounds.oracle import _report
 
 
 # --- Shared constructions -----------------------------------------------------
@@ -78,6 +78,12 @@ def permuted(system, perm):
 
 # --- The oracle's referee: one null-space solve per pattern -------------------
 
+def pattern_order(n, m):
+    """All (|S_f|, |S_g|) size pairs by increasing product, then |S_f|."""
+    return sorted(((i, j) for i in range(1, n + 1) for j in range(1, m + 1)),
+                  key=lambda ij: (ij[0] * ij[1], ij[0], ij[1]))
+
+
 def reference_search(bisystem, space, eta=ETA, guard=GUARD, tol_rank=TOL_RANK):
     """min_sparsity_product as a plain loop of one null-space solve per pattern,
     on the off-pattern rows gathered pattern by pattern."""
@@ -85,7 +91,7 @@ def reference_search(bisystem, space, eta=ETA, guard=GUARD, tol_rank=TOL_RANK):
     a_rows = bisystem.first.functionals @ space.basis
     c_rows = bisystem.second.functionals @ space.basis
     searched = 0
-    for size_f, size_g in _pattern_order(n, m):
+    for size_f, size_g in pattern_order(n, m):
         for s_f in itertools.combinations(range(n), size_f):
             for s_g in itertools.combinations(range(m), size_g):
                 searched += 1

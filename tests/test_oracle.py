@@ -25,11 +25,12 @@ from sparsebounds.errors import (
     NoAdmissibleSignalError,
     StructuralError,
 )
-from sparsebounds.config import ETA, TOL_RANK
+from sparsebounds.config import ETA, GUARD, TOL_RANK
 from sparsebounds import oracle
 from referees import (
     MIXED,
     outcome,
+    pattern_order,
     permuted,
     reference_search,
     report_fields,
@@ -265,6 +266,31 @@ class TestMinSparsityProduct:
         assert witness_l0_product(b, report) == d
         assert calls == [([1] * d, (1, d))]
 
+    @pytest.mark.parametrize("d,tables", [
+        (9, [(9, 8), (9, 7), (9, 1), (9, 9)]),
+        (12, [(12, 11), (12, 10), (12, 9), (12, 1), (12, 12)]),
+    ])
+    def test_dft_pair_builds_tables_of_projected_and_filtered_classes(self, monkeypatch, d,
+                                                                       tables):
+        # Each subset table is built once per call, and only for a class that
+        # needs it: the complements of each projected size, in the order the
+        # classes first project them (sizes 1 and 2 are projected on both
+        # sides, from one table each), and the S_f and S_g of the one class
+        # that is filtered, (1, d).  Every other class is ruled out whole by
+        # Weyl's bound and builds nothing.
+        built = []
+        subsets = oracle._subsets
+
+        def spy(m, size):
+            built.append((m, size))
+            return subsets(m, size)
+
+        monkeypatch.setattr(oracle, "_subsets", spy)
+        b = generate("dft_pair", {"d": d}, 0)
+        report = min_sparsity_product(b, admissible_space(b))
+        assert report.best_lhs == d
+        assert built == tables
+
     def test_size_class_mixing_k_matches_reference(self, monkeypatch):
         # The identity's sets of size 3 leave rows over block_basis() whose
         # null spaces have dimension 0, 1 or 2.  Against the eight-vector
@@ -389,6 +415,46 @@ def test_batched_search_matches_reference_property(b):
     space = admissible_space(b)
     want = reference_search(b, space)
     assert report_fields(min_sparsity_product(b, space)) == report_fields(want)
+
+
+def test_pattern_order_is_the_referees():
+    # The oracle makes its size classes one at a time; the referee states
+    # their order as one sort.
+    for n in range(GUARD + 1):
+        for m in range(GUARD + 1 - n):
+            assert list(oracle._pattern_order(n, m)) == pattern_order(n, m), (n, m)
+
+
+# Example count from the hypothesis profile (tests/conftest.py).
+@given(small_bisystems(), st.data())
+def test_cutoffs_bound_the_spectral_cutoffs_property(b, data):
+    # Each Gram cutoff reads the tested rows' norm as min(||C / s||_F, 1),
+    # where the soundness argument needs ||C / s||_2: it must never fall
+    # below 2 (t + ||C / s||_2 / MARGIN)^2, up to the two norms' own rounding
+    # (they are equal for a single row).  The rows are rescaled by a drawn
+    # factor per index, so that the floor s >= 1 and the spread of the rows
+    # both come into play.
+    scales = [10.0 ** np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=size,
+                                                  max_size=size)))
+              for size in (b.first.n, b.second.n)]
+    b = BiSystem(rescaled_per_index(b.first, scales[0]), rescaled_per_index(b.second, scales[1]))
+    used = []
+    project = oracle._project
+
+    def spy(a_off, c_unit, cut, cutoff):
+        used.append((c_unit, cutoff))
+        return project(a_off, c_unit, cut, cutoff)
+
+    with mock.patch.object(oracle, "_project", spy):
+        try:
+            min_sparsity_product(b, admissible_space(b))
+        except (DegenerateInputError, NoAdmissibleSignalError):
+            pass  # the cutoffs were used all the same
+    assert used
+    t = TOL_RANK + 1e3 * np.finfo(float).eps
+    for c_unit, cutoff in used:
+        spectral = np.linalg.svd(c_unit, compute_uv=False)[0]
+        assert cutoff >= 2.0 * (t + spectral / oracle.MARGIN) ** 2 * (1 - 16 * np.finfo(float).eps)
 
 
 # The theorem's symmetries (ROADMAP item 1) at moderate scales: swapping the
@@ -578,7 +644,7 @@ def assert_filter_sound(p, ks):
     width, m = p.shape[:2]
     h = np.einsum("imf,jmf->ijf", p.conj(), p)
     h[np.arange(width), np.arange(width)] -= CUTOFF
-    ruled_out = oracle._ruled_out(p, h, ks)
+    ruled_out = oracle._ruled_out(p.transpose(2, 0, 1), h.transpose(2, 0, 1), ks)
     for size in range(1, m + 1):
         s_g = oracle._subsets(m, size)
         keep = oracle._candidates(p, np.where(ruled_out > size, 0, ks), h, s_g)
