@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import TOL_RANK, _numbers, _valid_integer, _valid_real
+from .config import TOL_RANK, _valid_array, _valid_integer, _valid_real
 from .dft import dft_matrix
 from .errors import NoAdmissibleSignalError, ParameterError, StructuralError
 from .systems import (
@@ -48,19 +48,19 @@ _MAGNITUDE = 0.05
 class AdmissibleSpace:
     """Orthonormal basis (d x w) of the shared fixed-point subspace.
 
-    w is the basis's column count; a basis that is not a 2-d matrix is
-    refused with StructuralError.  The basis is a private read-only copy of
-    the array given, in that array's memory order, so every product with it
-    runs the BLAS call, and has the bits, of the array given.  Per-space
-    invariants, the basis's finiteness and its product form
-    (systems._form), are therefore decided once and kept on the instance.
-    A space is checked where it is used (_check_basis).
+    w is the basis's column count.  The basis takes the library's array
+    rule (config._valid_array) when the space is made, so a basis with a
+    non-finite entry, or one that is not a 2-d matrix, is refused then with
+    StructuralError.  It is a private read-only copy of the array given, in
+    that array's memory order, so every product with it runs the BLAS call,
+    and has the bits, of the array given.  Its product form (systems._form)
+    is therefore decided once and kept on the instance.
     """
 
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = np.array(_numbers("admissible basis", self.basis), order="K")
+        basis = np.array(_valid_array("admissible basis", self.basis), order="K")
         if basis.ndim != 2:
             raise StructuralError(f"admissible basis has shape {basis.shape}, "
                                   f"expected a (d, w) matrix")
@@ -71,11 +71,6 @@ class AdmissibleSpace:
     def w(self) -> int:
         """The dimension of the subspace: the basis's column count."""
         return self.basis.shape[1]
-
-    @cached_property
-    def _finite(self) -> bool:
-        """Whether every entry of the basis is finite, decided once."""
-        return bool(np.isfinite(self.basis).all())
 
     @cached_property
     def _form(self) -> _Form:
@@ -141,24 +136,15 @@ def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> Admissib
 
 
 def _check_space(bisystem: BiSystem, space: AdmissibleSpace) -> None:
-    """Refuses a space that does not fit the bisystem: a basis that fails
-    _check_basis at the bisystem's d, or is complex-typed for a real
-    bisystem.  The field is decided by dtype, not by value: a complex-typed
-    basis draws complex coefficients (_samples) even when its imaginary part
-    is zero."""
-    _check_basis(space, bisystem.d)
+    """Refuses a space that does not fit the bisystem: a basis without the
+    bisystem's d rows, or a complex-typed one for a real bisystem.  The
+    field is decided by dtype, not by value: a complex-typed basis draws
+    complex coefficients (_samples) even when its imaginary part is zero."""
+    if space.basis.shape[0] != bisystem.d:
+        raise StructuralError(f"admissible basis has shape {space.basis.shape}, expected "
+                              f"(d, w) = ({bisystem.d}, {space.w})")
     if np.iscomplexobj(space.basis) and bisystem.field == REAL:
         raise StructuralError("admissible basis is complex but the bisystem is real")
-
-
-def _check_basis(space: AdmissibleSpace, d: int | None = None) -> None:
-    """Refuses a space whose basis has a non-finite entry or, when d is
-    given, does not have d rows."""
-    if not space._finite:
-        raise StructuralError("admissible basis contains non-finite entries")
-    if d not in (None, space.basis.shape[0]):
-        raise StructuralError(f"admissible basis has shape {space.basis.shape}, expected "
-                              f"(d, w) = ({d}, {space.w})")
 
 
 def sample_admissible(space: AdmissibleSpace, seed: int) -> np.ndarray:
@@ -167,11 +153,9 @@ def sample_admissible(space: AdmissibleSpace, seed: int) -> np.ndarray:
     Deterministic for a fixed seed: basis @ c, with the coefficients c drawn
     by np.random.default_rng(seed).standard_normal (a second draw is the
     imaginary part for a complex basis) and normalized to max magnitude 1.
-    It is trial 0 of exhaustive_verify's sweep at that seed.  The space is
-    checked by _check_basis first.
+    It is trial 0 of exhaustive_verify's sweep at that seed.
     """
     rng = np.random.default_rng(_valid_integer("seed", seed, 0))
-    _check_basis(space)
     return _samples(space, rng, 1)[0]
 
 

@@ -78,22 +78,22 @@ def fixedpoint_residuals(bisystem: BiSystem, x) -> tuple:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """Per-bisystem invariants and tolerances, computed once for many signals."""
+    """Per-bisystem invariants and the tolerances the verdicts compare with,
+    computed once for many signals."""
 
-    bisystem: BiSystem
     profile: CoherenceProfile
     pairing_ok: bool
-    eta: float
     tol_fp: float
     tol_cert: float
 
 
 def _prepare(bisystem: BiSystem, eta: float = ETA, tol_fp: float = TOL_FP,
              tol_cert: float = TOL_CERT) -> _Prepared:
+    """The bisystem's _Prepared, once all three tolerances are checked: eta
+    is then passed on as it is (sparsity._counts takes it checked)."""
     for name, value in (("eta", eta), ("tol_fp", tol_fp), ("tol_cert", tol_cert)):
         _valid_real(name, value)
-    return _Prepared(bisystem, coherence_profile(bisystem), bisystem._pairing_ok,
-                     eta, tol_fp, tol_cert)
+    return _Prepared(coherence_profile(bisystem), bisystem._pairing_ok, tol_fp, tol_cert)
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,6 @@ def _analyse(bisystem: BiSystem, x: np.ndarray) -> _Signal:
     return _Signal(a, b, r_f, r_g)
 
 
-def _signal(prep: _Prepared, x) -> _Signal:
-    x = _as_signal(prep.bisystem.field, x, prep.bisystem.d, "signal")
-    if _counts(np.abs(x), prep.eta) == 0:
-        raise DegenerateInputError("signal is zero after thresholding")
-    return _analyse(prep.bisystem, x)
-
-
 def _certificates(prep: _Prepared, r_f, r_g, o_m, o_n, eps, delta) -> dict:
     """BoundCertificate's lhs, rhs, numerators and verdicts, keyed by field
     name, at fixed-point residuals (r_f, r_g), set sizes (o_m, o_n) and
@@ -143,20 +136,6 @@ def _certificates(prep: _Prepared, r_f, r_g, o_m, o_n, eps, delta) -> dict:
                 hypothesis_ok=hypothesis_ok, vacuous=vacuous, satisfied=satisfied)
 
 
-def _certify(prep: _Prepared, sig: _Signal, o_m: int, o_n: int,
-             eps: Optional[float], delta: Optional[float]) -> BoundCertificate:
-    """Certificate at set sizes (o_m, o_n) with concentration defects
-    (eps, delta); eps = delta = None is the flat bound, evaluated at 0."""
-    quantities = _certificates(prep, sig.r_f, sig.r_g, o_m, o_n, 0.0 if eps is None else eps,
-                               0.0 if delta is None else delta)
-    return BoundCertificate(
-        **{name: np.asarray(value).item() for name, value in quantities.items()},
-        profile=prep.profile, fixedpoint_residual_f=float(sig.r_f),
-        fixedpoint_residual_g=float(sig.r_g), eta=prep.eta, tol_fp=prep.tol_fp,
-        tol_cert=prep.tol_cert, epsilon=eps, delta=delta,
-    )
-
-
 def verify_fkdb(bisystem: BiSystem, x, eta: float = ETA, tol_fp: float = TOL_FP,
                 tol_cert: float = TOL_CERT) -> BoundCertificate:
     """Certificate for the sparsity-product inequality at signal x.
@@ -165,10 +144,7 @@ def verify_fkdb(bisystem: BiSystem, x, eta: float = ETA, tol_fp: float = TOL_FP,
     residual above tol_fp) yields a certificate with hypothesis_ok=False and
     satisfied=False, never a silent pass.
     """
-    prep = _prepare(bisystem, eta, tol_fp, tol_cert)
-    sig = _signal(prep, x)
-    return _certify(prep, sig, _counts(np.abs(sig.a), eta), _counts(np.abs(sig.b), eta),
-                    None, None)
+    return _verify(bisystem, x, None, eta, tol_fp, tol_cert)
 
 
 def verify_fskpb(bisystem: BiSystem, x, set_m, set_n, eta: float = ETA,
@@ -178,11 +154,34 @@ def verify_fskpb(bisystem: BiSystem, x, set_m, set_n, eta: float = ETA,
     epsilon and delta are the exact concentration defects of the analysis
     coefficients on M and N; empty sets are allowed (epsilon or delta = 1).
     """
+    return _verify(bisystem, x, (set_m, set_n), eta, tol_fp, tol_cert)
+
+
+def _verify(bisystem: BiSystem, x, sets, eta: float, tol_fp: float,
+            tol_cert: float) -> BoundCertificate:
+    """Certificate at signal x.  With sets None it is the flat bound, at the
+    l0 counts of the analysis vectors and eps = delta = 0, with epsilon and
+    delta recorded as None; with sets (M, N), the concentrated bound at the
+    sets' sizes and concentration defects."""
     prep = _prepare(bisystem, eta, tol_fp, tol_cert)
-    sig = _signal(prep, x)
-    (o_m, eps), (o_n, delta) = (_concentration(np.abs(sig.a), set_m),
-                                _concentration(np.abs(sig.b), set_n))
-    return _certify(prep, sig, o_m, o_n, eps, delta)
+    x = _as_signal(bisystem.field, x, bisystem.d, "signal")
+    if _counts(np.abs(x), eta) == 0:
+        raise DegenerateInputError("signal is zero after thresholding")
+    sig = _analyse(bisystem, x)
+    mags = np.abs(sig.a), np.abs(sig.b)
+    eps = delta = None
+    if sets is None:
+        o_m, o_n = (_counts(m, eta) for m in mags)
+    else:
+        (o_m, eps), (o_n, delta) = map(_concentration, mags, sets)
+    quantities = _certificates(prep, sig.r_f, sig.r_g, o_m, o_n, 0.0 if eps is None else eps,
+                               0.0 if delta is None else delta)
+    return BoundCertificate(
+        **{name: np.asarray(value).item() for name, value in quantities.items()},
+        profile=prep.profile, fixedpoint_residual_f=float(sig.r_f),
+        fixedpoint_residual_g=float(sig.r_g), eta=eta, tol_fp=tol_fp, tol_cert=tol_cert,
+        epsilon=eps, delta=delta,
+    )
 
 
 @dataclass(frozen=True)

@@ -27,13 +27,13 @@ def l0(a, eta: float = ETA) -> int:
     """Number of entries with magnitude strictly above eta, an absolute
     threshold, not one relative to the scale of a (ROADMAP.md, item 1,
     "Scale-aware thresholds")."""
-    return int(_counts(_magnitudes(a), eta))
+    return int(_counts(_magnitudes(a), _valid_real("eta", eta)))
 
 
 def _counts(mags: np.ndarray, eta: float):
     """l0 of each row (last axis) of the magnitudes mags: the count strictly
-    above eta."""
-    return (mags > _valid_real("eta", eta)).sum(axis=-1)
+    above eta, a threshold its caller has checked (config._valid_real)."""
+    return (mags > eta).sum(axis=-1)
 
 
 def concentration_epsilon(a, index_set) -> float:

@@ -277,8 +277,9 @@ def _dense(a: _Form, b: _Form, dtype) -> np.ndarray:
 
 
 def analysis(system: PairedSystem, x) -> np.ndarray:
-    """Apply the analysis operator: x -> (f_j(x))_j."""
-    return system.functionals @ _as_signal(system.field, x, system.d, "signal")
+    """Apply the analysis operator: x -> (f_j(x))_j, by the functionals' kept
+    form (_apply), as the certificates analyse a signal."""
+    return _apply(system._functionals_form, _as_signal(system.field, x, system.d, "signal"))
 
 
 def identity_system(d: int, field_tag: str = REAL) -> PairedSystem:

@@ -5,16 +5,17 @@ it: a search loop of one null-space solve per pattern, a sweep loop over
 the public certificates, the sampling stream written with NumPy's own
 generator, rank by fraction-free Bareiss elimination over the rationals,
 the classical Kuppinger-Durisi-Bolcskei and Elad-Bruckstein bounds, the
-proof's per-index inequality and the support of a sequence.  Beside them
-are the theorem's symmetries and the constructions that more than one test
-module builds.  Test modules import from this module only, never from each
-other.  Beyond the library under test it uses only numpy and the standard
-library, and pytest does not collect it.
+proof's per-index inequality, the support of a sequence and sparse
+admissible signals.  Beside them are the theorem's symmetries and the
+constructions that more than one test module builds.  Test modules import
+from this module only, never from each other.  Beyond the library under
+test it uses only numpy and the standard library, and pytest does not
+collect it.
 """
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import numpy as np
 
@@ -74,6 +75,36 @@ def rescaled(bisystem, c):
 
 def permuted(system, perm):
     return PairedSystem(system.vectors[:, perm], system.functionals[perm], system.field)
+
+
+# --- Sparse admissible signals -----------------------------------------------
+
+def sparse_draws(bisystem, space, k, rng):
+    """Admissible signals P_W T c, then P_W W c, for k-sparse coefficient
+    vectors c, with P_W = B Bᴴ the orthogonal projector onto the span of the
+    space's orthonormal basis B.  Each system gives one signal per support
+    of size k, or 16 supports drawn by rng when it has more; the
+    nonzero coefficients have magnitudes uniform in [0.5, 1] and a uniform
+    sign, or a uniform phase for a complex bisystem.  A projection that is
+    exactly zero is dropped.  At k = 1 these are the atoms P_W tau_j and
+    P_W omega_l, up to scale."""
+    basis = space.basis
+    signals = []
+    for system in (bisystem.first, bisystem.second):
+        n = system.n
+        supports = (list(itertools.combinations(range(n), k)) if comb(n, k) <= 16
+                    else [rng.choice(n, k, replace=False) for _ in range(16)])
+        for chosen in supports:
+            if bisystem.field == "complex":
+                unit = np.exp(2j * np.pi * rng.random(k))
+            else:
+                unit = rng.choice([-1.0, 1.0], k)
+            c = np.zeros(n, unit.dtype)
+            c[list(chosen)] = rng.uniform(0.5, 1.0, k) * unit
+            x = basis @ (basis.conj().T @ (system.vectors @ c))
+            if np.abs(x).max() > 0:
+                signals.append(x)
+    return signals
 
 
 # --- The oracle's referee: one null-space solve per pattern -------------------

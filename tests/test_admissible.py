@@ -246,6 +246,16 @@ class TestAdmissibleSpace:
         b = BiSystem(PairedSystem(1e200 * np.eye(2), np.eye(2)), identity_system(2))
         assert admissible_space(b).w == 0
 
+    def test_overflowing_products_refused_when_the_space_is_made(self):
+        # Every input is finite, but T F overflows to inf, so the SVD of
+        # [I - TF; I - WG] is all NaN: that basis is refused by the array
+        # rule as the space is made, never returned.
+        first = PairedSystem([[1e200, 1], [0, 1]], [[1e200, 1e200], [0, 1]])
+        b = BiSystem(first, identity_system(2))
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+                StructuralError, match="^admissible basis contains non-finite entries$"):
+            admissible_space(b)
+
     def test_plane_intersection(self):
         xy = plane_system(np.eye(3)[:, [0, 1]])
         yz = plane_system(np.eye(3)[:, [1, 2]])
@@ -339,8 +349,8 @@ class TestSampling:
         (np.ones(3), r"shape \(3,\), expected a \(d, w\) matrix"),
     ], ids=["nan", "inf", "one-axis"])
     def test_unfit_basis_refused(self, basis, message):
-        # No NaN signal, no raw numpy error: a basis that is not a matrix is
-        # refused when the space is made, a non-finite one where it is used.
+        # No NaN signal, no raw numpy error: a basis that is not a finite
+        # matrix is refused when the space is made.
         with pytest.raises(StructuralError, match=message):
             sample_admissible(AdmissibleSpace(basis), 0)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -33,13 +34,17 @@ from sparsebounds.errors import DegenerateInputError, ParameterError, Structural
 from referees import (
     MIXED,
     eb_rhs,
+    hadamard_pair,
     per_index_slack,
+    permuted,
     reference_verify,
     rescaled,
     rescaled_per_index,
     rotation,
     skewed,
+    sparse_draws,
     support,
+    swapped,
 )
 
 
@@ -324,7 +329,9 @@ def test_fskpb_monotonicity_grid():
 ])
 def test_stacked_analysis_has_single_signal_bits(bisystem):
     # exhaustive_verify analyses its signals as one stack; every row must
-    # equal the certificates' analysis of that signal alone, bit for bit.
+    # equal the certificates' analysis of that signal alone, and the public
+    # analysis of it by each system of its field, bit for bit.  (The public
+    # analysis refuses a complex signal for the mixed pair's real system.)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((9, bisystem.d))
     if bisystem.field == "complex":
@@ -335,6 +342,11 @@ def test_stacked_analysis_has_single_signal_bits(bisystem):
         for got, want in zip((stack.a[i], stack.b[i], stack.r_f[i], stack.r_g[i]),
                              (one.a, one.b, one.r_f, one.r_g)):
             assert got.tobytes() == want.tobytes()
+        for got, system in ((stack.a[i], bisystem.first), (stack.b[i], bisystem.second)):
+            if system.field != bisystem.field:
+                continue
+            want = analysis(system, row)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 DFT4 = generate("dft_pair", {"d": 4})
@@ -572,3 +584,88 @@ def test_exhaustive_verify_matches_reference_on_corpus(name, tol_fp, subsample):
     assert got.min_margin.hex() == want.min_margin.hex()
     if name == "unpaired":
         assert got.satisfied == got.concentrated_satisfied == 0
+
+
+# --- Sparse admissible draws at the flat bound's equality cases ---------------
+#
+# A dense admissible signal has lhs = n m, far above the flat bound; these
+# signals sit on it.  On dft_pair and the Walsh-Hadamard pair (the identity
+# with the normalised Sylvester-Hadamard basis of Z_2^k), rhs = d, and the
+# atoms P_W tau_j and P_W omega_l, the Dirac combs and the subgroup
+# indicators attain it: lhs = rhs, to rounding.  Each case must be satisfied
+# and its margin must be rounding, not tol_cert's slack; a 2- or 3-sparse draw
+# is no equality case and sits at least d above the bound.  All of it holds
+# again under the symmetries the theorem allows: swapping the systems,
+# permuting the indices, and an orthogonal change of ambient basis Q
+# (tau_j -> Q tau_j, f_j -> f_j Qᵀ, x -> Q x).  Per-index rescaling is left
+# out: its absolute thresholds are ROADMAP item 1's open fault.
+
+def walsh_hadamard_pair(k):
+    h = np.array(hadamard_pair(k)[0], dtype=float)
+    return BiSystem(identity_system(len(h)), from_hilbert_vectors(h / np.sqrt(len(h))))
+
+
+def dirac_combs(d):
+    """The indicator of the multiples of t, for every divisor t of d."""
+    return [(np.arange(d) % t == 0).astype(float) for t in range(1, d + 1) if d % t == 0]
+
+
+def subgroup_indicators(d):
+    """The indicator of every subgroup of Z_2^k, d = 2^k, index i being the
+    element with i's bits: the XOR span of every set of at most k generators."""
+    spans = set()
+    for size in range(d.bit_length()):
+        for generators in itertools.combinations(range(1, d), size):
+            span = {0}
+            for g in generators:
+                span |= {s ^ g for s in span}
+            spans.add(frozenset(span))
+    return [np.isin(np.arange(d), sorted(span)).astype(float) for span in sorted(spans, key=sorted)]
+
+
+def changed_basis(bisystem, cases, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((bisystem.d, bisystem.d)))
+    systems = (PairedSystem(q @ s.vectors, s.functionals @ q.T, s.field)
+               for s in (bisystem.first, bisystem.second))
+    return BiSystem(*systems), [q @ x for x in cases]
+
+
+SYMMETRIES = {
+    "as-built": lambda b, cases, rng: (b, cases),
+    "swapped": lambda b, cases, rng: (swapped(b), cases),
+    "permuted": lambda b, cases, rng: (BiSystem(permuted(b.first, rng.permutation(b.first.n)),
+                                                permuted(b.second, rng.permutation(b.second.n))),
+                                       cases),
+    "changed-basis": changed_basis,
+}
+
+EQUALITY_PAIRS = {
+    **{f"dft_pair-{d}": (generate("dft_pair", {"d": d}), dirac_combs(d)) for d in (4, 8, 9, 16)},
+    **{f"walsh_hadamard-{2**k}": (walsh_hadamard_pair(k), subgroup_indicators(2**k))
+       for k in (3, 4)},
+}
+
+
+def test_subgroup_indicators_are_every_subgroup():
+    # Z_2^3 has 1 + 7 + 7 + 1 subgroups, Z_2^4 1 + 15 + 35 + 15 + 1.
+    assert [len(subgroup_indicators(d)) for d in (8, 16)] == [16, 67]
+
+
+@pytest.mark.parametrize("symmetry", SYMMETRIES.values(), ids=SYMMETRIES)
+@pytest.mark.parametrize("name", EQUALITY_PAIRS)
+def test_sparse_draws_meet_the_flat_bound(name, symmetry):
+    bisystem, cases = EQUALITY_PAIRS[name]
+    rng = np.random.default_rng(14)
+    bisystem, cases = symmetry(bisystem, cases, rng)
+    space = admissible_space(bisystem)
+    atoms = sparse_draws(bisystem, space, 1, rng)
+    assert len(atoms) == 2 * bisystem.d
+    for x in [*atoms, *cases]:
+        cert = verify_fkdb(bisystem, x)
+        assert cert.satisfied
+        assert abs(cert.lhs - cert.rhs) <= 1e-12 * cert.rhs
+    for k in (2, 3):
+        for x in sparse_draws(bisystem, space, k, rng):
+            cert = verify_fkdb(bisystem, x)
+            assert cert.satisfied
+            assert cert.lhs - cert.rhs >= bisystem.d - 1e-9

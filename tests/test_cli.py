@@ -635,6 +635,18 @@ class TestSample:
         assert captured.out == ""
         assert captured.err == "error: admissible subspace is trivial (w = 0)\n"
 
+    def test_overflowing_products_exit_1_with_no_output(self, tmp_path, capsys):
+        # T F overflows, so the admissible basis is non-finite: refused.
+        first = PairedSystem([[1e200, 1], [0, 1]], [[1e200, 1e200], [0, 1]])
+        b = {"first": system_to_dict(first), "second": system_to_dict(identity_system(2))}
+        path = tmp_path / "overflow.json"
+        path.write_text(canonical_json(b))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["verify", "--bisystem", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: admissible basis contains non-finite entries\n"
+
 
 class TestReproducibility:
     def test_verify_rerun_byte_identical(self, capsys):

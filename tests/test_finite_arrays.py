@@ -1,8 +1,8 @@
 """Every array taken from outside is a regular nesting of finite numbers:
-signals, sequences and system matrices with a NaN or infinite entry, a
-string, an object or ragged rows are refused with StructuralError where they
-enter, by one rule (config._valid_array), instead of passing or failing a
-threshold silently or escaping as a raw numpy error."""
+signals, sequences, system matrices and admissible bases with a NaN or
+infinite entry, a string, an object or ragged rows are refused with
+StructuralError where they enter, by one rule (config._valid_array), instead
+of passing or failing a threshold silently or escaping as a raw numpy error."""
 
 import math
 
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sparsebounds import (
+    AdmissibleSpace,
     PairedSystem,
     analysis,
     best_set,
@@ -38,6 +39,7 @@ ENTRY_POINTS = {
     "ds_product": lambda x: ds_product(x),
     "forward": lambda x: forward(x),
     "PairedSystem": lambda x: PairedSystem([x], [x]),
+    "AdmissibleSpace": lambda x: AdmissibleSpace([x]),
 }
 
 NON_FINITE = {

@@ -1,10 +1,12 @@
 """The package's public surface as its readers see it: README.md's examples
 run as written and show what their comments claim, README's API list is the
-package's exports, and every name the benchmark (bench/) reads exists."""
+package's exports, every module attribute README names exists, and every
+name the benchmark (bench/) reads exists."""
 
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 import re
 import types
 from pathlib import Path
@@ -44,6 +46,20 @@ def test_api_list_matches_exports():
     assert sorted(api) == sorted(exports)
     for name, module in api.items():
         assert getattr(sparsebounds, name).__module__ == f"sparsebounds.{module}", name
+
+
+def test_module_names_in_readme_exist():
+    # Each backticked `module.name` whose module is one of the package's, or
+    # the tests' referees, names an attribute of that module: a README that
+    # names a deleted helper fails here.
+    modules = {info.name: f"sparsebounds.{info.name}"
+               for info in pkgutil.iter_modules(sparsebounds.__path__)}
+    modules["referees"] = "referees"
+    named = {(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)`", README.read_text())
+             if module in modules}
+    assert {("config", "_valid_array"), ("oracle", "BATCH"), ("referees", "eb_rhs")} <= named
+    for module, name in sorted(named):
+        assert hasattr(importlib.import_module(modules[module]), name), f"{module}.{name}"
 
 
 def bench_reads():
