@@ -130,8 +130,11 @@ def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> Admissib
     d, dtype = bisystem.d, _DTYPES[bisystem.field]
     eye = np.eye(d, dtype=dtype)
     stacked = np.empty((2 * d, d), dtype)
-    for half, system in zip((stacked[:d], stacked[d:]), (bisystem.first, bisystem.second)):
-        np.subtract(eye, _matmul(system._vectors_form, system._functionals_form), out=half)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for half, system in zip((stacked[:d], stacked[d:]), (bisystem.first, bisystem.second)):
+            np.subtract(eye, _matmul(system._vectors_form, system._functionals_form), out=half)
+    if not np.isfinite(stacked).all():  # T F or W G overflowed: so would the basis
+        raise StructuralError("admissible basis contains non-finite entries")
     return AdmissibleSpace(null_space_basis(stacked, tol_rank))
 
 

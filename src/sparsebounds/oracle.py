@@ -16,22 +16,23 @@ summed once over all m rows, are kept until the search returns, with the
 sizes of S_g that Weyl's inequality rules out for the set, found in the
 projection on the same arrays: those at which H's smallest eigenvalue
 exceeds the sum of the |S_g| largest row masses ||p_i||^2 of P, so that G -
-cutoff * I below is positive definite for every S_g of that size.  A class
-at a size that every projected set rules out is counted by one comparison
-with the least of those sizes, and only a class that is filtered builds the
-tables of its S_f and S_g (a projection builds the table of its sets'
-complements).  A size class is otherwise filtered in batches of at most
-BATCH patterns: the projected sets of equal k are tested together, across
-S_f and S_g, by an LDL^H pivot test of G - cutoff * I for the k x k Gram
-matrix G of the rows of P outside S_g, downdated from H by the |S_g| outer
-products of the rows in S_g.  Every pattern of a projected set with k = 0,
-or of a size the bound rules out for the set, is counted with no linear
-algebra; a batch or a class in which no set is left to test is counted
-whole.  The Gram stacks hold the k x k matrix axes first and the pattern
-axes last, so every elementwise step of the downdate and the pivot test runs
-over contiguous vectors of patterns.  Each batch's candidates are confirmed
-in enumeration order (S_f-major) on their full off-pattern stacks, as a
-pattern-by-pattern scan would, before the next batch is filtered.
+cutoff * I below is positive definite for every S_g of that size.  A set
+of k below the projection's largest has an exact inert block ahead of its
+own that decides nothing (_project); one with k = 0 is ruled out at every
+size.  A class at a size that every projected set rules out is counted by
+one comparison with the least of those sizes, and only a class that is
+filtered builds the tables of its S_f and S_g (a projection builds the table
+of its sets' complements).  A size class is otherwise filtered in batches of
+at most BATCH patterns: the live projected sets, those not ruled out at the
+class's size, are tested together, across S_f and S_g, by an LDL^H pivot
+test of G - cutoff * I for the Gram matrix G of the rows of P outside S_g,
+downdated from H by the |S_g| outer products of the rows in S_g.  A batch or
+a class with no live set is counted whole.  The Gram stacks hold the matrix
+axes first and the pattern axes last, so every elementwise step of the
+downdate and the pivot test runs over contiguous vectors of patterns.  Each
+batch's candidates are confirmed in enumeration order (S_f-major) on their
+full off-pattern stacks, as a pattern-by-pattern scan would, before the next
+batch is filtered.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
     # m + |S_g| <= 46 (n + |S_f| <= 46 when S_g is projected) keeps both
     # errors about 6 orders of magnitude below it.
     # With its projection, each projected set gets the sizes |S_g| that
-    # Weyl's inequality rules out for it (_ruled_out); it counts as k = 0 in
-    # each class of such a size, and a class at a size that every set rules
+    # Weyl's inequality rules out for it (_ruled_out); it is not tested in
+    # a class of such a size, and a class at a size that every set rules
     # out is counted whole, its subset tables never built.  The smallest
     # eigenvalue of G - cutoff * I = H - sum_{i in S_g} p_i^H p_i is at least
     # that of H less the sum of the |S_g| largest ||p_i||^2, and where that is
@@ -154,7 +155,7 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
         cutoffs = [2.0 * (t + min(np.linalg.norm(u), 1.0) / MARGIN) ** 2 for u in units[::-1]]
     # The tables of this call's projected and filtered size classes only.
     subsets = functools.cache(_subsets)
-    # (side, size) -> (P, H = P^H P - cutoff * I, k, the sizes ruled out and
+    # (side, size) -> (P, H = P^H P - cutoff * I, the sizes ruled out and
     # their least) of every projected set of that size, made in the first
     # class that projects them.
     projections = {}
@@ -173,19 +174,19 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
             outside = subsets(count, count - size)[::-1]
             projections[side, size] = _project(units[side][outside], units[1 - side],
                                                MARGIN * t, cutoffs[side])
-        p, h, ks, ruled_out, least = projections[side, size]
+        p, h, ruled_out, least = projections[side, size]
         # A class whose tested size every projected set rules out is counted
-        # whole.  Otherwise the sets ruled out count as k = 0, and a block
-        # with no set left to test is not filtered.
+        # whole.  Otherwise only the live sets, those not ruled out at that
+        # size, are tested, and a block with none is not filtered.
         if sizes[1 - side] >= least:
             s_f, s_g = subsets(n, sizes[0]), subsets(m, sizes[1])
             tested = (s_g, s_f)[side]
-            ks = np.where(ruled_out > sizes[1 - side], 0, ks)
+            live = ruled_out <= sizes[1 - side]
             for block in _batches(*counts):
                 here, there = block[side], block[1 - side]
-                if not ks[here].any():
+                if not live[here].any():
                     continue
-                keep = _candidates(p[..., here], ks[here], h[..., here], tested[there])
+                keep = _candidates(p[..., here], live[here], h[..., here], tested[there])
                 for i_f, i_g in zip(*np.nonzero(keep.T if side else keep)):
                     i_f, i_g = block[0].start + int(i_f), block[1].start + int(i_g)
                     off = np.concatenate([np.delete(a_rows, s_f[i_f], axis=0),
@@ -216,71 +217,62 @@ def _batches(count_f: int, count_g: int):
 
 
 def _project(a_off: np.ndarray, c_unit: np.ndarray, cut: float, cutoff: float) -> tuple:
-    """(p, h, k, sizes ruled out per set, their least) for a stack a_off (F,
-    r, w) of the rows A_off / s of one system outside F sets, by one stacked
+    """(p, h, sizes ruled out per set, their least) for a stack a_off (F, r,
+    w) of the rows A_off / s of one system outside F sets, by one stacked
     SVD; c_unit (m, w) holds the other system's rows C / s.  The last k rows
-    of Vh, A_off's right singular vectors beyond the rank at cut, span V.  p
-    (width, m, F), width = max k, holds the last width rows of (C Vh^H / s)^T
-    of each set, the last k of them its P^T / s; h (width, width, F) holds H
-    = P^H P - cutoff * I over all m rows, whose last k rows and columns are
-    its P's.  The sizes ruled out are _ruled_out's, on the same arrays sets
-    axis first.  For a tall or square stack the reduced SVD holds all of Vh,
-    with the full SVD's bits."""
+    of Vh, A_off's right singular vectors beyond the rank at cut, span V.
+    p (width, m, F), width = max(max k, 1), holds the last width rows of
+    (C Vh^H / s)^T of each set: its P^T / s in the last k, exact zeros in the
+    others, the inert rows, which lie outside V; h (width, width, F) holds
+    H = P^H P - cutoff * I over all m rows, exactly I in the inert block.
+    That block decides nothing.  Its coupling entries are exact zeros and
+    its pivots 1, so the LDL^H test takes the k x k block's own pivots; H's
+    eigenvalues are 1 and the block's, whose least is at most ||C / s||^2 -
+    cutoff < 1 (and min(1, low) <= low in any case); its rows add no mass.
+    A set with k = 0, all inert, has low = 1 and no mass, so it is ruled out
+    at every size.  The sizes ruled out are _ruled_out's, on the same arrays
+    sets axis first.  For a tall or square stack the reduced SVD holds all
+    of Vh, with the full SVD's bits."""
     _, s, vh = np.linalg.svd(a_off, full_matrices=a_off.shape[-2] < a_off.shape[-1])
     ks = vh.shape[-1] - _rank(s, cut)
-    width = ks.max()
+    width = max(ks.max(), 1)
     q = vh[:, vh.shape[-1] - width:].conj() @ c_unit.T
+    inert = np.arange(width) < (width - ks)[:, None]
+    q[inert] = 0.0
     h = q.conj() @ q.transpose(0, 2, 1)
     i = np.arange(width)
-    h[:, i, i] -= cutoff
-    ruled_out = _ruled_out(q, h, ks)
+    h[:, i, i] = np.where(inert, 1.0, h[:, i, i] - cutoff)
+    ruled_out = _ruled_out(q, h)
     p, h = np.ascontiguousarray(q.transpose(1, 2, 0)), np.ascontiguousarray(h.transpose(1, 2, 0))
-    return p, h, ks, ruled_out, int(ruled_out.min())
+    return p, h, ruled_out, int(ruled_out.min())
 
 
-def _ruled_out(q: np.ndarray, h: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """For each of the F sets of a projection, with q (F, width, m) its P^T in
-    the last k rows and h (F, width, width) its H in the last k rows and
-    columns, the number b of sizes |S_g| = 0 ... b - 1 at which G - cutoff * I
-    is positive definite for every S_g, so that the filter rejects every such
-    pattern.  G - cutoff * I is H less the outer products of the rows of P in
-    S_g, so by Weyl's inequality its smallest eigenvalue is at least low -
-    top, for low the smallest eigenvalue of H and top the sum of the |S_g|
-    largest row masses ||p_i||^2 of P.  A set with k = 0 (low = inf) is ruled
-    out at every size; none is when H is not finite, as an infinite cutoff
-    makes it."""
-    count, width, m = q.shape
+def _ruled_out(q: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """For each of the F sets of a projection, with q (F, width, m) its P^T
+    and h (F, width, width) its H, the number b of sizes |S_g| = 0 ... b - 1
+    at which G - cutoff * I is positive definite for every S_g, so that the
+    filter rejects every such pattern.  G - cutoff * I is H less the outer
+    products of the rows of P in S_g, so by Weyl's inequality its smallest
+    eigenvalue is at least low - top, for low the smallest eigenvalue of H
+    and top the sum of the |S_g| largest row masses ||p_i||^2 of P.  None is
+    ruled out when H is not finite, as an infinite cutoff makes it."""
     if not np.isfinite(h).all():  # eigvalsh would raise
-        return np.zeros(count, int)
-
-    def bound(q, h):  # low and the row masses of sets whose P^T is all of q
-        low = h[:, 0, 0].real if h.shape[-1] == 1 else np.linalg.eigvalsh(h)[:, 0]
-        return low, (q.conj() * q).real.sum(axis=1)
-
-    if width and ks.min() == width:  # the common case: every set shares k
-        low, mass = bound(q, h)
-    else:
-        low, mass = np.full(count, np.inf), np.zeros((count, m))
-        for k in set(ks.tolist()) - {0}:
-            group, cut = ks == k, width - k
-            low[group], mass[group] = bound(q[group, cut:], h[group, cut:, cut:])
+        return np.zeros(len(q), int)
+    low = h[:, 0, 0].real if h.shape[-1] == 1 else np.linalg.eigvalsh(h)[:, 0]
+    mass = (q.conj() * q).real.sum(axis=1)
     top = np.cumsum(np.sort(mass, axis=1)[:, ::-1], axis=1)
     return (low > 0) + (low[:, None] > top).sum(axis=1)
 
 
-def _candidates(p: np.ndarray, ks: np.ndarray, h: np.ndarray, s_g: np.ndarray) -> np.ndarray:
-    """Whether each pattern (i_f, i_g), as a (len(ks), len(s_g)) mask, has a
+def _candidates(p: np.ndarray, live: np.ndarray, h: np.ndarray, s_g: np.ndarray) -> np.ndarray:
+    """Whether each pattern (i_f, i_g), as a (len(live), len(s_g)) mask, has a
     Gram matrix G = P_off^H P_off that fails the positive-definiteness test of
-    G - cutoff * I, where P is the last ks[i_f] rows of p[:, :, i_f]
-    transposed and P_off its rows outside s_g[i_g]; G - cutoff * I is
-    downdated from H, h[:, :, i_f].  The projected sets of equal k are tested
-    together; k = 0 passes none."""
-    keep = np.zeros((len(ks), len(s_g)), bool)
-    for k in set(ks.tolist()) - {0}:
-        group, cut = ks == k, len(p) - k
-        if group.all():
-            group = slice(None)  # a view, not a copy
-        keep[group] = _indefinite(_downdate(p[cut:, :, group], h[cut:, cut:, group], s_g)).T
+    G - cutoff * I, where P is p[:, :, i_f] transposed and P_off its rows
+    outside s_g[i_g]; G - cutoff * I is downdated from H, h[:, :, i_f].  The
+    live sets are tested together; the others pass none."""
+    keep = np.zeros((len(live), len(s_g)), bool)
+    group = slice(None) if live.all() else live  # a view, not a copy
+    keep[group] = _indefinite(_downdate(p[..., group], h[..., group], s_g)).T
     return keep
 
 

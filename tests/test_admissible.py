@@ -247,13 +247,14 @@ class TestAdmissibleSpace:
         assert admissible_space(b).w == 0
 
     def test_overflowing_products_refused_when_the_space_is_made(self):
-        # Every input is finite, but T F overflows to inf, so the SVD of
-        # [I - TF; I - WG] is all NaN: that basis is refused by the array
-        # rule as the space is made, never returned.
+        # Every input is finite, but T F overflows to inf, so the stack
+        # [I - TF; I - WG] is not finite and its basis would be all NaN: it
+        # is refused before the SVD, with no numpy warning (tier-1 makes a
+        # RuntimeWarning an error).
         first = PairedSystem([[1e200, 1], [0, 1]], [[1e200, 1e200], [0, 1]])
         b = BiSystem(first, identity_system(2))
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
-                StructuralError, match="^admissible basis contains non-finite entries$"):
+        with pytest.raises(StructuralError,
+                           match="^admissible basis contains non-finite entries$"):
             admissible_space(b)
 
     def test_plane_intersection(self):

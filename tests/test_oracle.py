@@ -88,6 +88,15 @@ def block_frame():
     return BiSystem(identity_system(6), PairedSystem(q @ u, (q @ u).T))
 
 
+def inert_ks(p, h):
+    """Each projected set's k, read from its inert block: the width less the
+    leading rows of p (width, m, F) that are exactly 0 and whose rows of h
+    (width, width, F) are exactly those of I."""
+    width = len(p)
+    inert = (p == 0).all(axis=1) & (h == np.eye(width)[:, :, None]).all(axis=1)
+    return width - np.logical_and.accumulate(inert, axis=0).sum(axis=0)
+
+
 class TestMinSparsityProduct:
     def test_identity_pair_d2(self):
         b = BiSystem(identity_system(2), identity_system(2))
@@ -247,24 +256,44 @@ class TestMinSparsityProduct:
         stacked = [len(a) for (a, *_), _ in svd.call_args_list if a.ndim == 3]
         assert stacked == list(map(len, stacks))
 
-    @pytest.mark.parametrize("d,searched", [(9, 25516), (12, 349793)])
+    @pytest.mark.parametrize("d,searched", [(9, 25516), (11, 180412), (12, 349793)])
     def test_dft_pair_filters_only_the_winners_class(self, monkeypatch, d, searched):
         # Weyl's bound rules out every projected set in every class before
         # the winner's, (1, d), whose spikes S_f = {j} all leave room for
-        # the single S_g of size d: one filter call, of d sets against it.
+        # the single S_g of size d: one filter call, of d live sets against
+        # it.
         calls = []
         candidates = oracle._candidates
 
-        def spy(p, ks, h, s_g):
-            calls.append((ks.tolist(), s_g.shape))
-            return candidates(p, ks, h, s_g)
+        def spy(p, live, h, s_g):
+            calls.append((live.dtype, live.tolist(), s_g.shape))
+            return candidates(p, live, h, s_g)
 
         monkeypatch.setattr(oracle, "_candidates", spy)
         b = generate("dft_pair", {"d": d}, 0)
         report = min_sparsity_product(b, admissible_space(b))
         assert (report.best_lhs, report.patterns_searched) == (d, searched)
         assert witness_l0_product(b, report) == d
-        assert calls == [([1] * d, (1, d))]
+        assert calls == [(np.dtype(bool), [True] * d, (1, d))]
+
+    def test_subspace_union_d10_matches_reference(self, monkeypatch):
+        # subspace_union d = 10, split = 3: Weyl's bound leaves six size
+        # classes to filter, one of them in two blocks, and the winner is
+        # confirmed by its null space.
+        calls = []
+        candidates = oracle._candidates
+
+        def spy(*args):
+            calls.append(args)
+            return candidates(*args)
+
+        monkeypatch.setattr(oracle, "_candidates", spy)
+        b = generate("subspace_union", {"d": 10, "split": 3}, seed=1)
+        space = admissible_space(b)
+        report = min_sparsity_product(b, space)
+        assert (report.best_lhs, report.patterns_searched) == (10, 4397)
+        assert len(calls) == 7
+        assert report_fields(report) == report_fields(reference_search(b, space))
 
     @pytest.mark.parametrize("d,tables", [
         (9, [(9, 8), (9, 7), (9, 1), (9, 9)]),
@@ -299,7 +328,8 @@ class TestMinSparsityProduct:
         # plane's S_f = {1, 2, 3} (k = 2) follows it in the same block, and
         # Weyl's bound leaves it live at |S_g| = 5, so one filter call tests
         # S_f of k = 1 and k = 2 together.  With the systems swapped the same
-        # happens to the identity's S_g in class (5, 3).
+        # happens to the identity's S_g in class (5, 3).  Each set's k is
+        # read from its inert block.
         rows = block_basis()
         ks = {null_space_basis(np.delete(rows, s, axis=0), oracle.MARGIN * TOL_RANK).shape[1]
               for s in itertools.combinations(range(6), 3)}
@@ -307,11 +337,11 @@ class TestMinSparsityProduct:
         mixed = []
         candidates = oracle._candidates
 
-        def spy(p, k, *args):
+        def spy(p, live, h, s_g):
             # The identity's sets are projected against the frame's 8 rows.
-            if p.shape[1] == 8 and set(k.tolist()) >= {1, 2}:
-                mixed.append(k)
-            return candidates(p, k, *args)
+            if p.shape[1] == 8 and set(inert_ks(p, h)[live].tolist()) >= {1, 2}:
+                mixed.append(live)
+            return candidates(p, live, h, s_g)
 
         monkeypatch.setattr(oracle, "_candidates", spy)
         for b in (block_frame(), swapped(block_frame())):
@@ -606,16 +636,19 @@ class TestLdlFilter:
 
 
 def projection_stack(rng, m, ks, field, heavy=(), light=1.0, near=(), residual=0.0):
-    """The oracle's p (width, m, F) for F = len(ks) sets S_f, width = max(ks):
-    p[:, :, i_f] is the width x m P^T of one S_f, whose last ks[i_f] rows are
-    its projection.  Each P is scaled to spectral norm 1, the unit scale of
-    the oracle's rows.  Before that, the rows in `near` lose all but
-    `residual` of their component along one unit direction of the last ks[i_f]
-    coordinates, so the patterns whose S_g holds every other row have a Gram
-    matrix with a smallest eigenvalue of about residual^2 times the rows'
-    mass; and the rows outside `heavy` are scaled by `light`, so that with
-    light << 1 the rows in `heavy` carry almost all of P^H P."""
-    width = max(ks)
+    """The oracle's p (width, m, F) for F = len(ks) sets S_f, width =
+    max(max(ks), 1): p[:, :, i_f] is the width x m P^T of one S_f, whose last
+    ks[i_f] rows are its projection and whose other rows, the inert ones,
+    are exactly 0, as oracle._project makes them.  Each width x m block is
+    scaled to spectral norm 1, the unit scale of the oracle's rows, and then
+    its inert rows are zeroed.  Before the scaling, the rows in `near` lose
+    all but `residual` of their component along one unit direction of the
+    last ks[i_f] coordinates, so the patterns whose S_g holds every other
+    row have a Gram matrix with a smallest eigenvalue of about residual^2
+    times the rows' mass; and the rows outside `heavy` are scaled by
+    `light`, so that with light << 1 the rows in `heavy` carry almost all of
+    P^H P."""
+    width = max(max(ks), 1)
     p = np.empty((width, m, len(ks)), complex if field == "complex" else float)
     for i_f, k in enumerate(ks):
         z = rng.standard_normal((m, width))
@@ -629,25 +662,28 @@ def projection_stack(rng, m, ks, field, heavy=(), light=1.0, near=(), residual=0
         z[rows] -= np.outer(z[rows] @ v.conj(), v) * (1 - residual)
         z[[i for i in range(m) if i not in heavy]] *= light
         p[:, :, i_f] = (z / (np.linalg.norm(z, 2) or 1.0)).T
+        p[:width - k, :, i_f] = 0.0
     return p
 
 
 def assert_filter_sound(p, ks):
     """The search's filter on every size class of S_g, Weyl's bound
     (oracle._ruled_out) and then oracle._candidates on the sets the bound
-    leaves, passes each pattern whose smallest eigenvalue of P_off^H P_off is
-    <= CUTOFF / 2 and rejects each one whose smallest eigenvalue is
-    >= 2 * CUTOFF; an S_f with k = 0 passes none.  Every S_g of a size the
-    bound rules out for an S_f leaves a smallest eigenvalue >= CUTOFF, by SVD,
-    up to a rounding allowance of 1e-14 (about 100 u ||P||^2).  Returns the
-    number of sizes ruled out for each S_f."""
+    leaves live, with H built as oracle._project builds it (exactly I in
+    each set's inert block), passes each pattern whose smallest eigenvalue
+    of P_off^H P_off is <= CUTOFF / 2 and rejects each one whose smallest
+    eigenvalue is >= 2 * CUTOFF; an S_f with k = 0 passes none.  Every S_g
+    of a size the bound rules out for an S_f leaves a smallest eigenvalue
+    >= CUTOFF, by SVD, up to a rounding allowance of 1e-14 (about 100 u
+    ||P||^2).  Returns the number of sizes ruled out for each S_f."""
     width, m = p.shape[:2]
     h = np.einsum("imf,jmf->ijf", p.conj(), p)
-    h[np.arange(width), np.arange(width)] -= CUTOFF
-    ruled_out = oracle._ruled_out(p.transpose(2, 0, 1), h.transpose(2, 0, 1), ks)
+    i = np.arange(width)
+    h[i, i] = np.where(i[:, None] < width - ks, 1.0, h[i, i] - CUTOFF)
+    ruled_out = oracle._ruled_out(p.transpose(2, 0, 1), h.transpose(2, 0, 1))
     for size in range(1, m + 1):
         s_g = oracle._subsets(m, size)
-        keep = oracle._candidates(p, np.where(ruled_out > size, 0, ks), h, s_g)
+        keep = oracle._candidates(p, ruled_out <= size, h, s_g)
         passed = {(int(i_f), int(i_g)) for i_f, i_g in zip(*np.nonzero(keep))}
         for i_f, k in enumerate(ks):
             for i_g, rows in enumerate(s_g):
@@ -674,8 +710,6 @@ def planted_projections(draw):
     the mass on another."""
     m = draw(st.integers(1, 8))
     ks = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
-    if max(ks) == 0:
-        ks[0] = 1
     rows = st.sets(st.integers(0, m - 1))
     return projection_stack(
         np.random.default_rng(draw(st.integers(0, 2**32 - 1))), m, ks,
@@ -719,6 +753,44 @@ def test_weyl_bound_exact_at_k_1(field, light):
         # The sizes b at which the m - b lightest rows weigh > CUTOFF.
         lightest = np.cumsum(np.sort(np.abs(p[-1, :, i_f]) ** 2))
         assert ruled_out[i_f] == np.count_nonzero(lightest > CUTOFF)
+
+
+def test_inert_block_decides_nothing():
+    # One projection of three sets whose rows leave null spaces of dimension
+    # k = 0, 1 and 2 (rank 3, 2 and 1 of w = 3, by exact zero rows): width 2.
+    # Each set of k < 2 has 2 - k inert rows of p, exactly 0, and an inert
+    # block of h, exactly I, ahead of its own.  Weyl's bound and the filter's
+    # mask are those of the set's own k x k block, and the k = 0 set is ruled
+    # out at every size, m + 1, and passes no pattern.
+    rng = np.random.default_rng(4)
+    m = 5
+    a_off = rng.standard_normal((3, 3, 3)) / 4
+    a_off[1, 2:] = a_off[2, 1:] = 0.0
+    c_unit = rng.standard_normal((m, 3)) / 4
+    t = TOL_RANK + 1e3 * np.finfo(float).eps
+    p, h, ruled_out, least = oracle._project(a_off, c_unit, oracle.MARGIN * t, CUTOFF)
+    assert p.shape == (2, m, 3) and h.shape == (2, 2, 3)
+    np.testing.assert_array_equal(inert_ks(p, h), [0, 1, 2])
+    for i_f, k in enumerate((0, 1, 2)):
+        assert not p[:2 - k, :, i_f].any()
+        assert np.array_equal(h[:2 - k, :, i_f], np.eye(2)[:2 - k])
+        assert np.array_equal(h[:, :2 - k, i_f], np.eye(2)[:, :2 - k])
+        if k:  # Weyl's bound on the set's own block
+            own = oracle._ruled_out(p[2 - k:, :, [i_f]].transpose(2, 0, 1),
+                                    h[2 - k:, 2 - k:, [i_f]].transpose(2, 0, 1))
+            assert ruled_out[i_f] == own[0]
+    assert ruled_out[0] == m + 1 and least == ruled_out.min()
+    passed = 0
+    for size in range(1, m + 1):
+        s_g = oracle._subsets(m, size)
+        keep = oracle._candidates(p, np.ones(3, bool), h, s_g)
+        assert not keep[0].any()
+        for i_f, k in ((1, 1), (2, 2)):
+            block = slice(2 - k, None)
+            own = oracle._indefinite(oracle._downdate(p[block, :, [i_f]], h[block, block, [i_f]], s_g))
+            np.testing.assert_array_equal(keep[i_f], own[:, 0])
+        passed += int(keep.sum())
+    assert 0 < passed < 2 * (2**m - 1)
 
 
 class TestMixedField:
