@@ -237,10 +237,10 @@ def _project(a_off: np.ndarray, c_unit: np.ndarray, cut: float, cutoff: float) -
     ks = vh.shape[-1] - _rank(s, cut)
     width = max(ks.max(), 1)
     q = vh[:, vh.shape[-1] - width:].conj() @ c_unit.T
-    inert = np.arange(width) < (width - ks)[:, None]
+    i = np.arange(width)
+    inert = i < (width - ks)[:, None]
     q[inert] = 0.0
     h = q.conj() @ q.transpose(0, 2, 1)
-    i = np.arange(width)
     h[:, i, i] = np.where(inert, 1.0, h[:, i, i] - cutoff)
     ruled_out = _ruled_out(q, h)
     p, h = np.ascontiguousarray(q.transpose(1, 2, 0)), np.ascontiguousarray(h.transpose(1, 2, 0))
