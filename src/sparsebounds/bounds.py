@@ -112,11 +112,15 @@ def _analyse(bisystem: BiSystem, x: np.ndarray) -> _Signal:
     """x, one signal (d,) or a stack (k, d) in the bisystem's field, analysed
     by each system's kept matrix forms directly, so a real system pairs with
     a complex one.  Each row of a stack has the bits of the same signal
-    analysed alone (systems._apply)."""
+    analysed alone (systems._apply).  A product that overflows leaves a
+    residual of inf or NaN, which fails the hypothesis (_certificates): a
+    non-finite analysis vector does so too, through T a or W b, unless its
+    tau_j is 0, and then f_j(tau_j) = 0 fails the pairing."""
     first, second = bisystem.first, bisystem.second
-    a, b = _apply(first._functionals_form, x), _apply(second._functionals_form, x)
-    r_f = np.abs(x - _apply(first._vectors_form, a)).max(axis=-1)
-    r_g = np.abs(x - _apply(second._vectors_form, b)).max(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = _apply(first._functionals_form, x), _apply(second._functionals_form, x)
+        r_f = np.abs(x - _apply(first._vectors_form, a)).max(axis=-1)
+        r_g = np.abs(x - _apply(second._vectors_form, b)).max(axis=-1)
     return _Signal(a, b, r_f, r_g)
 
 

@@ -34,19 +34,32 @@ def gram(system: PairedSystem) -> np.ndarray:
 
 
 def sub_coherence(system: PairedSystem) -> float:
-    """Largest off-diagonal |f_j(tau_r)|; zero for n = 1 (empty maximum)."""
-    g = np.abs(gram(system))
-    np.fill_diagonal(g, 0.0)
-    return float(g.max())
+    """Largest off-diagonal |f_j(tau_r)|; zero for n = 1 (empty maximum).
+    Raises StructuralError when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+        g = np.abs(gram(system))
+        np.fill_diagonal(g, 0.0)
+        return _finite("sub-coherence", g.max())
 
 
 def cross_coherence(f_system: PairedSystem, w_system: PairedSystem) -> float:
-    """max |f_j(omega_k)| over f_system's functionals and w_system's vectors."""
+    """max |f_j(omega_k)| over f_system's functionals and w_system's vectors.
+    Raises StructuralError when it is not finite."""
     if f_system.d != w_system.d:
         raise StructuralError(
             f"ambient dimensions differ: {f_system.d} vs {w_system.d}"
         )
-    return float(np.abs(_matmul(f_system._functionals_form, w_system._vectors_form)).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+        pairings = _matmul(f_system._functionals_form, w_system._vectors_form)
+        return _finite("cross-coherence", np.abs(pairings).max())
+
+
+def _finite(name: str, value) -> float:
+    """value as a float, refused with StructuralError when a product behind
+    it overflowed to inf or NaN."""
+    if not np.isfinite(value):
+        raise StructuralError(f"{name} is not finite: the pairings overflow")
+    return float(value)
 
 
 def coherence_profile(bisystem: BiSystem) -> CoherenceProfile:

@@ -10,16 +10,16 @@ S_g when comb(m, |S_g|) < comb(n, |S_f|) and S_f otherwise, unless only the
 other side's sets of the class are projected already, which it then reuses.
 Described for S_f (for S_g, exchange the two systems): each S_f is projected
 onto V, a loosely cut null space of the first system's rows outside S_f, by
-one stacked SVD over all S_f of equal size in the first class that projects
-them; P = C V (m x k) and its shifted Gram matrix H = P^H P - cutoff * I,
-summed once over all m rows, are kept until the search returns, with the
-sizes of S_g that Weyl's inequality rules out for the set, found in the
-projection on the same arrays: those at which H's smallest eigenvalue
-exceeds the sum of the |S_g| largest row masses ||p_i||^2 of P, so that G -
-cutoff * I below is positive definite for every S_g of that size.  A set
-of k below the projection's largest has an exact inert block ahead of its
-own that decides nothing (_project); one with k = 0 is ruled out at every
-size.  A class at a size that every projected set rules out is counted by
+one stacked eigendecomposition of their Gram matrices over all S_f of equal
+size in the first class that projects them; P = C V (m x k) and its shifted
+Gram matrix H = P^H P - cutoff * I, summed once over all m rows, are kept
+until the search returns, with the sizes of S_g that Weyl's inequality
+rules out for the set, found in the projection on the same arrays: those at
+which H's smallest eigenvalue exceeds the sum of the |S_g| largest row
+masses ||p_i||^2 of P, so that G - cutoff * I below is positive definite
+for every S_g of that size.  A set of k below the projection's largest
+has an exact inert block ahead of its own that decides nothing (_project);
+one with k = 0 is ruled out at every size.  A class at a size that every projected set rules out is counted by
 one comparison with the least of those sizes, and only a class that is
 filtered builds the tables of its S_f and S_g (a projection builds the table
 of its sets' complements).  A size class is otherwise filtered in batches of
@@ -45,7 +45,7 @@ from math import comb
 
 import numpy as np
 
-from .admissible import AdmissibleSpace, _check_space, _rank, null_space_basis
+from .admissible import AdmissibleSpace, _check_space, null_space_basis
 from .bounds import verify_fkdb
 from .config import ETA, GUARD, TOL_RANK, _valid_integer, _valid_real
 from .errors import DegenerateInputError, GuardExceededError, NoAdmissibleSignalError
@@ -109,8 +109,10 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
     # by s = max(||[A; C]||, 1) give a confirmed pattern a unit c with
     # ||[A_off; C_off] c|| <= t (tol_rank plus a rounding allowance).  Write
     # the argument for a class that projects S_f; one that projects S_g reads
-    # the same with A and C, and S_f and S_g, exchanged.  V spans A_off's
-    # singular vectors of singular value up to MARGIN * t, so k = 0 rules out
+    # the same with A and C, and S_f and S_g, exchanged.  V spans the
+    # eigenvectors of (A_off / s)^H (A_off / s) of eigenvalue up to MARGIN^2 *
+    # (t^2 + delta), delta a bound on the rounding of that Gram matrix and of
+    # its eigendecomposition (_project derives both), so k = 0 rules out
     # every S_g, and c = V v + u, u orthogonal to V, has ||u|| <= 1 / MARGIN,
     # so ||C_off V v|| <= t + ||C / s|| / MARGIN with ||v||^2 >= 1 - MARGIN^-2:
     # the Gram cutoff is twice the square of that bound with ||C / s|| read as
@@ -173,7 +175,7 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
             # The rows outside each projected set, in the sets' lexicographic order.
             outside = subsets(count, count - size)[::-1]
             projections[side, size] = _project(units[side][outside], units[1 - side],
-                                               MARGIN * t, cutoffs[side])
+                                               t, cutoffs[side])
         p, h, ruled_out, least = projections[side, size]
         # A class whose tested size every projected set rules out is counted
         # whole.  Otherwise only the live sets, those not ruled out at that
@@ -216,27 +218,59 @@ def _batches(count_f: int, count_g: int):
             yield slice(f, min(f + step_f, count_f)), slice(g, min(g + step_g, count_g))
 
 
-def _project(a_off: np.ndarray, c_unit: np.ndarray, cut: float, cutoff: float) -> tuple:
+def _project(a_off: np.ndarray, c_unit: np.ndarray, t: float, cutoff: float) -> tuple:
     """(p, h, sizes ruled out per set, their least) for a stack a_off (F, r,
-    w) of the rows A_off / s of one system outside F sets, by one stacked
-    SVD; c_unit (m, w) holds the other system's rows C / s.  The last k rows
-    of Vh, A_off's right singular vectors beyond the rank at cut, span V.
-    p (width, m, F), width = max(max k, 1), holds the last width rows of
-    (C Vh^H / s)^T of each set: its P^T / s in the last k, exact zeros in the
-    others, the inert rows, which lie outside V; h (width, width, F) holds
-    H = P^H P - cutoff * I over all m rows, exactly I in the inert block.
+    w) of the rows A_off / s of one system outside F sets, rows of norm <= 1,
+    by one stacked eigendecomposition of their Gram matrices G = A_off^H
+    A_off / s^2 (F, w, w); c_unit (m, w) holds the other system's rows C / s,
+    and t bounds ||A_off c / s|| for the unit c of a confirmed pattern.  V
+    spans the k eigenvectors of G of eigenvalue at most
+
+        cut = MARGIN^2 * (t^2 + delta),  delta = 4 (r + w) r rho,
+
+    rho = eps / 2 the unit roundoff.  The computed eigenpairs are exact for
+    G + E with ||E||_2 <= delta / 2: forming G errs by at most (r + 2) rho
+    ||A_off / s||_F^2 <= (r + 2) r rho (inner products, complex ones
+    included; Higham, Accuracy and Stability of Numerical Algorithms, ch. 3),
+    eigh's backward error is at most about w rho ||G||_2 <= w r rho (LAPACK
+    Users' Guide, sec. 4.7), and (r + 2) r + w r <= 2 (r + w) r once r + w
+    >= 2 (at r = 0, G = 0 exactly).  G is positive semidefinite, so G + E
+    has no eigenvalue below -delta / 2.  A unit c with ||A_off c / s|| <= t,
+    written c = V v + u with u orthogonal to V, so in the span of the
+    eigenvectors of eigenvalue above cut, then has cut ||u||^2 - delta / 2
+    <= c^H (G + E) c <= t^2 + delta / 2, so
+
+        ||u||^2 <= (t^2 + delta) / cut = MARGIN^-2,  ||u|| <= 1 / MARGIN,
+
+    and with k = 0 no such c exists.  The computed eigenvectors are
+    orthonormal to about w rho, far inside that.  As a singular value of
+    A_off / s the cut is MARGIN sqrt(t^2 + delta), not MARGIN t = 1e-6 as an
+    SVD's would be: at the default tol_rank, 3.7e-4 to 2.5e-3 on the
+    benchmark's searches (1 x 2 to 8 x 9 stacks; 2.2e-3 for the 36 sets of
+    7 x 9 of dft_pair d = 9), and at most 4.7e-3 under the default guard,
+    where w <= min(n, m) and projected sets are nonempty, so r + w <= 23.  A
+    larger cut only widens V, which passes more patterns to the
+    confirmation and decides no result.
+    p (width, m, F), width = max(max k, 1), holds (C U / s)^T for the width
+    eigenvectors U of least eigenvalue, least last: its P^T / s in the last
+    k rows, exact zeros in the others, the inert rows, which lie outside V;
+    h (width, width, F) holds H = P^H P - cutoff * I over all m rows,
+    exactly I in the inert block.
     That block decides nothing.  Its coupling entries are exact zeros and
     its pivots 1, so the LDL^H test takes the k x k block's own pivots; H's
     eigenvalues are 1 and the block's, whose least is at most ||C / s||^2 -
     cutoff < 1 (and min(1, low) <= low in any case); its rows add no mass.
     A set with k = 0, all inert, has low = 1 and no mass, so it is ruled out
     at every size.  The sizes ruled out are _ruled_out's, on the same arrays
-    sets axis first.  For a tall or square stack the reduced SVD holds all
-    of Vh, with the full SVD's bits."""
-    _, s, vh = np.linalg.svd(a_off, full_matrices=a_off.shape[-2] < a_off.shape[-1])
-    ks = vh.shape[-1] - _rank(s, cut)
+    sets axis first."""
+    r, w = a_off.shape[1:]
+    lam, vecs = np.linalg.eigh(a_off.conj().transpose(0, 2, 1) @ a_off)
+    with np.errstate(over="ignore"):  # inf for a tol_rank near the largest float
+        # delta = 4 (r + w) r rho = 2 (r + w) r eps
+        cut = MARGIN**2 * (t * t + 2 * (r + w) * r * np.finfo(float).eps)
+    ks = np.count_nonzero(lam <= cut, axis=-1)
     width = max(ks.max(), 1)
-    q = vh[:, vh.shape[-1] - width:].conj() @ c_unit.T
+    q = vecs[..., width - 1::-1].transpose(0, 2, 1) @ c_unit.T
     i = np.arange(width)
     inert = i < (width - ks)[:, None]
     q[inert] = 0.0

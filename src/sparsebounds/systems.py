@@ -141,8 +141,10 @@ class ValidationReport:
 
 def _paired(system: PairedSystem, eta_hyp: float = ETA_HYP) -> np.ndarray:
     """The pairing hypothesis |f_j(tau_j)| >= 1 - eta_hyp of each index j,
-    on the diagonals the system keeps."""
-    return system._diagonals >= 1.0 - eta_hyp
+    on the diagonals the system keeps.  A diagonal that is not finite, a
+    pairing that overflowed, fails it."""
+    diagonals = system._diagonals
+    return np.isfinite(diagonals) & (diagonals >= 1.0 - eta_hyp)
 
 
 def validate_pairing(system: PairedSystem, eta_hyp: float = ETA_HYP) -> ValidationReport:

@@ -22,6 +22,11 @@ def run(capsys, *argv):
     return code, json.loads(out) if out else None
 
 
+def overflowed_pairing():
+    """A system whose pairing f_0(tau_0) = 1e400 overflows to inf."""
+    return PairedSystem([[1e200, 1], [0, 1]], [[1e200, 1e200], [0, 1]])
+
+
 def mercedes_benz_file(tmp_path):
     mb = mercedes_benz()
     path = tmp_path / "mb.json"
@@ -44,6 +49,14 @@ class TestValidate:
         assert doc["ok"] is False
         assert doc["diagonals"] == pytest.approx([2.0 / 3.0] * 3)
 
+    def test_overflowed_pairing_fails(self, tmp_path, capsys):
+        # f_0(tau_0) = 1e400 overflows to inf, which is no pairing >= 1.
+        path = tmp_path / "overflow.json"
+        path.write_text(canonical_json(system_to_dict(overflowed_pairing())))
+        code, doc = run(capsys, "validate", str(path))
+        assert code == 2
+        assert doc["ok"] is False and doc["per_index_ok"] == [False, True]
+
     def test_truncated_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"field": "real", "d": 2')
@@ -58,6 +71,32 @@ class TestValidate:
 
 
 class TestCoherence:
+    def test_overflowed_pairing_prints_no_warning(self, tmp_path, capsys):
+        # The gram diagonal and T F overflow, yet every value kept is finite
+        # or fails a hypothesis: no numpy warning on stderr (pytest makes one
+        # an error), and each document as before.
+        system = overflowed_pairing()
+        paths = [tmp_path / name for name in ("system.json", "bisystem.json", "x.json")]
+        paths[0].write_text(canonical_json(system_to_dict(system)))
+        paths[1].write_text(canonical_json(
+            {"first": system_to_dict(system), "second": system_to_dict(identity_system(2))}))
+        paths[2].write_text(canonical_json(signal_to_dict(np.array([1.0, 0.0]))))
+        codes, docs = [], []
+        for argv in (["coherence", paths[0]], ["coherence", paths[1]],
+                     ["verify", "--bisystem", paths[1], "--signal", paths[2]]):
+            codes.append(main(list(map(str, argv))))
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            docs.append(json.loads(captured.out))
+        assert codes == [0, 0, 2]
+        assert (docs[0]["sub_coherence"], docs[0]["gram_diagonal"]) == (2e200, [np.inf, 1.0])
+        assert {k: v for k, v in docs[1].items() if k != "manifest"} == {
+            "cross_f_omega": 1e200, "cross_g_tau": 1e200,
+            "sub_coherence_f": 2e200, "sub_coherence_g": 0.0}
+        assert docs[2]["coherences"] == {k: v for k, v in docs[1].items() if k != "manifest"}
+        assert docs[2]["residuals"] == {"f": np.inf, "g": 0.0}
+        assert docs[2]["hypothesis_ok"] is False and docs[2]["satisfied"] is False
+
     def test_bisystem_profile(self, tmp_path, capsys):
         b = generate("dft_pair", {"d": 4}, 0)
         path = tmp_path / "b.json"
@@ -638,8 +677,8 @@ class TestSample:
     def test_overflowing_products_exit_1_with_no_output(self, tmp_path, capsys):
         # T F overflows, so the stack is refused before its SVD: one stderr
         # line, and no numpy warning above it.
-        first = PairedSystem([[1e200, 1], [0, 1]], [[1e200, 1e200], [0, 1]])
-        b = {"first": system_to_dict(first), "second": system_to_dict(identity_system(2))}
+        b = {"first": system_to_dict(overflowed_pairing()),
+             "second": system_to_dict(identity_system(2))}
         path = tmp_path / "overflow.json"
         path.write_text(canonical_json(b))
         assert main(["verify", "--bisystem", str(path)]) == 1

@@ -73,6 +73,17 @@ class TestCrossCoherence:
         with pytest.raises(StructuralError):
             cross_coherence(identity_system(2), identity_system(3))
 
+    def test_overflowed_pairings_refused(self):
+        # f_0(tau_1) = 1e400 + 1e200 overflows: each profile entry that
+        # holds it is refused where it is made, with no numpy warning.
+        big = PairedSystem([[1e200, 1e200], [0, 1]], [[1e200, 1e200], [0, 1]])
+        with pytest.raises(StructuralError, match="sub-coherence is not finite"):
+            sub_coherence(big)
+        with pytest.raises(StructuralError, match="cross-coherence is not finite"):
+            cross_coherence(big, big)
+        with pytest.raises(StructuralError, match="not finite"):
+            coherence_profile(BiSystem(big, identity_system(2)))
+
 
 class TestProfile:
     def test_identity_pair(self):

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -53,6 +54,15 @@ def projected_stacks(monkeypatch):
 
     monkeypatch.setattr(oracle, "_project", spy)
     return stacks
+
+
+def dft_pair_searched(d):
+    """patterns_searched of dft_pair at d: Donoho-Stark gives |S_f| |S_g| >=
+    d, and ({0}, all d) comes first at product d, so the search returns 1 +
+    the number of patterns of smaller product: 25516 at d = 9, 180412 at
+    11, 349793 at 12 and 1334256 at 13."""
+    return 1 + sum(comb(d, i) * comb(d, j) for i in range(1, d + 1)
+                   for j in range(1, d + 1) if i * j < d)
 
 
 def witness_l0_product(bisystem, report):
@@ -243,25 +253,27 @@ class TestMinSparsityProduct:
     def test_dft_pair_d12_projects_each_size_in_one_call(self, monkeypatch):
         # dft_pair d=12 reaches size classes of comb(12, 6) = 924 sets on
         # each side, but projects only the side with fewer sets, or reuses the
-        # other side's: 376 matrices in five calls, each by one stacked SVD
-        # (the confirmations factor single matrices).
+        # other side's: 376 matrices in five calls, each by one stacked
+        # eigendecomposition of the sets' Gram matrices (the confirmations
+        # factor single matrices by SVD).
         b = generate("dft_pair", {"d": 12}, 0)
         space = admissible_space(b)
         stacks = projected_stacks(monkeypatch)
-        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
             report = min_sparsity_product(b, space)
         assert (report.best_lhs, report.patterns_searched) == (12, 349793)
         assert witness_l0_product(b, report) == 12
         assert [len(stack) for stack in stacks] == [12, 12, 66, 66, 220]
-        stacked = [len(a) for (a, *_), _ in svd.call_args_list if a.ndim == 3]
+        stacked = [len(a) for (a, *_), _ in eigh.call_args_list if a.ndim == 3]
         assert stacked == list(map(len, stacks))
+        assert sum(stacked) == 376
 
-    @pytest.mark.parametrize("d,searched", [(9, 25516), (11, 180412), (12, 349793)])
+    @pytest.mark.parametrize("d,searched", [(d, dft_pair_searched(d)) for d in range(2, 14)])
     def test_dft_pair_filters_only_the_winners_class(self, monkeypatch, d, searched):
         # Weyl's bound rules out every projected set in every class before
         # the winner's, (1, d), whose spikes S_f = {j} all leave room for
         # the single S_g of size d: one filter call, of d live sets against
-        # it.
+        # it.  d = 13 needs guard 26 and projects stacks of 13 columns.
         calls = []
         candidates = oracle._candidates
 
@@ -271,7 +283,7 @@ class TestMinSparsityProduct:
 
         monkeypatch.setattr(oracle, "_candidates", spy)
         b = generate("dft_pair", {"d": d}, 0)
-        report = min_sparsity_product(b, admissible_space(b))
+        report = min_sparsity_product(b, admissible_space(b), guard=2 * d)
         assert (report.best_lhs, report.patterns_searched) == (d, searched)
         assert witness_l0_product(b, report) == d
         assert calls == [(np.dtype(bool), [True] * d, (1, d))]
@@ -471,9 +483,9 @@ def test_cutoffs_bound_the_spectral_cutoffs_property(b, data):
     used = []
     project = oracle._project
 
-    def spy(a_off, c_unit, cut, cutoff):
+    def spy(a_off, c_unit, t, cutoff):
         used.append((c_unit, cutoff))
-        return project(a_off, c_unit, cut, cutoff)
+        return project(a_off, c_unit, t, cutoff)
 
     with mock.patch.object(oracle, "_project", spy):
         try:
@@ -755,6 +767,57 @@ def test_weyl_bound_exact_at_k_1(field, light):
         assert ruled_out[i_f] == np.count_nonzero(lightest > CUTOFF)
 
 
+@st.composite
+def planted_off_rows(draw):
+    """(a_off, bases, mix): a stack a_off (F, r, w) of off-pattern rows, real
+    or complex, with r < w and r >= w both drawn, each set's rows U
+    diag(sigma) W^H for orthonormal U (r x min(r, w)) and unitary W (w x w),
+    the set's basis, with sigma log-uniform on [1e-12, 1], so that its rows
+    have norm <= 1 and its singular values straddle every projection cut;
+    the last w - min(r, w) columns of W are null.  mix (F, w) draws one
+    combination of the columns per set."""
+    w, r, count = draw(st.integers(1, 8)), draw(st.integers(0, 10)), draw(st.integers(1, 4))
+    field = draw(st.sampled_from(["real", "complex"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = min(r, w)
+    exponents = draw(st.lists(st.floats(-12.0, 0.0), min_size=count * rank,
+                              max_size=count * rank))
+    sigma = 10.0 ** np.reshape(exponents, (count, rank))
+
+    def unitary(n):
+        z = rng.standard_normal((n, n))
+        if field == "complex":
+            z = z + 1j * rng.standard_normal((n, n))
+        return np.linalg.qr(z)[0]
+
+    bases = np.stack([unitary(w) for _ in range(count)])
+    a_off = np.stack([unitary(r)[:, :rank] * s @ basis[:, :rank].conj().T
+                      for s, basis in zip(sigma, bases)]).reshape(count, r, w)
+    return a_off, bases, rng.standard_normal((count, w))
+
+
+# Example count from the hypothesis profile (tests/conftest.py).
+@given(planted_off_rows())
+def test_projection_keeps_every_near_null_direction_property(planted):
+    # The projection step's soundness: with c_unit = I the live rows of each
+    # set's p are V^T, and every unit c with ||A_off c / s|| <= t, as a
+    # confirmed pattern has, lies within 1 / MARGIN of V: each planted
+    # direction of singular value <= t, and one combination of them.
+    a_off, bases, mix = planted
+    w = a_off.shape[2]
+    t = TOL_RANK + 1e3 * np.finfo(float).eps
+    p, h, _, _ = oracle._project(a_off, np.eye(w), t, CUTOFF)
+    for i_f, k in enumerate(inert_ks(p, h)):
+        v = p[len(p) - k:, :, i_f].T
+        near = [basis for basis in bases[i_f].T if np.linalg.norm(a_off[i_f] @ basis) <= t]
+        if near:
+            combined = np.transpose(near) @ mix[i_f, :len(near)]
+            near.append(combined / np.linalg.norm(combined))
+        for c in near:
+            if np.linalg.norm(a_off[i_f] @ c) <= t:
+                assert np.linalg.norm(c - v @ (v.conj().T @ c)) <= 1 / oracle.MARGIN, (i_f, k)
+
+
 def test_inert_block_decides_nothing():
     # One projection of three sets whose rows leave null spaces of dimension
     # k = 0, 1 and 2 (rank 3, 2 and 1 of w = 3, by exact zero rows): width 2.
@@ -768,7 +831,7 @@ def test_inert_block_decides_nothing():
     a_off[1, 2:] = a_off[2, 1:] = 0.0
     c_unit = rng.standard_normal((m, 3)) / 4
     t = TOL_RANK + 1e3 * np.finfo(float).eps
-    p, h, ruled_out, least = oracle._project(a_off, c_unit, oracle.MARGIN * t, CUTOFF)
+    p, h, ruled_out, least = oracle._project(a_off, c_unit, t, CUTOFF)
     assert p.shape == (2, m, 3) and h.shape == (2, 2, 3)
     np.testing.assert_array_equal(inert_ks(p, h), [0, 1, 2])
     for i_f, k in enumerate((0, 1, 2)):

@@ -247,6 +247,19 @@ class TestValidatePairing:
         diag = np.abs(np.einsum("jd,dj->j", s.functionals, s.vectors))
         assert strict.diagonals.tobytes() == loose.diagonals.tobytes() == diag.tobytes()
 
+    def test_overflowed_pairing_fails(self):
+        # f_0(tau_0) = 1e400 overflows to inf, which is no pairing >= 1.  x =
+        # e_2 is a fixed point of both systems (residuals 0), so the pairing
+        # alone fails its certificate's hypothesis.
+        s = PairedSystem(np.diag([1e200, 1.0]), np.diag([1e200, 1.0]))
+        report = validate_pairing(s)
+        assert report.diagonals.tolist() == [np.inf, 1.0]
+        assert report.per_index_ok.tolist() == [False, True] and not report.ok
+        b = BiSystem(s, identity_system(2))
+        for cert in (verify_fkdb(b, [0.0, 1.0]), verify_fskpb(b, [0.0, 1.0], {1}, {1})):
+            assert cert.fixedpoint_residual_f == cert.fixedpoint_residual_g == 0.0
+            assert not cert.hypothesis_ok and not cert.satisfied
+
     def test_diagonals_computed_once_per_system(self, monkeypatch):
         calls = []
         einsum = np.einsum
