@@ -23,6 +23,7 @@ from .systems import (
     BiSystem,
     PairedSystem,
     _apply,
+    _exact,
     _Form,
     _form,
     _matmul,
@@ -85,8 +86,8 @@ def null_space_basis(a: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
     has basis I, exactly, and no SVD is run.  Above it, the cutoff floors
     sigma_max at 1, so a matrix with sigma_max < 1 is cut at tol_rank rather
     than relative to its own scale.  For a tall or square a the reduced SVD
-    already holds all of vh, with the full SVD's bits, and never forms the
-    left factor, which nothing reads.
+    already holds all of vh, with the full SVD's bits: it still returns the
+    (r x d) left factor, which nothing reads, but not the full (r x r) one.
     """
     if _below_cutoff(a, _valid_real("tol_rank", tol_rank)):
         return np.eye(a.shape[1], dtype=a.dtype)
@@ -113,29 +114,66 @@ def _below_cutoff(a: np.ndarray, tol_rank: float) -> bool:
     Exact, not a heuristic: sigma_max <= ||a||_F, and _rank's cutoff
     tol_rank * max(sigma_max, 1) is at least tol_rank, so when ||a||_F <=
     tol_rank no singular value exceeds it.  This holds for the empty matrix
-    and for a stack [I - TF; I - WG] that is pure rounding noise (e.g.
-    Frobenius norm 1.0e-14 for dft_pair at d = 512).
+    and for a matrix of pure rounding noise.
     """
+    return _norm(a) <= tol_rank
+
+
+def _norm(a: np.ndarray) -> float:
+    """||a||_F, scaled by max |a_ij| where the squares underflow or overflow;
+    inf or NaN when a holds one."""
     with np.errstate(over="ignore"):  # a norm beyond the largest float is inf
         norm = np.linalg.norm(a)
         if norm < _UNDERFLOW or norm == np.inf:
-            top = np.abs(a).max(initial=0.0)
+            # A real a's largest magnitude is read without a copy of |a|.
+            top = (np.abs(a).max(initial=0.0) if np.iscomplexobj(a)
+                   else np.maximum(a.max(initial=0.0), -a.min(initial=0.0)))
             norm = top * np.linalg.norm(a / top) if 0 < top < np.inf else top
-    return bool(norm <= tol_rank)
+    return float(norm)
 
 
 def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> AdmissibleSpace:
     """Common fixed subspace of both systems: the null space of the 2d x d
-    stack [I - TF; I - WG]."""
-    d, dtype = bisystem.d, _DTYPES[bisystem.field]
-    eye = np.eye(d, dtype=dtype)
-    stacked = np.empty((2 * d, d), dtype)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for half, system in zip((stacked[:d], stacked[d:]), (bisystem.first, bisystem.second)):
-            np.subtract(eye, _matmul(system._vectors_form, system._functionals_form), out=half)
-    if not np.isfinite(stacked).all():  # T F or W G overflowed: so would the basis
-        raise StructuralError("admissible basis contains non-finite entries")
+    stack [I - TF; I - WG], or I, exactly, when the stack is under the
+    cutoff (_stack)."""
+    stacked = _stack(bisystem, tol_rank)
+    if stacked is None:
+        return AdmissibleSpace(np.eye(bisystem.d, dtype=_DTYPES[bisystem.field]))
     return AdmissibleSpace(null_space_basis(stacked, tol_rank))
+
+
+def _stack(bisystem: BiSystem, tol_rank: float) -> np.ndarray | None:
+    """The stack [I - TF; I - WG], or None when it has numerical rank 0.
+
+    Rank 0 is _below_cutoff's test on hypot(||I - TF||_F, ||I - WG||_F),
+    so a stack of rounding noise, as every dft_pair and perturbed(dft_pair)
+    has (Frobenius norm 1.0e-14 at d = 512), is never made.  The halves are scanned for a non-finite entry only
+    when that norm is not finite, and refused before tol_rank is read.
+    """
+    halves = _halves(bisystem)
+    # A complex half's norm is taken on its float view: the same squares,
+    # without the copies np.linalg.norm makes of its real and imaginary parts.
+    norm = math.hypot(*(_norm(half.view(half.real.dtype)) for half in halves))
+    if not math.isfinite(norm) and not all(np.isfinite(half).all() for half in halves):
+        raise StructuralError("admissible basis contains non-finite entries")
+    if norm <= _valid_real("tol_rank", tol_rank):
+        return None
+    return np.concatenate(halves)
+
+
+def _halves(bisystem: BiSystem) -> list[np.ndarray]:
+    """I - TF and I - WG, each formed in place in its product: 0.0 - p off
+    the diagonal and 1.0 - p_jj on it, the bits of np.subtract(I, p).  A
+    product that overflows leaves inf or NaN, refused by _stack."""
+    halves = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for system in (bisystem.first, bisystem.second):
+            product = _matmul(system._vectors_form, system._functionals_form)
+            on = 1.0 - np.diagonal(product)
+            np.subtract(0.0, product, out=product)
+            np.fill_diagonal(product, on)
+            halves.append(product)
+    return halves
 
 
 def _check_space(bisystem: BiSystem, space: AdmissibleSpace) -> None:
@@ -292,7 +330,11 @@ def _perturb(bisystem: BiSystem, magnitude: float, seed: int) -> BiSystem:
         c = rng.uniform(1.0, 1.0 + magnitude, size=system.n)
         vectors = _matmul(s, system._vectors_form)
         vectors *= c
-        functionals = _matmul(system.functionals / c[:, None], s_inv)
+        if system._functionals_form.diagonal is None:
+            functionals = _matmul(system.functionals / c[:, None], s_inv)
+        else:  # diag(f_jj / c_j) @ s_inv, as _matmul scales by a diagonal
+            scale = (np.diagonal(system.functionals) / c).real
+            functionals = _exact(scale[:, None] * s_inv, system.functionals.dtype)
         return PairedSystem(vectors, functionals, system.field)
 
     return BiSystem(apply(bisystem.first), apply(bisystem.second))

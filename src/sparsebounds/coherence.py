@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .systems import BiSystem, PairedSystem, _matmul
+from .systems import BiSystem, PairedSystem, _Form, _matmul
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,13 @@ def gram(system: PairedSystem) -> np.ndarray:
 
 
 def sub_coherence(system: PairedSystem) -> float:
-    """Largest off-diagonal |f_j(tau_r)|; zero for n = 1 (empty maximum).
-    Raises StructuralError when it is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
-        g = np.abs(gram(system))
-        np.fill_diagonal(g, 0.0)
-        return _finite("sub-coherence", g.max())
+    """Largest off-diagonal |f_j(tau_r)|; zero for n = 1 (empty maximum)
+    and for a diagonal gram, which is not formed when both matrices are
+    diagonal.  Raises StructuralError when it is not finite."""
+    functionals, vectors = system._functionals_form, system._vectors_form
+    if functionals.diagonal is not None and vectors.diagonal is not None:
+        return 0.0
+    return _finite("sub-coherence", _max_magnitude(functionals, vectors, off_diagonal=True))
 
 
 def cross_coherence(f_system: PairedSystem, w_system: PairedSystem) -> float:
@@ -49,9 +50,47 @@ def cross_coherence(f_system: PairedSystem, w_system: PairedSystem) -> float:
         raise StructuralError(
             f"ambient dimensions differ: {f_system.d} vs {w_system.d}"
         )
+    return _finite("cross-coherence",
+                   _max_magnitude(f_system._functionals_form, w_system._vectors_form))
+
+
+# Row blocks of a product hold about this many entries: a block's
+# magnitudes stay in cache, and no second array of the product's size is made.
+_BLOCK = 2**13
+
+
+def _max_magnitude(a: _Form, b: _Form, off_diagonal: bool = False) -> np.float64:
+    """max |(a @ b)_jk| over every entry, or over the off-diagonal ones, with
+    the bits of the same maximum of np.abs(_matmul(a, b)).
+
+    Taken over row blocks of the product (_rows); the blocks' maxima combine
+    with np.maximum, so an inf or NaN in any block is the result, for
+    _finite to refuse.
+    """
+    n_cols = b.matrix.shape[1]
+    step = max(1, _BLOCK // n_cols)
+    top = np.float64(0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
-        pairings = _matmul(f_system._functionals_form, w_system._vectors_form)
-        return _finite("cross-coherence", np.abs(pairings).max())
+        product = None if a.diagonal is not None or b.diagonal is not None else _matmul(a, b)
+        for start in range(0, a.matrix.shape[0], step):
+            magnitudes = np.abs(_rows(a, b, product, slice(start, start + step)))
+            if off_diagonal:  # entry (r, start + r) of the block is on the diagonal
+                magnitudes.reshape(-1)[start::n_cols + 1] = 0.0
+            top = np.maximum(top, magnitudes.max())
+    return top
+
+
+def _rows(a: _Form, b: _Form, product: np.ndarray | None, rows: slice) -> np.ndarray:
+    """The rows of _matmul(a, b), up to the sign of a zero, which |.| drops.
+
+    A diagonal operand scales only these rows, as _matmul scales the whole
+    product; any other product is _matmul's, formed once by the caller.
+    """
+    if a.diagonal is not None:
+        return a.diagonal[rows, None] * b.matrix[rows]
+    if b.diagonal is not None:
+        return a.matrix[rows] * b.diagonal
+    return product[rows]
 
 
 def _finite(name: str, value) -> float:

@@ -5,8 +5,9 @@ it: a search loop of one null-space solve per pattern, a sweep loop over
 the public certificates, the sampling stream written with NumPy's own
 generator, rank by fraction-free Bareiss elimination over the rationals,
 the classical Kuppinger-Durisi-Bolcskei and Elad-Bruckstein bounds, the
-proof's per-index inequality, the support of a sequence and sparse
-admissible signals.  Beside them are the theorem's symmetries and the
+proof's per-index inequality, the support of a sequence, sparse admissible
+signals, and the certificate pipeline's admissible basis and coherence
+profile from whole arrays.  Beside them are the theorem's symmetries and the
 constructions that more than one test module builds.  Test modules import
 from this module only, never from each other.  Beyond the library under
 test it uses only numpy and the standard library, and pytest does not
@@ -21,6 +22,7 @@ import numpy as np
 
 from sparsebounds import (
     BiSystem,
+    CoherenceProfile,
     PairedSystem,
     best_set,
     dft_matrix,
@@ -35,6 +37,7 @@ from sparsebounds.bounds import VerifySummary
 from sparsebounds.config import ETA, GUARD, TOL_CERT, TOL_FP, TOL_RANK
 from sparsebounds.errors import NoAdmissibleSignalError
 from sparsebounds.oracle import _report
+from sparsebounds.systems import _matmul
 
 
 # --- Shared constructions -----------------------------------------------------
@@ -105,6 +108,67 @@ def sparse_draws(bisystem, space, k, rng):
             if np.abs(x).max() > 0:
                 signals.append(x)
     return signals
+
+
+# --- The certificate pipeline's whole arrays ---------------------------------
+#
+# admissible_space and coherence_profile make neither the stack nor any array
+# of magnitudes: they decide a noise stack on its halves, formed in place,
+# and take each maximum over row blocks of the product.  These referees make
+# every whole array.  Their products go through the library's product rule,
+# systems._matmul, as the library's own do: a real-valued complex operand is
+# multiplied as the real matrix it is, which can differ from numpy's complex
+# @ in the last bit (the gram of perturbed dft_pair at d = 255), and that
+# rule is checked against @ by its own tests.
+
+def pipeline_corpus():
+    """(id, family, params) of every family at d in {1, 4, 64, 255, 256},
+    perturbed over each base family, and family None, the real identity
+    paired with the complex DFT basis (built by corpus_bisystem)."""
+    cases = []
+    for d in (1, 4, 64, 255, 256):
+        bases = [("identity_pair", {"d": d}), ("dft_pair", {"d": d}),
+                 ("subspace_union", {"d": d, "split": max(1, d // 3)})]
+        if d >= 2:
+            bases.append(("rotated_pair", {"d": d, "angle": 30.0}))
+        for family, params in bases:
+            cases.append((f"{family}-d{d}", family, params))
+            cases.append((f"perturbed-{family}-d{d}", "perturbed",
+                          {"base": {"family": family, "params": params}}))
+        cases.append((f"identity-dft-d{d}", None, {"d": d}))
+    return cases
+
+
+def corpus_bisystem(family, params):
+    """The bisystem of a pipeline_corpus row, generated at seed 7."""
+    if family is None:
+        d = params["d"]
+        return BiSystem(identity_system(d), from_hilbert_vectors(dft_matrix(d)))
+    return generate(family, params, 7)
+
+
+def reference_basis(bisystem, tol_rank=TOL_RANK):
+    """admissible_space's basis: null_space_basis of the explicit 2d x d
+    stack [I - TF; I - WG] in the bisystem's field."""
+    eye = np.eye(bisystem.d, dtype=complex if bisystem.field == "complex" else float)
+    stacked = np.vstack([eye - _matmul(s.vectors, s.functionals)
+                         for s in (bisystem.first, bisystem.second)])
+    return null_space_basis(stacked, tol_rank)
+
+
+def reference_profile(bisystem):
+    """coherence_profile from whole arrays: np.abs(F @ T) with its diagonal
+    zeroed for each sub-coherence, np.abs(F @ W).max() for each cross one."""
+    def sub(s):
+        g = np.abs(_matmul(s.functionals, s.vectors))
+        np.fill_diagonal(g, 0.0)
+        return float(g.max())
+
+    def cross(f, w):
+        return float(np.abs(_matmul(f.functionals, w.vectors)).max())
+
+    first, second = bisystem.first, bisystem.second
+    return CoherenceProfile(sub(first), sub(second), cross(first, second), cross(second, first))
 
 
 # --- The oracle's referee: one null-space solve per pattern -------------------

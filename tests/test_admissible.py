@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from sparsebounds import (
 from sparsebounds.admissible import (
     AdmissibleSpace,
     _below_cutoff,
+    _halves,
     _rank,
     _samples,
     _spectral_norm,
@@ -23,9 +26,10 @@ from sparsebounds.admissible import (
 )
 from sparsebounds.bounds import fixedpoint_residuals
 from sparsebounds.coherence import coherence_profile, sub_coherence
+from sparsebounds.dft import dft_matrix
 from sparsebounds.errors import NoAdmissibleSignalError, ParameterError, StructuralError
 from sparsebounds.systems import _apply, _matmul
-from referees import reference_stream
+from referees import corpus_bisystem, pipeline_corpus, reference_basis, reference_stream
 
 TOL_FP = 1e-9
 
@@ -204,6 +208,104 @@ class TestReducedSvd:
                 assert calls == ["svd"]
             assert np.array_equal(basis, null_space_basis(stacked, tol_rank))
             assert basis.dtype == stacked.dtype
+
+
+@pytest.mark.parametrize("family,params", [
+    pytest.param(family, params, id=label) for label, family, params in pipeline_corpus()])
+def test_basis_matches_explicit_stack(family, params):
+    """The in-place halves, their noise test and the stack made only above
+    the cutoff give null_space_basis of the explicit stack, bit for bit."""
+    b = corpus_bisystem(family, params)
+    basis, want = admissible_space(b).basis, reference_basis(b)
+    assert basis.dtype == want.dtype and basis.shape == want.shape
+    assert basis.tobytes() == want.tobytes()
+
+
+class TestNoiseStack:
+    """admissible_space decides rank 0 on hypot(||I - TF||_F, ||I - WG||_F),
+    each half formed in place in its product, and makes the stack only for
+    the SVD."""
+
+    @pytest.mark.parametrize("d", [1, 5, 64])
+    @pytest.mark.parametrize("tol_rank", [1e-10, 1e-200])
+    def test_underflowing_squares(self, monkeypatch, d, tol_rank):
+        # I - TF = -1e-170 N: every square underflows to 0, so the norm is
+        # taken scaled.  It is under 1e-10, and the basis is I with no SVD;
+        # it is above 1e-200, and the SVD finds N's full rank: w = 0.
+        rng = np.random.default_rng(d)
+        n = rng.uniform(1.0, 2.0, (d, d))
+        np.fill_diagonal(n, 0.0)
+        first = PairedSystem(np.eye(d), np.eye(d) + 1e-170 * n)
+        b = BiSystem(first, identity_system(d))
+        assert np.abs(np.vstack(_halves(b))).max() <= 2e-170
+        calls = factorizations(monkeypatch)
+        basis = admissible_space(b, tol_rank).basis
+        if tol_rank == 1e-10 or d == 1:
+            assert calls == [] and np.array_equal(basis, np.eye(d))
+        else:
+            assert calls == ["svd"] and basis.shape == (d, 0)
+        assert basis.tobytes() == reference_basis(b, tol_rank).tobytes()
+
+    @pytest.mark.parametrize("tol_rank", [1e-10, -1.0, float("nan"), "1e-10"])
+    def test_overflow_refused_before_tol_rank_is_read(self, tol_rank):
+        first = PairedSystem([[1e200, 1], [0, 1]], [[1e200, 1e200], [0, 1]])
+        for b in (BiSystem(first, identity_system(2)), BiSystem(identity_system(2), first)):
+            with pytest.raises(StructuralError,
+                               match="^admissible basis contains non-finite entries$"):
+                admissible_space(b, tol_rank)
+
+    @pytest.mark.parametrize("family", ["dft_pair", "subspace_union"])
+    def test_bad_tol_rank_refused_on_both_paths(self, family):
+        b = generate(family, {"d": 4, "split": 2} if family == "subspace_union" else {"d": 4})
+        with pytest.raises(ParameterError, match="tol_rank"):
+            admissible_space(b, -1.0)
+
+    def test_halves_have_the_bits_of_the_subtraction(self):
+        # 0.0 - p and 1.0 - p_jj are the bits of I - p, the sign of every
+        # zero included, in real, complex and mixed bisystems.
+        for b in (generate("rotated_pair", {"d": 5, "angle": 30.0}),
+                  generate("perturbed", {"base": {"family": "dft_pair", "params": {"d": 6}}}),
+                  BiSystem(identity_system(3), from_hilbert_vectors(dft_matrix(3)))):
+            for half, s in zip(_halves(b), (b.first, b.second)):
+                p = _matmul(s.vectors, s.functionals)
+                want = np.eye(b.d, dtype=p.dtype) - p
+                assert half.dtype == want.dtype and half.tobytes() == want.tobytes()
+
+
+class TestWorkingSet:
+    """Transient tracemalloc peak, in units of 16 d^2 bytes (one complex
+    d x d array) at d = 128, on a bisystem whose products are not yet made.
+    admissible_space keeps the two products it forms its halves in and makes
+    no I and no stack for a noise stack; above the cutoff the stack is made
+    once, from the halves, which the SVD does not keep alive.  A coherence
+    maximum makes no array of magnitudes the product's size."""
+
+    D = 128
+    SLACK = 2**13  # bytes: the small arrays and scalars of the calls
+
+    def transient(self, call):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - before
+
+    @pytest.mark.parametrize("family,params,space_units,profile_units", [
+        ("dft_pair", {"d": D}, 4.0, 1.5),
+        ("perturbed", {"base": {"family": "dft_pair", "params": {"d": D}}}, 4.0, 2.0),
+        ("subspace_union", {"d": D, "split": 40}, 3.0, 1.0),
+    ])
+    def test_peaks(self, family, params, space_units, profile_units):
+        unit = 16 * self.D**2
+        admissible_space(generate(family, params, 3))  # warm every code path
+        b = generate(family, params, 3)
+        assert self.transient(lambda: admissible_space(b)) <= space_units * unit + self.SLACK
+        b = generate(family, params, 3)
+        assert self.transient(lambda: coherence_profile(b)) <= profile_units * unit + self.SLACK
 
 
 class TestFixedSubspace:

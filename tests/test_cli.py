@@ -5,7 +5,7 @@ import pytest
 
 from sparsebounds import coherence, generate, identity_system
 from sparsebounds.cli import main
-from sparsebounds.coherence import gram, sub_coherence
+from sparsebounds.coherence import sub_coherence
 from sparsebounds.serialization import (
     bisystem_to_dict,
     canonical_json,
@@ -114,20 +114,21 @@ class TestCoherence:
         assert set(doc) == {"sub_coherence", "gram_diagonal", "manifest"}
 
     def test_single_system_gram_computed_once(self, tmp_path, capsys, monkeypatch):
-        # sub_coherence comes from one d x d gram; gram_diagonal is validate's
-        # diagonals, bit for bit.
+        # sub_coherence comes from one d x d product, the gram; gram_diagonal
+        # is validate's diagonals, bit for bit.
         system = generate("dft_pair", {"d": 5}, 0).second
         want = {"sub_coherence": sub_coherence(system),
                 "gram_diagonal": validate_pairing(system).diagonals.tolist()}
         path = tmp_path / "system.json"
         path.write_text(canonical_json(system_to_dict(system)))
         calls = []
+        matmul = coherence._matmul
 
-        def spy(s):
-            calls.append(s)
-            return gram(s)
+        def spy(a, b):
+            calls.append((a, b))
+            return matmul(a, b)
 
-        monkeypatch.setattr(coherence, "gram", spy)
+        monkeypatch.setattr(coherence, "_matmul", spy)
         code, doc = run(capsys, "coherence", str(path))
         assert code == 0
         assert len(calls) == 1

@@ -22,7 +22,13 @@ from sparsebounds import (
 from sparsebounds import coherence
 from sparsebounds.dft import dft_matrix
 from sparsebounds.errors import StructuralError
-from referees import permuted, rotation
+from referees import (
+    corpus_bisystem,
+    permuted,
+    pipeline_corpus,
+    reference_profile,
+    rotation,
+)
 
 
 class TestGram:
@@ -115,6 +121,89 @@ class TestProfile:
         assert p.sub_coherence_g == q.sub_coherence_f
         assert p.cross_f_omega == pytest.approx(q.cross_g_tau, abs=1e-15)
         assert p.cross_g_tau == pytest.approx(q.cross_f_omega, abs=1e-15)
+
+
+@pytest.mark.parametrize("family,params", [
+    pytest.param(family, params, id=label) for label, family, params in pipeline_corpus()])
+def test_profile_matches_whole_array_referee(family, params):
+    """Block maxima, row scalings and the unformed diagonal gram give the
+    profile of the whole arrays, bit for bit."""
+    b = corpus_bisystem(family, params)
+    assert coherence_profile(b) == reference_profile(b)
+
+
+class TestRowBlocks:
+    """Each maximum is taken over row blocks of its product, about
+    coherence._BLOCK entries apiece."""
+
+    D = 200  # 40 rows per block: five blocks of a d x d product
+
+    def test_blocks_split_the_test_products(self):
+        assert self.D * 2 <= coherence._BLOCK < self.D * self.D // 4
+
+    @staticmethod
+    def overflowing(d, row, nan):
+        """T = I, F = I plus entries that make the gram's entry (row, 7)
+        inf, or inf - inf = NaN, and leave every other pairing finite,
+        1e200 at most."""
+        t, f = np.eye(d), np.eye(d)
+        t[3, 7], f[row, 3] = 1e200, 1e200
+        if nan:
+            t[4, 7], f[row, 4] = -1e200, 1e200
+        return PairedSystem(t, f)
+
+    @pytest.mark.parametrize("row", [0, 150, 199])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_non_finite_entry_in_one_block_is_refused(self, row, nan):
+        """The blocks combine with np.maximum: Python's max(0.0, nan) is 0.0,
+        so a NaN after a finite block would be lost."""
+        system = self.overflowing(self.D, row, nan)
+        with pytest.raises(StructuralError, match="^sub-coherence is not finite"):
+            sub_coherence(system)
+        with pytest.raises(StructuralError, match="^cross-coherence is not finite"):
+            cross_coherence(system, system)
+
+    @pytest.mark.parametrize("row", [0, 150, 199])
+    def test_non_finite_scaled_row_is_refused(self, row):
+        # diag(c) @ T with c_row T[row, 7] = 1e400: the scaling of one block.
+        c = np.ones(self.D)
+        c[row] = 1e200
+        t = np.eye(self.D)
+        t[row, 7] = 1e200
+        scaled = PairedSystem(np.eye(self.D), np.diag(c))
+        with pytest.raises(StructuralError, match="^cross-coherence is not finite"):
+            cross_coherence(scaled, PairedSystem(t, np.eye(self.D)))
+
+    def test_diagonal_gram_is_zero_without_a_product(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(coherence, "_matmul", lambda *args: calls.append(args))
+        c = np.linspace(1.0, 1e200, self.D)
+        assert sub_coherence(PairedSystem(np.diag(c), np.diag(c))) == 0.0
+        assert sub_coherence(identity_system(self.D, "complex")) == 0.0
+        assert calls == []
+
+    @pytest.mark.parametrize("d", [1, 4, 300])
+    def test_single_index_systems(self, d):
+        # n = 1: a 1 x 1 gram, whose only entry is on the diagonal, and
+        # cross products of one row or one column.
+        rng = np.random.default_rng(d)
+        tau = rng.standard_normal((d, 1))
+        one = PairedSystem(tau, tau.T / (tau.T @ tau))
+        for b in (BiSystem(one, identity_system(d)), BiSystem(one, one),
+                  BiSystem(identity_system(d, "complex"), one)):
+            profile = coherence_profile(b)
+            assert profile == reference_profile(b)
+            assert profile.sub_coherence_f == 0.0
+
+    @pytest.mark.parametrize("d,split", [(64, 20), (255, 85), (300, 7)])
+    def test_non_square_blocks(self, d, split):
+        # subspace_union's first system is d x split: a split x d and a
+        # d x split cross product, each against the identity as a scaling.
+        b = generate("subspace_union", {"d": d, "split": split}, 3)
+        assert coherence_profile(b) == reference_profile(b)
+        b = generate("perturbed", {"base": {"family": "subspace_union",
+                                            "params": {"d": d, "split": split}}}, 3)
+        assert coherence_profile(b) == reference_profile(b)
 
 
 def test_profile_computed_once_per_bisystem(monkeypatch):
