@@ -22,10 +22,12 @@ from .systems import (
     REAL,
     BiSystem,
     PairedSystem,
+    _adopted,
     _apply,
     _exact,
     _Form,
     _form,
+    _identity,
     _matmul,
     from_hilbert_vectors,
     identity_system,
@@ -52,16 +54,21 @@ class AdmissibleSpace:
     w is the basis's column count.  The basis takes the library's array
     rule (config._valid_array) when the space is made, so a basis with a
     non-finite entry, or one that is not a 2-d matrix, is refused then with
-    StructuralError.  It is a private read-only copy of the array given, in
-    that array's memory order, so every product with it runs the BLAS call,
-    and has the bits, of the array given.  Its product form (systems._form)
-    is therefore decided once and kept on the instance.
+    StructuralError.  It is private and read-only: a copy of the array a
+    caller gives, in that array's memory order, so every product with it
+    runs the BLAS call, and has the bits, of the array given; the rank-0
+    identity that admissible_space makes is adopted as it is, with its
+    known form (_identity_space).  Its product form (systems._form) is
+    therefore decided at most once and kept on the instance.
     """
 
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = np.array(_valid_array("admissible basis", self.basis), order="K")
+        self._own(np.array(_valid_array("admissible basis", self.basis), order="K"))
+
+    def _own(self, basis: np.ndarray) -> None:
+        """Keep basis, checked by the array rule, read-only as the space's."""
         if basis.ndim != 2:
             raise StructuralError(f"admissible basis has shape {basis.shape}, "
                                   f"expected a (d, w) matrix")
@@ -138,8 +145,18 @@ def admissible_space(bisystem: BiSystem, tol_rank: float = TOL_RANK) -> Admissib
     cutoff (_stack)."""
     stacked = _stack(bisystem, tol_rank)
     if stacked is None:
-        return AdmissibleSpace(np.eye(bisystem.d, dtype=_DTYPES[bisystem.field]))
+        return _identity_space(bisystem.d, _DTYPES[bisystem.field])
     return AdmissibleSpace(null_space_basis(stacked, tol_rank))
+
+
+def _identity_space(d: int, dtype) -> AdmissibleSpace:
+    """The space with basis I of dtype, made once and adopted, not copied,
+    with its known form (systems._identity), so _form never scans it."""
+    identity = _identity(d, dtype)
+    space = object.__new__(AdmissibleSpace)
+    space._own(_valid_array("admissible basis", identity.matrix))
+    space.__dict__["_form"] = identity
+    return space
 
 
 def _stack(bisystem: BiSystem, tol_rank: float) -> np.ndarray | None:
@@ -313,8 +330,8 @@ def _perturb(bisystem: BiSystem, magnitude: float, seed: int) -> BiSystem:
     maps the admissible subspace without changing its dimension; per-index
     scalings tau_j -> c_j tau_j, f_j -> f_j / c_j change the
     cross-coherences while leaving every diagonal pairing exact.  The new
-    systems copy the products S T diag(c) and diag(c)^-1 F S^-1, so they
-    share no memory with the base.
+    systems adopt the products S T diag(c) and diag(c)^-1 F S^-1, fresh
+    arrays that share no memory with the base.
     """
     rng = np.random.default_rng(seed)
     d = bisystem.d
@@ -335,7 +352,7 @@ def _perturb(bisystem: BiSystem, magnitude: float, seed: int) -> BiSystem:
         else:  # diag(f_jj / c_j) @ s_inv, as _matmul scales by a diagonal
             scale = (np.diagonal(system.functionals) / c).real
             functionals = _exact(scale[:, None] * s_inv, system.functionals.dtype)
-        return PairedSystem(vectors, functionals, system.field)
+        return _adopted(vectors, functionals, system.field)
 
     return BiSystem(apply(bisystem.first), apply(bisystem.second))
 

@@ -65,14 +65,17 @@ def _max_magnitude(a: _Form, b: _Form, off_diagonal: bool = False) -> np.float64
 
     Taken over row blocks of the product (_rows); the blocks' maxima combine
     with np.maximum, so an inf or NaN in any block is the result, for
-    _finite to refuse.
+    _finite to refuse.  A product by no diagonal operand is formed once, as
+    BLAS computes it (_as_computed).
     """
-    n_cols = b.matrix.shape[1]
-    step = max(1, _BLOCK // n_cols)
     top = np.float64(0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
-        product = None if a.diagonal is not None or b.diagonal is not None else _matmul(a, b)
-        for start in range(0, a.matrix.shape[0], step):
+        product = None
+        if a.diagonal is None and b.diagonal is None:
+            product = _matmul(*_as_computed(a, b))
+        n_rows, n_cols = (a.matrix.shape[0], b.matrix.shape[1]) if product is None else product.shape
+        step = max(1, _BLOCK // n_cols)
+        for start in range(0, n_rows, step):
             magnitudes = np.abs(_rows(a, b, product, slice(start, start + step)))
             if off_diagonal:  # entry (r, start + r) of the block is on the diagonal
                 magnitudes.reshape(-1)[start::n_cols + 1] = 0.0
@@ -80,11 +83,29 @@ def _max_magnitude(a: _Form, b: _Form, off_diagonal: bool = False) -> np.float64
     return top
 
 
+def _as_computed(a: _Form, b: _Form) -> tuple[_Form, _Form]:
+    """Operands whose product has the magnitudes of a @ b, bit for bit, as
+    systems._dense computes them, with no cast or transposed copy after.
+
+    Two real-valued operands multiply as the real matrices they are; their
+    real product is not cast to complex, and |x| of x + 0i is |x|.  For
+    complex a and real-valued b, _dense computes b^T @ a^T and returns its
+    transpose; here that transpose is the product, and a square product's
+    diagonal, like every maximum, is the same either way.
+    """
+    if a.real is not None and b.real is not None:
+        return _Form(a.real, a.real, None), _Form(b.real, b.real, None)
+    if a.real is None and b.real is not None:
+        return _Form(b.real.T, b.real.T, None), _Form(a.matrix.T, None, None)
+    return a, b
+
+
 def _rows(a: _Form, b: _Form, product: np.ndarray | None, rows: slice) -> np.ndarray:
     """The rows of _matmul(a, b), up to the sign of a zero, which |.| drops.
 
     A diagonal operand scales only these rows, as _matmul scales the whole
-    product; any other product is _matmul's, formed once by the caller.
+    product; any other product is formed once by the caller, as BLAS
+    computes it (_as_computed), and these are its rows.
     """
     if a.diagonal is not None:
         return a.diagonal[rows, None] * b.matrix[rows]

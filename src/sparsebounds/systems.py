@@ -30,8 +30,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _dtype(field_tag: str):
+    """The numpy dtype of a field tag; an unknown tag raises StructuralError."""
+    if field_tag not in _DTYPES:
+        raise StructuralError(f"unknown field tag {field_tag!r}")
+    return _DTYPES[field_tag]
+
+
 def _as_matrix(a, field_tag: str, name: str, copy: bool = False) -> np.ndarray:
-    a = _valid_array(name, a, _DTYPES[field_tag], copy)
+    a = _valid_array(name, a, _dtype(field_tag), copy)
     if a.ndim != 2:
         raise StructuralError(f"{name} must be a 2-d matrix, got ndim={a.ndim}")
     return a
@@ -41,10 +48,12 @@ def _as_matrix(a, field_tag: str, name: str, copy: bool = False) -> np.ndarray:
 class PairedSystem:
     """Matched collections (tau_j, f_j): vectors d x n, functionals n x d.
 
-    Its arrays are private, read-only and C-ordered copies of the arrays it
-    is given, whoever gives them, the library's own constructors included.
-    Per-system invariants such as the pairing diagonals and each matrix's
-    product form are therefore computed once and kept on the instance.
+    Its arrays are private, read-only and C-ordered.  The arrays a caller
+    gives are copied; the fresh arrays a library constructor has just made
+    for the system are adopted as they are (_adopted), after the same shape
+    and finiteness checks.  Either way no other system, and no caller,
+    holds them, so per-system invariants such as the pairing diagonals and
+    each matrix's product form are computed once and kept on the instance.
     """
 
     vectors: np.ndarray
@@ -52,11 +61,15 @@ class PairedSystem:
     field: str = REAL
 
     def __post_init__(self):
-        if self.field not in _DTYPES:
-            raise StructuralError(f"unknown field tag {self.field!r}")
+        # One copy, cast and all, is the system's private matrix.
+        self._own(copy=True)
+
+    def _own(self, copy: bool) -> None:
+        """Check the field tag and both matrices, and keep each read-only:
+        with copy, a C-ordered copy in the field's dtype; without, the
+        array itself."""
         for name in ("vectors", "functionals"):
-            # One copy, cast and all, is the system's private matrix.
-            matrix = _as_matrix(getattr(self, name), self.field, name, copy=True)
+            matrix = _as_matrix(getattr(self, name), self.field, name, copy)
             matrix.setflags(write=False)
             object.__setattr__(self, name, matrix)
         d, n = self.vectors.shape
@@ -167,7 +180,31 @@ def from_hilbert_vectors(vectors) -> PairedSystem:
     if bad.size:
         j = int(bad[0])
         raise HypothesisError(f"column {j} has norm {norms[j]:.6g}, expected 1 within {ETA_HYP:g}")
-    return PairedSystem(T, T.conj().T, field_tag)
+    # One copy of T and one of its transpose, conjugated in place: no third
+    # array of T's size, and no ufunc buffers for a transposed operand.
+    functionals = np.array(T.T, order="C")
+    np.conjugate(functionals, out=functionals)
+    return _adopted(np.array(T, order="C"), functionals, field_tag)
+
+
+def _adopted(vectors, functionals, field_tag: str) -> PairedSystem:
+    """A PairedSystem that keeps the given arrays themselves, not copies.
+
+    For a library constructor's own arrays only: fresh, C-ordered, of the
+    field's dtype, and held by nothing else once handed over.  They get the
+    public constructor's shape and finiteness checks.  Either matrix may be
+    given as its _Form when the constructor knows it, as for an identity
+    (_identity); that form is kept, and _form never scans the matrix.
+    """
+    system, forms = object.__new__(PairedSystem), {}
+    for name, a in (("vectors", vectors), ("functionals", functionals)):
+        if isinstance(a, _Form):
+            forms[f"_{name}_form"], a = a, a.matrix
+        object.__setattr__(system, name, a)
+    object.__setattr__(system, "field", field_tag)
+    system._own(copy=False)
+    system.__dict__.update(forms)
+    return system
 
 
 def _as_signal(field_tag: str, x, length: int, name: str) -> np.ndarray:
@@ -285,6 +322,19 @@ def analysis(system: PairedSystem, x) -> np.ndarray:
 
 
 def identity_system(d: int, field_tag: str = REAL) -> PairedSystem:
-    """The d x d identity as both vectors and functionals, two arrays."""
-    eye = np.eye(_valid_integer("d", d, 1))
-    return PairedSystem(eye, eye, field_tag)
+    """The d x d identity as both vectors and functionals: two arrays, each
+    made in the field's dtype and adopted with its known form (_identity)."""
+    d = _valid_integer("d", d, 1)
+    dtype = _dtype(field_tag)
+    return _adopted(_identity(d, dtype), _identity(d, dtype), field_tag)
+
+
+def _identity(d: int, dtype) -> _Form:
+    """A fresh read-only d x d identity of dtype with its product form, the
+    one _form decides for it (a real view, a diagonal of ones), known
+    without a scan."""
+    eye = np.eye(d, dtype=dtype)
+    eye.setflags(write=False)
+    ones = np.ones(d)
+    ones.setflags(write=False)
+    return _Form(eye, eye.real, ones)

@@ -307,6 +307,23 @@ class TestWorkingSet:
         b = generate(family, params, 3)
         assert self.transient(lambda: coherence_profile(b)) <= profile_units * unit + self.SLACK
 
+    @pytest.mark.parametrize("family,params,units", [
+        # The identity's two matrices, the DFT matrix, and the DFT system's
+        # copy of it and conjugate transpose: five arrays, each made once,
+        # and a finiteness mask (1/16).  A conjugate that the system then
+        # copied read 6.08.
+        ("dft_pair", {"d": D}, 5.1),
+        # At the last product: the base's four matrices, three of the new
+        # systems' four, S, its inverse and E (1.5), and the three arrays of
+        # the mixed product diag(c)^-1 G S^-1: G / c, the product and its
+        # C-ordered transpose, which the new system adopts.  Copying each
+        # product read 11.60.
+        ("perturbed", {"base": {"family": "dft_pair", "params": {"d": D}}}, 11.55),
+    ])
+    def test_generate_peak(self, family, params, units):
+        generate(family, params, 3)  # warm every code path
+        assert self.transient(lambda: generate(family, params, 3)) <= units * 16 * self.D**2 + self.SLACK
+
 
 class TestFixedSubspace:
     """admissible_space on pairs whose common fixed subspace is known."""

@@ -120,8 +120,10 @@ def matrices(bisystem):
 
 
 class TestOwnership:
-    """A system's arrays are its own: copies of a caller's arrays, or arrays
-    a library constructor built for it, read-only and C-ordered."""
+    """A system's arrays are its own, read-only and C-ordered: copies of the
+    arrays a caller gives, or the fresh arrays a library constructor made
+    for it, adopted without a copy.  Either way no two matrices share
+    memory."""
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_public_constructors_never_alias_caller_arrays(self, dtype):
@@ -205,20 +207,52 @@ def test_array_records_compare_and_hash_by_identity(kind):
     assert {one: 1, other: 2}[other] == 2
 
 
-@pytest.mark.parametrize("d", [256, 512])
-def test_cast_matrix_copied_once(d):
-    # identity_system(d, "complex") casts its float eye (8 d^2 bytes) into the
-    # two complex matrices it keeps (16 d^2 each), one copy apiece.  The
-    # slack is the finiteness check's boolean mask (d^2) and 64 KiB; a second
-    # copy of either cast matrix adds 16 d^2.
-    identity_system(2, "complex")
+def traced_peak(call) -> int:
+    """The tracemalloc peak of call(), counted from zero."""
     tracemalloc.start()
     try:
-        identity_system(d, "complex")
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * d * d + 2 * 16 * d * d + d * d + 2**16
+
+
+@pytest.mark.parametrize("d", [256, 512])
+def test_cast_matrix_copied_once(d):
+    # identity_system(d, "complex") makes the two complex matrices it keeps
+    # (16 d^2 bytes each) in the field's dtype: no float eye, no cast copy.
+    # The slack is the finiteness check's boolean mask (d^2) and 64 KiB; a
+    # float eye adds 8 d^2, a copy of either matrix 16 d^2.
+    identity_system(2, "complex")
+    assert traced_peak(lambda: identity_system(d, "complex")) <= 2 * 16 * d * d + d * d + 2**16
+
+
+@pytest.mark.parametrize("d", [256, 512])
+def test_hilbert_matrices_made_once(d):
+    # from_hilbert_vectors of a complex T keeps one copy of T and one of its
+    # conjugate transpose (16 d^2 bytes each), and makes no third array of
+    # that size.  Slack as above: the finiteness mask (d^2) and 64 KiB.
+    t = dft_matrix(d)
+    from_hilbert_vectors(dft_matrix(2))
+    assert traced_peak(lambda: from_hilbert_vectors(t)) <= 2 * 16 * d * d + d * d + 2**16
+
+
+@pytest.mark.parametrize("d", [1, 2, 512])
+@pytest.mark.parametrize("field_tag", ["real", "complex"])
+def test_known_identity_forms_are_the_decided_forms(d, field_tag):
+    """The form an identity carries from its constructor is, field for field
+    and byte for byte, the one _form decides: both matrices of an identity
+    system, and the rank-0 admissible basis."""
+    s = identity_system(d, field_tag)
+    space = admissible_space(BiSystem(s, identity_system(d, field_tag)))
+    known = [s._vectors_form, s._functionals_form, space._form]
+    assert all(form.matrix is m for form, m in zip(known, (s.vectors, s.functionals, space.basis)))
+    for form in known:
+        decided = systems._form(form.matrix)
+        for name in ("matrix", "real", "diagonal"):
+            got, want = getattr(form, name), getattr(decided, name)
+            assert (got.dtype, got.shape, got.strides, got.flags.writeable, got.tobytes()) \
+                == (want.dtype, want.shape, want.strides, want.flags.writeable, want.tobytes())
 
 
 class TestValidatePairing:
@@ -541,9 +575,11 @@ class TestProductRule:
         assert len(dense) == 2
 
     def test_dft_pair_forms_decided_once_per_matrix(self, monkeypatch):
-        """On dft_pair only the DFT system's W G and G W reach BLAS, and each
-        of the four system matrices is classified once for the whole
-        certificate pipeline."""
+        """On dft_pair only the DFT system's W G and G W reach BLAS, and no
+        matrix is classified twice in the whole certificate pipeline: the
+        DFT system's two matrices once each, the identity system's and the
+        rank-0 basis's never, since the library built those identities
+        and knows their forms."""
         d = 64
         dense, classified = [], []
         real_dense, real_form = systems._dense, systems._form
@@ -567,8 +603,10 @@ class TestProductRule:
         verify_fkdb(b, sample_admissible(space, 1))
         exhaustive_verify(b, space, 3)
         matrices = [b.first.vectors, b.first.functionals, w, g]
-        assert [sum(m is x for x in classified) for m in matrices] == [1, 1, 1, 1]
-        assert len(classified) == 4
+        assert [sum(m is x for x in classified) for m in matrices] == [0, 0, 1, 1]
+        assert len(classified) == 2
+        known = (b.first._vectors_form, b.first._functionals_form, space._form)
+        assert all(form.diagonal is not None for form in known)
 
     def test_form_decided_by_every_entry(self):
         """The last row only rules forms out: a nonzero imaginary part or
