@@ -332,6 +332,17 @@ def _perturb(bisystem: BiSystem, magnitude: float, seed: int) -> BiSystem:
     cross-coherences while leaving every diagonal pairing exact.  The new
     systems adopt the products S T diag(c) and diag(c)^-1 F S^-1, fresh
     arrays that share no memory with the base.
+
+    Each array is let go once nothing reads it: E once S is formed, then
+    each base system, in order, once its S T diag(c) and diag(c)^-1 F are
+    made, before the product by S^-1 (a base the caller still holds stays
+    alive; generate hands its base over).  A complex F times the dense real
+    S^-1 is computed as the transpose product (_dense), which reads the
+    quotient transposed and C-ordered: diag(c)^-1 F is made in Fortran
+    order, which is that layout, so it is not copied again.  The peak is
+    that last product over a complex base: the first new system, S, S^-1,
+    the second's vectors, its quotient, the product and its C-ordered
+    transpose, seven complex d x d arrays for dft_pair.
     """
     rng = np.random.default_rng(seed)
     d = bisystem.d
@@ -341,20 +352,31 @@ def _perturb(bisystem: BiSystem, magnitude: float, seed: int) -> BiSystem:
     if norm > 0:
         e *= magnitude / norm
         s += e
-    s_inv = np.linalg.inv(s)
+    del e
+    s_inv = _form(np.linalg.inv(s))
+    s = _form(s)
+    bases = [bisystem.first, bisystem.second]
+    del bisystem  # each base system is now held by bases alone, until apply takes it
 
-    def apply(system: PairedSystem) -> PairedSystem:
+    def apply() -> PairedSystem:
+        system = bases.pop(0)
         c = rng.uniform(1.0, 1.0 + magnitude, size=system.n)
         vectors = _matmul(s, system._vectors_form)
         vectors *= c
-        if system._functionals_form.diagonal is None:
-            functionals = _matmul(system.functionals / c[:, None], s_inv)
-        else:  # diag(f_jj / c_j) @ s_inv, as _matmul scales by a diagonal
-            scale = (np.diagonal(system.functionals) / c).real
-            functionals = _exact(scale[:, None] * s_inv, system.functionals.dtype)
-        return _adopted(vectors, functionals, system.field)
+        field, f = system.field, system._functionals_form
+        del system
+        if f.diagonal is not None:  # diag(f_jj / c_j) @ s_inv, as _matmul scales by a diagonal
+            scale, dtype = (np.diagonal(f.matrix) / c).real, f.matrix.dtype
+            del f
+            return _adopted(vectors, _exact(scale[:, None] * s_inv.matrix, dtype), field)
+        # Where S^-1 is diagonal (magnitude 0: S^-1 = I), _matmul scales the
+        # quotient in its own layout, which the system keeps: C order there.
+        transposed = f.real is None and s_inv.diagonal is None
+        quotient = np.divide(f.matrix, c[:, None], order="F" if transposed else "C")
+        del f
+        return _adopted(vectors, _matmul(quotient, s_inv), field)
 
-    return BiSystem(apply(bisystem.first), apply(bisystem.second))
+    return BiSystem(apply(), apply())
 
 
 def _spectral_norm(e: np.ndarray) -> float:

@@ -24,7 +24,9 @@ def dft_matrix(d: int) -> np.ndarray:
     d = _valid_integer("d", d, 1)
     k = np.arange(d)
     roots = np.exp(-2j * np.pi * k / d) / np.sqrt(d)
-    return roots[np.outer(k, k) % d]
+    index = np.outer(k, k)
+    index %= d  # in place: one d x d index array
+    return roots[index]
 
 
 def forward(h) -> np.ndarray:

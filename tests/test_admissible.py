@@ -278,7 +278,12 @@ class TestWorkingSet:
     admissible_space keeps the two products it forms its halves in and makes
     no I and no stack for a noise stack; above the cutoff the stack is made
     once, from the halves, which the SVD does not keep alive.  A coherence
-    maximum makes no array of magnitudes the product's size."""
+    maximum makes no array of magnitudes the product's size.
+    generate("perturbed") lets E go once S is formed, and each base system
+    once its S T diag(c) and diag(c)^-1 F are made: over dft_pair it peaks
+    at 7 (the first new system, S and S^-1, the second's vectors, its
+    quotient, the product and its C-ordered transpose), over a real base
+    below 4."""
 
     D = 128
     SLACK = 2**13  # bytes: the small arrays and scalars of the calls
@@ -313,12 +318,25 @@ class TestWorkingSet:
         # and a finiteness mask (1/16).  A conjugate that the system then
         # copied read 6.08.
         ("dft_pair", {"d": D}, 5.1),
-        # At the last product: the base's four matrices, three of the new
-        # systems' four, S, its inverse and E (1.5), and the three arrays of
-        # the mixed product diag(c)^-1 G S^-1: G / c, the product and its
-        # C-ordered transpose, which the new system adopts.  Copying each
-        # product read 11.60.
-        ("perturbed", {"base": {"family": "dft_pair", "params": {"d": D}}}, 11.55),
+        # At the last product: the first new system's two matrices, S and
+        # S^-1 (1), the second's vectors, diag(c)^-1 G in the Fortran order
+        # the mixed product reads, the product and its C-ordered transpose,
+        # which the new system adopts.  E and the base are let go by then.
+        # Holding E and the base, a C-ordered G / c and its transposed copy
+        # read 11.54.
+        ("perturbed", {"base": {"family": "dft_pair", "params": {"d": D}}}, 7.0),
+        # Real bases peak at S diag(1), the scaling S times the base
+        # identity's vectors: the base's four real matrices (2), S and S^-1
+        # (1), the scaled copy (1/2), numpy's ufunc buffer of 8192 doubles
+        # (1/4), and for identity_pair the four read-only diagonals of ones
+        # (1/64).  subspace_union's identity is its second system: there
+        # the base holds only that identity (1), next to the first new
+        # system's two d x 40 matrices (5/16).  Holding E and the base read
+        # 6.03, 4.41 and 5.79.
+        ("perturbed", {"base": {"family": "rotated_pair", "params": {"d": D}}}, 3.75),
+        ("perturbed", {"base": {"family": "subspace_union", "params": {"d": D, "split": 40}}},
+         3.0625),
+        ("perturbed", {"base": {"family": "identity_pair", "params": {"d": D}}}, 3.765625),
     ])
     def test_generate_peak(self, family, params, units):
         generate(family, params, 3)  # warm every code path

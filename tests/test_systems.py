@@ -103,7 +103,8 @@ class TestConstruction:
         np.testing.assert_array_equal(analysis(s, np.array([1.0 + 0j, 0.0])), analysis(s, [1.0, 0.0]))
 
 
-# One instance of each family; perturbed over a complex and over a real base.
+# One instance of each family; perturbed over every base, at magnitude 0,
+# and over itself.
 FAMILY_CASES = [
     ("identity_pair", {"d": 5}),
     ("dft_pair", {"d": 6}),
@@ -112,6 +113,13 @@ FAMILY_CASES = [
     ("perturbed", {"base": {"family": "dft_pair", "params": {"d": 6}}, "magnitude": 0.2}),
     ("perturbed", {"base": {"family": "subspace_union", "params": {"d": 6, "split": 2}},
                    "magnitude": 0.2}),
+    # S^-1 = I: the functionals are a scaling of diag(c)^-1 F, in its layout.
+    ("perturbed", {"base": {"family": "dft_pair", "params": {"d": 6}}, "magnitude": 0.0}),
+    ("perturbed", {"base": {"family": "identity_pair", "params": {"d": 6}}, "magnitude": 0.2}),
+    ("perturbed", {"base": {"family": "rotated_pair", "params": {"d": 6}}, "magnitude": 0.2}),
+    ("perturbed", {"base": {"family": "perturbed", "params": {
+        "base": {"family": "dft_pair", "params": {"d": 6}}, "magnitude": 0.2}},
+        "magnitude": 0.2}),
 ]
 
 
