@@ -54,64 +54,15 @@ def cross_coherence(f_system: PairedSystem, w_system: PairedSystem) -> float:
                    _max_magnitude(f_system._functionals_form, w_system._vectors_form))
 
 
-# Row blocks of a product hold about this many entries: a block's
-# magnitudes stay in cache, and no second array of the product's size is made.
-_BLOCK = 2**13
-
-
 def _max_magnitude(a: _Form, b: _Form, off_diagonal: bool = False) -> np.float64:
-    """max |(a @ b)_jk| over every entry, or over the off-diagonal ones, with
-    the bits of the same maximum of np.abs(_matmul(a, b)).
-
-    Taken over row blocks of the product (_rows); the blocks' maxima combine
-    with np.maximum, so an inf or NaN in any block is the result, for
-    _finite to refuse.  A product by no diagonal operand is formed once, as
-    BLAS computes it (_as_computed).
-    """
-    top = np.float64(0.0)
+    """max |(a @ b)_jk| over every entry, or over the off-diagonal ones, of
+    the product _matmul returns.  An inf or NaN entry is the maximum (.max()
+    propagates NaN), for _finite to refuse."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
-        product = None
-        if a.diagonal is None and b.diagonal is None:
-            product = _matmul(*_as_computed(a, b))
-        n_rows, n_cols = (a.matrix.shape[0], b.matrix.shape[1]) if product is None else product.shape
-        step = max(1, _BLOCK // n_cols)
-        for start in range(0, n_rows, step):
-            magnitudes = np.abs(_rows(a, b, product, slice(start, start + step)))
-            if off_diagonal:  # entry (r, start + r) of the block is on the diagonal
-                magnitudes.reshape(-1)[start::n_cols + 1] = 0.0
-            top = np.maximum(top, magnitudes.max())
-    return top
-
-
-def _as_computed(a: _Form, b: _Form) -> tuple[_Form, _Form]:
-    """Operands whose product has the magnitudes of a @ b, bit for bit, as
-    systems._dense computes them, with no cast or transposed copy after.
-
-    Two real-valued operands multiply as the real matrices they are; their
-    real product is not cast to complex, and |x| of x + 0i is |x|.  For
-    complex a and real-valued b, _dense computes b^T @ a^T and returns its
-    transpose; here that transpose is the product, and a square product's
-    diagonal, like every maximum, is the same either way.
-    """
-    if a.real is not None and b.real is not None:
-        return _Form(a.real, a.real, None), _Form(b.real, b.real, None)
-    if a.real is None and b.real is not None:
-        return _Form(b.real.T, b.real.T, None), _Form(a.matrix.T, None, None)
-    return a, b
-
-
-def _rows(a: _Form, b: _Form, product: np.ndarray | None, rows: slice) -> np.ndarray:
-    """The rows of _matmul(a, b), up to the sign of a zero, which |.| drops.
-
-    A diagonal operand scales only these rows, as _matmul scales the whole
-    product; any other product is formed once by the caller, as BLAS
-    computes it (_as_computed), and these are its rows.
-    """
-    if a.diagonal is not None:
-        return a.diagonal[rows, None] * b.matrix[rows]
-    if b.diagonal is not None:
-        return a.matrix[rows] * b.diagonal
-    return product[rows]
+        magnitudes = np.abs(_matmul(a, b))
+    if off_diagonal:
+        np.fill_diagonal(magnitudes, 0.0)
+    return magnitudes.max()
 
 
 def _finite(name: str, value) -> float:
@@ -126,7 +77,8 @@ def coherence_profile(bisystem: BiSystem) -> CoherenceProfile:
     """Bundle both sub-coherences and both cross-coherences.
 
     Computed once per BiSystem instance and kept on it: its arrays are
-    private read-only copies, so the profile cannot go stale.
+    private and read-only (copied from the caller or adopted from a library
+    constructor), so the profile cannot go stale.
     """
     profile = bisystem.__dict__.get("_coherence_profile")
     if profile is None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import _number, _valid_array, _valid_integer, _valid_real
 from .errors import ParameterError, StructuralError
-from .systems import COMPLEX, REAL, BiSystem, PairedSystem
+from .systems import COMPLEX, REAL, BiSystem, PairedSystem, _dtype
 
 
 def _encode(a) -> list:
@@ -39,8 +39,7 @@ def _encode(a) -> list:
 
 def _decode(values, field_tag: str, name: str) -> np.ndarray:
     """Inverse of _encode: complex fields read trailing [re, im] pairs bit for bit."""
-    if field_tag not in (REAL, COMPLEX):
-        raise StructuralError(f"unknown field tag {field_tag!r}")
+    _dtype(field_tag)
     a = _valid_array(name, values, np.float64)
     if field_tag != COMPLEX:
         return a

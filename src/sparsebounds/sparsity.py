@@ -49,8 +49,13 @@ def concentration_epsilon(a, index_set) -> float:
 
 def _concentration(mags: np.ndarray, index_set) -> tuple:
     """(size, concentration_epsilon) of the set index_set, whose indices are
-    integers >= 0, for the magnitudes mags."""
-    m = sorted({_valid_integer("index", i, 0) for i in index_set})
+    integers >= 0, for the magnitudes mags; anything else is refused with
+    ParameterError, an index set that is not iterable included."""
+    try:
+        indices = iter(index_set)
+    except TypeError:
+        raise ParameterError(f"index set must hold integers, got {index_set!r}") from None
+    m = sorted({_valid_integer("index", i, 0) for i in indices})
     if m and m[-1] >= mags.size:
         raise ParameterError(f"index set not contained in [0, {mags.size})")
     return len(m), float(_defects(_masses(mags)[-1], _masses(mags[m])[-1]))

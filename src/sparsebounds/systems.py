@@ -31,8 +31,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _dtype(field_tag: str):
-    """The numpy dtype of a field tag; an unknown tag raises StructuralError."""
-    if field_tag not in _DTYPES:
+    """The numpy dtype of a field tag; anything but a tag, an unhashable
+    value included, raises StructuralError."""
+    if not isinstance(field_tag, str) or field_tag not in _DTYPES:
         raise StructuralError(f"unknown field tag {field_tag!r}")
     return _DTYPES[field_tag]
 

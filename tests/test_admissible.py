@@ -277,8 +277,7 @@ class TestWorkingSet:
     d x d array) at d = 128, on a bisystem whose products are not yet made.
     admissible_space keeps the two products it forms its halves in and makes
     no I and no stack for a noise stack; above the cutoff the stack is made
-    once, from the halves, which the SVD does not keep alive.  A coherence
-    maximum makes no array of magnitudes the product's size.
+    once, from the halves, which the SVD does not keep alive.
     generate("perturbed") lets E go once S is formed, and each base system
     once its S T diag(c) and diag(c)^-1 F are made: over dft_pair it peaks
     at 7 (the first new system, S and S^-1, the second's vectors, its

@@ -123,23 +123,37 @@ class TestProfile:
         assert p.cross_g_tau == pytest.approx(q.cross_f_omega, abs=1e-15)
 
 
+def mixed_field(kind, d, real_first):
+    """A dense real system against the complex DFT basis, in either order:
+    the real system's products with the DFT system are real x complex and
+    complex x real, each multiplied by _matmul as the real matrix it is."""
+    if kind == "rotated":
+        real = generate("rotated_pair", {"d": d, "angle": 30.0}, 7).second
+    else:
+        q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))
+        real = from_hilbert_vectors(q)
+    dft = from_hilbert_vectors(dft_matrix(d))
+    return BiSystem(real, dft) if real_first else BiSystem(dft, real)
+
+
 @pytest.mark.parametrize("family,params", [
-    pytest.param(family, params, id=label) for label, family, params in pipeline_corpus()])
+    pytest.param(family, params, id=label) for label, family, params in pipeline_corpus()] + [
+    pytest.param("mixed", (kind, d, real_first),
+                 id=f"{kind}-real-{'first' if real_first else 'second'}-dft-d{d}")
+    for kind in ("rotated", "orthogonal") for d in (2, 64, 255) for real_first in (True, False)])
 def test_profile_matches_whole_array_referee(family, params):
-    """Block maxima, row scalings and the unformed diagonal gram give the
+    """Each maximum, taken from the product _matmul returns (its diagonal
+    zeroed for a sub-coherence), and the unformed diagonal gram give the
     profile of the whole arrays, bit for bit."""
-    b = corpus_bisystem(family, params)
+    b = mixed_field(*params) if family == "mixed" else corpus_bisystem(family, params)
     assert coherence_profile(b) == reference_profile(b)
 
 
 class TestRowBlocks:
-    """Each maximum is taken over row blocks of its product, about
-    coherence._BLOCK entries apiece."""
+    """Maxima of non-finite, scaled, diagonal, single-index and non-square
+    products, each taken from the whole product."""
 
-    D = 200  # 40 rows per block: five blocks of a d x d product
-
-    def test_blocks_split_the_test_products(self):
-        assert self.D * 2 <= coherence._BLOCK < self.D * self.D // 4
+    D = 200
 
     @staticmethod
     def overflowing(d, row, nan):
@@ -155,8 +169,9 @@ class TestRowBlocks:
     @pytest.mark.parametrize("row", [0, 150, 199])
     @pytest.mark.parametrize("nan", [False, True])
     def test_non_finite_entry_in_one_block_is_refused(self, row, nan):
-        """The blocks combine with np.maximum: Python's max(0.0, nan) is 0.0,
-        so a NaN after a finite block would be lost."""
+        """An inf or NaN entry at the first, a middle or the last row is the
+        maximum: ndarray.max propagates NaN, where Python's max(0.0, nan)
+        would lose it."""
         system = self.overflowing(self.D, row, nan)
         with pytest.raises(StructuralError, match="^sub-coherence is not finite"):
             sub_coherence(system)
@@ -165,7 +180,7 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("row", [0, 150, 199])
     def test_non_finite_scaled_row_is_refused(self, row):
-        # diag(c) @ T with c_row T[row, 7] = 1e400: the scaling of one block.
+        # diag(c) @ T with c_row T[row, 7] = 1e400: an inf in one scaled row.
         c = np.ones(self.D)
         c[row] = 1e200
         t = np.eye(self.D)

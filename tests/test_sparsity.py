@@ -57,6 +57,16 @@ class TestConcentration:
         with pytest.raises(ParameterError):
             concentration_epsilon([1.0, 2.0], {5})
 
+    @pytest.mark.parametrize("index_set", [None, 0, 1.5])
+    def test_non_iterable_set_refused(self, index_set):
+        # Refused as a parameter, like a non-integer index, not by a TypeError.
+        with pytest.raises(ParameterError, match="index set must hold integers"):
+            concentration_epsilon([1.0, 2.0], index_set)
+        b = BiSystem(identity_system(2), identity_system(2))
+        for sets in ((index_set, [0]), ([0], index_set)):
+            with pytest.raises(ParameterError, match="index set must hold integers"):
+                verify_fskpb(b, [1.0, 0.0], *sets)
+
     def test_zero_on_support(self):
         a = np.array([0.0, 3.0, -1.0, 0.0])
         assert concentration_epsilon(a, support(a, eta=0.0)) == 0.0

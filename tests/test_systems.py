@@ -54,6 +54,15 @@ class TestConstruction:
         with pytest.raises(StructuralError, match="unknown field tag"):
             identity_system(3, field_tag)
 
+    @pytest.mark.parametrize("field_tag", [[], {}, ["real"], 1, b"real"],
+                             ids=["list", "dict", "tag-in-list", "int", "bytes"])
+    def test_non_tag_field_refused(self, field_tag):
+        # An unhashable value is refused as unknown, not by a TypeError.
+        with pytest.raises(StructuralError, match="unknown field tag"):
+            PairedSystem(np.eye(2), np.eye(2), field_tag)
+        with pytest.raises(StructuralError, match="unknown field tag"):
+            identity_system(2, field_tag)
+
     def test_bisystem_field_is_complex_when_either_system_is(self):
         real, cplx = identity_system(2), identity_system(2, "complex")
         fields = [BiSystem(a, b).field for a, b in ((real, real), (real, cplx), (cplx, real),
