@@ -132,10 +132,13 @@ def _norm(a: np.ndarray) -> float:
     with np.errstate(over="ignore"):  # a norm beyond the largest float is inf
         norm = np.linalg.norm(a)
         if norm < _UNDERFLOW or norm == np.inf:
-            # A real a's largest magnitude is read without a copy of |a|.
-            top = (np.abs(a).max(initial=0.0) if np.iscomplexobj(a)
-                   else np.maximum(a.max(initial=0.0), -a.min(initial=0.0)))
-            norm = top * np.linalg.norm(a / top) if 0 < top < np.inf else top
+            # The largest magnitude, read on a itself when a is real, so
+            # without a copy: an identity's exactly zero half I - TF comes
+            # here (_stack).  A complex a is scaled as |a|: numpy's complex
+            # a / top overflows where top is subnormal.
+            mags = np.abs(a) if np.iscomplexobj(a) else a
+            top = np.maximum(mags.max(initial=0.0), -mags.min(initial=0.0))
+            norm = top * np.linalg.norm(mags / top) if 0 < top < np.inf else top
     return float(norm)
 
 

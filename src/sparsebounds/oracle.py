@@ -4,10 +4,9 @@ The search enumerates support-pattern pairs (S_f, S_g) in increasing order
 of |S_f| * |S_g| (ties by |S_f|, then lexicographic sets) and solves each
 pattern's feasibility as a null-space problem; the first feasible pattern is
 therefore a minimizer of the sparsity product over the admissible subspace.
-The classes come one at a time, from a heap, so a search that stops early
-never orders the rest.  Each size class projects the side with fewer sets,
-S_g when comb(m, |S_g|) < comb(n, |S_f|) and S_f otherwise, unless only the
-other side's sets of the class are projected already, which it then reuses.
+Each size class projects the side with fewer sets, S_g when comb(m, |S_g|)
+< comb(n, |S_f|) and S_f otherwise, unless only the other side's sets of the
+class are projected already, which it then reuses.
 Described for S_f (for S_g, exchange the two systems): each S_f is projected
 onto V, a loosely cut null space of the first system's rows outside S_f, by
 one stacked eigendecomposition of their Gram matrices over all S_f of equal
@@ -26,8 +25,8 @@ of its sets' complements).  A size class is otherwise filtered in batches of
 at most BATCH patterns: the live projected sets, those not ruled out at the
 class's size, are tested together, across S_f and S_g, by an LDL^H pivot
 test of G - cutoff * I for the Gram matrix G of the rows of P outside S_g,
-downdated from H by the |S_g| outer products of the rows in S_g.  A batch or
-a class with no live set is counted whole.  The Gram stacks hold the matrix
+downdated from H by the |S_g| outer products of the rows in S_g; a batch
+with no live set passes no pattern.  The Gram stacks hold the matrix
 axes first and the pattern axes last, so every elementwise step of the
 downdate and the pivot test runs over contiguous vectors of patterns.  Each
 batch's candidates are confirmed in enumeration order (S_f-major) on their
@@ -38,7 +37,6 @@ batch is filtered.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -72,18 +70,11 @@ class TightnessReport:
     eta: float
 
 
-def _pattern_order(n: int, m: int):
-    """All (|S_f|, |S_g|) size pairs by increasing product, then |S_f|, made
-    one at a time: a heap holds the next pair (i, j) of each |S_f| = i, keyed
-    (i * j, i), so a search that stops early never orders the rest."""
-    heap = [(i, i, 1) for i in range(1, n + 1)] if m else []  # sorted, so a heap
-    while heap:
-        _, i, j = heap[0]
-        yield i, j
-        if j < m:
-            heapq.heapreplace(heap, (i * (j + 1), i, j + 1))
-        else:
-            heapq.heappop(heap)
+def _pattern_order(n: int, m: int) -> list:
+    """All (|S_f|, |S_g|) size pairs by increasing product, then |S_f|, which
+    fixes |S_g|: at most 144 pairs under the default guard."""
+    return sorted(itertools.product(range(1, n + 1), range(1, m + 1)),
+                  key=lambda s: (s[0] * s[1], s[0]))
 
 
 def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
@@ -179,15 +170,13 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
         p, h, ruled_out, least = projections[side, size]
         # A class whose tested size every projected set rules out is counted
         # whole.  Otherwise only the live sets, those not ruled out at that
-        # size, are tested, and a block with none is not filtered.
+        # size, are tested; a block with none passes no pattern.
         if sizes[1 - side] >= least:
             s_f, s_g = subsets(n, sizes[0]), subsets(m, sizes[1])
             tested = (s_g, s_f)[side]
             live = ruled_out <= sizes[1 - side]
             for block in _batches(*counts):
                 here, there = block[side], block[1 - side]
-                if not live[here].any():
-                    continue
                 keep = _candidates(p[..., here], live[here], h[..., here], tested[there])
                 for i_f, i_g in zip(*np.nonzero(keep.T if side else keep)):
                     i_f, i_g = block[0].start + int(i_f), block[1].start + int(i_g)

@@ -181,10 +181,10 @@ def from_hilbert_vectors(vectors) -> PairedSystem:
     if bad.size:
         j = int(bad[0])
         raise HypothesisError(f"column {j} has norm {norms[j]:.6g}, expected 1 within {ETA_HYP:g}")
-    # One copy of T and one of its transpose, conjugated in place: no third
-    # array of T's size, and no ufunc buffers for a transposed operand.
-    functionals = np.array(T.T, order="C")
-    np.conjugate(functionals, out=functionals)
+    # One copy of T and one of its conjugate transpose, made first: the
+    # ufunc's buffer for the transposed operand is then alive beside one
+    # array of T's size, not two.
+    functionals = np.conjugate(T.T, order="C")
     return _adopted(np.array(T, order="C"), functionals, field_tag)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from math import comb
 from unittest import mock
 
@@ -60,7 +61,7 @@ def dft_pair_searched(d):
     """patterns_searched of dft_pair at d: Donoho-Stark gives |S_f| |S_g| >=
     d, and ({0}, all d) comes first at product d, so the search returns 1 +
     the number of patterns of smaller product: 25516 at d = 9, 180412 at
-    11, 349793 at 12 and 1334256 at 13."""
+    11, 349793 at 12, 1334256 at 13 and 40037772 at 17."""
     return 1 + sum(comb(d, i) * comb(d, j) for i in range(1, d + 1)
                    for j in range(1, d + 1) if i * j < d)
 
@@ -268,12 +269,14 @@ class TestMinSparsityProduct:
         assert stacked == list(map(len, stacks))
         assert sum(stacked) == 376
 
-    @pytest.mark.parametrize("d,searched", [(d, dft_pair_searched(d)) for d in range(2, 14)])
+    @pytest.mark.parametrize("d,searched", [(d, dft_pair_searched(d)) for d in range(2, 18)])
     def test_dft_pair_filters_only_the_winners_class(self, monkeypatch, d, searched):
         # Weyl's bound rules out every projected set in every class before
         # the winner's, (1, d), whose spikes S_f = {j} all leave room for
         # the single S_g of size d: one filter call, of d live sets against
-        # it.  d = 13 needs guard 26 and projects stacks of 13 columns.
+        # it.  Past the default guard, d = 13 ... 17 need guard 2d and
+        # project stacks of up to 17 columns; at d = 17 the search sorts 289
+        # size pairs.
         calls = []
         candidates = oracle._candidates
 
@@ -460,11 +463,11 @@ def test_batched_search_matches_reference_property(b):
 
 
 def test_pattern_order_is_the_referees():
-    # The oracle makes its size classes one at a time; the referee states
-    # their order as one sort.
+    # The oracle sorts by (product, |S_f|), which fixes |S_g|; the referee
+    # also breaks ties by |S_g|.
     for n in range(GUARD + 1):
         for m in range(GUARD + 1 - n):
-            assert list(oracle._pattern_order(n, m)) == pattern_order(n, m), (n, m)
+            assert oracle._pattern_order(n, m) == pattern_order(n, m), (n, m)
 
 
 # Example count from the hypothesis profile (tests/conftest.py).
@@ -713,6 +716,26 @@ def assert_filter_sound(p, ks):
                     assert (i_f, i_g) in passed, (i_f, rows, low)
     assert (ruled_out[ks == 0] == m + 1).all()
     return ruled_out
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_without_live_sets_passes_nothing(k, field):
+    # A block whose projected sets are all ruled out at the class's size is
+    # filtered like any other: the test runs on empty stacks and passes no
+    # pattern, without a numpy warning.  The rows are so light that every
+    # pattern passes when its set is live.
+    p = 1e-6 * projection_stack(np.random.default_rng(k), 5, [k] * 4, field)
+    h = np.einsum("imf,jmf->ijf", p.conj(), p)
+    i = np.arange(k)
+    h[i, i] -= CUTOFF
+    s_g = oracle._subsets(5, 2)
+    assert oracle._candidates(p, np.ones(4, bool), h, s_g).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        keep = oracle._candidates(p, np.zeros(4, bool), h, s_g)
+    assert (keep.dtype, keep.shape) == (np.dtype(bool), (4, len(s_g)))
+    assert not keep.any()
 
 
 @st.composite
