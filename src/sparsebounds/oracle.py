@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf, isfinite
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .systems import BiSystem
 BATCH = 512
 # Projection cutoff over the confirmation cutoff (see min_sparsity_product).
 MARGIN = 1e4
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,9 +71,11 @@ class TightnessReport:
     eta: float
 
 
+@functools.lru_cache(maxsize=64)
 def _pattern_order(n: int, m: int) -> list:
     """All (|S_f|, |S_g|) size pairs by increasing product, then |S_f|, which
-    fixes |S_g|: at most 144 pairs under the default guard."""
+    fixes |S_g|: at most 144 pairs under the default guard.  The list is
+    shared by every call with the same (n, m); callers only read it."""
     return sorted(itertools.product(range(1, n + 1), range(1, m + 1)),
                   key=lambda s: (s[0] * s[1], s[0]))
 
@@ -140,12 +143,17 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
     # m * u * ||C / s||^2 for the sums of masses, lies as far inside the room
     # as the filter's, so it never rules out a pattern the confirmation
     # accepts.
-    scale = max(np.linalg.svd(np.concatenate([a_rows, c_rows]), compute_uv=False)[0], 1.0)
+    # [A; C], whose rows each confirmation takes outside its pattern.
+    rows = np.concatenate([a_rows, c_rows])
+    scale = max(np.linalg.svd(rows, compute_uv=False)[0], 1.0)
     units = (a_rows / scale, c_rows / scale)
-    t = tol_rank + 1e3 * np.finfo(float).eps
-    with np.errstate(over="ignore"):  # inf for a tol_rank near the largest float
-        # Side 0 projects S_f and tests the rows of C; side 1 projects S_g.
-        cutoffs = [2.0 * (t + min(np.linalg.norm(u), 1.0) / MARGIN) ** 2 for u in units[::-1]]
+    t = float(tol_rank) + 1e3 * _EPS
+    # Side 0 projects S_f and tests the rows of C; side 1 projects S_g.  The
+    # square is libm's pow, which numpy's scalar power also calls (b * b
+    # differs from it in the last bit for about 1 b in 1200, and H with it);
+    # ** raises OverflowError past 1.34e154, where 2 b^2 is inf anyway.
+    bounds = [t + min(float(np.linalg.norm(u)), 1.0) / MARGIN for u in units[::-1]]
+    cutoffs = [2.0 * b ** 2 if b < 1e154 else inf for b in bounds]
     # The tables of this call's projected and filtered size classes only.
     subsets = functools.cache(_subsets)
     # (side, size) -> (P, H = P^H P - cutoff * I, the sizes ruled out and
@@ -180,9 +188,10 @@ def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
                 keep = _candidates(p[..., here], live[here], h[..., here], tested[there])
                 for i_f, i_g in zip(*np.nonzero(keep.T if side else keep)):
                     i_f, i_g = block[0].start + int(i_f), block[1].start + int(i_g)
-                    off = np.concatenate([np.delete(a_rows, s_f[i_f], axis=0),
-                                          np.delete(c_rows, s_g[i_g], axis=0)])
-                    basis = null_space_basis(off, tol_rank)
+                    off = np.ones(n + m, bool)
+                    off[s_f[i_f]] = False
+                    off[n:][s_g[i_g]] = False
+                    basis = null_space_basis(rows[off], tol_rank)
                     if basis.shape[1] > 0:
                         return _report(bisystem, space, basis[:, 0], sizes, eta, guard,
                                        searched + i_f * counts[1] + i_g + 1)
@@ -254,9 +263,8 @@ def _project(a_off: np.ndarray, c_unit: np.ndarray, t: float, cutoff: float) -> 
     sets axis first."""
     r, w = a_off.shape[1:]
     lam, vecs = np.linalg.eigh(a_off.conj().transpose(0, 2, 1) @ a_off)
-    with np.errstate(over="ignore"):  # inf for a tol_rank near the largest float
-        # delta = 4 (r + w) r rho = 2 (r + w) r eps
-        cut = MARGIN**2 * (t * t + 2 * (r + w) * r * np.finfo(float).eps)
+    # delta = 4 (r + w) r rho = 2 (r + w) r eps; inf for a t past 1.3e150
+    cut = MARGIN**2 * (t * t + 2 * (r + w) * r * _EPS)
     ks = np.count_nonzero(lam <= cut, axis=-1)
     width = max(ks.max(), 1)
     q = vecs[..., width - 1::-1].transpose(0, 2, 1) @ c_unit.T
@@ -264,13 +272,15 @@ def _project(a_off: np.ndarray, c_unit: np.ndarray, t: float, cutoff: float) -> 
     inert = i < (width - ks)[:, None]
     q[inert] = 0.0
     h = q.conj() @ q.transpose(0, 2, 1)
-    h[:, i, i] = np.where(inert, 1.0, h[:, i, i] - cutoff)
-    ruled_out = _ruled_out(q, h)
+    diagonal = h.reshape(len(h), -1, copy=False)[:, ::width + 1]  # a view
+    diagonal -= cutoff
+    diagonal[inert] = 1.0
+    ruled_out = _ruled_out(q, h, cutoff)
     p, h = np.ascontiguousarray(q.transpose(1, 2, 0)), np.ascontiguousarray(h.transpose(1, 2, 0))
     return p, h, ruled_out, int(ruled_out.min())
 
 
-def _ruled_out(q: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _ruled_out(q: np.ndarray, h: np.ndarray, cutoff: float) -> np.ndarray:
     """For each of the F sets of a projection, with q (F, width, m) its P^T
     and h (F, width, width) its H, the number b of sizes |S_g| = 0 ... b - 1
     at which G - cutoff * I is positive definite for every S_g, so that the
@@ -278,10 +288,15 @@ def _ruled_out(q: np.ndarray, h: np.ndarray) -> np.ndarray:
     products of the rows of P in S_g, so by Weyl's inequality its smallest
     eigenvalue is at least low - top, for low the smallest eigenvalue of H
     and top the sum of the |S_g| largest row masses ||p_i||^2 of P.  None is
-    ruled out when H is not finite, as an infinite cutoff makes it."""
-    if not np.isfinite(h).all():  # eigvalsh would raise
+    ruled out when H is not finite, which is exactly when the cutoff is not:
+    P's entries are at most 1 in magnitude (orthonormal eigenvectors, rows
+    C / s of norm at most 1), so P^H P is finite and so is its difference
+    with a finite cutoff; an infinite cutoff, 2 b^2 with b >= t, overflows
+    only past t = 9.4e153, where cut (_project) is infinite too, so every
+    set has k = w >= 1, no inert block, and -inf on H's diagonal."""
+    if not isfinite(cutoff):  # eigvalsh would raise on H
         return np.zeros(len(q), int)
-    low = h[:, 0, 0].real if h.shape[-1] == 1 else np.linalg.eigvalsh(h)[:, 0]
+    low = np.linalg.eigvalsh(h)[:, 0]
     mass = (q.conj() * q).real.sum(axis=1)
     top = np.cumsum(np.sort(mass, axis=1)[:, ::-1], axis=1)
     return (low > 0) + (low[:, None] > top).sum(axis=1)

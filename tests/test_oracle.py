@@ -146,13 +146,16 @@ class TestMinSparsityProduct:
         with pytest.raises(NoAdmissibleSignalError):
             min_sparsity_product(b, AdmissibleSpace(np.zeros((2, 0))))
 
-    def test_absurd_tol_rank_raises_only_the_witness_check(self):
-        """At tol_rank = 1e300 the Gram cutoff overflows to inf, so the filter
-        passes the first pattern and its witness fails the l0 check.  No numpy
-        warning comes first: pytest makes a RuntimeWarning an error."""
+    # Where the projection's cut overflows to inf (1e150: t^2 is still
+    # finite), where t^2 and the Gram cutoff do (1e155), and far past both.
+    @pytest.mark.parametrize("tol_rank", [1e150, 1e155, 1e300, 1.7e308])
+    def test_absurd_tol_rank_raises_only_the_witness_check(self, tol_rank):
+        """At an absurd tol_rank the filter passes the first pattern and its
+        witness fails the l0 check.  No numpy warning and no OverflowError
+        comes first: pytest makes a RuntimeWarning an error."""
         b = generate("dft_pair", {"d": 4}, 0)
         with pytest.raises(DegenerateInputError, match="witness l0 product 4 differs"):
-            min_sparsity_product(b, admissible_space(b, 1e300), tol_rank=1e300)
+            min_sparsity_product(b, admissible_space(b, tol_rank), tol_rank=tol_rank)
 
     @pytest.mark.parametrize("family,params", [
         ("dft_pair", {"d": 4}),
@@ -470,6 +473,12 @@ def test_pattern_order_is_the_referees():
             assert oracle._pattern_order(n, m) == pattern_order(n, m), (n, m)
 
 
+def test_pattern_order_cache_is_bounded():
+    # The order is memoised per (n, m); a larger guard must not grow it
+    # without limit.
+    assert oracle._pattern_order.cache_info().maxsize is not None
+
+
 # Example count from the hypothesis profile (tests/conftest.py).
 @given(small_bisystems(), st.data())
 def test_cutoffs_bound_the_spectral_cutoffs_property(b, data):
@@ -695,7 +704,7 @@ def assert_filter_sound(p, ks):
     h = np.einsum("imf,jmf->ijf", p.conj(), p)
     i = np.arange(width)
     h[i, i] = np.where(i[:, None] < width - ks, 1.0, h[i, i] - CUTOFF)
-    ruled_out = oracle._ruled_out(p.transpose(2, 0, 1), h.transpose(2, 0, 1))
+    ruled_out = oracle._ruled_out(p.transpose(2, 0, 1), h.transpose(2, 0, 1), CUTOFF)
     for size in range(1, m + 1):
         s_g = oracle._subsets(m, size)
         keep = oracle._candidates(p, ruled_out <= size, h, s_g)
@@ -863,7 +872,7 @@ def test_inert_block_decides_nothing():
         assert np.array_equal(h[:, :2 - k, i_f], np.eye(2)[:, :2 - k])
         if k:  # Weyl's bound on the set's own block
             own = oracle._ruled_out(p[2 - k:, :, [i_f]].transpose(2, 0, 1),
-                                    h[2 - k:, 2 - k:, [i_f]].transpose(2, 0, 1))
+                                    h[2 - k:, 2 - k:, [i_f]].transpose(2, 0, 1), CUTOFF)
             assert ruled_out[i_f] == own[0]
     assert ruled_out[0] == m + 1 and least == ruled_out.min()
     passed = 0
