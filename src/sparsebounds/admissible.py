@@ -336,17 +336,16 @@ def _perturb(bisystem: BiSystem, magnitude: float, seed: int) -> BiSystem:
     systems adopt the products S T diag(c) and diag(c)^-1 F S^-1, fresh
     arrays that share no memory with the base.
 
-    Each array is let go once nothing reads it: E once S is formed, S once
-    the second system's S T diag(c) is made, and each base system, in order,
-    once its S T diag(c) and diag(c)^-1 F are made, before the product by
-    S^-1 (a base the caller still holds stays alive; generate hands its base
-    over).  A complex F times the dense real S^-1 is computed as the
-    transpose product (_dense), which reads the quotient transposed and
-    C-ordered: diag(c)^-1 F is made in Fortran order, which is that layout,
-    so it is not copied again.  The peak is
-    that last product over a complex base: the first new system, S^-1, the
-    second's vectors, its quotient, the product and its C-ordered
-    transpose, six and a half complex d x d arrays for dft_pair.
+    Each array is let go once nothing reads it: E once S is formed, then
+    each base system, in order, once its S T diag(c) and diag(c)^-1 F are
+    made, before the product by S^-1 (a base the caller still holds stays
+    alive; generate hands its base over).  A complex F times the dense real
+    S^-1 is computed as the transpose product (_dense), which reads the
+    quotient transposed and C-ordered: diag(c)^-1 F is made in Fortran
+    order, which is that layout, so it is not copied again.  The peak is
+    that last product over a complex base: the first new system, S, S^-1,
+    the second's vectors, its quotient, the product and its C-ordered
+    transpose, seven complex d x d arrays for dft_pair.
     """
     rng = np.random.default_rng(seed)
     d = bisystem.d
@@ -363,12 +362,9 @@ def _perturb(bisystem: BiSystem, magnitude: float, seed: int) -> BiSystem:
     del bisystem  # each base system is now held by bases alone, until apply takes it
 
     def apply() -> PairedSystem:
-        nonlocal s
         system = bases.pop(0)
         c = rng.uniform(1.0, 1.0 + magnitude, size=system.n)
         vectors = _matmul(s, system._vectors_form)
-        if not bases:  # the second system: nothing reads S again
-            s = None
         vectors *= c
         field, f = system.field, system._functionals_form
         del system

@@ -71,13 +71,12 @@ class TightnessReport:
     eta: float
 
 
-@functools.lru_cache(maxsize=64)
 def _pattern_order(n: int, m: int) -> list:
     """All (|S_f|, |S_g|) size pairs by increasing product, then |S_f|, which
-    fixes |S_g|: at most 144 pairs under the default guard.  The list is
-    shared by every call with the same (n, m); callers only read it."""
+    fixes |S_g|: at most 144 pairs under the default guard.  The pairs come
+    by increasing |S_f| and the sort is stable, so the product is the key."""
     return sorted(itertools.product(range(1, n + 1), range(1, m + 1)),
-                  key=lambda s: (s[0] * s[1], s[0]))
+                  key=lambda s: s[0] * s[1])
 
 
 def min_sparsity_product(bisystem: BiSystem, space: AdmissibleSpace,
@@ -272,7 +271,7 @@ def _project(a_off: np.ndarray, c_unit: np.ndarray, t: float, cutoff: float) -> 
     inert = i < (width - ks)[:, None]
     q[inert] = 0.0
     h = q.conj() @ q.transpose(0, 2, 1)
-    diagonal = h.reshape(len(h), -1, copy=False)[:, ::width + 1]  # a view
+    diagonal = np.einsum("fii->fi", h)  # a writable view
     diagonal -= cutoff
     diagonal[inert] = 1.0
     ruled_out = _ruled_out(q, h, cutoff)

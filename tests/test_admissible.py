@@ -325,13 +325,13 @@ class TestWorkingSet:
         # and a finiteness mask (1/16).  A conjugate that the system then
         # copied read 6.08.
         ("dft_pair", {"d": D}, 5.1),
-        # At the last product: the first new system's two matrices, S^-1
-        # (1/2), the second's vectors, diag(c)^-1 G in the Fortran order the
-        # mixed product reads, the product and its C-ordered transpose, which
-        # the new system adopts: 6.54.  E, S and the base are let go by then.
-        # Holding S read 7.02; holding E and the base, a C-ordered G / c and
-        # its transposed copy 11.54.
-        ("perturbed", {"base": {"family": "dft_pair", "params": {"d": D}}}, 6.55),
+        # At the last product: the first new system's two matrices, S and
+        # S^-1 (1), the second's vectors, diag(c)^-1 G in the Fortran order
+        # the mixed product reads, the product and its C-ordered transpose,
+        # which the new system adopts.  E and the base are let go by then.
+        # Holding E and the base, a C-ordered G / c and its transposed copy
+        # read 11.54.
+        ("perturbed", {"base": {"family": "dft_pair", "params": {"d": D}}}, 7.0),
         # Real bases peak at S diag(1), the scaling S times the base
         # identity's vectors: the base's four real matrices (2), S and S^-1
         # (1), the scaled copy (1/2), numpy's ufunc buffer of 8192 doubles
