@@ -72,70 +72,59 @@ class BoundCertificate:
 
 def fixedpoint_residuals(bisystem: BiSystem, x) -> tuple:
     """Max-norm residuals of x against both fixed-point conditions."""
-    sig = _analyse(bisystem, _as_signal(bisystem.field, x, bisystem.d, "signal"))
-    return float(sig.r_f), float(sig.r_g)
+    _, _, r_f, r_g = _analyse(bisystem, _as_signal(bisystem.field, x, bisystem.d, "signal"))
+    return float(r_f), float(r_g)
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    """Per-bisystem invariants and the tolerances the verdicts compare with,
-    computed once for many signals."""
-
-    profile: CoherenceProfile
-    pairing_ok: bool
-    tol_fp: float
-    tol_cert: float
-
-
-def _prepare(bisystem: BiSystem, eta: float = ETA, tol_fp: float = TOL_FP,
-             tol_cert: float = TOL_CERT) -> _Prepared:
-    """The bisystem's _Prepared, once all three tolerances are checked: eta
-    is then passed on as it is (sparsity._counts takes it checked)."""
-    for name, value in (("eta", eta), ("tol_fp", tol_fp), ("tol_cert", tol_cert)):
-        _valid_real(name, value)
-    return _Prepared(coherence_profile(bisystem), bisystem._pairing_ok, tol_fp, tol_cert)
-
-
-@dataclass(frozen=True)
-class _Signal:
-    """Analysis vectors and fixed-point residuals of one nonzero signal, or
-    of each row of a stack of signals (then every field has the stack's
-    leading axis)."""
-
-    a: np.ndarray
-    b: np.ndarray
-    r_f: np.ndarray
-    r_g: np.ndarray
-
-
-def _analyse(bisystem: BiSystem, x: np.ndarray) -> _Signal:
-    """x, one signal (d,) or a stack (k, d) in the bisystem's field, analysed
-    by each system's kept matrix forms directly, so a real system pairs with
-    a complex one.  Each row of a stack has the bits of the same signal
-    analysed alone (systems._apply).  A product that overflows leaves a
-    residual of inf or NaN, which fails the hypothesis (_certificates): a
-    non-finite analysis vector does so too, through T a or W b, unless its
-    tau_j is 0, and then f_j(tau_j) = 0 fails the pairing."""
+def _analyse(bisystem: BiSystem, x: np.ndarray) -> tuple:
+    """(a, b, r_f, r_g): the analysis vectors and fixed-point residuals of x,
+    one signal (d,) or a stack (k, d) in the bisystem's field (then each has
+    the stack's leading axis), analysed by each system's kept matrix forms
+    directly, so a real system pairs with a complex one.  Each row of a
+    stack has the bits of the same signal analysed alone (systems._apply).
+    A product that overflows leaves a residual of inf or NaN, which fails
+    the hypothesis (_certificates): a non-finite analysis vector does so
+    too, through T a or W b, unless its tau_j is 0, and then f_j(tau_j) = 0
+    fails the pairing."""
     first, second = bisystem.first, bisystem.second
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = _apply(first._functionals_form, x), _apply(second._functionals_form, x)
         r_f = np.abs(x - _apply(first._vectors_form, a)).max(axis=-1)
         r_g = np.abs(x - _apply(second._vectors_form, b)).max(axis=-1)
-    return _Signal(a, b, r_f, r_g)
+    return a, b, r_f, r_g
 
 
-def _certificates(prep: _Prepared, r_f, r_g, o_m, o_n, eps, delta) -> dict:
+def _evaluate(bisystem: BiSystem, x: np.ndarray, eta: float) -> tuple:
+    """(zero, r_f, r_g, mags) of a stack x (k, d) of signals in the
+    bisystem's field: the indices of the rows that are zero after
+    thresholding at eta, the fixed-point residuals (k,) and |a|, |b| in one
+    array (2, k, max(n, m)), zero-padded to one width.  A zero is never
+    above eta and adds +0.0 to a running mass, so one call gives the l0
+    counts, and one the defects, of both systems, with their bits.  The one
+    evaluation of signals that single certificates and sweeps share."""
+    zero = (_counts(np.abs(x), eta) == 0).nonzero()[0]
+    a, b, r_f, r_g = _analyse(bisystem, x)
+    n, m = a.shape[1], b.shape[1]
+    mags = np.zeros((2, len(x), max(n, m)))
+    np.abs(a, out=mags[0, :, :n])
+    np.abs(b, out=mags[1, :, :m])
+    return zero, r_f, r_g, mags
+
+
+def _certificates(bisystem: BiSystem, tol_fp: float, tol_cert: float, r_f, r_g, o_m, o_n,
+                  eps, delta) -> dict:
     """BoundCertificate's lhs, rhs, numerators and verdicts, keyed by field
     name, at fixed-point residuals (r_f, r_g), set sizes (o_m, o_n) and
     concentration defects (eps, delta), elementwise over scalars or
-    broadcastable arrays."""
-    numerator_f, numerator_g, rhs = _bound(o_m, o_n, eps, delta, prep.profile)
+    broadcastable arrays; the bisystem's profile and pairing verdict are
+    kept on it."""
+    numerator_f, numerator_g, rhs = _bound(o_m, o_n, eps, delta, coherence_profile(bisystem))
     lhs = np.multiply(o_m, o_n, dtype=float)
-    hypothesis_ok = (np.maximum(r_f, r_g) <= prep.tol_fp) & prep.pairing_ok
+    hypothesis_ok = (np.maximum(r_f, r_g) <= tol_fp) & bisystem._pairing_ok
     vacuous = np.isinf(rhs)
     # rhs is in [0, inf] and lhs is finite, so a vacuous bound (rhs = inf)
     # already fails the comparison: it is never satisfied.
-    satisfied = hypothesis_ok & (lhs >= rhs - prep.tol_cert)
+    satisfied = hypothesis_ok & (lhs >= rhs - tol_cert)
     return dict(lhs=lhs, rhs=rhs, numerator_f=numerator_f, numerator_g=numerator_g,
                 hypothesis_ok=hypothesis_ok, vacuous=vacuous, satisfied=satisfied)
 
@@ -166,25 +155,27 @@ def _verify(bisystem: BiSystem, x, sets, eta: float, tol_fp: float,
     """Certificate at signal x.  With sets None it is the flat bound, at the
     l0 counts of the analysis vectors and eps = delta = 0, with epsilon and
     delta recorded as None; with sets (M, N), the concentrated bound at the
-    sets' sizes and concentration defects."""
-    prep = _prepare(bisystem, eta, tol_fp, tol_cert)
+    sets' sizes and concentration defects.  x is evaluated as a stack of one
+    signal, the sweep's evaluation (_evaluate)."""
+    for name, value in (("eta", eta), ("tol_fp", tol_fp), ("tol_cert", tol_cert)):
+        _valid_real(name, value)
+    profile = coherence_profile(bisystem)
     x = _as_signal(bisystem.field, x, bisystem.d, "signal")
-    if _counts(np.abs(x), eta) == 0:
+    zero, (r_f,), (r_g,), mags = _evaluate(bisystem, x[None], eta)
+    if zero.size:
         raise DegenerateInputError("signal is zero after thresholding")
-    sig = _analyse(bisystem, x)
-    mags = np.abs(sig.a), np.abs(sig.b)
     eps = delta = None
     if sets is None:
-        o_m, o_n = (_counts(m, eta) for m in mags)
+        o_m, o_n = _counts(mags[:, 0], eta)
     else:
-        (o_m, eps), (o_n, delta) = map(_concentration, mags, sets)
-    quantities = _certificates(prep, sig.r_f, sig.r_g, o_m, o_n, 0.0 if eps is None else eps,
-                               0.0 if delta is None else delta)
+        (o_m, eps), (o_n, delta) = map(_concentration, (mags[0, 0, :bisystem.first.n],
+                                                        mags[1, 0, :bisystem.second.n]), sets)
+    quantities = _certificates(bisystem, tol_fp, tol_cert, r_f, r_g, o_m, o_n,
+                               0.0 if eps is None else eps, 0.0 if delta is None else delta)
     return BoundCertificate(
         **{name: np.asarray(value).item() for name, value in quantities.items()},
-        profile=prep.profile, fixedpoint_residual_f=float(sig.r_f),
-        fixedpoint_residual_g=float(sig.r_g), eta=eta, tol_fp=tol_fp, tol_cert=tol_cert,
-        epsilon=eps, delta=delta,
+        profile=profile, fixedpoint_residual_f=float(r_f), fixedpoint_residual_g=float(r_g),
+        eta=eta, tol_fp=tol_fp, tol_cert=tol_cert, epsilon=eps, delta=delta,
     )
 
 
@@ -228,8 +219,11 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
     trials = _valid_integer("trials", trials, 1)
     rng = np.random.default_rng(_valid_integer("seed", seed, 0))
     concentrated_subsample = _valid_integer("concentrated_subsample", concentrated_subsample, 0)
-    prep = _prepare(bisystem, eta, tol_fp, tol_cert)
+    for name, value in (("eta", eta), ("tol_fp", tol_fp), ("tol_cert", tol_cert)):
+        _valid_real(name, value)
+    coherence_profile(bisystem)  # an overflowing profile is refused before the space
     _check_space(bisystem, space)
+    n, m = bisystem.first.n, bisystem.second.n
     satisfied = conc_checked = conc_ok = 0
     min_margin = np.inf
     failing = []
@@ -238,27 +232,24 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
         # In the bisystem's field, as verify_fkdb analyses a signal: a real
         # basis of a complex bisystem draws real signals.
         x = _samples(space, rng, len(block)).astype(_DTYPES[bisystem.field], copy=False)
-        zero = (_counts(np.abs(x), eta) == 0).nonzero()[0]
-        sig = _analyse(bisystem, x)
-        (_, n), m = sig.a.shape, sig.b.shape[1]
-        # |a| and |b| in one array, zero-padded to one width: a zero is never
-        # above eta and adds +0.0 to a running mass, so one call gives the
-        # l0 counts, and one the defects, of both systems, with their bits.
-        mags = np.zeros((2, len(block), max(n, m)))
-        np.abs(sig.a, out=mags[0, :, :n])
-        np.abs(sig.b, out=mags[1, :, :m])
+        zero, r_f, r_g, mags = _evaluate(bisystem, x, eta)
         # A zero signal ends the sweep, as it ends the loop of single
         # certificates: only the signals before it are checked first.
         k = min(max(concentrated_subsample - start, 0), zero[0] if zero.size else len(block))
         if k:
-            ok, margin = _concentrated(prep, sig, mags[:, :k], n, m)
-            conc_checked += ok.size
-            conc_ok += int(ok.sum())
-            min_margin = min(min_margin, margin.min())
+            # The concentrated certificates (k, n, m) of the first k signals,
+            # with M and N the best_set sets of every size pair (o_m, o_n).
+            defects = _top_defects(mags[:, :k])
+            cert = _certificates(bisystem, tol_fp, tol_cert, r_f[:k, None, None],
+                                 r_g[:k, None, None], np.arange(1, n + 1)[:, None],
+                                 np.arange(1, m + 1), defects[0, :, 1:n + 1, None],
+                                 defects[1, :, None, 1:m + 1])
+            conc_checked += cert["satisfied"].size
+            conc_ok += int(cert["satisfied"].sum())
+            min_margin = min(min_margin, (cert["lhs"] - cert["rhs"]).min())
         if zero.size:
             raise DegenerateInputError("signal is zero after thresholding")
-        count_a, count_b = _counts(mags, eta)
-        cert = _certificates(prep, sig.r_f, sig.r_g, count_a, count_b, 0.0, 0.0)
+        cert = _certificates(bisystem, tol_fp, tol_cert, r_f, r_g, *_counts(mags, eta), 0.0, 0.0)
         passed = int(cert["satisfied"].sum())
         satisfied += passed
         if passed < len(block):
@@ -269,18 +260,3 @@ def exhaustive_verify(bisystem: BiSystem, space: AdmissibleSpace, trials: int,
         concentrated_satisfied=conc_ok, min_margin=float(min_margin),
         failing_trials=tuple(failing),
     )
-
-
-def _concentrated(prep: _Prepared, sig: _Signal, mags: np.ndarray, n: int, m: int) -> tuple:
-    """Verdicts and margins (k, n, m) of the concentrated certificates of the
-    first k signals of a stack, whose analysis magnitudes are mags[0, :, :n]
-    and mags[1, :, :m] (zero-padded beyond), with M and N the best_set sets
-    of every size pair (o_m, o_n)."""
-    k = mags.shape[1]
-    defects = _top_defects(mags)
-    eps, delta = defects[0, :, 1:n + 1], defects[1, :, 1:m + 1]
-    cert = _certificates(prep, sig.r_f[:k, None, None], sig.r_g[:k, None, None],
-                         np.arange(1, n + 1)[:, None], np.arange(1, m + 1),
-                         eps[:, :, None], delta[:, None, :])
-    return cert["satisfied"], cert["lhs"] - cert["rhs"]
-

@@ -231,6 +231,8 @@ def cmd_coherence(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if (args.set_m is None) != (args.set_n is None):
+        raise ParameterError("--set-m and --set-n go together: give both or neither")
     bisystem, inputs = _resolve_bisystem(args)
     if args.signal:
         _only_source(args, "signal", ("sample", "tol_rank"))
@@ -243,7 +245,7 @@ def cmd_verify(args) -> int:
         inputs["sample_seed"] = sample_seed = _seed(args.sample)
         x = sample_admissible(admissible_space(bisystem, args.tol_rank), sample_seed)
     sets = {}
-    if args.set_m is not None or args.set_n is not None:
+    if args.set_m is not None:
         sets = {"set_m": _index_set(args.set_m), "set_n": _index_set(args.set_n)}
         cert = verify_fskpb(bisystem, x, sets["set_m"], sets["set_n"], eta=args.eta,
                             tol_fp=args.tol_fp, tol_cert=args.tol_cert)

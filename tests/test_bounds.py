@@ -169,10 +169,17 @@ class TestVerifyFkdb:
         space = AdmissibleSpace(np.eye(2))
         assert exhaustive_verify(b, space, 3, tol_fp=1.0).satisfied == (3 if ok else 0)
 
-    def test_zero_signal_rejected(self):
+    # A signal zero after thresholding, exactly or below eta, is refused by
+    # both certificates before their sets are read: set [5] is out of range.
+    @pytest.mark.parametrize("x", [np.zeros(2), 1e-10 * np.ones(2)], ids=["zeros", "below-eta"])
+    @pytest.mark.parametrize("certify", [
+        verify_fkdb,
+        lambda b, x: verify_fskpb(b, x, [5], [0]),
+    ], ids=["verify_fkdb", "verify_fskpb"])
+    def test_zero_signal_rejected(self, certify, x):
         b = BiSystem(identity_system(2), identity_system(2))
-        with pytest.raises(DegenerateInputError):
-            verify_fkdb(b, np.zeros(2))
+        with pytest.raises(DegenerateInputError, match="signal is zero after thresholding"):
+            certify(b, x)
 
     def test_vacuous_bound_never_satisfied(self):
         zero = PairedSystem(np.zeros((2, 1)), np.zeros((1, 2)))
@@ -338,11 +345,9 @@ def test_stacked_analysis_has_single_signal_bits(bisystem):
         x = x + 1j * rng.standard_normal(x.shape)
     stack = _analyse(bisystem, x)
     for i, row in enumerate(x):
-        one = _analyse(bisystem, row)
-        for got, want in zip((stack.a[i], stack.b[i], stack.r_f[i], stack.r_g[i]),
-                             (one.a, one.b, one.r_f, one.r_g)):
-            assert got.tobytes() == want.tobytes()
-        for got, system in ((stack.a[i], bisystem.first), (stack.b[i], bisystem.second)):
+        for got, want in zip(stack, _analyse(bisystem, row)):
+            assert got[i].tobytes() == want.tobytes()
+        for got, system in ((stack[0][i], bisystem.first), (stack[1][i], bisystem.second)):
             if system.field != bisystem.field:
                 continue
             want = analysis(system, row)

@@ -375,7 +375,10 @@ def test_manifest_pinned(tmp_path, monkeypatch, capsys, files, argv, manifest):
                                             "magnitude": "0.1"})},
      ["sample", "--descriptor", "desc.json"]),
     ({}, ["verify", "--family", "rotated_pair", "--d", "3", "--angle", "nan", "--sample", "1"]),
-    ({}, ["verify", "--family", "dft_pair", "--d", "4", "--sample", "1", "--set-m", "a,b"]),
+    ({}, ["verify", "--family", "dft_pair", "--d", "4", "--sample", "1", "--set-m", "a,b",
+          "--set-n", "0"]),
+    ({}, ["verify", "--family", "dft_pair", "--d", "4", "--sample", "42", "--set-m", "0"]),
+    ({}, ["verify", "--family", "dft_pair", "--d", "4", "--sample", "42", "--set-n", "0"]),
     ({"bis.json": json.dumps(BISYSTEM_1X1)},
      ["verify", "--bisystem", "bis.json", "--family", "identity_pair", "--d", "9", "--angle", "3",
       "--sample", "1"]),
@@ -404,6 +407,7 @@ def test_manifest_pinned(tmp_path, monkeypatch, capsys, files, argv, manifest):
         "base-without-perturbed", "unused-base-split", "misspelled-parameter",
         "unknown-family", "descriptor-angle-string", "descriptor-angle-bool",
         "descriptor-magnitude-string", "angle-nan", "set-m-not-integers",
+        "set-m-without-set-n", "set-n-without-set-m",
         "bisystem-with-family-flags", "bisystem-with-seed", "bisystem-with-descriptor",
         "signal-with-sample", "descriptor-with-family", "descriptor-with-d",
         "descriptor-with-seed", "descriptor-with-magnitude", "signal-with-tol-rank",
